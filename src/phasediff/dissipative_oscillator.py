@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .bath_kernels import (
     DissipativeBathMoments,
@@ -27,7 +28,7 @@ from .bath_kernels import (
 )
 from .distribution import PhaseDistribution, distribution_from_fourier, resolve_grid
 from .errors import ConsistencyError, TruncationError
-from .special_functions import generalized_laguerre, log_factorial, squeeze_matrix
+from .special_functions import log_factorial, squeeze_matrix
 
 
 @dataclass(frozen=True)
@@ -90,20 +91,15 @@ def _check_consistency(moments: DissipativeBathMoments, zeta: complex) -> None:
 def damping_coeffs(spec: OscillatorLindbladSpec) -> tuple[float, float]:
     """Squeezed-frame damping coefficients (alpha_coef, beta_coef).
 
-    Their difference is gamma0 exactly (cosh^2 - sinh^2 = 1); the bath
-    moments must satisfy the squeeze-frame consistency condition.
+    Once the bath moments satisfy the squeeze-frame consistency condition,
+    the squeezed-bath coefficients gamma0 [N cosh 2r - Re(M zeta*) sinh 2r / r
+    + (cosh^2 r, sinh^2 r)] reduce exactly to the thermal pair
+    (gamma0 (N_th + 1), gamma0 N_th); the reduced form avoids the
+    cancellation, so beta_coef is exactly 0 at T = 0.
     """
-    g0 = spec.gamma0
-    moments = spec.moments
-    r = spec.zeta_mag
-    if r == 0.0:
-        return g0 * (moments.N_th + 1.0), g0 * moments.N_th
-    _check_consistency(moments, spec.zeta)
-    cross = (g0 / (2.0 * r)) * math.sinh(2.0 * r) * (
-        2.0 * (moments.M * spec.zeta.conjugate()).real
-    )
-    common = g0 * moments.N * math.cosh(2.0 * r) - cross
-    return common + g0 * math.cosh(r) ** 2, common + g0 * math.sinh(r) ** 2
+    _check_consistency(spec.moments, spec.zeta)
+    g0, n_th = spec.gamma0, spec.moments.N_th
+    return g0 * (n_th + 1.0), g0 * n_th
 
 
 @dataclass(frozen=True)
@@ -130,43 +126,51 @@ def mixture_params(spec: OscillatorLindbladSpec, t: float, eta0: complex) -> Gsc
         raise ValueError(f"t = {t} must be nonnegative")
     _, beta_coef = damping_coeffs(spec)
     g0 = spec.gamma0
-    # beta_coef vanishes identically at T = 0; clamp the rounding residue
-    beta_tilde = max(0.0, (beta_coef / g0) * -math.expm1(-g0 * t))
+    beta_tilde = (beta_coef / g0) * -math.expm1(-g0 * t)
     eta_tilde = eta0 * math.exp(-g0 * t / 2.0) / (1.0 + beta_tilde)
     return GscsMixture(beta_tilde=beta_tilde, eta_tilde=eta_tilde, zeta=spec.zeta)
 
 
 def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
-    """Matrix Dm[f, l] = <f| D(eta) |l> from the Laguerre closed form of the
-    generalized coherent state; f < l follows by the negative-superscript
-    Laguerre identity."""
-    x = abs(eta) ** 2
-    log_half = 0.5 * np.array([log_factorial(k) for k in range(cutoff)])
-    dm = np.empty((cutoff, cutoff), dtype=complex)
-    pref = math.exp(-x / 2.0)
-    for f in range(cutoff):
-        for l in range(cutoff):
-            if f >= l:
-                dm[f, l] = (
-                    pref
-                    * math.exp(log_half[l] - log_half[f])
-                    * eta ** (f - l)
-                    * generalized_laguerre(l, f - l, x)
-                )
-            else:
-                dm[f, l] = (
-                    pref
-                    * math.exp(log_half[f] - log_half[l])
-                    * (-eta.conjugate()) ** (l - f)
-                    * generalized_laguerre(f, l - f, x)
-                )
-    return dm
+    """Matrix Dm[f, l] = <f| D(eta) |l> of the displacement operator.
+
+    With x = |eta|^2 and a = |f - l|, the Laguerre closed form is
+    <f|D|l> = p^a lam_{min(f,l)}^a, where p = eta/|eta| for f >= l and
+    -eta*/|eta| for f < l, and lam_k^a = e^{-x/2} |eta|^a sqrt(k!/(k+a)!)
+    L_k^a(x).  lam obeys the Laguerre degree recurrence in normalized form,
+    sqrt((k+1)(k+1+a)) lam_{k+1} = (2k+1+a-x) lam_k - sqrt(k(k+a)) lam_{k-1},
+    which is run once for all a at once (O(cutoff^2); cf. Miatto & Quesada,
+    arXiv:2004.11002).  Every lam is a matrix element of a unitary, so none
+    exceeds 1 and the table cannot overflow at any cutoff.
+    """
+    mag = abs(eta)
+    x = mag * mag
+    a = np.arange(cutoff, dtype=float)
+    lam = np.empty((cutoff, cutoff))  # lam[k, a]
+    if mag > 0.0:
+        lam[0] = np.exp(-x / 2.0 + a * math.log(mag) - 0.5 * gammaln(a + 1.0))
+    else:
+        lam[0] = a == 0
+    prev = np.zeros(cutoff)
+    for k in range(cutoff - 1):
+        lam[k + 1] = (
+            (2 * k + 1 + a - x) * lam[k] - np.sqrt(k * (k + a)) * prev
+        ) / np.sqrt((k + 1) * (k + 1 + a))
+        prev = lam[k]
+    theta = math.atan2(eta.imag, eta.real)
+    f, l = np.indices((cutoff, cutoff))
+    sup = np.abs(f - l)
+    phase = np.where(
+        f >= l, np.exp(1j * theta * a)[sup], np.exp(1j * (math.pi - theta) * a)[sup]
+    )
+    return phase * lam[np.minimum(f, l), sup]
 
 
-def _gcs_component_vectors(mix: GscsMixture, cutoff: int, k_max: int | None):
+def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int | None):
     """Yield (weight_k, vector_k) with vector_k the Fock expansion of
-    sum_l C(k,l) sqrt(l!) (eta_tilde*)^{k-l} D(eta_tilde)|l>."""
-    dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
+    sum_l C(k,l) sqrt(l!) (eta_tilde*)^{k-l} D(eta_tilde)|l>, where
+    dm = gcs_displacement_matrix(eta_tilde, cutoff)."""
+    cutoff = dm.shape[0]
     ratio = mix.k_ratio
     etc = mix.eta_tilde.conjugate()
     limit = k_max if k_max is not None else 300
@@ -194,6 +198,11 @@ def _gcs_component_vectors(mix: GscsMixture, cutoff: int, k_max: int | None):
     raise TruncationError(f"GSCS k-sum failed to converge within k_max = {limit}")
 
 
+def _frame_squeeze(mix: GscsMixture, cutoff: int) -> np.ndarray:
+    zeta = mix.zeta
+    return squeeze_matrix(cutoff, abs(zeta), math.atan2(zeta.imag, zeta.real))
+
+
 def fock_density_from_gscs(
     mix: GscsMixture, cutoff: int, k_max: int | None = None, trace_tol: float = 1e-5
 ) -> np.ndarray:
@@ -202,11 +211,10 @@ def fock_density_from_gscs(
     The free e^{-i omega (m-n) t} phases are applied only when forming the
     phase distribution, never here.
     """
-    r1 = abs(mix.zeta)
-    phi = math.atan2(mix.zeta.imag, mix.zeta.real)
-    g = squeeze_matrix(cutoff, r1, phi)
+    g = _frame_squeeze(mix, cutoff)
+    dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
     rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
-    for weight, v in _gcs_component_vectors(mix, cutoff, k_max):
+    for weight, v in _gcs_component_vectors(mix, dm, k_max):
         rho_frame += weight * np.outer(v, v.conj())
     pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
     rho = pref * (g @ rho_frame @ g.conj().T)
@@ -249,17 +257,20 @@ def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
 
 
 def _phase_dist_direct(
-    mix: GscsMixture, omega: float, t: float, cutoff: int, theta: np.ndarray
+    mix: GscsMixture,
+    omega: float,
+    t: float,
+    g: np.ndarray,
+    dm: np.ndarray,
+    theta: np.ndarray,
 ) -> np.ndarray:
     """Direct evaluation of the printed phase-distribution sum, factorized
-    per mixture component k; never forms the density matrix."""
-    r1 = abs(mix.zeta)
-    phi_z = math.atan2(mix.zeta.imag, mix.zeta.real)
-    g = squeeze_matrix(cutoff, r1, phi_z)
-    m = np.arange(cutoff, dtype=float)
+    per mixture component k; never forms the density matrix.  g and dm are
+    the frame squeeze and displacement matrices at the cutoff to use."""
+    m = np.arange(g.shape[0], dtype=float)
     phases = np.exp(-1j * np.outer(m, theta + omega * t))  # e^{-i m (theta + w t)}
     total = np.zeros(len(theta))
-    for weight, v in _gcs_component_vectors(mix, cutoff, None):
+    for weight, v in _gcs_component_vectors(mix, dm, None):
         psi = g @ v
         gk = psi @ phases
         total += weight * np.abs(gk) ** 2
@@ -278,17 +289,26 @@ def phase_dist_osc_dissipative(
     """Phase distribution of the dissipative oscillator at time t.
 
     Evaluated at two Fock cutoffs; disagreement beyond agreement_tol raises
-    TruncationError.
+    TruncationError.  Matrix elements do not depend on the cutoff, so the
+    squeeze and displacement matrices are built once and the smaller
+    cutoff uses their leading block.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
     theta = resolve_grid(grid)
-    values = _phase_dist_direct(mix, spec.omega, t, cutoff, theta)
-    check = _phase_dist_direct(mix, spec.omega, t, max(8, cutoff - 8), theta)
-    dev = float(np.max(np.abs(values - check)))
+    check_cutoff = max(8, cutoff - 8)
+    size = max(cutoff, check_cutoff)
+    g = _frame_squeeze(mix, size)
+    dm = gcs_displacement_matrix(mix.eta_tilde, size)
+
+    def direct(n: int) -> np.ndarray:
+        return _phase_dist_direct(mix, spec.omega, t, g[:n, :n], dm[:n, :n], theta)
+
+    values = direct(cutoff)
+    dev = float(np.max(np.abs(values - direct(check_cutoff))))
     if dev > agreement_tol:
         raise TruncationError(
-            f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {cutoff - 8})"
+            f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff})"
         )
     return PhaseDistribution(theta, values)

@@ -1,15 +1,18 @@
 """Combinatorial and special functions underlying the closed forms.
 
-Everything here is a pure function.  Factorial ratios are assembled in log
-space and exponentiated once per term so that spins up to j ~ 50 and Fock
-indices beyond 100 stay finite (naive factorials overflow near 170!).
+Everything here is a pure function.  The Wigner-d sums assemble factorial
+ratios in log space and exponentiate once per term, so spins up to j ~ 50
+stay finite (naive factorials overflow near 170!).  The squeeze-operator
+Fock matrix needs no factorials: it is filled by the O(cutoff^2)
+Gaussian-unitary recurrences of Miatto & Quesada, "Fast optimization of
+parametrized quantum optical circuits", Quantum 4, 366 (2020),
+arXiv:2004.11002.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -70,38 +73,6 @@ def wigner_d_half_pi(j, n, p) -> float:
     return math.fsum(terms)
 
 
-def generalized_laguerre(n: int, a: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^a(x) for integer superscript a.
-
-    Negative superscripts are routed through the identity
-    L_n^{-k}(x) = (-x)^k ((n-k)!/n!) L_{n-k}^k(x), valid for k <= n; the raw
-    binomial series is ill-defined for negative upper index.
-    """
-    if n < 0:
-        raise ValueError(f"degree n = {n} must be nonnegative")
-    if a < -n:
-        raise ValueError(f"superscript a = {a} below -n = {-n}")
-    if a < 0:
-        k = -a
-        scale = math.exp(log_factorial(n - k) - log_factorial(n))
-        return (-x) ** k * scale * generalized_laguerre(n - k, k, x)
-    # three-term recurrence in the degree
-    lm1, l = 0.0, 1.0
-    for i in range(n):
-        lm1, l = l, ((2 * i + 1 + a - x) * l - (i + a) * lm1) / (i + 1)
-    return l
-
-
-def hermite_complex(m: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_m(z) by the standard recurrence."""
-    if m < 0:
-        raise ValueError(f"order m = {m} must be nonnegative")
-    hm1, h = 0.0 + 0.0j, 1.0 + 0.0j
-    for i in range(m):
-        hm1, h = h, 2.0 * z * h - 2.0 * i * hm1
-    return h
-
-
 def hermite_sequence(m_max: int, z: complex) -> np.ndarray:
     """H_0(z) .. H_{m_max}(z) as one array (shared recurrence pass)."""
     out = np.empty(m_max + 1, dtype=complex)
@@ -113,91 +84,40 @@ def hermite_sequence(m_max: int, z: complex) -> np.ndarray:
     return out
 
 
-def gauss_2f1_terminating(p: int, m: int, c: float, x: float) -> float:
-    """Terminating hypergeometric series 2F1(-p, -m; c; x).
-
-    Exactly min(p, m) + 1 terms; c must avoid the nonpositive integers.
-    """
-    if p < 0 or m < 0:
-        raise ValueError("p and m must be nonnegative integers")
-    if c <= 0 and float(c).is_integer():
-        raise ValueError(f"c = {c} is a nonpositive integer")
-    total = term = 1.0
-    for k in range(min(p, m)):
-        term *= (-(p - k)) * (-(m - k)) * x / ((c + k) * (k + 1))
-        total += term
-    return total
-
-
-def _log_pochhammer(c: float, k: int) -> float:
-    """ln (c)_k for c > 0."""
-    return gammaln(c + k) - gammaln(c)
-
-
-def squeeze_matrix_element(m: int, n: int, r1: float, phi: float) -> complex:
-    """Fock matrix element <m| S(zeta) |n| of the squeeze operator.
+def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
+    """Dense cutoff x cutoff Fock matrix G[m, n] = <m| S(zeta) |n>.
 
     S(zeta) = exp[(zeta* a^2 - zeta a^dag^2)/2] with zeta = r1 e^{i phi}.
-    Nonzero only when m and n share parity.  Evaluated through terminating
-    2F1 sums accumulated in log-magnitude form; at r1 = 0 the operator is
-    the identity.
+    Built by the Gaussian-unitary Fock recurrences (Miatto & Quesada,
+    Quantum 4, 366 (2020), arXiv:2004.11002): column 0 is the squeezed
+    vacuum, and each further column follows from the two before it,
+    vectorized over the row index m.  Entries with m - n odd are exactly 0,
+    and r1 = 0 gives the identity exactly.
+
+    The forward recurrence loses accuracy where both indices are large
+    (about 1e-13 at column 20, 5e-10 at column 40 for r1 = 1); the GSCS
+    vectors it multiplies are negligible there.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be nonnegative")
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
-    if (m - n) % 2 != 0:
-        return 0.0 + 0.0j
-    if r1 == 0.0:
-        return (1.0 + 0.0j) if m == n else 0.0 + 0.0j
-
-    th = math.tanh(r1)
-    x = -1.0 / math.sinh(r1) ** 2
-    if m % 2 == 0:  # both even: m = 2p', n = 2m'
-        pp, mp = m // 2, n // 2
-        c = 0.5
-        log_cosh_pow = 0.5 * math.log(math.cosh(r1))
-    else:  # both odd: m = 2p'+1, n = 2m'+1
-        pp, mp = (m - 1) // 2, (n - 1) // 2
-        c = 1.5
-        log_cosh_pow = 1.5 * math.log(math.cosh(r1))
-
-    log_pref = (
-        0.5 * (log_factorial(m) + log_factorial(n))
-        - log_factorial(pp)
-        - log_factorial(mp)
-        + (pp + mp) * (math.log(th) - LN2)
-        - log_cosh_pow
-    )
-
-    # terminating 2F1(-pp, -mp; c; x) folded into the prefactor log so that
-    # huge series terms against a tiny tanh^{(m+n)/2} prefactor never overflow
-    kmax = min(pp, mp)
-    log_terms = np.empty(kmax + 1)
-    log_terms[0] = 0.0
-    acc = 0.0
-    for k in range(kmax):
-        acc += (
-            math.log((pp - k) * (mp - k) * abs(x)) - math.log((c + k) * (k + 1))
-        )
-        log_terms[k + 1] = acc
-    signs = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, math.copysign(1.0, x))
-    peak = log_terms.max()
-    series = float(np.sum(signs * np.exp(log_terms - peak)))
-
-    sign = (-1.0) ** pp
-    magnitude = sign * math.exp(log_pref + peak) * series
-    return magnitude * cmath.exp(1j * phi * (pp - mp))
-
-
-@lru_cache(maxsize=32)
-def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
-    """Dense cutoff x cutoff matrix of squeeze operator elements (cached)."""
+    sech, th = 1.0 / math.cosh(r1), math.tanh(r1)
+    sq = np.sqrt(np.arange(cutoff, dtype=float))
     g = np.zeros((cutoff, cutoff), dtype=complex)
-    for m in range(cutoff):
-        for n in range(m % 2, cutoff, 2):
-            g[m, n] = squeeze_matrix_element(m, n, r1, phi)
-    g.setflags(write=False)
+    g[0, 0] = math.sqrt(sech)
+    # G[m+2, 0] = -e^{i phi} tanh(r1) sqrt((m+1)/(m+2)) G[m, 0]
+    step = -cmath.exp(1j * phi) * th
+    for m in range(0, cutoff - 2, 2):
+        g[m + 2, 0] = step * (sq[m + 1] / sq[m + 2]) * g[m, 0]
+    # G[m, n+1] = (sech sqrt(m) G[m-1, n] + e^{-i phi} tanh sqrt(n) G[m, n-1]) / sqrt(n+1)
+    back = cmath.exp(-1j * phi) * th
+    for n in range(cutoff - 1):
+        col = np.zeros(cutoff, dtype=complex)
+        col[1:] = sech * sq[1:] * g[:-1, n]
+        if n > 0:
+            col += (back * sq[n]) * g[:, n - 1]
+        g[:, n + 1] = col / sq[n + 1]
     return g
 
 

@@ -47,7 +47,7 @@ from phasediff.qnd_phase import (
     phase_distribution_atomic,
     qnd_evolve,
 )
-from phasediff.special_functions import squeeze_matrix, squeeze_matrix_element, wigner_d_half_pi
+from phasediff.special_functions import squeeze_matrix, wigner_d_half_pi
 
 GRID = phase_grid(720)
 
@@ -318,8 +318,9 @@ def test_criterion_09_special_function_suite():
         worst = max(worst, float(np.max(np.abs(d.T @ d - np.eye(len(ms))))))
     checks.append(("Wigner-d unitarity j <= 10", worst <= 1e-12, f"dev {worst:.3e}"))
 
+    g12 = squeeze_matrix(12, 1.0, 0.4)
     parity_ok = all(
-        squeeze_matrix_element(m, n, 1.0, 0.4) == 0.0
+        g12[m, n] == 0.0
         for m in range(12)
         for n in range(12)
         if (m - n) % 2 == 1

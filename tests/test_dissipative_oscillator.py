@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from phasediff.bath_kernels import DissipativeBathMoments
 from phasediff.dissipative_oscillator import (
@@ -36,7 +37,24 @@ def test_damping_beta_vanishes_at_zero_temperature():
     for r in (0.0, 0.5, 1.0, 2.0):
         spec = oscillator_spec(1.0, 0.25, r, 0.9, 0.0)
         _, b = damping_coeffs(spec)
-        assert abs(b) < 1e-12
+        assert b == 0.0
+
+
+def test_damping_coeffs_equal_squeezed_bath_form():
+    # [DERIVED] the unreduced squeezed-bath expression, whose terms cancel
+    # down to the thermal pair; agreement to a few ulps of the largest term
+    for r in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        for T in (0.0, 0.5, 2.0, 10.0, 100.0, 300.0):
+            for phi in (0.0, 0.7, -2.0):
+                spec = oscillator_spec(1.0, 0.25, r, phi, T)
+                g0, m, z = spec.gamma0, spec.moments, spec.zeta
+                cross = 2.0 * (m.M * z.conjugate()).real
+                cross *= math.sinh(2.0 * r) / (2.0 * r) if r > 0 else 1.0
+                common = g0 * (m.N * math.cosh(2.0 * r) - cross)
+                expected = (common + g0 * math.cosh(r) ** 2, common + g0 * math.sinh(r) ** 2)
+                scale = g0 * (m.N * math.cosh(2.0 * r) + math.cosh(r) ** 2)
+                for got, want in zip(damping_coeffs(spec), expected):
+                    assert abs(got - want) <= 8 * np.finfo(float).eps * scale
 
 
 def test_consistency_check_rejects_tampered_moments():
@@ -63,6 +81,14 @@ def test_gcs_displacement_matrix_is_unitary_in_window():
     # numerical unitarity of the displaced basis, window far below cutoff
     dm = gcs_displacement_matrix(0.8 - 0.3j, 60)[:, :15]
     assert np.max(np.abs(dm.conj().T @ dm - np.eye(15))) < 1e-10
+
+
+@pytest.mark.parametrize("eta", [0.8 - 0.3j, 1.0, 0.3j, 1.8 + 0.4j])
+def test_gcs_displacement_matrix_vs_expm_oracle(eta):
+    # [DERIVED] exponential of eta a^dag - eta* a on a 500-level truncation
+    a = np.diag(np.sqrt(np.arange(1.0, 500.0)), 1)
+    oracle = expm(eta * a.T - np.conj(eta) * a)[:200, :200]
+    assert np.max(np.abs(gcs_displacement_matrix(eta, 200) - oracle)) < 1e-12
 
 
 def test_density_trace_hermiticity_positivity():
@@ -98,6 +124,18 @@ def test_direct_phase_sum_matches_density_assembly():
     assembled = phase_distribution_fock(rho, 1.0, t, GRID)
     assert np.max(np.abs(direct.values - assembled.values)) < 1e-6
     assert abs(integrate_distribution(direct) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("r", [1.75, 2.0])
+def test_strong_squeezing_stays_finite_and_normalized(r):
+    # default cutoffs 803 and 1298; the unnormalized Laguerre table overflowed here
+    spec = oscillator_spec(1.0, 0.025, r, 0.0, 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=phase_grid(2880))
+        d = dispersion(p)
+    assert np.all(np.isfinite(p.values))
+    assert abs(integrate_distribution(p) - 1.0) < 1e-12
+    assert 0.0 <= d <= 1.0
 
 
 def test_long_time_thermal_state_is_uniform():

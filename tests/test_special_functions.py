@@ -1,21 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, hyp2f1
 
 from phasediff.halfint import HalfInteger, m_range
 from phasediff.special_functions import (
     beta_integral,
-    gauss_2f1_terminating,
-    generalized_laguerre,
-    hermite_complex,
     hermite_sequence,
     log_binomial,
     log_factorial,
     squeeze_matrix,
-    squeeze_matrix_element,
     wigner_d_half_pi,
 )
 
@@ -70,35 +66,6 @@ def test_wigner_d_against_rotation_exponential():
         assert np.max(np.abs(d - oracle)) < 1e-12
 
 
-def test_laguerre_matches_scipy():
-    xs = [0.0, 0.3, 2.7]
-    for n in range(0, 12):
-        for a in range(0, 6):
-            for x in xs:
-                assert math.isclose(
-                    generalized_laguerre(n, a, x),
-                    float(eval_genlaguerre(n, a, x)),
-                    rel_tol=1e-11,
-                    abs_tol=1e-11,
-                )
-
-
-def test_laguerre_negative_superscript_identity():
-    # L_n^{-k}(x) = (-x)^k (n-k)!/n! L_{n-k}^{k}(x)
-    for n in range(2, 10):
-        for k in range(1, n + 1):
-            for x in (0.4, 1.9):
-                expected = (
-                    (-x) ** k
-                    * math.factorial(n - k)
-                    / math.factorial(n)
-                    * float(eval_genlaguerre(n - k, k, x))
-                )
-                assert math.isclose(
-                    generalized_laguerre(n, -k, x), expected, rel_tol=1e-10, abs_tol=1e-12
-                )
-
-
 def test_hermite_recurrence_vs_explicit_polynomial():
     # explicit coefficient form H_m(z) = m! sum_k (-1)^k (2z)^{m-2k} / (k! (m-2k)!)
     z = 0.8 - 0.35j
@@ -112,38 +79,53 @@ def test_hermite_recurrence_vs_explicit_polynomial():
             for k in range(m // 2 + 1)
         )
         assert abs(seq[m] - explicit) <= 1e-10 * max(1.0, abs(explicit))
-        assert abs(hermite_complex(m, z) - explicit) <= 1e-10 * max(1.0, abs(explicit))
 
 
-def test_2f1_terminating_symmetric_in_first_two_parameters():
-    for p in range(0, 6):
-        for m in range(0, 6):
-            val1 = gauss_2f1_terminating(p, m, 0.5, -1.7)
-            val2 = gauss_2f1_terminating(m, p, 0.5, -1.7)
-            assert val1 == val2  # exact: same finite sum
+def _squeeze_hyp2f1(m, n, r1, phi):
+    # [DERIVED] closed form through a terminating 2F1, evaluated in 120 digits:
+    # m = 2p + s, n = 2q + s with parity s, and
+    # <m|S|n> = (-1)^p sqrt(m! n!)/(p! q!) (tanh r1 / 2)^{p+q} e^{i phi (p-q)}
+    #           cosh(r1)^{-(s + 1/2)} 2F1(-p, -q; s + 1/2; -1/sinh^2 r1)
+    if (m - n) % 2:
+        return 0.0
+    s = m % 2
+    p, q = (m - s) // 2, (n - s) // 2
+    with mpmath.workdps(120):
+        r = mpmath.mpf(r1)
+        mag = (
+            (-1) ** p
+            * mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(n))
+            / (mpmath.factorial(p) * mpmath.factorial(q))
+            * (mpmath.tanh(r) / 2) ** (p + q)
+            * mpmath.cosh(r) ** -(s + mpmath.mpf(1) / 2)
+            * mpmath.hyp2f1(-p, -q, s + mpmath.mpf(1) / 2, -1 / mpmath.sinh(r) ** 2)
+        )
+        return complex(mag * mpmath.expjpi(phi * (p - q) / mpmath.pi))
 
 
-def test_2f1_terminating_matches_scipy():
-    for p in range(0, 6):
-        for m in range(0, 6):
-            got = gauss_2f1_terminating(p, m, 1.5, 0.3)
-            ref = float(hyp2f1(-p, -m, 1.5, 0.3))
-            assert math.isclose(got, ref, rel_tol=1e-11, abs_tol=1e-12)
+@pytest.mark.parametrize("r1,rows", [(0.5, 100), (1.0, 210), (1.5, 503)])
+def test_squeeze_matrix_vs_mpmath_2f1(r1, rows):
+    # columns n <= 20 and every row up to the dissipative oscillator's
+    # default cutoff at this squeezing
+    phi = 0.4
+    g = squeeze_matrix(rows, r1, phi)[:, :21]
+    oracle = np.array(
+        [[_squeeze_hyp2f1(m, n, r1, phi) for n in range(21)] for m in range(rows)]
+    )
+    assert np.max(np.abs(g - oracle)) < 1e-12
 
 
 def test_squeeze_element_parity_zeros_exact():
+    g = squeeze_matrix(12, 0.7, 0.3)
     for m in range(0, 12):
         for n in range(0, 12):
             if (m - n) % 2 == 1:
                 # [TRIVIAL] squeeze couples only same-parity Fock states
-                assert squeeze_matrix_element(m, n, 0.7, 0.3) == 0.0
+                assert g[m, n] == 0.0
 
 
 def test_squeeze_element_zero_squeezing_is_identity():
-    for m in range(0, 8):
-        for n in range(0, 8):
-            expected = 1.0 if m == n else 0.0
-            assert squeeze_matrix_element(m, n, 0.0, 1.1) == expected
+    assert np.array_equal(squeeze_matrix(8, 0.0, 1.1), np.eye(8))
 
 
 def test_squeeze_matrix_vs_expm_oracle():
