@@ -58,9 +58,4 @@ from .dissipative_oscillator import (
     fock_density_from_gscs,
     phase_dist_osc_dissipative,
 )
-from .phase_stats import (
-    DispersionCurve,
-    integrate_distribution,
-    dispersion,
-    dispersion_sweep,
-)
+from .phase_stats import integrate_distribution, dispersion

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class HighTemperature:
     T: float
 
     def __post_init__(self):
+        check_finite(T=self.T)
         if self.T <= 0:
             raise ValueError(f"high-temperature regime needs T > 0, got {self.T}")
 
@@ -54,6 +55,7 @@ class QndBathSpec:
     regime: Regime = ZeroTemperature()
 
     def __post_init__(self):
+        check_finite(gamma0=self.gamma0, omega_c=self.omega_c, r=self.r, a=self.a)
         if self.omega_c <= 0:
             raise ValueError(f"omega_c = {self.omega_c} must be positive")
         if self.gamma0 < 0:
@@ -64,6 +66,7 @@ class QndBathSpec:
 
 def eta(t: float, spec: QndBathSpec) -> float:
     """Phase kernel eta(t) = -(gamma0/pi) arctan(omega_c t)."""
+    check_finite(t=t)
     if t < 0:
         raise DomainError(f"t = {t} must be nonnegative")
     return -(spec.gamma0 / math.pi) * math.atan(spec.omega_c * t)
@@ -75,6 +78,7 @@ def gamma_qnd(t: float, spec: QndBathSpec) -> float:
     The squeezed-bath logs are defined only for t > 2a; with a > 0 smaller
     times are rejected as out of domain.
     """
+    check_finite(t=t)
     if spec.a > 0 and t <= 2 * spec.a:
         raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
     if t < 0:
@@ -123,6 +127,8 @@ class DissipativeBathMoments:
     omega: float
 
     def __post_init__(self):
+        check_finite(r=self.r, Phi=self.Phi, T=self.T, omega=self.omega)
+        check_finite(N=self.N, M=self.M, N_th=self.N_th)
         if self.omega <= 0:
             raise ValueError(f"omega = {self.omega} must be positive")
         if self.N < 0 or self.N_th < 0:
@@ -139,6 +145,7 @@ class DissipativeBathMoments:
 
 def thermal_occupation(omega: float, T: float) -> float:
     """Planck occupation 1/(e^{omega/T} - 1); zero at T = 0."""
+    check_finite(omega=omega, T=T)
     if T < 0:
         raise ValueError(f"T = {T} must be nonnegative")
     if T == 0:

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, eta, gamma_qnd
+from .bath_kernels import gamma_qnd
 from .dissipative_oscillator import oscillator_spec, phase_dist_osc_dissipative
 from .dissipative_qubit import phase_dist_qubit_coherent, qubit_spec
-from .distribution import PhaseDistribution, phase_grid
+from .distribution import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, PhaseDistribution, phase_grid
 from .errors import ConsistencyError, DomainError, TruncationError
-from .figures import SCENARIOS, FigureData, RunConfig, run_figure
+from .figures import SCENARIOS, FigureData, RunConfig, _kernels, _qnd_bath, run_figure
 from .phase_stats import dispersion
 from .qnd_phase import (
     AtomicCoherentParams,
@@ -130,7 +130,16 @@ def _collect_options(args) -> tuple[dict[str, float], dict[str, str]]:
             overrides[key] = float(value)
         except ValueError:
             raise UsageError(f"parameter {key!r} has non-numeric value {value!r}")
+        if not math.isfinite(overrides[key]):
+            raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
     return overrides, reserved
+
+
+def _grid_size(reserved: dict[str, str]) -> int:
+    n = int(reserved.get("grid", DEFAULT_GRID_SIZE))
+    if n < MIN_GRID_SIZE:
+        raise UsageError(f"grid size {n} is below the minimum {MIN_GRID_SIZE}")
+    return n
 
 
 def _cmd_figure(args) -> int:
@@ -142,7 +151,7 @@ def _cmd_figure(args) -> int:
     config = RunConfig(
         scenario=args.scenario,
         overrides=overrides,
-        grid=int(reserved.get("grid", 720)),
+        grid=_grid_size(reserved),
         cutoff=int(reserved["cutoff"]) if "cutoff" in reserved else None,
     )
     try:
@@ -160,34 +169,27 @@ def _cmd_figure(args) -> int:
 # --- sweep families ---
 
 
-def _qnd_qubit_dist(p: dict[str, float], grid) -> PhaseDistribution:
-    regime = ZeroTemperature() if p["T"] == 0 else HighTemperature(T=p["T"])
-    spec = QndBathSpec(p["gamma0"], p["omega_c"], p["r"], p["a"], regime)
-    ga = gamma_qnd(p["t"], spec) if p["gamma0"] > 0 else 0.0
+def _qnd_qubit_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
+    ga = gamma_qnd(p["t"], _qnd_bath(p, p["r"], p["T"])) if p["gamma0"] > 0 else 0.0
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
     return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga, grid)
 
 
-def _dissipative_qubit_dist(p: dict[str, float], grid) -> PhaseDistribution:
+def _dissipative_qubit_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
     spec = qubit_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
     return phase_dist_qubit_coherent(state, spec, p["t"], grid)
 
 
-def _qnd_oscillator_dist(p: dict[str, float], grid) -> PhaseDistribution:
-    regime = ZeroTemperature() if p["T"] == 0 else HighTemperature(T=p["T"])
-    spec = QndBathSpec(p["gamma0"], p["omega_c"], p["r"], p["a"], regime)
-    if p["gamma0"] > 0:
-        et, ga = eta(p["t"], spec), gamma_qnd(p["t"], spec)
-    else:
-        et, ga = 0.0, 0.0
+def _qnd_oscillator_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
+    et, ga = _kernels(p, p["r"], p["T"], p["t"]) if p["gamma0"] > 0 else (0.0, 0.0)
     return phase_dist_osc_squeezed(
         p["r1"], p["psi"], math.sqrt(p["alpha_sq"]), p["theta0"],
         p["omega"], p["t"], et, ga, None, grid,
     )
 
 
-def _dissipative_oscillator_dist(p: dict[str, float], grid) -> PhaseDistribution:
+def _dissipative_oscillator_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
     spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
     return phase_dist_osc_dissipative(spec, math.sqrt(p["eta0_sq"]), p["t"], grid=grid)
 
@@ -237,7 +239,9 @@ def _cmd_sweep(args) -> int:
         )
     if args.num < 2:
         raise UsageError("--num must be at least 2")
-    grid = phase_grid(int(reserved.get("grid", 720)))
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise UsageError(f"--start and --stop must be finite, got {args.start}, {args.stop}")
+    grid = _grid_size(reserved)
     xs = np.linspace(args.start, args.stop, args.num)
     scenario = f"sweep-{args.family}-{args.param}"
     base = {k: v for k, v in params.items() if k != args.param}
@@ -252,7 +256,7 @@ def _cmd_sweep(args) -> int:
         for x in xs:
             p = builder({**base, args.param: float(x)}, grid)
             columns.append((f"{args.param}={x:g}", p.values))
-        fd = FigureData(scenario, "phi", grid, tuple(columns), base)
+        fd = FigureData(scenario, "phi", phase_grid(grid), tuple(columns), base)
     out = Path(reserved.get("out", f"{scenario}.csv"))
     _write_csv(fd, out)
     print(f"wrote {out}")

@@ -26,8 +26,13 @@ from .bath_kernels import (
     OSCILLATOR_CONVENTION,
     bath_moments,
 )
-from .distribution import PhaseDistribution, distribution_from_fourier, resolve_grid
-from .errors import ConsistencyError, TruncationError
+from .distribution import (
+    DEFAULT_GRID_SIZE,
+    PhaseDistribution,
+    distribution_from_fourier,
+    phase_grid,
+)
+from .errors import ConsistencyError, TruncationError, check_finite
 from .special_functions import log_factorial, squeeze_matrix
 
 
@@ -38,6 +43,7 @@ class OscillatorLindbladSpec:
     moments: DissipativeBathMoments
 
     def __post_init__(self):
+        check_finite(omega=self.omega, gamma0=self.gamma0)
         if self.omega <= 0:
             raise ValueError(f"omega = {self.omega} must be positive")
         if self.gamma0 <= 0:
@@ -227,18 +233,15 @@ def fock_density_from_gscs(
     return rho
 
 
-def phase_distribution_fock(rho: np.ndarray, omega: float, t: float, grid=None) -> PhaseDistribution:
+def phase_distribution_fock(
+    rho: np.ndarray, omega: float, t: float, grid: int = DEFAULT_GRID_SIZE
+) -> PhaseDistribution:
     """P(theta) = (1/2pi) <theta|rho_S|theta> for an interaction-picture Fock
     density matrix, reverting to the Schroedinger picture on the way."""
     rho = np.asarray(rho, dtype=complex)
-    cutoff = rho.shape[0]
-    n = np.arange(cutoff, dtype=float)
-    dn = n[:, None] - n[None, :]
-    rho_s = rho * np.exp(-1j * omega * dn * t)
-    coeffs = {}
-    for d in range(-(cutoff - 1), cutoff):
-        coeffs[d] = np.trace(rho_s, offset=d) / (2.0 * math.pi)
-    return distribution_from_fourier(coeffs, grid)
+    n = np.arange(rho.shape[0], dtype=float)
+    rho_s = rho * np.exp(-1j * omega * (n[:, None] - n[None, :]) * t)
+    return distribution_from_fourier(rho_s / (2.0 * math.pi), grid)
 
 
 def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
@@ -283,7 +286,7 @@ def phase_dist_osc_dissipative(
     eta0: complex,
     t: float,
     cutoff: int | None = None,
-    grid=None,
+    grid: int = DEFAULT_GRID_SIZE,
     agreement_tol: float = 1e-8,
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
@@ -296,7 +299,7 @@ def phase_dist_osc_dissipative(
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
-    theta = resolve_grid(grid)
+    theta = phase_grid(grid)
     check_cutoff = max(8, cutoff - 8)
     size = max(cutoff, check_cutoff)
     g = _frame_squeeze(mix, size)
@@ -311,4 +314,4 @@ def phase_dist_osc_dissipative(
         raise TruncationError(
             f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff})"
         )
-    return PhaseDistribution(theta, values)
+    return PhaseDistribution(values)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath_kernels import DissipativeBathMoments, QUBIT_CONVENTION, bath_moments
-from .distribution import PhaseDistribution, resolve_grid
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
+from .errors import check_finite
 from .qnd_phase import AtomicCoherentParams, _half_sign
 
 _SZ = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
@@ -39,6 +40,7 @@ class QubitLindbladSpec:
     moments: DissipativeBathMoments
 
     def __post_init__(self):
+        check_finite(omega=self.omega, gamma0=self.gamma0)
         if self.omega <= 0:
             raise ValueError(f"omega = {self.omega} must be positive")
         if self.gamma0 < 0:
@@ -120,14 +122,14 @@ def propagate_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float) -> np.n
 
 
 def phase_dist_qubit_coherent(
-    params: AtomicCoherentParams, spec: QubitLindbladSpec, t: float, grid=None
+    params: AtomicCoherentParams, spec: QubitLindbladSpec, t: float, grid: int = DEFAULT_GRID_SIZE
 ) -> PhaseDistribution:
     """Closed-form phase distribution for an atomic coherent initial state.
 
     At gamma0 = 0 this collapses to the unitary form
     (1/2pi)[1 + (pi/4) sin(alpha') cos(beta' + omega t - phi)].
     """
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
     r_amp = spec.moments.R_signed
     bracket = (
@@ -136,16 +138,16 @@ def phase_dist_qubit_coherent(
         - spec.gamma0 * r_amp * sh * np.cos(spec.moments.Phi + params.beta_p + phi)
     )
     values = (1.0 + (math.pi / 4.0) * math.sin(params.alpha_p) * bracket) / (2.0 * math.pi)
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def phase_dist_qubit_squeezed(
-    Theta: float, p_sign: float, spec: QubitLindbladSpec, t: float, grid=None
+    Theta: float, p_sign: float, spec: QubitLindbladSpec, t: float, grid: int = DEFAULT_GRID_SIZE
 ) -> PhaseDistribution:
     """Closed-form phase distribution for an atomic squeezed initial state,
     p_sign = +1/2 or -1/2."""
     sign = _half_sign(p_sign)
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
     r_amp = spec.moments.R_signed
     bracket = (
@@ -154,7 +156,7 @@ def phase_dist_qubit_squeezed(
         - spec.gamma0 * r_amp * sh * np.cos(phi + spec.moments.Phi)
     )
     values = (1.0 + sign * (math.pi / (4.0 * math.cosh(Theta))) * bracket) / (2.0 * math.pi)
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def excited_population(params: AtomicCoherentParams, spec: QubitLindbladSpec, t: float) -> float:

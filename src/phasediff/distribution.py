@@ -1,55 +1,62 @@
-"""Phase distribution container and the shared angular grid."""
+"""Phase distributions on the uniform angular grid, and the one synthesizer
+that turns a (weighted) density matrix into P(phi).
+
+A grid is an integer N: the angles phi_l = 2 pi l / N, l = 0..N-1.  Every
+evaluator takes N and nothing else, so a non-uniform grid cannot arise.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_GRID_SIZE = 720
+MIN_GRID_SIZE = 8
 
 
 def phase_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Uniform angles on [0, 2pi), endpoint excluded."""
-    if n < 8:
-        raise ValueError(f"grid size {n} too small")
+    """The N uniform angles 2 pi l / N on [0, 2pi), endpoint excluded."""
+    if n < MIN_GRID_SIZE:
+        raise ValueError(f"grid size {n} too small; the minimum is {MIN_GRID_SIZE}")
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Sampled phase distribution P(phi) on a uniform grid over [0, 2pi)."""
+    """P(phi) sampled at the N = len(values) angles of phase_grid(N)."""
 
-    grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        object.__setattr__(self, "grid", grid)
+        if values.ndim != 1 or len(values) < MIN_GRID_SIZE:
+            raise ValueError(f"values must be a 1-d array of at least {MIN_GRID_SIZE} samples")
         object.__setattr__(self, "values", values)
 
     @property
+    def grid(self) -> np.ndarray:
+        return phase_grid(len(self.values))
+
+    @property
     def step(self) -> float:
-        return 2.0 * np.pi / len(self.grid)
+        return 2.0 * np.pi / len(self.values)
 
 
-def resolve_grid(grid) -> np.ndarray:
-    """Accept an angle array, a point count, or None (default grid)."""
-    if grid is None:
-        return phase_grid()
-    if np.isscalar(grid):
-        return phase_grid(int(grid))
-    return np.asarray(grid, dtype=float)
+def distribution_from_fourier(a: np.ndarray, n: int = DEFAULT_GRID_SIZE) -> PhaseDistribution:
+    """P(phi_l) = Re sum_{j,k} a[j,k] e^{i(k-j) phi_l} on the N-point grid.
 
-
-def distribution_from_fourier(coeffs: dict[int, complex], grid) -> PhaseDistribution:
-    """Build P(phi) = sum_d c_d e^{i d phi} on the grid; imaginary parts of a
-    Hermitian-symmetric coefficient set cancel and are discarded."""
-    phi = resolve_grid(grid)
-    values = np.zeros(len(phi), dtype=complex)
-    for d, c in coeffs.items():
-        values += c * np.exp(1j * d * phi)
-    return PhaseDistribution(phi, values.real)
+    Each diagonal offset d = k - j is summed with bincount after folding d
+    mod N (on the grid e^{i d phi_l} depends only on d mod N, so the samples
+    stay exact when the degree exceeds N/2), and one inverse FFT evaluates
+    the folded trigonometric sum at all N angles.  The imaginary part of a
+    Hermitian a vanishes and is discarded.
+    """
+    a = np.asarray(a)
+    idx = np.arange(a.shape[0])
+    offset = ((idx[None, :] - idx[:, None]) % n).ravel()
+    flat = a.ravel()
+    coeffs = np.bincount(offset, flat.real, minlength=n) + 1j * np.bincount(
+        offset, flat.imag, minlength=n
+    )
+    return PhaseDistribution(np.fft.ifft(coeffs).real * n)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input guard."""
+
+import cmath
 
 
 class DomainError(ValueError):
@@ -11,3 +13,11 @@ class TruncationError(RuntimeError):
 
 class ConsistencyError(ValueError):
     """Bath moments violate the squeeze-frame consistency condition."""
+
+
+def check_finite(**values) -> None:
+    """Raise ValueError naming the first keyword argument that is NaN or
+    infinite; every comparison with NaN is false, so range checks miss it."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} = {value} must be finite")

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, eta, gamma_qnd
-from .distribution import PhaseDistribution, phase_grid
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
 from .dissipative_oscillator import oscillator_spec, phase_dist_osc_dissipative
 from .dissipative_qubit import (
     excited_population,
@@ -77,25 +77,23 @@ def _build_fig1(params, grid, cutoff):
         AtomicSqueezedParams(params["j"], params["p"], params["Theta"])
     )
     omega = params["omega"]
-    curves = [("unitary t=0.1", None, None, 0.1)]
-    for label, r, T, t in [
+    curves = [
+        ("unitary t=0.1", None, None, 0.1),
         ("r=1 T=0 t=0.1", 1.0, 0.0, 0.1),
         ("r=1 T=0 t=1", 1.0, 0.0, 1.0),
         ("r=2 T=0 t=0.1", 2.0, 0.0, 0.1),
         ("r=1 T=300 t=0.1", 1.0, 300.0, 0.1),
-    ]:
-        curves.append((label, r, T, t))
-    phi = phase_grid(grid)
+    ]
     columns, dists = [], []
     for label, r, T, t in curves:
         if r is None:
             et, ga = 0.0, 0.0
         else:
             et, ga = _kernels(params, r, T, t)
-        p = phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), phi)
+        p = phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
         columns.append((label, p.values))
         dists.append((label, p))
-    return FigureData("fig1", "phi", phi, tuple(columns), params, (), tuple(dists))
+    return FigureData("fig1", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
 
 
 # --- fig2: dissipative qubit, atomic coherent state ---
@@ -103,7 +101,6 @@ def _build_fig1(params, grid, cutoff):
 
 def _build_fig2(params, grid, cutoff):
     state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
-    phi = phase_grid(grid)
     columns, dists = [], []
     for label, r, T, t in [
         ("T=0 r=0 t=0.1", 0.0, 0.0, 0.1),
@@ -112,10 +109,10 @@ def _build_fig2(params, grid, cutoff):
         ("T=300 r=2 t=0.1", 2.0, 300.0, 0.1),
     ]:
         spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-        p = phase_dist_qubit_coherent(state, spec, t, phi)
+        p = phase_dist_qubit_coherent(state, spec, t, grid)
         columns.append((label, p.values))
         dists.append((label, p))
-    return FigureData("fig2", "phi", phi, tuple(columns), params, (), tuple(dists))
+    return FigureData("fig2", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
 
 
 # --- fig3: excited-state population decay ---
@@ -139,7 +136,6 @@ def _build_fig3(params, grid, cutoff):
 
 
 def _build_fig4(params, grid, cutoff):
-    phi = phase_grid(grid)
     columns, dists = [], []
     for p_sign, tag in [(0.5, "p=+1/2"), (-0.5, "p=-1/2")]:
         for label, r, T, t in [
@@ -149,44 +145,41 @@ def _build_fig4(params, grid, cutoff):
             ("T=300 r=0.5 t=0.1", 0.5, 300.0, 0.1),
         ]:
             spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-            p = phase_dist_qubit_squeezed(params["Theta"], p_sign, spec, t, phi)
+            p = phase_dist_qubit_squeezed(params["Theta"], p_sign, spec, t, grid)
             full = f"{tag} {label}"
             columns.append((full, p.values))
             dists.append((full, p))
-    return FigureData("fig4", "phi", phi, tuple(columns), params, (), tuple(dists))
+    return FigureData("fig4", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
 
 
 # --- fig5: oscillator, dephasing vs dissipative evolution ---
 
 
 def _build_fig5(params, grid, cutoff):
-    phi = phase_grid(grid)
     alpha_mag = math.sqrt(params["alpha_sq"])
-    et, ga = _kernels(
-        {**params, "gamma0": params["gamma0"]}, params["r"], params["T"], params["t"]
-    )
+    et, ga = _kernels(params, params["r"], params["T"], params["t"])
     p_qnd = phase_dist_osc_squeezed(
         params["r"], params["psi"], alpha_mag, params["theta0"],
-        params["omega"], params["t"], et, ga, cutoff, phi,
+        params["omega"], params["t"], et, ga, cutoff, grid,
     )
     spec = oscillator_spec(
         params["omega"], params["gamma0"], params["r"], params["Phi"], params["T"]
     )
     p_diss = phase_dist_osc_dissipative(
-        spec, math.sqrt(params["eta0_sq"]), params["t"], None, phi
+        spec, math.sqrt(params["eta0_sq"]), params["t"], None, grid
     )
     columns = (("dephasing", p_qnd.values), ("dissipative", p_diss.values))
     dists = (("dephasing", p_qnd), ("dissipative", p_diss))
     notes = (
         "eta0_sq (dissipative displacement) and theta0 are tool defaults",
     )
-    return FigureData("fig5", "theta", phi, columns, params, notes, dists)
+    return FigureData("fig5", "theta", phase_grid(grid), columns, params, notes, dists)
 
 
 # --- dispersion sweeps (fig6-fig10) ---
 
 
-def _sweep(scenario, x_name, xs, families, params, grid):
+def _sweep(scenario, x_name, xs, families, params):
     columns, dists = [], []
     for label, family in families:
         dvals = []
@@ -204,22 +197,20 @@ def _build_fig6(params, grid, cutoff):
     rho0 = atomic_squeezed_density(
         AtomicSqueezedParams(params["j"], params["p"], params["Theta"])
     )
-    phi = phase_grid(grid)
     omega, t = params["omega"], params["t"]
 
     def family(T):
         def f(r):
             et, ga = _kernels(params, r, T, t)
-            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), phi)
+            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
 
         return f
 
     families = [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0, 1000.0)]
-    return _sweep("fig6", "r", R_GRID, families, params, grid)
+    return _sweep("fig6", "r", R_GRID, families, params)
 
 
 def _build_fig7(params, grid, cutoff):
-    phi = phase_grid(grid)
     omega, t = params["omega"], params["t"]
     zetas = tuple(np.linspace(0.25, 2.0, 36))
 
@@ -231,17 +222,16 @@ def _build_fig7(params, grid, cutoff):
                 et, ga = 0.0, 0.0
             else:
                 et, ga = _kernels(params, params["r"], T, t)
-            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), phi)
+            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
 
         return f
 
     families = [("unitary", family(0.0, unitary=True))]
     families += [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0)]
-    return _sweep("fig7", "zeta", zetas, families, params, grid)
+    return _sweep("fig7", "zeta", zetas, families, params)
 
 
 def _build_fig8(params, grid, cutoff):
-    phi = phase_grid(grid)
     omega, t = params["omega"], params["t"]
     alpha_mag = math.sqrt(params["alpha_sq"])
 
@@ -253,45 +243,43 @@ def _build_fig8(params, grid, cutoff):
                 et, ga = _kernels(params, r, T, t)
             return phase_dist_osc_squeezed(
                 params["r1"], params["psi"], alpha_mag, params["theta0"],
-                omega, t, et, ga, cutoff, phi,
+                omega, t, et, ga, cutoff, grid,
             )
 
         return f
 
     families = [("unitary", family(0.0, unitary=True))]
     families += [(f"T={T:g}", family(T)) for T in (0.0, 100.0, 1000.0)]
-    return _sweep("fig8", "r", R_GRID, families, params, grid)
+    return _sweep("fig8", "r", R_GRID, families, params)
 
 
 def _build_fig9(params, grid, cutoff):
-    phi = phase_grid(grid)
     state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
 
     def family(T):
         def f(r):
             spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-            return phase_dist_qubit_coherent(state, spec, params["t"], phi)
+            return phase_dist_qubit_coherent(state, spec, params["t"], grid)
 
         return f
 
     families = [(f"T={T:g}", family(T)) for T in (0.0, 100.0, 300.0, 1000.0)]
-    return _sweep("fig9", "r", R_GRID, families, params, grid)
+    return _sweep("fig9", "r", R_GRID, families, params)
 
 
 def _build_fig10(params, grid, cutoff):
-    phi = phase_grid(grid)
     state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
     omega, t = params["omega"], params["t"]
 
     def family(T):
         def f(r):
             _et, ga = _kernels(params, r, T, t)
-            return phase_dist_coherent_halfspin(state, omega, t, ga, phi)
+            return phase_dist_coherent_halfspin(state, omega, t, ga, grid)
 
         return f
 
     families = [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0, 1000.0)]
-    return _sweep("fig10", "r", R_GRID, families, params, grid)
+    return _sweep("fig10", "r", R_GRID, families, params)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -372,7 +360,7 @@ SCENARIOS: dict[str, Scenario] = {
 class RunConfig:
     scenario: str
     overrides: Mapping[str, float] = field(default_factory=dict)
-    grid: int = 720
+    grid: int = DEFAULT_GRID_SIZE
     cutoff: int | None = None
 
     def resolved_params(self) -> dict[str, float]:

@@ -18,7 +18,7 @@ from scipy.integrate import quad_vec, simpson
 from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
 from .dissipative_qubit import QubitLindbladSpec
 from .dissipative_oscillator import OscillatorLindbladSpec
-from .distribution import PhaseDistribution, resolve_grid
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
 from .errors import DomainError, TruncationError
 from .qnd_phase import DickeDensityMatrix
 from .special_functions import log_binomial
@@ -165,10 +165,12 @@ def integrate_lindblad_oscillator(
     return out
 
 
-def phase_dist_by_quadrature(rho: DickeDensityMatrix, grid=None) -> PhaseDistribution:
+def phase_dist_by_quadrature(
+    rho: DickeDensityMatrix, grid: int = DEFAULT_GRID_SIZE
+) -> PhaseDistribution:
     """Atomic phase distribution by adaptive polar quadrature of the
     Q-function angle marginal (independent of the Beta closed form)."""
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     j = rho.j
     tj = j.twice_value
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
@@ -183,7 +185,7 @@ def phase_dist_by_quadrature(rho: DickeDensityMatrix, grid=None) -> PhaseDistrib
 
     integral, _err = quad_vec(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11)
     values = (tj + 1) / (4.0 * math.pi) * integral
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:

@@ -1,5 +1,4 @@
-"""Functionals of phase distributions: normalization audit, dispersion,
-and parameter sweeps.
+"""Functionals of phase distributions: normalization audit and dispersion.
 
 On a uniform periodic grid the trapezoid rule is a plain Riemann sum and
 integrates trigonometric polynomials of degree < grid size exactly, so the
@@ -7,9 +6,6 @@ first circular moment below is spectrally accurate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,31 +26,14 @@ def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:
     """Phase dispersion D = 1 - |first circular moment|^2.
 
     Origin-independent; 1 for the uniform distribution, -> 0 for a narrow
-    peak.  Input must be normalized within norm_tol.
+    peak.  Input must be normalized within norm_tol; on a grid of N points
+    the sum misses 1 when P has Fourier content at degrees that are nonzero
+    multiples of N, so the error names N.
     """
     total = integrate_distribution(p)
-    if abs(total - 1.0) > norm_tol:
-        raise ValueError(f"distribution integrates to {total}, not 1")
+    if not abs(total - 1.0) <= norm_tol:  # also rejects NaN
+        raise ValueError(
+            f"distribution integrates to {total}, not 1, on a grid of N = {len(p.values)} "
+            "points; raise the grid size (--grid) or the Fock cutoff"
+        )
     return 1.0 - abs(first_circular_moment(p)) ** 2
-
-
-@dataclass(frozen=True)
-class DispersionCurve:
-    parameter_name: str
-    points: tuple[tuple[float, float], ...]
-
-    def parameters(self) -> np.ndarray:
-        return np.array([x for x, _ in self.points])
-
-    def values(self) -> np.ndarray:
-        return np.array([d for _, d in self.points])
-
-
-def dispersion_sweep(
-    family: Callable[[float], PhaseDistribution],
-    parameter_grid: Iterable[float],
-    parameter_name: str = "parameter",
-) -> DispersionCurve:
-    """Evaluate D along a one-parameter family of distributions."""
-    points = tuple((float(x), dispersion(family(x))) for x in parameter_grid)
-    return DispersionCurve(parameter_name=parameter_name, points=points)

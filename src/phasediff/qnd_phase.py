@@ -20,7 +20,12 @@ from typing import Union
 
 import numpy as np
 
-from .distribution import PhaseDistribution, distribution_from_fourier, resolve_grid
+from .distribution import (
+    DEFAULT_GRID_SIZE,
+    PhaseDistribution,
+    distribution_from_fourier,
+    phase_grid,
+)
 from .errors import TruncationError
 from .halfint import HalfInteger, check_jm, m_range
 from .special_functions import (
@@ -141,16 +146,23 @@ def atomic_squeezed_density(params: AtomicSqueezedParams) -> DickeDensityMatrix:
     return _pure_density(params.j, atomic_squeezed_amplitudes(params).astype(complex))
 
 
+def _dephasing_factor(
+    levels: np.ndarray, omega: float, t: float, eta_t: float, gamma_t: float
+) -> np.ndarray:
+    """Element-wise dephasing propagator for energies omega * levels, with
+    dm = l_i - l_j and sm = l_i + l_j."""
+    dm = levels[:, None] - levels[None, :]
+    sm = levels[:, None] + levels[None, :]
+    return np.exp(
+        -1j * omega * dm * t + 1j * omega**2 * dm * sm * eta_t - omega**2 * dm**2 * gamma_t
+    )
+
+
 def qnd_evolve(
     rho0: DickeDensityMatrix, omega: float, t: float, eta_t: float, gamma_t: float
 ) -> DickeDensityMatrix:
     """Apply the dephasing propagator element-wise in the Dicke basis."""
-    m = rho0.m_values()
-    dm = m[:, None] - m[None, :]
-    sm = m[:, None] + m[None, :]
-    factor = np.exp(
-        -1j * omega * dm * t + 1j * omega**2 * dm * sm * eta_t - omega**2 * dm**2 * gamma_t
-    )
+    factor = _dephasing_factor(rho0.m_values(), omega, t, eta_t, gamma_t)
     return DickeDensityMatrix(rho0.j, rho0.elements * factor)
 
 
@@ -173,25 +185,25 @@ def _dipole_weights(j: HalfInteger) -> np.ndarray:
     return w
 
 
-def phase_distribution_atomic(rho: DickeDensityMatrix, grid=None) -> PhaseDistribution:
+def phase_distribution_atomic(
+    rho: DickeDensityMatrix, grid: int = DEFAULT_GRID_SIZE
+) -> PhaseDistribution:
     """Angle marginal P(phi) of the atomic Q-function, via the exact
     Beta-function polar integral."""
     j = rho.j
     weighted = rho.elements * _dipole_weights(j)
     pref = (j.twice_value + 1) / (4.0 * math.pi)  # (2j+1)/4pi
-    # collect Fourier coefficients by diagonal offset d = n - m
-    coeffs = {}
-    for d in range(-j.twice_value, j.twice_value + 1):
-        coeffs[d] = pref * np.trace(weighted, offset=-d)
-    return distribution_from_fourier(coeffs, grid)
+    # weighted[n, m] multiplies e^{i(n-m)phi}; the synthesizer wants a[m, n]
+    return distribution_from_fourier(pref * weighted.T, grid)
 
 
 def phase_dist_coherent_halfspin(
-    params: AtomicCoherentParams, omega: float, t: float, gamma_t: float, grid=None
+    params: AtomicCoherentParams, omega: float, t: float, gamma_t: float,
+    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic coherent initial state; only
     gamma(t) enters."""
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     values = (
         1.0
         + (math.pi / 4.0)
@@ -199,16 +211,17 @@ def phase_dist_coherent_halfspin(
         * np.cos(params.beta_p + omega * t - phi)
         * math.exp(-(omega**2) * gamma_t)
     ) / (2.0 * math.pi)
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def phase_dist_squeezed_halfspin(
-    Theta: float, p_sign: float, omega: float, t: float, gamma_t: float, grid=None
+    Theta: float, p_sign: float, omega: float, t: float, gamma_t: float,
+    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic squeezed initial state,
     p_sign = +1/2 or -1/2."""
     sign = _half_sign(p_sign)
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     values = (
         1.0
         + sign
@@ -216,7 +229,7 @@ def phase_dist_squeezed_halfspin(
         * np.cos(phi - omega * t)
         * math.exp(-(omega**2) * gamma_t)
     ) / (2.0 * math.pi)
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def _half_sign(p_sign: float) -> float:
@@ -232,13 +245,13 @@ def phase_dist_two_atoms(
     t: float,
     eta_t: float,
     gamma_t: float,
-    grid=None,
+    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Two-atom (j = 1) closed forms for p in {+1, -1, 0}.
 
     Unlike the single-atom case these involve eta(t) as well as gamma(t).
     """
-    phi = resolve_grid(grid)
+    phi = phase_grid(grid)
     w2 = omega**2
     if p == 0:
         values = (
@@ -247,7 +260,7 @@ def phase_dist_two_atoms(
             * math.exp(-4.0 * w2 * gamma_t)
             / (2.0 * math.cosh(2.0 * Theta))
         ) / (2.0 * math.pi)
-        return PhaseDistribution(phi, values)
+        return PhaseDistribution(values)
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
     sign = float(p)
@@ -265,7 +278,7 @@ def phase_dist_two_atoms(
         * np.cos(2.0 * (phi - omega * t))
         * math.exp(-4.0 * w2 * gamma_t)
     ) / (2.0 * math.pi)
-    return PhaseDistribution(phi, values)
+    return PhaseDistribution(values)
 
 
 def number_distribution(
@@ -300,22 +313,14 @@ def _check_tail(weights: np.ndarray, tol: float, what: str) -> None:
 
 
 def _osc_phase_dist(
-    amps: np.ndarray, omega: float, t: float, eta_t: float, gamma_t: float, grid
+    amps: np.ndarray, omega: float, t: float, eta_t: float, gamma_t: float, grid: int
 ) -> PhaseDistribution:
     """P(theta) for a pure state evolved under the oscillator dephasing
-    propagator, E_n = omega (n + 1/2)."""
-    cutoff = len(amps)
-    n = np.arange(cutoff, dtype=float)
-    dn = n[:, None] - n[None, :]
-    sn = n[:, None] + n[None, :]
-    rho = np.outer(amps, amps.conj()) * np.exp(
-        -1j * omega * dn * t + 1j * omega**2 * dn * (sn + 1.0) * eta_t - omega**2 * dn**2 * gamma_t
-    )
-    coeffs = {}
-    for d in range(-(cutoff - 1), cutoff):
-        # e^{i(n-m)theta} with m the row index: offset d = n - m
-        coeffs[d] = np.trace(rho, offset=d) / (2.0 * math.pi)
-    return distribution_from_fourier(coeffs, grid)
+    propagator, E_n = omega (n + 1/2); half-integer levels are exact in
+    floating point, so dm * sm is exactly (n-m)(n+m+1)."""
+    levels = np.arange(len(amps), dtype=float) + 0.5
+    rho = np.outer(amps, amps.conj()) * _dephasing_factor(levels, omega, t, eta_t, gamma_t)
+    return distribution_from_fourier(rho / (2.0 * math.pi), grid)
 
 
 def default_oscillator_cutoff(alpha_mag: float) -> int:
@@ -331,7 +336,7 @@ def phase_dist_osc_coherent(
     eta_t: float,
     gamma_t: float,
     cutoff: int | None = None,
-    grid=None,
+    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Oscillator phase distribution for a coherent initial state."""
     if cutoff is None:
@@ -368,7 +373,7 @@ def phase_dist_osc_squeezed(
     eta_t: float,
     gamma_t: float,
     cutoff: int | None = None,
-    grid=None,
+    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Oscillator phase distribution for a squeezed coherent initial state;
     dispatches to the coherent form at r1 = 0 where the squeeze factors

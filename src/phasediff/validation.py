@@ -22,7 +22,7 @@ from .dissipative_oscillator import (
     phase_distribution_fock,
 )
 from .dissipative_qubit import propagate_qubit, qubit_spec
-from .distribution import phase_grid
+from .distribution import PhaseDistribution
 from .figures import RunConfig, run_figure
 from .halfint import HalfInteger, m_range
 from .oracle import (
@@ -119,9 +119,8 @@ def _check_oscillator_mixture() -> CheckResult:
 def _check_atomic_closed_form() -> CheckResult:
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     rho = qnd_evolve(atomic_coherent_density(state, 0.5), 1.0, 0.3, 0.0, 0.02)
-    grid = phase_grid(180)
-    machinery = phase_distribution_atomic(rho, grid)
-    closed = phase_dist_coherent_halfspin(state, 1.0, 0.3, 0.02, grid)
+    machinery = phase_distribution_atomic(rho, 180)
+    closed = phase_dist_coherent_halfspin(state, 1.0, 0.3, 0.02, 180)
     dev = float(np.max(np.abs(machinery.values - closed.values)))
     return CheckResult("single-atom closed form vs Beta machinery", 1e-13, dev)
 
@@ -133,21 +132,19 @@ def _check_atomic_quadrature() -> CheckResult:
     p = SCENARIOS["fig1"].defaults
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
     rho_t = qnd_evolve(rho0, p["omega"], 0.1, 0.001, 0.005)
-    grid = phase_grid(90)
-    exact = phase_distribution_atomic(rho_t, grid)
-    quad = phase_dist_by_quadrature(rho_t, grid)
+    exact = phase_distribution_atomic(rho_t, 90)
+    quad = phase_dist_by_quadrature(rho_t, 90)
     dev = float(np.max(np.abs(exact.values - quad.values)))
     return CheckResult("ten-atom distribution vs polar quadrature", 1e-8, dev)
 
 
 def _check_dissipative_phase_dist() -> CheckResult:
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
-    grid = phase_grid(120)
     t = 0.1
-    direct = phase_dist_osc_dissipative(spec, 1.0, t, grid=grid)
+    direct = phase_dist_osc_dissipative(spec, 1.0, t, grid=120)
     mix = mixture_params(spec, t, 1.0)
     rho = fock_density_from_gscs(mix, 130)
-    assembled = phase_distribution_fock(rho, spec.omega, t, grid)
+    assembled = phase_distribution_fock(rho, spec.omega, t, 120)
     dev = float(np.max(np.abs(direct.values - assembled.values)))
     return CheckResult("dissipative oscillator direct sum vs density assembly", 1e-6, dev)
 
@@ -162,10 +159,7 @@ def _check_normalization() -> CheckResult:
 
 
 def _check_dispersion_basics() -> CheckResult:
-    from .distribution import PhaseDistribution
-
-    grid = phase_grid(360)
-    uniform = PhaseDistribution(grid, np.full(len(grid), 1.0 / (2.0 * math.pi)))
+    uniform = PhaseDistribution(np.full(360, 1.0 / (2.0 * math.pi)))
     dev = abs(dispersion(uniform) - 1.0)
     return CheckResult("dispersion of the uniform distribution", 1e-12, dev)
 

@@ -49,7 +49,7 @@ from phasediff.qnd_phase import (
 )
 from phasediff.special_functions import squeeze_matrix, wigner_d_half_pi
 
-GRID = phase_grid(720)
+GRID = 720
 
 
 def _report(num, label, checks):
@@ -191,7 +191,7 @@ def test_criterion_06_closed_forms_vs_machinery():
     checks.append(("two atoms, all p", worst <= 1e-10, f"dev {worst:.3e}"))
 
     # [DERIVED] polar quadrature adjudicates the Beta pipeline itself
-    quad_grid = phase_grid(90)
+    quad_grid = 90
     worst = 0.0
     for rho in (
         atomic_coherent_density(AtomicCoherentParams(1.1, 0.6), 0.5),
@@ -271,10 +271,10 @@ def test_criterion_07_figure_shapes():
 
 def test_criterion_08_dispersion_suite():
     checks = []
-    uniform = PhaseDistribution(GRID, np.full(len(GRID), 1.0 / (2.0 * math.pi)))
+    uniform = PhaseDistribution(np.full(GRID, 1.0 / (2.0 * math.pi)))
     dev = abs(dispersion(uniform) - 1.0)
     checks.append(("uniform D = 1", dev <= 1e-12, f"dev {dev:.3e}"))
-    cardioid = PhaseDistribution(GRID, (1.0 + np.cos(GRID)) / (2.0 * math.pi))
+    cardioid = PhaseDistribution((1.0 + np.cos(phase_grid(GRID))) / (2.0 * math.pi))
     dev = abs(dispersion(cardioid) - 0.75)
     checks.append(("cardioid D = 3/4", dev <= 1e-10, f"dev {dev:.3e}"))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -67,6 +68,11 @@ def test_gamma_domain_error_inside_light_cone():
 def test_high_temperature_requires_positive_t():
     with pytest.raises(ValueError):
         HighTemperature(T=0.0)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^T = "):
+            HighTemperature(T=T)
+        with pytest.raises(ValueError, match="^T = "):
+            thermal_occupation(1.0, T)  # 1/expm1(omega/inf) would divide by zero
 
 
 def test_thermal_occupation_limits():
@@ -109,3 +115,29 @@ def test_qnd_spec_rejects_bad_parameters():
         QndBathSpec(gamma0=-1.0, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
     with pytest.raises(ValueError):
         QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=-0.1, regime=ZeroTemperature())
+
+
+@pytest.mark.parametrize("field", ["gamma0", "omega_c", "r", "a"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_qnd_spec_rejects_non_finite(field, value):
+    kwargs = {"gamma0": 0.025, "omega_c": 100.0, "r": 0.0, "a": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        QndBathSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kernel", [eta, gamma_qnd])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_kernels_reject_non_finite_time(kernel, t):
+    with pytest.raises(ValueError, match="^t = "):
+        kernel(t, _spec())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", math.nan), ("M", complex(0.0, math.nan)), ("N_th", math.inf), ("r", math.nan),
+     ("Phi", math.inf), ("T", math.nan), ("omega", math.nan)],
+)
+def test_bath_moments_reject_non_finite(field, value):
+    mom = bath_moments(0.5, 0.3, 10.0, 1.0, QUBIT_CONVENTION)
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        dataclasses.replace(mom, **{field: value})

@@ -136,3 +136,34 @@ def test_validate_quick_passes(capsys):
     assert main(["validate", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_non_finite_set_value_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig2", "--set", "gamma0=nan", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma0 = inf\n")
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", [("--start=0", "--stop=nan"), ("--start=-inf", "--stop=1")])
+def test_sweep_non_finite_bounds_usage_error(tmp_path, bounds):
+    out = tmp_path / "x.csv"
+    assert main(
+        ["sweep", "--family", "qnd-qubit", "--param", "r", *bounds, "--out", str(out)]
+    ) == 2
+    assert not out.exists()
+
+
+def test_grid_below_minimum_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig2", "--grid", "4", "--out", str(out)]) == 2
+    assert "grid size 4" in capsys.readouterr().err
+    assert not out.exists()

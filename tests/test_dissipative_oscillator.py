@@ -16,12 +16,11 @@ from phasediff.dissipative_oscillator import (
     phase_dist_osc_dissipative,
     phase_distribution_fock,
 )
-from phasediff.distribution import phase_grid
 from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import dispersion, integrate_distribution
 
-GRID = phase_grid(240)
+GRID = 240
 
 
 def test_damping_coefficient_difference_is_gamma0():
@@ -131,7 +130,7 @@ def test_strong_squeezing_stays_finite_and_normalized(r):
     # default cutoffs 803 and 1298; the unnormalized Laguerre table overflowed here
     spec = oscillator_spec(1.0, 0.025, r, 0.0, 0.0)
     with np.errstate(over="raise", invalid="raise"):
-        p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=phase_grid(2880))
+        p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=2880)
         d = dispersion(p)
     assert np.all(np.isfinite(p.values))
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
@@ -154,3 +153,19 @@ def test_default_cutoff_grows_with_squeezing():
     weak = GscsMixture(0.0, 1.0, 0.25 + 0j)
     strong = GscsMixture(0.0, 1.0, 1.5 + 0j)
     assert default_dissipative_cutoff(strong, 1.0) > default_dissipative_cutoff(weak, 1.0)
+
+
+@pytest.mark.parametrize("args, field", [((math.nan, 0.025, 1.0, 0.0, 0.0), "omega"),
+                                         ((1.0, math.inf, 1.0, 0.0, 0.0), "gamma0")])
+def test_spec_rejects_non_finite(args, field):
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        oscillator_spec(*args)
+
+
+def test_coarse_grid_dispersion_error_names_the_grid():
+    # at r = 1.5 the state has Fourier content far above N = 180, which
+    # aliases into the Riemann sum; the error must point at the grid
+    spec = oscillator_spec(1.0, 0.025, 1.5, 0.0, 0.0)
+    p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=180)
+    with pytest.raises(ValueError, match=r"N = 180 points; raise the grid size \(--grid\)"):
+        dispersion(p)

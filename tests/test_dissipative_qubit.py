@@ -11,7 +11,6 @@ from phasediff.dissipative_qubit import (
     propagate_qubit,
     qubit_spec,
 )
-from phasediff.distribution import phase_grid
 from phasediff.oracle import integrate_lindblad_qubit
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
@@ -21,7 +20,7 @@ from phasediff.qnd_phase import (
     phase_dist_squeezed_halfspin,
 )
 
-GRID = phase_grid(240)
+GRID = 240
 RHO0 = np.array([[0.3, 0.25 - 0.1j], [0.25 + 0.1j, 0.7]], dtype=complex)
 
 SETTINGS = [
@@ -104,3 +103,11 @@ def test_zero_coupling_reduces_to_dephasing_free_closed_forms():
         c = phase_dist_qubit_squeezed(0.3, p_sign, spec, t, GRID)
         d = phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0, GRID)
         assert np.max(np.abs(c.values - d.values)) < 1e-12
+
+
+@pytest.mark.parametrize("args, field", [((1.0, math.nan, 0.0, 0.0, 0.0), "gamma0"),
+                                         ((1.0, 0.25, math.nan, 0.0, 0.0), "r"),
+                                         ((1.0, 0.25, 0.0, 0.0, math.inf), "T")])
+def test_spec_rejects_non_finite(args, field):
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        qubit_spec(*args)

@@ -6,7 +6,6 @@ import pytest
 from phasediff.bath_kernels import QndBathSpec, ZeroTemperature
 from phasediff.dissipative_qubit import qubit_spec
 from phasediff.dissipative_oscillator import oscillator_spec
-from phasediff.distribution import phase_grid
 from phasediff.halfint import HalfInteger
 from phasediff.oracle import (
     OdeConfig,
@@ -87,16 +86,15 @@ def test_oscillator_oracle_thermalizes_vacuum():
 
 def test_quadrature_distribution_fock_state_uniform():
     rho = DickeDensityMatrix(HalfInteger.of(1), np.diag([0, 1, 0]).astype(complex))
-    p = phase_dist_by_quadrature(rho, phase_grid(60))
+    p = phase_dist_by_quadrature(rho, 60)
     assert np.max(np.abs(p.values - 1.0 / (2.0 * math.pi))) < 1e-10
 
 
 def test_quadrature_distribution_matches_beta_closed_form():
     # [DERIVED] adjudicates the Beta-integral pipeline at j = 1/2
     rho = atomic_coherent_density(AtomicCoherentParams(1.1, 0.6), 0.5)
-    grid = phase_grid(90)
-    quad = phase_dist_by_quadrature(rho, grid)
-    beta = phase_distribution_atomic(rho, grid)
+    quad = phase_dist_by_quadrature(rho, 90)
+    beta = phase_distribution_atomic(rho, 90)
     assert np.max(np.abs(quad.values - beta.values)) < 1e-9
 
 

@@ -6,20 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasediff.distribution import PhaseDistribution, phase_grid
-from phasediff.phase_stats import (
-    DispersionCurve,
-    dispersion,
-    dispersion_sweep,
-    first_circular_moment,
-    integrate_distribution,
-)
+from phasediff.phase_stats import dispersion, first_circular_moment, integrate_distribution
 from phasediff.qnd_phase import AtomicCoherentParams, phase_dist_coherent_halfspin
 
-GRID = phase_grid(720)
+GRID = 720
+PHI = phase_grid(GRID)
 
 
 def _uniform():
-    return PhaseDistribution(GRID, np.full(len(GRID), 1.0 / (2.0 * math.pi)))
+    return PhaseDistribution(np.full(GRID, 1.0 / (2.0 * math.pi)))
 
 
 def test_uniform_dispersion_is_one():
@@ -28,23 +23,23 @@ def test_uniform_dispersion_is_one():
 
 def test_cardioid_dispersion_is_three_quarters():
     # P = (1/2pi)(1 + cos phi): first moment 1/2, D = 1 - 1/4
-    p = PhaseDistribution(GRID, (1.0 + np.cos(GRID)) / (2.0 * math.pi))
+    p = PhaseDistribution((1.0 + np.cos(PHI)) / (2.0 * math.pi))
     assert abs(dispersion(p) - 0.75) < 1e-10
 
 
 def test_dispersion_origin_independent():
-    p = PhaseDistribution(GRID, (1.0 + np.cos(GRID - 1.3)) / (2.0 * math.pi))
+    p = PhaseDistribution((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
     assert abs(dispersion(p) - 0.75) < 1e-10
 
 
 def test_first_moment_of_shifted_cardioid():
-    p = PhaseDistribution(GRID, (1.0 + np.cos(GRID - 1.3)) / (2.0 * math.pi))
+    p = PhaseDistribution((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
     m = first_circular_moment(p)
     assert abs(m - 0.5 * np.exp(-1j * 1.3)) < 1e-12
 
 
 def test_unnormalized_input_rejected():
-    p = PhaseDistribution(GRID, np.full(len(GRID), 1.0))
+    p = PhaseDistribution(np.full(GRID, 1.0))
     with pytest.raises(ValueError):
         dispersion(p)
 
@@ -64,19 +59,6 @@ def test_monotone_diffusion_in_gamma():
     assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(ds, ds[1:]))
 
 
-def test_dispersion_sweep_structure():
-    state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
-    curve = dispersion_sweep(
-        lambda g: phase_dist_coherent_halfspin(state, 1.0, 0.5, g, GRID),
-        [0.0, 0.1, 0.2],
-        parameter_name="gamma",
-    )
-    assert isinstance(curve, DispersionCurve)
-    assert curve.parameter_name == "gamma"
-    assert np.array_equal(curve.parameters(), [0.0, 0.1, 0.2])
-    assert all(0.0 <= d <= 1.0 + 1e-10 for d in curve.values())
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     c1=st.complex_numbers(max_magnitude=0.5 / (2.0 * math.pi), allow_nan=False),
@@ -86,10 +68,10 @@ def test_dispersion_bounded_for_valid_fourier_distributions(c1, c2):
     # any nonnegative normalized distribution has 0 <= D <= 1
     values = (
         1.0 / (2.0 * math.pi)
-        + 2.0 * (c1 * np.exp(1j * GRID)).real
-        + 2.0 * (c2 * np.exp(2j * GRID)).real
+        + 2.0 * (c1 * np.exp(1j * PHI)).real
+        + 2.0 * (c2 * np.exp(2j * PHI)).real
     )
     if values.min() < 0.0:
         return
-    d = dispersion(PhaseDistribution(GRID, values))
+    d = dispersion(PhaseDistribution(values))
     assert -1e-10 <= d <= 1.0 + 1e-10

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from phasediff.distribution import phase_grid
 from phasediff.errors import TruncationError
 from phasediff.halfint import HalfInteger
 from phasediff.phase_stats import integrate_distribution
@@ -26,7 +25,7 @@ from phasediff.qnd_phase import (
 )
 from phasediff.special_functions import wigner_d_half_pi
 
-GRID = phase_grid(240)
+GRID = 240
 
 
 def test_coherent_amplitudes_normalized():
