@@ -17,18 +17,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath_kernels import gamma_qnd
-from .dissipative_oscillator import oscillator_spec, phase_dist_osc_dissipative
-from .dissipative_qubit import phase_dist_qubit_coherent, qubit_spec
-from .distribution import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, PhaseDistribution, phase_grid
+from .distribution import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
 from .errors import ConsistencyError, DomainError, TruncationError
-from .figures import SCENARIOS, FigureData, RunConfig, _kernels, _qnd_bath, run_figure
-from .phase_stats import dispersion
-from .qnd_phase import (
-    AtomicCoherentParams,
-    phase_dist_coherent_halfspin,
-    phase_dist_osc_squeezed,
+from .figures import (
+    SCENARIOS,
+    SWEEP_FAMILIES,
+    FigureData,
+    RunConfig,
+    distribution_figure,
+    evaluate,
+    resolve_params,
+    run_figure,
 )
+from .phase_stats import dispersion
 from .validation import run_validation
 
 
@@ -135,11 +136,36 @@ def _collect_options(args) -> tuple[dict[str, float], dict[str, str]]:
     return overrides, reserved
 
 
-def _grid_size(reserved: dict[str, str]) -> int:
-    n = int(reserved.get("grid", DEFAULT_GRID_SIZE))
-    if n < MIN_GRID_SIZE:
-        raise UsageError(f"grid size {n} is below the minimum {MIN_GRID_SIZE}")
-    return n
+def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
+    """The angular grid size and the Fock cutoff (None: each model's own).
+    A value that is not an integer, or is below its minimum, is a usage
+    error that names the setting."""
+    values = []
+    for key, name, minimum, default in (
+        ("grid", "grid size", MIN_GRID_SIZE, DEFAULT_GRID_SIZE),
+        ("cutoff", "cutoff", 1, None),
+    ):
+        text = reserved.get(key)
+        if text is None:
+            values.append(default)
+            continue
+        try:
+            n = int(text)
+        except ValueError:
+            raise UsageError(f"{key} must be an integer, got {text!r}")
+        if n < minimum:
+            raise UsageError(f"{name} {n} is below the minimum {minimum}")
+        values.append(n)
+    return values[0], values[1]
+
+
+def _write_outputs(fd: FigureData, reserved: dict[str, str], stem: str, plot_script: bool) -> int:
+    out = Path(reserved.get("out", f"{stem}.csv"))
+    _write_csv(fd, out)
+    print(f"wrote {out}")
+    if plot_script:
+        print(f"wrote {_write_plot_script(out)}")
+    return 0
 
 
 def _cmd_figure(args) -> int:
@@ -148,74 +174,12 @@ def _cmd_figure(args) -> int:
             f"unknown scenario {args.scenario!r}; valid: {', '.join(sorted(SCENARIOS))}"
         )
     overrides, reserved = _collect_options(args)
-    config = RunConfig(
-        scenario=args.scenario,
-        overrides=overrides,
-        grid=_grid_size(reserved),
-        cutoff=int(reserved["cutoff"]) if "cutoff" in reserved else None,
-    )
+    grid, cutoff = _grid_and_cutoff(reserved)
     try:
-        fd = run_figure(config)
+        fd = run_figure(RunConfig(args.scenario, overrides, grid, cutoff))
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    out = Path(reserved.get("out", f"{args.scenario}.csv"))
-    _write_csv(fd, out)
-    print(f"wrote {out}")
-    if args.plot_script:
-        print(f"wrote {_write_plot_script(out)}")
-    return 0
-
-
-# --- sweep families ---
-
-
-def _qnd_qubit_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
-    ga = gamma_qnd(p["t"], _qnd_bath(p, p["r"], p["T"])) if p["gamma0"] > 0 else 0.0
-    state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
-    return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga, grid)
-
-
-def _dissipative_qubit_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
-    spec = qubit_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
-    state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
-    return phase_dist_qubit_coherent(state, spec, p["t"], grid)
-
-
-def _qnd_oscillator_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
-    et, ga = _kernels(p, p["r"], p["T"], p["t"]) if p["gamma0"] > 0 else (0.0, 0.0)
-    return phase_dist_osc_squeezed(
-        p["r1"], p["psi"], math.sqrt(p["alpha_sq"]), p["theta0"],
-        p["omega"], p["t"], et, ga, None, grid,
-    )
-
-
-def _dissipative_oscillator_dist(p: dict[str, float], grid: int) -> PhaseDistribution:
-    spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
-    return phase_dist_osc_dissipative(spec, math.sqrt(p["eta0_sq"]), p["t"], grid=grid)
-
-
-SWEEP_FAMILIES = {
-    "qnd-qubit": (
-        _qnd_qubit_dist,
-        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "omega_c": 100.0,
-         "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
-    ),
-    "dissipative-qubit": (
-        _dissipative_qubit_dist,
-        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "Phi": math.pi / 8,
-         "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
-    ),
-    "qnd-oscillator": (
-        _qnd_oscillator_dist,
-        {"alpha_sq": 5.0, "theta0": 0.0, "r1": 0.5, "psi": math.pi / 4, "omega": 1.0,
-         "omega_c": 100.0, "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 0.1},
-    ),
-    "dissipative-oscillator": (
-        _dissipative_oscillator_dist,
-        {"eta0_sq": 1.0, "omega": 1.0, "Phi": 0.0, "gamma0": 0.025,
-         "r": 0.0, "T": 0.0, "t": 0.1},
-    ),
-}
+    return _write_outputs(fd, reserved, args.scenario, args.plot_script)
 
 
 def _cmd_sweep(args) -> int:
@@ -223,16 +187,12 @@ def _cmd_sweep(args) -> int:
         raise UsageError(
             f"unknown family {args.family!r}; valid: {', '.join(sorted(SWEEP_FAMILIES))}"
         )
-    builder, defaults = SWEEP_FAMILIES[args.family]
+    point, defaults = SWEEP_FAMILIES[args.family]
     overrides, reserved = _collect_options(args)
-    params = dict(defaults)
-    for key, value in overrides.items():
-        if key not in params:
-            raise UsageError(
-                f"unknown parameter {key!r} for {args.family}; "
-                f"valid keys: {', '.join(sorted(params))}"
-            )
-        params[key] = value
+    try:
+        params = resolve_params(args.family, defaults, overrides)
+    except KeyError as exc:
+        raise UsageError(str(exc.args[0]))
     if args.param not in params:
         raise UsageError(
             f"cannot sweep {args.param!r}; valid keys: {', '.join(sorted(params))}"
@@ -241,28 +201,18 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--num must be at least 2")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise UsageError(f"--start and --stop must be finite, got {args.start}, {args.stop}")
-    grid = _grid_size(reserved)
+    grid, cutoff = _grid_and_cutoff(reserved)
     xs = np.linspace(args.start, args.stop, args.num)
     scenario = f"sweep-{args.family}-{args.param}"
     base = {k: v for k, v in params.items() if k != args.param}
+    runs = ((f"{args.param}={x:g}", {args.param: float(x)}) for x in xs)
     if args.mode == "dispersion":
-        dvals = []
-        for x in xs:
-            p = builder({**base, args.param: float(x)}, grid)
-            dvals.append(dispersion(p))
-        fd = FigureData(scenario, args.param, xs, (("D", np.array(dvals)),), base)
+        # stream: keep each D, not its distribution, so memory stays at one point's
+        d = [dispersion(p) for _, p in evaluate(point, base, runs, grid, cutoff)]
+        fd = FigureData(scenario, args.param, xs, (("D", np.array(d)),), base)
     else:
-        columns = []
-        for x in xs:
-            p = builder({**base, args.param: float(x)}, grid)
-            columns.append((f"{args.param}={x:g}", p.values))
-        fd = FigureData(scenario, "phi", phase_grid(grid), tuple(columns), base)
-    out = Path(reserved.get("out", f"{scenario}.csv"))
-    _write_csv(fd, out)
-    print(f"wrote {out}")
-    if args.plot_script:
-        print(f"wrote {_write_plot_script(out)}")
-    return 0
+        fd = distribution_figure(scenario, point, base, runs, grid, cutoff)
+    return _write_outputs(fd, reserved, scenario, args.plot_script)
 
 
 def _cmd_validate(args) -> int:
@@ -288,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_io_flags(p):
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--grid", type=int, help="angular grid size (default 720)")
-        p.add_argument("--cutoff", type=int, help="Fock-space cutoff override")
+        p.add_argument("--cutoff", type=int,
+                       help="Fock cutoff of the oscillator models (default: chosen per point)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--plot-script", action="store_true",
                        help="also emit a matplotlib script next to the CSV")

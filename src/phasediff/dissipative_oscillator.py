@@ -62,14 +62,6 @@ class OscillatorLindbladSpec:
         r, phi = self.zeta_mag, self.zeta_phase
         return r * complex(math.cos(phi), math.sin(phi))
 
-    @property
-    def alpha_coef(self) -> float:
-        return damping_coeffs(self)[0]
-
-    @property
-    def beta_coef(self) -> float:
-        return damping_coeffs(self)[1]
-
 
 def oscillator_spec(
     omega: float, gamma0: float, r: float, Phi: float, T: float
@@ -299,6 +291,8 @@ def phase_dist_osc_dissipative(
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
     theta = phase_grid(grid)
     check_cutoff = max(8, cutoff - 8)
     size = max(cutoff, check_cutoff)

@@ -1,9 +1,12 @@
-"""Figure scenario registry: canonical parameter sets and curve builders.
+"""Figure scenario registry, point models and the sweep loop.
 
 Each scenario fig1..fig10 reproduces one figure-style data set as columns
-over a shared abscissa (angle, time, or swept parameter).  Builders collect
-every phase distribution they produce so the normalization audit can sweep
-them all.  Everything is deterministic; there is no randomness anywhere.
+over a shared abscissa (angle, time, or swept parameter).  A point model
+maps (params, grid, cutoff) to one phase distribution; the figures and the
+`sweep` command's families (SWEEP_FAMILIES) run the same point models
+through one loop, `evaluate`.  Builders collect every phase distribution
+they produce so the normalization audit can sweep them all.  Everything is
+deterministic; there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -57,62 +60,116 @@ class Scenario:
     builder: Callable
 
 
-def _qnd_bath(params: Mapping[str, float], r: float, T: float) -> QndBathSpec:
-    regime = ZeroTemperature() if T == 0 else HighTemperature(T=T)
-    return QndBathSpec(
-        gamma0=params["gamma0"], omega_c=params["omega_c"], r=r, a=params["a"], regime=regime
+def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
+    """eta(t) and gamma(t) of the dephasing bath; gamma0 = 0 is the unitary
+    limit, which needs neither r nor T."""
+    if p["gamma0"] == 0:
+        return 0.0, 0.0
+    regime = ZeroTemperature() if p["T"] == 0 else HighTemperature(T=p["T"])
+    spec = QndBathSpec(
+        gamma0=p["gamma0"], omega_c=p["omega_c"], r=p["r"], a=p["a"], regime=regime
+    )
+    return eta(p["t"], spec), gamma_qnd(p["t"], spec)
+
+
+# --- point models: (params, grid, cutoff) -> one PhaseDistribution ---
+
+
+def _qnd_atoms(p, grid, cutoff):
+    """Dicke atoms (j, p, Theta) from an atomic squeezed start, dephasing."""
+    rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
+    et, ga = _kernels(p)
+    return phase_distribution_atomic(qnd_evolve(rho0, p["omega"], p["t"], et, ga), grid)
+
+
+def _qnd_atoms_zeta(p, grid, cutoff):
+    """_qnd_atoms with the system squeezing given as zeta instead of Theta."""
+    theta = AtomicSqueezedParams.from_zeta(p["j"], p["p"], p["zeta"]).Theta
+    return _qnd_atoms({**p, "Theta": theta}, grid, cutoff)
+
+
+def _qnd_qubit(p, grid, cutoff):
+    _et, ga = _kernels(p)
+    state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
+    return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga, grid)
+
+
+def _dissipative_qubit(p, grid, cutoff):
+    spec = qubit_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
+    state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
+    return phase_dist_qubit_coherent(state, spec, p["t"], grid)
+
+
+def _qnd_oscillator(p, grid, cutoff):
+    et, ga = _kernels(p)
+    return phase_dist_osc_squeezed(
+        p["r1"], p["psi"], math.sqrt(p["alpha_sq"]), p["theta0"],
+        p["omega"], p["t"], et, ga, cutoff, grid,
     )
 
 
-def _kernels(params: Mapping[str, float], r: float, T: float, t: float) -> tuple[float, float]:
-    spec = _qnd_bath(params, r, T)
-    return eta(t, spec), gamma_qnd(t, spec)
+def _dissipative_oscillator(p, grid, cutoff):
+    spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
+    return phase_dist_osc_dissipative(spec, math.sqrt(p["eta0_sq"]), p["t"], cutoff, grid)
+
+
+def evaluate(point, params, runs, grid, cutoff):
+    """Yield (label, point({**params, **overrides}, grid, cutoff)) for each
+    (label, overrides) in runs, one point at a time, so a caller that keeps
+    only a statistic never holds more than one distribution."""
+    for label, overrides in runs:
+        yield label, point({**params, **overrides}, grid, cutoff)
+
+
+def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureData:
+    """One P(phi) column per (label, overrides) in runs."""
+    dists = tuple(evaluate(point, params, runs, grid, cutoff))
+    columns = tuple((label, p.values) for label, p in dists)
+    return FigureData(scenario, "phi", phase_grid(grid), columns, params, (), dists)
+
+
+def _dispersion_figure(scenario, point, params, x_name, xs, curves, grid, cutoff):
+    """One dispersion column per (label, overrides) curve, over x_name = xs."""
+    runs = [
+        (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
+        for label, overrides in curves
+        for x in xs
+    ]
+    dists = tuple(evaluate(point, params, runs, grid, cutoff))
+    d = np.array([dispersion(p) for _, p in dists]).reshape(len(curves), len(xs))
+    columns = tuple((label, row) for (label, _), row in zip(curves, d))
+    return FigureData(scenario, x_name, np.array(xs), columns, params, (), dists)
+
+
+def _temperature_curves(*temps):
+    return [(f"T={T:g}", {"T": T}) for T in temps]
 
 
 # --- fig1: ten-atom QND phase distribution ---
 
 
 def _build_fig1(params, grid, cutoff):
-    rho0 = atomic_squeezed_density(
-        AtomicSqueezedParams(params["j"], params["p"], params["Theta"])
-    )
-    omega = params["omega"]
-    curves = [
-        ("unitary t=0.1", None, None, 0.1),
-        ("r=1 T=0 t=0.1", 1.0, 0.0, 0.1),
-        ("r=1 T=0 t=1", 1.0, 0.0, 1.0),
-        ("r=2 T=0 t=0.1", 2.0, 0.0, 0.1),
-        ("r=1 T=300 t=0.1", 1.0, 300.0, 0.1),
+    runs = [
+        ("unitary t=0.1", {"gamma0": 0.0, "t": 0.1}),
+        ("r=1 T=0 t=0.1", {"r": 1.0, "T": 0.0, "t": 0.1}),
+        ("r=1 T=0 t=1", {"r": 1.0, "T": 0.0, "t": 1.0}),
+        ("r=2 T=0 t=0.1", {"r": 2.0, "T": 0.0, "t": 0.1}),
+        ("r=1 T=300 t=0.1", {"r": 1.0, "T": 300.0, "t": 0.1}),
     ]
-    columns, dists = [], []
-    for label, r, T, t in curves:
-        if r is None:
-            et, ga = 0.0, 0.0
-        else:
-            et, ga = _kernels(params, r, T, t)
-        p = phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
-        columns.append((label, p.values))
-        dists.append((label, p))
-    return FigureData("fig1", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
+    return distribution_figure("fig1", _qnd_atoms, params, runs, grid, cutoff)
 
 
 # --- fig2: dissipative qubit, atomic coherent state ---
 
 
 def _build_fig2(params, grid, cutoff):
-    state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
-    columns, dists = [], []
-    for label, r, T, t in [
-        ("T=0 r=0 t=0.1", 0.0, 0.0, 0.1),
-        ("T=0 r=0 t=1.5", 0.0, 0.0, 1.5),
-        ("T=300 r=0 t=0.1", 0.0, 300.0, 0.1),
-        ("T=300 r=2 t=0.1", 2.0, 300.0, 0.1),
-    ]:
-        spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-        p = phase_dist_qubit_coherent(state, spec, t, grid)
-        columns.append((label, p.values))
-        dists.append((label, p))
-    return FigureData("fig2", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
+    runs = [
+        ("T=0 r=0 t=0.1", {"r": 0.0, "T": 0.0, "t": 0.1}),
+        ("T=0 r=0 t=1.5", {"r": 0.0, "T": 0.0, "t": 1.5}),
+        ("T=300 r=0 t=0.1", {"r": 0.0, "T": 300.0, "t": 0.1}),
+        ("T=300 r=2 t=0.1", {"r": 2.0, "T": 300.0, "t": 0.1}),
+    ]
+    return distribution_figure("fig2", _dissipative_qubit, params, runs, grid, cutoff)
 
 
 # --- fig3: excited-state population decay ---
@@ -156,18 +213,8 @@ def _build_fig4(params, grid, cutoff):
 
 
 def _build_fig5(params, grid, cutoff):
-    alpha_mag = math.sqrt(params["alpha_sq"])
-    et, ga = _kernels(params, params["r"], params["T"], params["t"])
-    p_qnd = phase_dist_osc_squeezed(
-        params["r"], params["psi"], alpha_mag, params["theta0"],
-        params["omega"], params["t"], et, ga, cutoff, grid,
-    )
-    spec = oscillator_spec(
-        params["omega"], params["gamma0"], params["r"], params["Phi"], params["T"]
-    )
-    p_diss = phase_dist_osc_dissipative(
-        spec, math.sqrt(params["eta0_sq"]), params["t"], None, grid
-    )
+    p_qnd = _qnd_oscillator({**params, "r1": params["r"]}, grid, cutoff)
+    p_diss = _dissipative_oscillator(params, grid, None)
     columns = (("dephasing", p_qnd.values), ("dissipative", p_diss.values))
     dists = (("dephasing", p_qnd), ("dissipative", p_diss))
     notes = (
@@ -179,107 +226,34 @@ def _build_fig5(params, grid, cutoff):
 # --- dispersion sweeps (fig6-fig10) ---
 
 
-def _sweep(scenario, x_name, xs, families, params):
-    columns, dists = [], []
-    for label, family in families:
-        dvals = []
-        for x in xs:
-            p = family(x)
-            dvals.append(dispersion(p))
-            dists.append((f"{label} {x_name}={x:g}", p))
-        columns.append((label, np.array(dvals)))
-    return FigureData(
-        scenario, x_name, np.array(xs), tuple(columns), params, (), tuple(dists)
-    )
-
-
 def _build_fig6(params, grid, cutoff):
-    rho0 = atomic_squeezed_density(
-        AtomicSqueezedParams(params["j"], params["p"], params["Theta"])
-    )
-    omega, t = params["omega"], params["t"]
-
-    def family(T):
-        def f(r):
-            et, ga = _kernels(params, r, T, t)
-            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
-
-        return f
-
-    families = [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0, 1000.0)]
-    return _sweep("fig6", "r", R_GRID, families, params)
+    curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
+    return _dispersion_figure("fig6", _qnd_atoms, params, "r", R_GRID, curves, grid, cutoff)
 
 
 def _build_fig7(params, grid, cutoff):
-    omega, t = params["omega"], params["t"]
     zetas = tuple(np.linspace(0.25, 2.0, 36))
-
-    def family(T, unitary=False):
-        def f(zeta):
-            state = AtomicSqueezedParams.from_zeta(params["j"], params["p"], zeta)
-            rho0 = atomic_squeezed_density(state)
-            if unitary:
-                et, ga = 0.0, 0.0
-            else:
-                et, ga = _kernels(params, params["r"], T, t)
-            return phase_distribution_atomic(qnd_evolve(rho0, omega, t, et, ga), grid)
-
-        return f
-
-    families = [("unitary", family(0.0, unitary=True))]
-    families += [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0)]
-    return _sweep("fig7", "zeta", zetas, families, params)
+    curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 50.0, 100.0)
+    return _dispersion_figure(
+        "fig7", _qnd_atoms_zeta, params, "zeta", zetas, curves, grid, cutoff
+    )
 
 
 def _build_fig8(params, grid, cutoff):
-    omega, t = params["omega"], params["t"]
-    alpha_mag = math.sqrt(params["alpha_sq"])
-
-    def family(T, unitary=False):
-        def f(r):
-            if unitary:
-                et, ga = 0.0, 0.0
-            else:
-                et, ga = _kernels(params, r, T, t)
-            return phase_dist_osc_squeezed(
-                params["r1"], params["psi"], alpha_mag, params["theta0"],
-                omega, t, et, ga, cutoff, grid,
-            )
-
-        return f
-
-    families = [("unitary", family(0.0, unitary=True))]
-    families += [(f"T={T:g}", family(T)) for T in (0.0, 100.0, 1000.0)]
-    return _sweep("fig8", "r", R_GRID, families, params)
+    curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 100.0, 1000.0)
+    return _dispersion_figure("fig8", _qnd_oscillator, params, "r", R_GRID, curves, grid, cutoff)
 
 
 def _build_fig9(params, grid, cutoff):
-    state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
-
-    def family(T):
-        def f(r):
-            spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-            return phase_dist_qubit_coherent(state, spec, params["t"], grid)
-
-        return f
-
-    families = [(f"T={T:g}", family(T)) for T in (0.0, 100.0, 300.0, 1000.0)]
-    return _sweep("fig9", "r", R_GRID, families, params)
+    curves = _temperature_curves(0.0, 100.0, 300.0, 1000.0)
+    return _dispersion_figure(
+        "fig9", _dissipative_qubit, params, "r", R_GRID, curves, grid, cutoff
+    )
 
 
 def _build_fig10(params, grid, cutoff):
-    state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
-    omega, t = params["omega"], params["t"]
-
-    def family(T):
-        def f(r):
-            _et, ga = _kernels(params, r, T, t)
-            return phase_dist_coherent_halfspin(state, omega, t, ga, grid)
-
-        return f
-
-    families = [(f"T={T:g}", family(T)) for T in (0.0, 50.0, 100.0, 1000.0)]
-    return _sweep("fig10", "r", R_GRID, families, params)
+    curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
+    return _dispersion_figure("fig10", _qnd_qubit, params, "r", R_GRID, curves, grid, cutoff)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -356,6 +330,46 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
+SWEEP_FAMILIES = {
+    "qnd-qubit": (
+        _qnd_qubit,
+        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "omega_c": 100.0,
+         "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
+    ),
+    "dissipative-qubit": (
+        _dissipative_qubit,
+        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "Phi": math.pi / 8,
+         "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
+    ),
+    "qnd-oscillator": (
+        _qnd_oscillator,
+        {"alpha_sq": 5.0, "theta0": 0.0, "r1": 0.5, "psi": math.pi / 4, "omega": 1.0,
+         "omega_c": 100.0, "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 0.1},
+    ),
+    "dissipative-oscillator": (
+        _dissipative_oscillator,
+        {"eta0_sq": 1.0, "omega": 1.0, "Phi": 0.0, "gamma0": 0.025,
+         "r": 0.0, "T": 0.0, "t": 0.1},
+    ),
+}
+
+
+def resolve_params(
+    name: str, defaults: Mapping[str, float], overrides: Mapping[str, float]
+) -> dict[str, float]:
+    """defaults updated by overrides; a key that defaults lacks is a KeyError
+    that names the scenario or family and lists the valid keys."""
+    params = dict(defaults)
+    for key, value in overrides.items():
+        if key not in params:
+            raise KeyError(
+                f"unknown parameter {key!r} for {name}; "
+                f"valid keys: {', '.join(sorted(params))}"
+            )
+        params[key] = float(value)
+    return params
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: str
@@ -366,15 +380,7 @@ class RunConfig:
     def resolved_params(self) -> dict[str, float]:
         if self.scenario not in SCENARIOS:
             raise KeyError(f"unknown scenario {self.scenario!r}")
-        defaults = dict(SCENARIOS[self.scenario].defaults)
-        for key, value in self.overrides.items():
-            if key not in defaults:
-                raise KeyError(
-                    f"unknown parameter {key!r} for {self.scenario}; "
-                    f"valid keys: {', '.join(sorted(defaults))}"
-                )
-            defaults[key] = float(value)
-        return defaults
+        return resolve_params(self.scenario, SCENARIOS[self.scenario].defaults, self.overrides)
 
 
 def run_figure(config: RunConfig) -> FigureData:

@@ -32,21 +32,9 @@ class HalfInteger:
     def value(self) -> float:
         return self.twice_value / 2.0
 
-    def __float__(self) -> float:
-        return self.value
-
     @property
     def is_integer(self) -> bool:
         return self.twice_value % 2 == 0
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice_value)
-
-    def __add__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice_value + HalfInteger.of(other).twice_value)
-
-    def __sub__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice_value - HalfInteger.of(other).twice_value)
 
     def __repr__(self) -> str:
         if self.is_integer:

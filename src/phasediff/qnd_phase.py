@@ -351,6 +351,8 @@ def squeezed_coherent_amplitudes(
 ) -> np.ndarray:
     """Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, via the
     Hermite-polynomial closed form."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
     z = alpha_mag * complex(math.cos(theta0 - psi / 2.0), math.sin(theta0 - psi / 2.0))
     z /= math.sqrt(math.sinh(2.0 * r1))
     herm = hermite_sequence(cutoff - 1, z)

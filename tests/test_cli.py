@@ -1,9 +1,14 @@
+import gzip
 import io
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasediff.cli import main, read_config_file
+from phasediff.cli import SWEEP_FAMILIES, main, read_config_file
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _read_table(path):
@@ -166,4 +171,67 @@ def test_grid_below_minimum_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["figure", "fig2", "--grid", "4", "--out", str(out)]) == 2
     assert "grid size 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _header_and_rows(text):
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    return lines[0], np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+
+
+@pytest.mark.parametrize("fig", [f"fig{i}" for i in range(1, 11)])
+def test_figure_matches_stored_reference(tmp_path, fig):
+    # the stored CSVs are the benchmark's reference outputs at default settings
+    out = tmp_path / f"{fig}.csv"
+    assert main(["figure", fig, "--out", str(out)]) == 0
+    with gzip.open(REFERENCE / f"{fig}.csv.gz", "rt") as fh:
+        ref_header, ref = _header_and_rows(fh.read())
+    header, got = _header_and_rows(out.read_text())
+    assert header == ref_header
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["dispersion", "distribution"])
+@pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
+def test_sweep_every_family_and_mode(tmp_path, family, mode):
+    out = tmp_path / "s.csv"
+    assert main(
+        ["sweep", "--family", family, "--param", "t", "--start", "0.1", "--stop", "1",
+         "--num", "3", "--grid", "96", "--mode", mode, "--out", str(out)]
+    ) == 0
+    _header, rows = _header_and_rows(out.read_text())
+    assert rows.shape == ((3, 2) if mode == "dispersion" else (96, 4))
+    if mode == "dispersion":
+        assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+    else:
+        norms = rows[:, 1:].sum(axis=0) * (2.0 * math.pi / 96)
+        assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+def test_sweep_cutoff_reaches_the_oscillator_model(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(
+        ["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "0",
+         "--stop", "1", "--num", "3", "--grid", "64", "--cutoff", "10", "--out", str(out)]
+    ) == 1
+    assert "squeezed-coherent Fock tail" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [("cutoff = abc", "cutoff must be an integer"),
+                                           ("grid = 1e3", "grid must be an integer")])
+def test_non_integer_config_setting_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig5", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cutoff_below_one_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig8", "--cutoff", "0", "--out", str(out)]) == 2
+    assert "cutoff 0 is below the minimum 1" in capsys.readouterr().err
     assert not out.exists()

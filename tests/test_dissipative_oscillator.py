@@ -149,6 +149,12 @@ def test_insufficient_cutoff_raises():
         phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=40, grid=GRID)
 
 
+def test_cutoff_below_one_rejected():
+    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="cutoff = -3 must be positive"):
+        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=-3, grid=GRID)
+
+
 def test_default_cutoff_grows_with_squeezing():
     weak = GscsMixture(0.0, 1.0, 0.25 + 0j)
     strong = GscsMixture(0.0, 1.0, 1.5 + 0j)

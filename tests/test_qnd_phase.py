@@ -22,6 +22,7 @@ from phasediff.qnd_phase import (
     phase_dist_two_atoms,
     phase_distribution_atomic,
     qnd_evolve,
+    squeezed_coherent_amplitudes,
 )
 from phasediff.special_functions import wigner_d_half_pi
 
@@ -142,3 +143,8 @@ def test_oscillator_squeezed_normalized():
 def test_oscillator_cutoff_too_small_raises():
     with pytest.raises(TruncationError):
         phase_dist_osc_coherent(3.0, 0.0, 1.0, 0.1, 0.0, 0.0, cutoff=8, grid=GRID)
+
+
+def test_squeezed_amplitudes_reject_cutoff_below_one():
+    with pytest.raises(ValueError, match="cutoff = 0 must be positive"):
+        squeezed_coherent_amplitudes(0.5, 0.0, 1.0, 0.0, 0)
