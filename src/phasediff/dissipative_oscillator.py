@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bath_kernels import (
     DissipativeBathMoments,
@@ -146,7 +145,8 @@ def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
     a = np.arange(cutoff, dtype=float)
     lam = np.empty((cutoff, cutoff))  # lam[k, a]
     if mag > 0.0:
-        lam[0] = np.exp(-x / 2.0 + a * math.log(mag) - 0.5 * gammaln(a + 1.0))
+        log_fact = np.array([log_factorial(k) for k in range(cutoff)])
+        lam[0] = np.exp(-x / 2.0 + a * math.log(mag) - 0.5 * log_fact)
     else:
         lam[0] = a == 0
     prev = np.zeros(cutoff)

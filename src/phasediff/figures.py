@@ -214,7 +214,7 @@ def _build_fig4(params, grid, cutoff):
 
 def _build_fig5(params, grid, cutoff):
     p_qnd = _qnd_oscillator({**params, "r1": params["r"]}, grid, cutoff)
-    p_diss = _dissipative_oscillator(params, grid, None)
+    p_diss = _dissipative_oscillator(params, grid, cutoff)
     columns = (("dephasing", p_qnd.values), ("dissipative", p_diss.values))
     dists = (("dephasing", p_qnd), ("dissipative", p_diss))
     notes = (

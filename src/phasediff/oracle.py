@@ -2,9 +2,10 @@
 
 Nothing here shares matrix assembly with the closed forms it checks: the
 master equations are integrated from their right-hand sides with hand-rolled
-Runge-Kutta steppers, the atomic phase distribution is obtained by adaptive
-polar quadrature, and the dephasing kernel by direct frequency quadrature of
-its defining integral.
+Runge-Kutta steppers, the atomic phase distribution is obtained by
+Gauss-Legendre quadrature over the polar angle, and the dephasing kernel by
+composite-Simpson frequency quadrature of its defining integral.  Only numpy
+is needed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec, simpson
+from numpy.polynomial.legendre import leggauss
 
 from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
 from .dissipative_qubit import QubitLindbladSpec
@@ -168,8 +169,11 @@ def integrate_lindblad_oscillator(
 def phase_dist_by_quadrature(
     rho: DickeDensityMatrix, grid: int = DEFAULT_GRID_SIZE
 ) -> PhaseDistribution:
-    """Atomic phase distribution by adaptive polar quadrature of the
-    Q-function angle marginal (independent of the Beta closed form)."""
+    """Atomic phase distribution by Gauss-Legendre quadrature, over the
+    polar angle theta, of the Q-function angle marginal (independent of the
+    Beta closed form).  The integrand is a trigonometric polynomial of degree
+    2j + 1 in theta; 2 (2j) + 16 nodes resolve it to rounding (checked
+    against adaptive quadrature up to j = 50)."""
     phi = phase_grid(grid)
     j = rho.j
     tj = j.twice_value
@@ -183,7 +187,9 @@ def phase_dist_by_quadrature(
         q = np.einsum("nm,nf,mf->f", rho.elements, c.conj(), c).real
         return math.sin(theta) * q
 
-    integral, _err = quad_vec(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11)
+    nodes, weights = leggauss(2 * tj + 16)
+    thetas = 0.5 * math.pi * (nodes + 1.0)  # [-1, 1] -> [0, pi]
+    integral = 0.5 * math.pi * sum(w * integrand(th) for th, w in zip(thetas, weights))
     values = (tj + 1) / (4.0 * math.pi) * integral
     return PhaseDistribution(values)
 
@@ -218,4 +224,14 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
         f[0] = (g0 / math.pi) * temp * t**2 * math.exp(-2.0 * r)
     else:
         raise TypeError(f"unknown regime {spec.regime!r}")
-    return float(simpson(f, x=w))
+    return _simpson(f, width)
+
+
+def _simpson(f: np.ndarray, width: float) -> float:
+    """Composite Simpson rule, weights (1, 4, 2, ..., 4, 1) h/3, for samples
+    f at an odd number of equally spaced points spanning [0, width]."""
+    n = len(f) - 1
+    weights = np.full(n + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return float((width / n / 3.0) * (weights @ f))

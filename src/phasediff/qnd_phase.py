@@ -171,18 +171,12 @@ def _dipole_weights(j: HalfInteger) -> np.ndarray:
     the exact polar integral of the Q-function angle marginal."""
     tj = j.twice_value
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
-    w = np.empty((tj + 1, tj + 1))
-    for kn in range(tj + 1):
-        n = kn - tj / 2.0
-        for km in range(tj + 1):
-            m = km - tj / 2.0
-            w[kn, km] = (
-                half_binom[kn]
-                * half_binom[km]
-                * 2.0
-                * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
-            )
-    return w
+    # the Beta factor depends only on kn + km = n + m + 2j: one value per sum
+    beta = np.array(
+        [beta_integral(s / 2.0 + 1.0, tj - s / 2.0 + 1.0) for s in range(2 * tj + 1)]
+    )
+    k = np.arange(tj + 1)
+    return half_binom[:, None] * half_binom[None, :] * 2.0 * beta[k[:, None] + k[None, :]]
 
 
 def phase_distribution_atomic(

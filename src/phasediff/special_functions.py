@@ -15,16 +15,18 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 LN2 = math.log(2.0)
+# ln(n!) correctly rounded, from the exact integer n!, while n! fits a float
+_LOG_FACTORIAL = [math.log(math.factorial(n)) for n in range(171)]
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!) for nonnegative integer n."""
+    """ln(n!) for nonnegative integer n: a table up to n = 170, math.lgamma
+    beyond (within 1.4 ulp there)."""
     if n < 0:
         raise ValueError(f"n = {n} must be nonnegative")
-    return gammaln(n + 1.0)
+    return _LOG_FACTORIAL[n] if n < len(_LOG_FACTORIAL) else math.lgamma(n + 1.0)
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -122,7 +124,14 @@ def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
 
 
 def beta_integral(a: float, b: float) -> float:
-    """Euler Beta function B(a, b) for a, b > 0."""
+    """Euler Beta function B(a, b) for a, b > 0.
+
+    While Gamma(a + b) is finite the Gamma ratio is accurate to a few ulp;
+    beyond that the log-Gamma form, whose cancellation costs about
+    lgamma(a + b) ulp of relative accuracy.
+    """
     if a <= 0 or b <= 0:
         raise ValueError(f"Beta arguments must be positive, got ({a}, {b})")
-    return math.exp(betaln(a, b))
+    if a + b < 171.0:
+        return math.gamma(a) / math.gamma(a + b) * math.gamma(b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

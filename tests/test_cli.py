@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasediff.cli import SWEEP_FAMILIES, main, read_config_file
+from phasediff.figures import SCENARIOS, _dissipative_oscillator
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -234,4 +235,20 @@ def test_cutoff_below_one_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["figure", "fig8", "--cutoff", "0", "--out", str(out)]) == 2
     assert "cutoff 0 is below the minimum 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", [None, 150])
+def test_fig5_cutoff_reaches_the_dissipative_curve(tmp_path, cutoff):
+    out = tmp_path / "fig5.csv"
+    flag = [] if cutoff is None else ["--cutoff", str(cutoff)]
+    assert main(["figure", "fig5", *flag, "--out", str(out)]) == 0
+    expected = _dissipative_oscillator(SCENARIOS["fig5"].defaults, 720, cutoff).values
+    assert np.array_equal(_read_table(out)["dissipative"], expected)
+
+
+def test_fig5_cutoff_too_small_names_both_cutoffs(tmp_path, capsys):
+    out = tmp_path / "fig5.csv"
+    assert main(["figure", "fig5", "--cutoff", "90", "--out", str(out)]) == 1
+    assert "at cutoffs (90, 82)" in capsys.readouterr().err
     assert not out.exists()

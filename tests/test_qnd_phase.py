@@ -7,6 +7,7 @@ from phasediff.errors import TruncationError
 from phasediff.halfint import HalfInteger
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
+    _dipole_weights,
     AtomicCoherentParams,
     AtomicSqueezedParams,
     DickeDensityMatrix,
@@ -24,7 +25,7 @@ from phasediff.qnd_phase import (
     qnd_evolve,
     squeezed_coherent_amplitudes,
 )
-from phasediff.special_functions import wigner_d_half_pi
+from phasediff.special_functions import beta_integral, log_binomial, wigner_d_half_pi
 
 GRID = 240
 
@@ -148,3 +149,23 @@ def test_oscillator_cutoff_too_small_raises():
 def test_squeezed_amplitudes_reject_cutoff_below_one():
     with pytest.raises(ValueError, match="cutoff = 0 must be positive"):
         squeezed_coherent_amplitudes(0.5, 0.0, 1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("j", [0.5, 5, 20])
+def test_dipole_weights_match_scalar_double_loop(j):
+    # the one-pass build keeps every product in the order of the scalar loop
+    j = HalfInteger.of(j)
+    tj = j.twice_value
+    half_binom = [math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)]
+    loop = np.empty((tj + 1, tj + 1))
+    for kn in range(tj + 1):
+        n = kn - tj / 2.0
+        for km in range(tj + 1):
+            m = km - tj / 2.0
+            loop[kn, km] = (
+                half_binom[kn]
+                * half_binom[km]
+                * 2.0
+                * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
+            )
+    assert np.array_equal(_dipole_weights(j), loop)

@@ -1,0 +1,145 @@
+"""The package runs on numpy alone.  Each numpy or standard-library
+replacement is checked here against the scipy routine it replaced; scipy is
+imported only by tests."""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad_vec, simpson
+from scipy.linalg import expm
+from scipy.special import betaln, gammaln
+
+from phasediff import oracle
+from phasediff.bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
+from phasediff.distribution import phase_grid
+from phasediff.qnd_phase import AtomicSqueezedParams, atomic_squeezed_density, qnd_evolve
+from phasediff.special_functions import beta_integral, log_binomial, log_factorial
+from phasediff.validation import _exp_anti_hermitian
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_log_factorial_matches_gammaln():
+    # every Fock level the CLI's cutoffs reach
+    n = np.arange(1301)
+    ours = np.array([log_factorial(int(k)) for k in n])
+    np.testing.assert_allclose(ours, gammaln(n + 1.0), rtol=1e-13, atol=0.0)
+
+
+def test_beta_integral_matches_betaln():
+    # the arguments of the dipole weights for every spin j <= 50
+    ours, ref = [], []
+    for tj in range(1, 101):
+        for s in range(2 * tj + 1):
+            a, b = s / 2.0 + 1.0, tj - s / 2.0 + 1.0
+            ours.append(beta_integral(a, b))
+            ref.append(math.exp(betaln(a, b)))
+    np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=0.0)
+
+
+def test_replacements_at_least_as_accurate_as_scipy():
+    # errors against 40-digit values: ln(n!) in ulp, B(a, b) relative
+    mpmath.mp.dps = 40
+    exact = [mpmath.log(mpmath.factorial(n)) for n in range(1301)]
+    ulp = [math.ulp(float(e)) if e else 1.0 for e in exact]
+    ours = [float(abs(log_factorial(n) - e)) / u for n, (e, u) in enumerate(zip(exact, ulp))]
+    ref = [float(abs(float(gammaln(n + 1.0)) - e)) / u for n, (e, u) in enumerate(zip(exact, ulp))]
+    assert max(ours[:171]) <= 0.5  # correctly rounded while n! fits a float
+    assert max(ours) <= max(ref)
+    args = [(s / 2.0 + 1.0, tj - s / 2.0 + 1.0) for tj in (1, 10, 41, 100) for s in range(2 * tj + 1)]
+    exact = [mpmath.beta(a, b) for a, b in args]
+    ours = max(abs(beta_integral(a, b) / e - 1) for (a, b), e in zip(args, exact))
+    ref = max(abs(math.exp(betaln(a, b)) / e - 1) for (a, b), e in zip(args, exact))
+    assert ours <= ref
+
+
+def test_gamma_by_quadrature_simpson_matches_scipy(monkeypatch):
+    # spy on the rule to integrate exactly the samples the kernel oracle builds
+    seen = []
+    rule = oracle._simpson
+
+    def spy(f, width):
+        seen.append((f, width))
+        return rule(f, width)
+
+    monkeypatch.setattr(oracle, "_simpson", spy)
+    for regime in (ZeroTemperature(), HighTemperature(T=100.0)):
+        for r, a in ((0.0, 0.0), (1.0, 0.05)):
+            spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, regime=regime)
+            for t in (0.2, 1.0):
+                ours = oracle.gamma_by_quadrature(t, spec)
+                f, width = seen[-1]
+                ref = simpson(f, x=np.linspace(0.0, width, len(f)))
+                assert abs(ours - ref) <= 1e-13 * abs(ref)
+
+
+def _quad_vec_reference(rho, grid):
+    # the adaptive polar quadrature the Gauss-Legendre rule replaced
+    phi = phase_grid(grid)
+    tj = rho.j.twice_value
+    half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
+    k = np.arange(tj + 1)
+    phase = np.exp(-1j * np.outer(k, phi))
+
+    def integrand(theta):
+        mags = half_binom * np.sin(theta / 2.0) ** k * np.cos(theta / 2.0) ** (tj - k)
+        c = mags[:, None] * phase
+        return math.sin(theta) * np.einsum("nm,nf,mf->f", rho.elements, c.conj(), c).real
+
+    integral, _err = quad_vec(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-11)
+    return (tj + 1) / (4.0 * math.pi) * integral
+
+
+@pytest.mark.parametrize("j", [5, 20])
+def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, j):
+    rho0 = atomic_squeezed_density(AtomicSqueezedParams(j, j, -0.3))
+    rho = qnd_evolve(rho0, 1.0, 0.1, 0.001, 0.005)
+    ours = oracle.phase_dist_by_quadrature(rho, 90).values
+    assert np.max(np.abs(ours - _quad_vec_reference(rho, 90))) <= 1e-12
+    # the node count is converged: doubling it changes nothing beyond rounding
+    monkeypatch.setattr(oracle, "leggauss", lambda n: leggauss(2 * n))
+    doubled = oracle.phase_dist_by_quadrature(rho, 90).values
+    assert np.max(np.abs(doubled - ours)) <= 1e-12
+
+
+def test_exp_anti_hermitian_matches_expm():
+    # the generator of validate's squeeze check, and a dense random one
+    n = np.arange(140)
+    ad2 = np.diag(np.sqrt((n[:-2] + 1) * (n[:-2] + 2)), -2).astype(complex)
+    zeta = 0.5 * complex(math.cos(0.7), math.sin(0.7))
+    squeeze = 0.5 * (zeta.conjugate() * ad2.conj().T - zeta * ad2)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    for gen in (squeeze, 0.5 * (x - x.conj().T)):
+        assert np.max(np.abs(_exp_anti_hermitian(gen) - expm(gen))) <= 1e-13
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # one fresh isolated interpreter: figure, sweep and the full validate suite
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+from phasediff.cli import main
+out = {str(tmp_path)!r}
+rcs = [
+    main(["figure", "fig5", "--out", out + "/fig5.csv"]),
+    main(["sweep", "--family", "dissipative-oscillator", "--param", "r", "--start", "0.25",
+          "--stop", "0.75", "--num", "3", "--out", out + "/sweep.csv"]),
+    main(["validate"]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({{"rcs": rcs, "scipy": loaded}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"rcs": [0, 0, 0], "scipy": []}
