@@ -5,12 +5,16 @@ where it reduces to a thermal-like su(1,1) problem with damping coefficients
 alpha_coef, beta_coef (alpha_coef - beta_coef = gamma0).  A squeezed
 coherent initial state S(zeta) D(eta0)|0> then evolves into a mixture of
 generalized squeezed coherent states (GSCS) S(zeta) D(eta_tilde)|l> with
-Poisson-like weights; the consistency of (N, M, zeta) ties the initial
-system squeezing to the bath squeezing, r1 = r.
+Poisson-like weights and mixing strength beta_tilde; the consistency of
+(N, M, zeta) ties the initial system squeezing to the bath squeezing,
+r1 = r.  At beta_tilde = 0 (every T = 0 point) the mixture is the single
+squeezed coherent ket S(zeta) D(eta_tilde)|0>, built by its stable
+recurrence; otherwise the mixture is summed over its components.
 
 The master equation and the mixture live in the interaction picture; the
 free evolution reappears only as the e^{-i omega (m-n) t} factor in the
-phase distribution.
+phase distribution, which every density matrix reaches through
+phase_distribution_fock.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ from .bath_kernels import (
     OSCILLATOR_CONVENTION,
     bath_moments,
 )
-from .distribution import (
-    DEFAULT_GRID_SIZE,
-    PhaseDistribution,
-    distribution_from_fourier,
-    phase_grid,
-)
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, distribution_from_fourier
 from .errors import ConsistencyError, TruncationError, check_finite
-from .special_functions import log_factorial, squeeze_matrix
+from .special_functions import (
+    log_factorial,
+    squeeze_matrix,
+    squeeze_tail_pad,
+    squeezed_coherent_ket,
+)
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,6 @@ class GscsMixture:
         if self.beta_tilde < -1e-15:
             raise ValueError(f"beta_tilde = {self.beta_tilde} must be nonnegative")
 
-    @property
-    def k_ratio(self) -> float:
-        """Geometric ratio beta_tilde/(1 + beta_tilde) of the k-weights."""
-        return self.beta_tilde / (1.0 + self.beta_tilde)
-
 
 def mixture_params(spec: OscillatorLindbladSpec, t: float, eta0: complex) -> GscsMixture:
     if t < 0:
@@ -164,19 +163,16 @@ def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
     return phase * lam[np.minimum(f, l), sup]
 
 
-def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int | None):
+def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int = 300):
     """Yield (weight_k, vector_k) with vector_k the Fock expansion of
     sum_l C(k,l) sqrt(l!) (eta_tilde*)^{k-l} D(eta_tilde)|l>, where
     dm = gcs_displacement_matrix(eta_tilde, cutoff)."""
     cutoff = dm.shape[0]
-    ratio = mix.k_ratio
+    ratio = mix.beta_tilde / (1.0 + mix.beta_tilde)  # geometric ratio of the k-weights
     etc = mix.eta_tilde.conjugate()
-    limit = k_max if k_max is not None else 300
     log_w = 0.0  # ln(ratio^k / k!)
-    for k in range(limit + 1):
+    for k in range(k_max + 1):
         if k > 0:
-            if ratio <= 0.0:
-                return
             log_w += math.log(ratio) - math.log(k)
         c = np.zeros(cutoff, dtype=complex)
         for l in range(min(k, cutoff - 1) + 1):
@@ -193,29 +189,34 @@ def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int | None):
         # k! in |c|^2 balances the 1/k! weight; stop once contributions die
         if k > 4 and weight * float(np.vdot(v, v).real) < 1e-16:
             return
-    raise TruncationError(f"GSCS k-sum failed to converge within k_max = {limit}")
-
-
-def _frame_squeeze(mix: GscsMixture, cutoff: int) -> np.ndarray:
-    zeta = mix.zeta
-    return squeeze_matrix(cutoff, abs(zeta), math.atan2(zeta.imag, zeta.real))
+    raise TruncationError(f"GSCS k-sum failed to converge within k_max = {k_max}")
 
 
 def fock_density_from_gscs(
-    mix: GscsMixture, cutoff: int, k_max: int | None = None, trace_tol: float = 1e-5
+    mix: GscsMixture, cutoff: int, trace_tol: float = 1e-5
 ) -> np.ndarray:
     """Interaction-picture Fock density matrix of the GSCS mixture.
 
+    At beta_tilde = 0 it is psi psi^dag with psi = S(zeta) D(eta_tilde)|0>
+    from squeezed_coherent_ket.  Otherwise the k-sum runs in the squeeze
+    frame and is rotated by the squeeze matrix, whose columns are accurate
+    only at low index; the k-sum vectors are negligible beyond those.
     The free e^{-i omega (m-n) t} phases are applied only when forming the
     phase distribution, never here.
     """
-    g = _frame_squeeze(mix, cutoff)
-    dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
-    rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
-    for weight, v in _gcs_component_vectors(mix, dm, k_max):
-        rho_frame += weight * np.outer(v, v.conj())
-    pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
-    rho = pref * (g @ rho_frame @ g.conj().T)
+    zeta = mix.zeta
+    r, phase = abs(zeta), math.atan2(zeta.imag, zeta.real)
+    if mix.beta_tilde == 0.0:
+        psi = squeezed_coherent_ket(r, phase, mix.eta_tilde, cutoff)
+        rho = np.outer(psi, psi.conj())
+    else:
+        g = squeeze_matrix(cutoff, r, phase)
+        dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
+        rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
+        for weight, v in _gcs_component_vectors(mix, dm):
+            rho_frame += weight * np.outer(v, v.conj())
+        pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
+        rho = pref * (g @ rho_frame @ g.conj().T)
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > trace_tol:
         raise TruncationError(
@@ -244,33 +245,8 @@ def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
     displaced-thermal occupation adds a plain pad on top.
     """
     mean_frame = mix.beta_tilde + max(abs(mix.eta_tilde), abs(eta0)) ** 2
-    pad = 10.0 * (mean_frame + 1.0)
-    r1 = abs(mix.zeta)
-    if r1 > 0.0:
-        pad += 2.0 * math.log(1e10) / -math.log(math.tanh(r1))
+    pad = 10.0 * (mean_frame + 1.0) + squeeze_tail_pad(abs(mix.zeta))
     return max(40, int(math.ceil(pad + 20.0)))
-
-
-def _phase_dist_direct(
-    mix: GscsMixture,
-    omega: float,
-    t: float,
-    g: np.ndarray,
-    dm: np.ndarray,
-    theta: np.ndarray,
-) -> np.ndarray:
-    """Direct evaluation of the printed phase-distribution sum, factorized
-    per mixture component k; never forms the density matrix.  g and dm are
-    the frame squeeze and displacement matrices at the cutoff to use."""
-    m = np.arange(g.shape[0], dtype=float)
-    phases = np.exp(-1j * np.outer(m, theta + omega * t))  # e^{-i m (theta + w t)}
-    total = np.zeros(len(theta))
-    for weight, v in _gcs_component_vectors(mix, dm, None):
-        psi = g @ v
-        gk = psi @ phases
-        total += weight * np.abs(gk) ** 2
-    pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
-    return pref * total / (2.0 * math.pi)
 
 
 def phase_dist_osc_dissipative(
@@ -283,29 +259,24 @@ def phase_dist_osc_dissipative(
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
 
-    Evaluated at two Fock cutoffs; disagreement beyond agreement_tol raises
-    TruncationError.  Matrix elements do not depend on the cutoff, so the
-    squeeze and displacement matrices are built once and the smaller
-    cutoff uses their leading block.
+    The density matrix goes through phase_distribution_fock at two Fock
+    cutoffs; disagreement beyond agreement_tol raises TruncationError.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
-    theta = phase_grid(grid)
     check_cutoff = max(8, cutoff - 8)
-    size = max(cutoff, check_cutoff)
-    g = _frame_squeeze(mix, size)
-    dm = gcs_displacement_matrix(mix.eta_tilde, size)
 
-    def direct(n: int) -> np.ndarray:
-        return _phase_dist_direct(mix, spec.omega, t, g[:n, :n], dm[:n, :n], theta)
+    def values(n: int) -> np.ndarray:
+        rho = fock_density_from_gscs(mix, n)
+        return phase_distribution_fock(rho, spec.omega, t, grid).values
 
-    values = direct(cutoff)
-    dev = float(np.max(np.abs(values - direct(check_cutoff))))
+    p = values(cutoff)
+    dev = float(np.max(np.abs(p - values(check_cutoff))))
     if dev > agreement_tol:
         raise TruncationError(
             f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff})"
         )
-    return PhaseDistribution(values)
+    return PhaseDistribution(p)

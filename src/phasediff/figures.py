@@ -100,17 +100,24 @@ def _dissipative_qubit(p, grid, cutoff):
     return phase_dist_qubit_coherent(state, spec, p["t"], grid)
 
 
+def _magnitude(p, key):
+    """sqrt of a squared displacement setting, which must be nonnegative."""
+    if p[key] < 0:
+        raise ValueError(f"{key} = {p[key]} must be nonnegative")
+    return math.sqrt(p[key])
+
+
 def _qnd_oscillator(p, grid, cutoff):
     et, ga = _kernels(p)
     return phase_dist_osc_squeezed(
-        p["r1"], p["psi"], math.sqrt(p["alpha_sq"]), p["theta0"],
+        p["r1"], p["psi"], _magnitude(p, "alpha_sq"), p["theta0"],
         p["omega"], p["t"], et, ga, cutoff, grid,
     )
 
 
 def _dissipative_oscillator(p, grid, cutoff):
     spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
-    return phase_dist_osc_dissipative(spec, math.sqrt(p["eta0_sq"]), p["t"], cutoff, grid)
+    return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff, grid)
 
 
 def evaluate(point, params, runs, grid, cutoff):

@@ -184,7 +184,7 @@ def phase_dist_by_quadrature(
     def integrand(theta):
         mags = half_binom * np.sin(theta / 2.0) ** k_idx * np.cos(theta / 2.0) ** (tj - k_idx)
         c = mags[:, None] * phase  # amplitudes <j,m|theta,phi>
-        q = np.einsum("nm,nf,mf->f", rho.elements, c.conj(), c).real
+        q = np.einsum("nm,nf,mf->f", rho.elements, c.conj(), c, optimize=True).real
         return math.sin(theta) * q
 
     nodes, weights = leggauss(2 * tj + 16)

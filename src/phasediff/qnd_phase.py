@@ -30,9 +30,9 @@ from .errors import TruncationError
 from .halfint import HalfInteger, check_jm, m_range
 from .special_functions import (
     beta_integral,
-    hermite_sequence,
     log_binomial,
-    log_factorial,
+    squeeze_tail_pad,
+    squeezed_coherent_ket,
     wigner_d_half_pi,
 )
 
@@ -291,37 +291,6 @@ def number_distribution(
 # --- harmonic oscillator under the same dephasing propagator ---
 
 
-def _coherent_amplitudes(alpha_mag: float, theta0: float, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff)
-    log_mag = n * math.log(alpha_mag) if alpha_mag > 0 else np.where(n == 0, 0.0, -np.inf)
-    log_mag = log_mag - 0.5 * np.array([log_factorial(int(k)) for k in n]) - alpha_mag**2 / 2.0
-    return np.exp(log_mag) * np.exp(1j * n * theta0)
-
-
-def _check_tail(weights: np.ndarray, tol: float, what: str) -> None:
-    deficit = abs(1.0 - float(np.sum(weights)))
-    if deficit > tol:
-        raise TruncationError(
-            f"{what}: truncated weight deficit {deficit:.3e} exceeds {tol:.1e}"
-        )
-
-
-def _osc_phase_dist(
-    amps: np.ndarray, omega: float, t: float, eta_t: float, gamma_t: float, grid: int
-) -> PhaseDistribution:
-    """P(theta) for a pure state evolved under the oscillator dephasing
-    propagator, E_n = omega (n + 1/2); half-integer levels are exact in
-    floating point, so dm * sm is exactly (n-m)(n+m+1)."""
-    levels = np.arange(len(amps), dtype=float) + 0.5
-    rho = np.outer(amps, amps.conj()) * _dephasing_factor(levels, omega, t, eta_t, gamma_t)
-    return distribution_from_fourier(rho / (2.0 * math.pi), grid)
-
-
-def default_oscillator_cutoff(alpha_mag: float) -> int:
-    mean = alpha_mag**2
-    return max(25, int(math.ceil(mean + 12.0 * math.sqrt(mean) + 15.0)))
-
-
 def phase_dist_osc_coherent(
     alpha_mag: float,
     theta0: float,
@@ -332,31 +301,20 @@ def phase_dist_osc_coherent(
     cutoff: int | None = None,
     grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
-    """Oscillator phase distribution for a coherent initial state."""
-    if cutoff is None:
-        cutoff = default_oscillator_cutoff(alpha_mag)
-    amps = _coherent_amplitudes(alpha_mag, theta0, cutoff)
-    _check_tail(np.abs(amps) ** 2, 1e-12, "coherent Poisson tail")
-    return _osc_phase_dist(amps, omega, t, eta_t, gamma_t, grid)
+    """Oscillator phase distribution for a coherent initial state: the
+    squeezed coherent form at r1 = 0."""
+    return phase_dist_osc_squeezed(
+        0.0, 0.0, alpha_mag, theta0, omega, t, eta_t, gamma_t, cutoff, grid
+    )
 
 
 def squeezed_coherent_amplitudes(
     r1: float, psi: float, alpha_mag: float, theta0: float, cutoff: int
 ) -> np.ndarray:
-    """Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, via the
-    Hermite-polynomial closed form."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff = {cutoff} must be positive")
-    z = alpha_mag * complex(math.cos(theta0 - psi / 2.0), math.sin(theta0 - psi / 2.0))
-    z /= math.sqrt(math.sinh(2.0 * r1))
-    herm = hermite_sequence(cutoff - 1, z)
-    m = np.arange(cutoff, dtype=float)
-    log_mag = (m / 2.0) * (math.log(math.tanh(r1)) - math.log(2.0)) - 0.5 * np.array(
-        [log_factorial(int(k)) for k in range(cutoff)]
-    )
-    pref = math.exp(-(alpha_mag**2) * (1.0 - math.tanh(r1) * math.cos(2.0 * theta0 - psi)))
-    common = math.sqrt(pref / math.cosh(r1))
-    return common * np.exp(log_mag) * np.exp(1j * m * psi / 2.0) * herm
+    """Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi},
+    alpha = alpha_mag e^{i theta0}."""
+    alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
+    return squeezed_coherent_ket(r1, psi, alpha, cutoff)
 
 
 def phase_dist_osc_squeezed(
@@ -371,16 +329,27 @@ def phase_dist_osc_squeezed(
     cutoff: int | None = None,
     grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
-    """Oscillator phase distribution for a squeezed coherent initial state;
-    dispatches to the coherent form at r1 = 0 where the squeeze factors
-    degenerate."""
+    """Oscillator phase distribution for a squeezed coherent initial state.
+
+    The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
+    and at least the levels over which the geometric squeeze tail falls by
+    1e-20; the truncated weight must miss 1 by at most 1e-12.
+    """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
-    if r1 == 0.0:
-        return phase_dist_osc_coherent(alpha_mag, theta0, omega, t, eta_t, gamma_t, cutoff, grid)
     if cutoff is None:
         mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
-        cutoff = max(30, int(math.ceil(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0)))
+        span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))
+        cutoff = max(30, int(math.ceil(span)))
     amps = squeezed_coherent_amplitudes(r1, psi, alpha_mag, theta0, cutoff)
-    _check_tail(np.abs(amps) ** 2, 1e-10, "squeezed-coherent Fock tail")
-    return _osc_phase_dist(amps, omega, t, eta_t, gamma_t, grid)
+    deficit = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
+    if deficit > 1e-12:
+        raise TruncationError(
+            f"squeezed-coherent Fock tail: truncated weight deficit {deficit:.3e} "
+            f"exceeds 1.0e-12; raise the Fock cutoff (currently {cutoff})"
+        )
+    # E_n = omega (n + 1/2); half-integer levels are exact in floating point,
+    # so dm * sm is exactly (n-m)(n+m+1)
+    levels = np.arange(cutoff, dtype=float) + 0.5
+    rho = np.outer(amps, amps.conj()) * _dephasing_factor(levels, omega, t, eta_t, gamma_t)
+    return distribution_from_fourier(rho / (2.0 * math.pi), grid)

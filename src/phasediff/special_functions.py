@@ -1,12 +1,13 @@
 """Combinatorial and special functions underlying the closed forms.
 
-Everything here is a pure function.  The Wigner-d sums assemble factorial
-ratios in log space and exponentiate once per term, so spins up to j ~ 50
-stay finite (naive factorials overflow near 170!).  The squeeze-operator
-Fock matrix needs no factorials: it is filled by the O(cutoff^2)
-Gaussian-unitary recurrences of Miatto & Quesada, "Fast optimization of
-parametrized quantum optical circuits", Quantum 4, 366 (2020),
-arXiv:2004.11002.
+Everything here is a pure function.  The Wigner-d sum is evaluated exactly
+in integers and rounded once, so its alternating terms cannot cancel away
+the result at large j.  The squeeze-operator Fock matrix needs no
+factorials: it is filled by the O(cutoff^2) Gaussian-unitary recurrences of
+Miatto & Quesada, "Fast optimization of parametrized quantum optical
+circuits", Quantum 4, 366 (2020), arXiv:2004.11002.  A squeezed coherent
+ket S(zeta) D(alpha)|0> follows from a normalized three-term recurrence in
+O(cutoff) without that matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 
-LN2 = math.log(2.0)
 # ln(n!) correctly rounded, from the exact integer n!, while n! fits a float
 _LOG_FACTORIAL = [math.log(math.factorial(n)) for n in range(171)]
 
@@ -39,8 +39,10 @@ def log_binomial(n: int, k: int) -> float:
 def wigner_d_half_pi(j, n, p) -> float:
     """Wigner rotation matrix element d^j_{n,p}(pi/2).
 
-    Finite alternating sum over q, with q restricted so that every factorial
-    argument is nonnegative.  Terms are combined with compensated summation.
+    d = 2^{-j} sqrt((j+p)! (j-p)! / ((j+n)! (j-n)!))
+        * sum_q (-1)^q C(j+n, q) C(j-n, j-p-q),
+    with the alternating q-sum taken exactly in integers and the prefactor
+    as one correctly rounded ratio, so the result carries only final rounding.
     """
     from .halfint import HalfInteger, check_jm
 
@@ -56,34 +58,54 @@ def wigner_d_half_pi(j, n, p) -> float:
     jp = (j.twice_value + p.twice_value) // 2
     jmp = (j.twice_value - p.twice_value) // 2
 
-    log_pref = 0.5 * (
-        log_factorial(jn) + log_factorial(jmn) + log_factorial(jp) + log_factorial(jmp)
-    ) - j.value * LN2
-
-    # q!, (j+n-q)!, (j-p-q)!, (p+q-n)! all need nonnegative arguments
+    # both binomials need 0 <= q <= j+n and 0 <= j-p-q <= j-n
     q_min = max(0, (n.twice_value - p.twice_value) // 2)
     q_max = min(jn, jmp)
-    terms = []
-    for q in range(q_min, q_max + 1):
-        log_den = (
-            log_factorial(q)
-            + log_factorial(jn - q)
-            + log_factorial(jmp - q)
-            + log_factorial(q + (p.twice_value - n.twice_value) // 2)
-        )
-        terms.append((-1.0) ** q * math.exp(log_pref - log_den))
-    return math.fsum(terms)
+    total = sum(
+        (-1) ** q * math.comb(jn, q) * math.comb(jmn, jmp - q)
+        for q in range(q_min, q_max + 1)
+    )
+    fact = math.factorial
+    # 2^{-j} squared is 2^{-2j}, folded into the ratio under the root; the
+    # integer true division rounds once
+    ratio = fact(jp) * fact(jmp) / ((fact(jn) * fact(jmn)) << j.twice_value)
+    return total * math.sqrt(ratio)
 
 
-def hermite_sequence(m_max: int, z: complex) -> np.ndarray:
-    """H_0(z) .. H_{m_max}(z) as one array (shared recurrence pass)."""
-    out = np.empty(m_max + 1, dtype=complex)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = 2.0 * z
-    for i in range(1, m_max):
-        out[i + 1] = 2.0 * z * out[i] - 2.0 * i * out[i - 1]
-    return out
+def squeeze_tail_pad(r1: float) -> float:
+    """Fock levels over which a squeezed state's geometric tail, which falls
+    as tanh(r1)^n, drops by a factor 1e-20; 0 at r1 = 0."""
+    return 2.0 * math.log(1e10) / -math.log(math.tanh(r1)) if r1 > 0.0 else 0.0
+
+
+def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -> np.ndarray:
+    """Fock amplitudes c_n = <n| S(zeta) D(alpha) |0>, n < cutoff, with
+    zeta = r e^{i phase} and S(zeta) as in squeeze_matrix.
+
+    The ket is the eigenvector of S a S^dag = a cosh r + a^dag e^{i phase} sinh r
+    with eigenvalue alpha, hence the normalized recurrence
+    c_{n+1} = (alpha/cosh r c_n - e^{i phase} tanh r sqrt(n) c_{n-1}) / sqrt(n+1),
+    from c_0 = exp(-|alpha|^2/2 + alpha^2 e^{-i phase} tanh r / 2) / sqrt(cosh r).
+    That c_0 equals the form in alpha' = alpha cosh r - alpha* e^{i phase} sinh r,
+    exp(-|alpha'|^2/2 - alpha'*^2 e^{i phase} tanh r / 2) / sqrt(cosh r), whose
+    exponent cancels at large |alpha|.  No c_n can exceed 1, so nothing
+    overflows; r = 0 gives the coherent state.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
+    if r < 0:
+        raise ValueError(f"r = {r} must be nonnegative")
+    alpha = complex(alpha)
+    rot = cmath.exp(1j * phase)
+    ch, th = math.cosh(r), math.tanh(r)
+    cur = cmath.exp(-abs(alpha) ** 2 / 2.0 + alpha * alpha * rot.conjugate() * th / 2.0)
+    cur /= math.sqrt(ch)
+    a, b = alpha / ch, rot * th
+    amps, prev = [cur], 0j
+    for n in range(cutoff - 1):
+        prev, cur = cur, (a * cur - b * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        amps.append(cur)
+    return np.array(amps)
 
 
 def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
@@ -97,8 +119,10 @@ def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
     and r1 = 0 gives the identity exactly.
 
     The forward recurrence loses accuracy where both indices are large
-    (about 1e-13 at column 20, 5e-10 at column 40 for r1 = 1); the GSCS
-    vectors it multiplies are negligible there.
+    (about 1e-13 at column 20, 5e-10 at column 40 for r1 = 1, 2e-3 at
+    column 100 for r1 = 0.5), so only the GSCS k-sum at nonzero
+    temperature uses it, on vectors that are negligible there; a squeezed
+    coherent ket comes from squeezed_coherent_ket instead.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")

@@ -20,7 +20,6 @@ from .dissipative_oscillator import (
     mixture_params,
     oscillator_spec,
     phase_dist_osc_dissipative,
-    phase_distribution_fock,
 )
 from .dissipative_qubit import propagate_qubit, qubit_spec
 from .distribution import PhaseDistribution
@@ -66,16 +65,26 @@ def _exp_anti_hermitian(gen: np.ndarray) -> np.ndarray:
     """e^gen for anti-Hermitian gen: with i gen = V diag(lam) V^H (Hermitian
     eigendecomposition), e^gen = V diag(e^{-i lam}) V^H, unitary to rounding."""
     lam, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * lam)) @ v.conj().T
+    vh = v.conj().T
+    v *= np.exp(-1j * lam)
+    return v @ vh
+
+
+def _squeeze_generator(levels: int, r1: float, phi: float) -> np.ndarray:
+    """(zeta* a^2 - zeta a^dag^2)/2, zeta = r1 e^{i phi}, on `levels` Fock
+    states: S(zeta) is its exponential."""
+    zeta = r1 * complex(math.cos(phi), math.sin(phi))
+    n = np.arange(levels - 2)
+    half = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))  # <n|a^2|n+2> / 2
+    gen = np.zeros((levels, levels), dtype=complex)
+    gen[n, n + 2] = zeta.conjugate() * half
+    gen[n + 2, n] = -zeta * half
+    return gen
 
 
 def _check_squeeze_vs_expm() -> CheckResult:
-    r1, phi, big, window = 0.5, 0.7, 140, 12
-    n = np.arange(big)
-    ad2 = np.diag(np.sqrt((n[:-2] + 1) * (n[:-2] + 2)), -2).astype(complex)
-    zeta = r1 * complex(math.cos(phi), math.sin(phi))
-    gen = 0.5 * (zeta.conjugate() * ad2.conj().T - zeta * ad2)
-    oracle = _exp_anti_hermitian(gen)[:window, :window]
+    r1, phi, window = 0.5, 0.7, 12
+    oracle = _exp_anti_hermitian(_squeeze_generator(140, r1, phi))[:window, :window]
     g = squeeze_matrix(window, r1, phi)
     dev = float(np.max(np.abs(g - oracle)))
     return CheckResult("squeeze matrix element vs matrix exponential", 1e-10, dev)
@@ -147,14 +156,30 @@ def _check_atomic_quadrature() -> CheckResult:
 
 
 def _check_dissipative_phase_dist() -> CheckResult:
-    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
-    t = 0.1
-    direct = phase_dist_osc_dissipative(spec, 1.0, t, grid=120)
-    mix = mixture_params(spec, t, 1.0)
-    rho = fock_density_from_gscs(mix, 130)
-    assembled = phase_distribution_fock(rho, spec.omega, t, 120)
-    dev = float(np.max(np.abs(direct.values - assembled.values)))
-    return CheckResult("dissipative oscillator direct sum vs density assembly", 1e-6, dev)
+    # large displacement at T = 0, where the state is S(zeta) D(eta_tilde)|0>
+    # with eta_tilde = eta0 e^{-gamma0 t / 2}: a Poisson coherent vector
+    # squeezed by the exact exponential, and
+    # P(theta_l) = |sum_n psi_n e^{-i n (omega t + theta_l)}|^2 / 2pi as one
+    # FFT, exact because the grid is longer than the cutoff
+    r, phi, eta0, t, cutoff, grid = 0.5, 0.3, math.sqrt(50.0), 0.1, 250, 360
+    spec = oscillator_spec(1.0, 0.025, r, phi, 0.0)
+    closed = phase_dist_osc_dissipative(spec, eta0, t, cutoff, grid)
+    eta = eta0 * math.exp(-spec.gamma0 * t / 2.0)
+    n = np.arange(cutoff)
+    log_n_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    coherent = np.exp(-eta * eta / 2.0 + n * math.log(eta) - 0.5 * log_n_fact)
+    # the squeeze keeps parity: exponentiate the even and odd blocks apart,
+    # which quarters the eigensolver's memory
+    gen = _squeeze_generator(cutoff, r, phi)
+    psi = np.empty(cutoff, dtype=complex)
+    for s in (slice(0, None, 2), slice(1, None, 2)):
+        psi[s] = _exp_anti_hermitian(gen[s, s]) @ coherent[s]
+    amp = np.fft.fft(psi * np.exp(-1j * spec.omega * t * n), grid)
+    oracle = np.abs(amp) ** 2 / (2.0 * math.pi)
+    dev = float(np.max(np.abs(closed.values - oracle)))
+    return CheckResult(
+        "dissipative oscillator vs exact squeeze exponential (eta0^2=50)", 1e-10, dev
+    )
 
 
 def _check_normalization() -> CheckResult:

@@ -248,7 +248,36 @@ def test_fig5_cutoff_reaches_the_dissipative_curve(tmp_path, cutoff):
 
 
 def test_fig5_cutoff_too_small_names_both_cutoffs(tmp_path, capsys):
+    # below 95 levels the dephasing curve's 1e-12 tail guard fails first
     out = tmp_path / "fig5.csv"
-    assert main(["figure", "fig5", "--cutoff", "90", "--out", str(out)]) == 1
-    assert "at cutoffs (90, 82)" in capsys.readouterr().err
+    assert main(["figure", "fig5", "--cutoff", "100", "--out", str(out)]) == 1
+    assert "at cutoffs (100, 92)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "qnd-oscillator", "--param", "r1", "--start", "0.5", "--stop", "2",
+     "--num", "4"],
+    ["--family", "qnd-oscillator", "--param", "alpha_sq", "--start", "5", "--stop", "200",
+     "--num", "2"],
+    ["--family", "dissipative-oscillator", "--param", "eta0_sq", "--start", "50",
+     "--stop", "100", "--num", "2", "--set", "r=0.5", "--set", "Phi=0.3"],
+])
+def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, args):
+    # r1 = 2 needs 1258 Fock levels; alpha^2 = 200 and eta0^2 = 100 put the
+    # state where unnormalized Hermite values and squeeze-matrix columns failed
+    out = tmp_path / "s.csv"
+    assert main(
+        ["sweep", *args, "--grid", "2880", "--mode", "distribution", "--out", str(out)]
+    ) == 0
+    _header, rows = _header_and_rows(out.read_text())
+    norms = rows[:, 1:].sum(axis=0) * (2.0 * math.pi / 2880)
+    assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("fig, key", [("fig8", "alpha_sq"), ("fig5", "eta0_sq")])
+def test_negative_squared_displacement_names_the_key(tmp_path, capsys, fig, key):
+    out = tmp_path / "x.csv"
+    assert main(["figure", fig, "--set", f"{key}=-1", "--out", str(out)]) == 1
+    assert f"{key} = -1.0 must be nonnegative" in capsys.readouterr().err
     assert not out.exists()

@@ -19,6 +19,7 @@ from phasediff.dissipative_oscillator import (
 from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import dispersion, integrate_distribution
+from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
 
 GRID = 240
 
@@ -115,14 +116,26 @@ def test_density_matches_ode_oracle(r, T, t):
     assert trace_distance < 1e-4
 
 
-def test_direct_phase_sum_matches_density_assembly():
-    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
-    t = 0.1
-    direct = phase_dist_osc_dissipative(spec, 1.0, t, grid=GRID)
-    rho = fock_density_from_gscs(mixture_params(spec, t, 1.0), 130)
-    assembled = phase_distribution_fock(rho, 1.0, t, GRID)
-    assert np.max(np.abs(direct.values - assembled.values)) < 1e-6
-    assert abs(integrate_distribution(direct) - 1.0) < 1e-8
+def test_large_displacement_matches_eigh_oracle():
+    # [DERIVED] at T = 0 the state is S(zeta) D(eta_tilde)|0>: a Poisson
+    # coherent vector squeezed by the exact exponential on 700 levels, far
+    # above the default cutoff (590); the squeeze-matrix columns were 2e-6
+    # off here
+    r, phi, eta0, t = 0.5, 0.3, math.sqrt(50.0), 0.1
+    spec = oscillator_spec(1.0, 0.025, r, phi, 0.0)
+    mix = mixture_params(spec, t, eta0)
+    cutoff = default_dissipative_cutoff(mix, eta0)
+    n = np.arange(700)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    eta = eta0 * math.exp(-spec.gamma0 * t / 2.0)
+    coherent = np.exp(-eta * eta / 2.0 + n * math.log(eta) - 0.5 * log_fact)
+    psi = (_exp_anti_hermitian(_squeeze_generator(700, r, phi)) @ coherent)[:cutoff]
+    oracle = np.outer(psi, psi.conj())
+    assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-13
+    p = phase_dist_osc_dissipative(spec, eta0, t, grid=GRID)
+    expected = phase_distribution_fock(oracle, 1.0, t, GRID)
+    assert np.max(np.abs(p.values - expected.values)) < 1e-10
+    assert abs(integrate_distribution(p) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("r", [1.75, 2.0])

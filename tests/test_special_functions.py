@@ -8,10 +8,10 @@ from scipy.linalg import expm
 from phasediff.halfint import HalfInteger, m_range
 from phasediff.special_functions import (
     beta_integral,
-    hermite_sequence,
     log_binomial,
     log_factorial,
     squeeze_matrix,
+    squeezed_coherent_ket,
     wigner_d_half_pi,
 )
 
@@ -66,19 +66,74 @@ def test_wigner_d_against_rotation_exponential():
         assert np.max(np.abs(d - oracle)) < 1e-12
 
 
-def test_hermite_recurrence_vs_explicit_polynomial():
-    # explicit coefficient form H_m(z) = m! sum_k (-1)^k (2z)^{m-2k} / (k! (m-2k)!)
-    z = 0.8 - 0.35j
-    seq = hermite_sequence(10, z)
-    for m in range(11):
-        explicit = sum(
-            (-1) ** k
-            * math.factorial(m)
-            / (math.factorial(k) * math.factorial(m - 2 * k))
-            * (2 * z) ** (m - 2 * k)
-            for k in range(m // 2 + 1)
+def _wigner_d_mpmath(j, n, p):
+    # [DERIVED] the factorial q-sum in 60-digit arithmetic
+    jn, jmn, jp, jmp = j + n, j - n, j + p, j - p
+    f = mpmath.factorial
+    with mpmath.workdps(60):
+        pref = mpmath.sqrt(f(jn) * f(jmn) * f(jp) * f(jmp)) / mpmath.mpf(2) ** j
+        total = mpmath.fsum(
+            (-1) ** q / (f(q) * f(jn - q) * f(jmp - q) * f(q + p - n))
+            for q in range(max(0, n - p), min(jn, jmp) + 1)
         )
-        assert abs(seq[m] - explicit) <= 1e-10 * max(1.0, abs(explicit))
+        return float(pref * total)
+
+
+@pytest.mark.parametrize("j", [30, 50])
+def test_wigner_d_large_j_vs_mpmath(j):
+    # every third (n, p): the alternating sum cancels by many orders here
+    worst = 0.0
+    for n in range(-j, j + 1, 3):
+        for p in range(-j, j + 1, 3):
+            worst = max(worst, abs(wigner_d_half_pi(j, n, p) - _wigner_d_mpmath(j, n, p)))
+    assert worst < 1e-13
+
+
+def _hermite_explicit(m, z):
+    # explicit coefficient form H_m(z) = m! sum_k (-1)^k (2z)^{m-2k} / (k! (m-2k)!)
+    f = mpmath.factorial
+    return mpmath.fsum(
+        (-1) ** k * f(m) / (f(k) * f(m - 2 * k)) * (2 * z) ** (m - 2 * k)
+        for k in range(m // 2 + 1)
+    )
+
+
+def _squeezed_coherent_hermite(r1, phase, alpha, m):
+    # [DERIVED] <m|S(zeta) D(alpha)|0> = c_0 w^m H_m(z) / sqrt(m!), with
+    # w = sqrt(e^{i phase} tanh(r1) / 2), z = alpha e^{-i phase/2} / sqrt(sinh 2 r1),
+    # c_0 = exp(-|alpha|^2/2 + alpha^2 e^{-i phase} tanh(r1)/2) / sqrt(cosh r1);
+    # the explicit sum cancels by many digits, so the precision grows with m
+    with mpmath.workdps(20 + m // 6):
+        r, ph, a = mpmath.mpf(r1), mpmath.mpf(phase), mpmath.mpc(alpha)
+        c0 = mpmath.exp(-abs(a) ** 2 / 2 + a**2 * mpmath.expj(-ph) * mpmath.tanh(r) / 2)
+        c0 /= mpmath.sqrt(mpmath.cosh(r))
+        w = mpmath.expj(ph / 2) * mpmath.sqrt(mpmath.tanh(r) / 2)
+        z = a * mpmath.expj(-ph / 2) / mpmath.sqrt(mpmath.sinh(2 * r))
+        return complex(c0 * w**m * _hermite_explicit(m, z) / mpmath.sqrt(mpmath.factorial(m)))
+
+
+@pytest.mark.parametrize("alpha_sq", [5.0, 200.0])
+@pytest.mark.parametrize("r1", [0.5, 1.0, 2.0])
+def test_squeezed_coherent_ket_vs_mpmath_hermite(r1, alpha_sq):
+    # 7000 levels hold all but 1e-12 of every state here (r1 = 2, alpha^2 = 200
+    # has mean occupation 5460); a growing parasitic solution of the
+    # recurrence would break the norm.  Rows up to 600 and the largest
+    # amplitude are checked against the Hermite closed form.
+    phase, theta0 = math.pi / 4, 0.3
+    alpha = math.sqrt(alpha_sq) * complex(math.cos(theta0), math.sin(theta0))
+    c = squeezed_coherent_ket(r1, phase, alpha, 7000)
+    assert abs(1.0 - float(np.sum(np.abs(c) ** 2))) < 1e-12
+    rows = sorted({*range(0, 601, 75), int(np.argmax(np.abs(c)))})
+    oracle = np.array([_squeezed_coherent_hermite(r1, phase, alpha, m) for m in rows])
+    assert np.max(np.abs(c[rows] - oracle)) < 1e-13
+
+
+def test_squeezed_coherent_ket_at_zero_squeezing_is_coherent():
+    alpha = 1.7 - 0.4j
+    n = np.arange(40)
+    log_fact = np.array([log_factorial(k) for k in n])
+    coherent = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(alpha + 0j) - 0.5 * log_fact)
+    assert np.max(np.abs(squeezed_coherent_ket(0.0, 0.9, alpha, 40) - coherent)) < 1e-15
 
 
 def _squeeze_hyp2f1(m, n, r1, phi):
