@@ -237,6 +237,12 @@ def phase_distribution_fock(
     return distribution_from_fourier(rho_s / (2.0 * math.pi), grid)
 
 
+# Each dense cutoff x cutoff complex matrix costs 16 cutoff^2 bytes (67 MB at
+# the limit).  The squeeze tail pad puts the default cutoff near 1300 levels at
+# r = 2, past the limit near r = 2.2 and at 9330 at r = 3.
+MAX_DISSIPATIVE_CUTOFF = 2048
+
+
 def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
     """Fock cutoff heuristic.
 
@@ -267,6 +273,12 @@ def phase_dist_osc_dissipative(
         cutoff = default_dissipative_cutoff(mix, eta0)
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
+    if cutoff > MAX_DISSIPATIVE_CUTOFF:
+        raise TruncationError(
+            f"Fock cutoff {cutoff} exceeds the dissipative-oscillator limit of "
+            f"{MAX_DISSIPATIVE_CUTOFF} levels; lower the squeezing r (currently "
+            f"{spec.zeta_mag}) or pass --cutoff of at most {MAX_DISSIPATIVE_CUTOFF}"
+        )
     check_cutoff = max(8, cutoff - 8)
 
     def values(n: int) -> np.ndarray:

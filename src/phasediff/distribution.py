@@ -46,17 +46,33 @@ class PhaseDistribution:
 def distribution_from_fourier(a: np.ndarray, n: int = DEFAULT_GRID_SIZE) -> PhaseDistribution:
     """P(phi_l) = Re sum_{j,k} a[j,k] e^{i(k-j) phi_l} on the N-point grid.
 
-    Each diagonal offset d = k - j is summed with bincount after folding d
-    mod N (on the grid e^{i d phi_l} depends only on d mod N, so the samples
-    stay exact when the degree exceeds N/2), and one inverse FFT evaluates
-    the folded trigonometric sum at all N angles.  The imaginary part of a
-    Hermitian a vanishes and is discarded.
+    bincount sums each of the 2 dim - 1 diagonals d = k - j of a, and
+    _fold_fft evaluates the trigonometric sum of the diagonal sums at all N
+    angles.  Summing the diagonals before folding keeps one dim x dim index
+    array as the only intermediate.  The imaginary part of a Hermitian a
+    vanishes and is discarded.
     """
     a = np.asarray(a)
-    idx = np.arange(a.shape[0])
-    offset = ((idx[None, :] - idx[:, None]) % n).ravel()
-    flat = a.ravel()
-    coeffs = np.bincount(offset, flat.real, minlength=n) + 1j * np.bincount(
-        offset, flat.imag, minlength=n
+    dim = a.shape[0]
+    idx = np.arange(dim)
+    diagonal = ((idx + dim - 1)[None, :] - idx[:, None]).ravel()  # k - j + dim - 1
+    sums = _bincount_complex(diagonal, a.ravel(), 2 * dim - 1)
+    return _fold_fft(np.arange(1 - dim, dim), sums, n)
+
+
+def _fold_fft(offsets: np.ndarray, weights: np.ndarray, n: int) -> PhaseDistribution:
+    """P(phi_l) = Re sum_i weights[i] e^{i offsets[i] phi_l} on the N-point grid.
+
+    Offsets are folded mod N and summed (on the grid e^{i d phi_l} depends
+    only on d mod N, so the samples stay exact when the degree exceeds N/2),
+    and one inverse FFT evaluates the folded trigonometric sum at all N
+    angles.
+    """
+    return PhaseDistribution(np.fft.ifft(_bincount_complex(offsets % n, weights, n)).real * n)
+
+
+def _bincount_complex(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """Complex weights summed per nonnegative index into `length` bins."""
+    return np.bincount(index, weights.real, minlength=length) + 1j * np.bincount(
+        index, weights.imag, minlength=length
     )
-    return PhaseDistribution(np.fft.ifft(coeffs).real * n)

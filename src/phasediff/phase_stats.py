@@ -18,8 +18,9 @@ def integrate_distribution(p: PhaseDistribution) -> float:
 
 
 def first_circular_moment(p: PhaseDistribution) -> complex:
-    """Integral of e^{-i phi} P(phi) d phi on the uniform grid."""
-    return complex(np.sum(np.exp(-1j * p.grid) * p.values) * p.step)
+    """Integral of e^{-i phi} P(phi) d phi on the uniform grid: the degree-1
+    term of the forward DFT, sum_l e^{-2 pi i l / N} P_l, times the step."""
+    return complex(np.fft.rfft(p.values)[1] * p.step)
 
 
 def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:

@@ -9,7 +9,11 @@ with hbar = 1, for both the Dicke basis |j, m> and the Fock basis |n>
 (where the eigenvalue combination is (m-n)(m+n+1) from E_n = w(n + 1/2)).
 Atomic phase distributions come from the angle marginal of the Q-function;
 the polar integral has an exact Beta-function form.  Oscillator phase
-distributions are Susskind-Glogower-state diagonals.
+distributions are Susskind-Glogower-state diagonals.  For a pure oscillator
+state c_n the propagator factorizes as rho_mn(t) = v_m v_n* g_{m-n}, with
+v_n = c_n e^{i(w^2 eta l_n^2 - w t l_n)}, l_n = n + 1/2, and
+g_d = e^{-w^2 gamma d^2}, so every Fourier coefficient of P(phi) is one
+autocorrelation of v times g and the oscillator runs in O(cutoff) memory.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from .distribution import (
     DEFAULT_GRID_SIZE,
     PhaseDistribution,
+    _fold_fft,
     distribution_from_fourier,
     phase_grid,
 )
@@ -334,6 +339,11 @@ def phase_dist_osc_squeezed(
     The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
     and at least the levels over which the geometric squeeze tail falls by
     1e-20; the truncated weight must miss 1 by at most 1e-12.
+
+    The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
+    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}*: one
+    autocorrelation of the ket, in O(cutoff) memory and with no
+    cutoff x cutoff array.
     """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
@@ -348,8 +358,10 @@ def phase_dist_osc_squeezed(
             f"squeezed-coherent Fock tail: truncated weight deficit {deficit:.3e} "
             f"exceeds 1.0e-12; raise the Fock cutoff (currently {cutoff})"
         )
-    # E_n = omega (n + 1/2); half-integer levels are exact in floating point,
-    # so dm * sm is exactly (n-m)(n+m+1)
+    # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
-    rho = np.outer(amps, amps.conj()) * _dephasing_factor(levels, omega, t, eta_t, gamma_t)
-    return distribution_from_fourier(rho / (2.0 * math.pi), grid)
+    v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
+    # entry i of the full autocorrelation is sum_m v_m v_{m+d}*, d = cutoff - 1 - i
+    offsets = np.arange(cutoff - 1, -cutoff, -1)
+    weights = np.correlate(v, v, "full") * np.exp(-(omega**2) * gamma_t * offsets**2)
+    return _fold_fft(offsets, weights / (2.0 * math.pi), grid)

@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,12 +261,15 @@ def test_fig5_cutoff_too_small_names_both_cutoffs(tmp_path, capsys):
      "--num", "4"],
     ["--family", "qnd-oscillator", "--param", "alpha_sq", "--start", "5", "--stop", "200",
      "--num", "2"],
+    ["--family", "qnd-oscillator", "--param", "r1", "--start", "2.5", "--stop", "3",
+     "--num", "2"],
     ["--family", "dissipative-oscillator", "--param", "eta0_sq", "--start", "50",
      "--stop", "100", "--num", "2", "--set", "r=0.5", "--set", "Phi=0.3"],
 ])
 def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, args):
-    # r1 = 2 needs 1258 Fock levels; alpha^2 = 200 and eta0^2 = 100 put the
-    # state where unnormalized Hermite values and squeeze-matrix columns failed
+    # r1 = 2 needs 1258 Fock levels and r1 = 3 9270; alpha^2 = 200 and
+    # eta0^2 = 100 put the state where unnormalized Hermite values and
+    # squeeze-matrix columns failed
     out = tmp_path / "s.csv"
     assert main(
         ["sweep", *args, "--grid", "2880", "--mode", "distribution", "--out", str(out)]
@@ -273,6 +277,24 @@ def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, 
     _header, rows = _header_and_rows(out.read_text())
     norms = rows[:, 1:].sum(axis=0) * (2.0 * math.pi / 2880)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+def test_dissipative_cutoff_above_the_limit_names_r_and_cutoff(tmp_path, capsys):
+    # r = 2.9 asks for 7646 levels; the limit is checked before any matrix
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
+                   "--start", "2.9", "--stop", "3", "--num", "2", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Fock cutoff 7646 exceeds the dissipative-oscillator limit of 2048" in err
+    assert "r (currently 2.9)" in err and "--cutoff" in err
+    assert peak < 2e6
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fig, key", [("fig8", "alpha_sq"), ("fig5", "eta0_sq")])

@@ -32,6 +32,15 @@ def test_dispersion_origin_independent():
     assert abs(dispersion(p) - 0.75) < 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 9, 720])
+def test_first_moment_equals_the_explicit_sum(n):
+    phi = phase_grid(n)
+    values = (1.0 + 0.6 * np.cos(phi - 0.4) + 0.3 * np.sin(3.0 * phi)) / (2.0 * math.pi)
+    p = PhaseDistribution(values)
+    explicit = np.sum(np.exp(-1j * phi) * values) * p.step
+    assert abs(first_circular_moment(p) - explicit) < 1e-15
+
+
 def test_first_moment_of_shifted_cardioid():
     p = PhaseDistribution((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
     m = first_circular_moment(p)

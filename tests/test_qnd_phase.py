@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phasediff.distribution import distribution_from_fourier
 from phasediff.errors import TruncationError
+from phasediff.figures import SWEEP_FAMILIES, _kernels
 from phasediff.halfint import HalfInteger
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
+    _dephasing_factor,
     _dipole_weights,
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -139,6 +143,40 @@ def test_oscillator_squeezed_normalized():
         1.0, 0.0, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005, grid=GRID
     )
     assert abs(integrate_distribution(p) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("r1, alpha_sq, t, T, r, cutoff", [
+    (0.5, 5.0, 0.1, 0.0, 0.0, 70),
+    (0.5, 5.0, 0.1, 1000.0, 2.0, 70),
+    (2.0, 5.0, 1.0, 100.0, 1.0, 1258),
+    (0.5, 200.0, 2.0, 0.0, 1.0, 576),
+    (1.0, 200.0, 10.0, 1000.0, 2.0, 1159),
+])
+def test_oscillator_autocorrelation_matches_dense_density_matrix(r1, alpha_sq, t, T, r, cutoff):
+    # the cutoffs are the default ones; the dense oracle forms rho_mn(t)
+    # element by element and sums its diagonals
+    p = {**SWEEP_FAMILIES["qnd-oscillator"][1], "t": t, "T": T, "r": r}
+    eta_t, gamma_t = _kernels(p)
+    alpha_mag = math.sqrt(alpha_sq)
+    fast = phase_dist_osc_squeezed(
+        r1, p["psi"], alpha_mag, 0.0, 1.0, t, eta_t, gamma_t, cutoff, 2880
+    )
+    c = squeezed_coherent_amplitudes(r1, p["psi"], alpha_mag, 0.0, cutoff)
+    levels = np.arange(cutoff) + 0.5
+    rho = np.outer(c, c.conj()) * _dephasing_factor(levels, 1.0, t, eta_t, gamma_t)
+    dense = distribution_from_fourier(rho / (2.0 * math.pi), 2880)
+    assert np.max(np.abs(fast.values - dense.values)) < 1e-12
+
+
+def test_oscillator_allocates_no_cutoff_squared_array():
+    # r1 = 2 needs 1258 levels: one dense complex matrix would take 25 MB
+    tracemalloc.start()
+    try:
+        phase_dist_osc_squeezed(2.0, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_oscillator_cutoff_too_small_raises():
