@@ -29,7 +29,7 @@ from .figures import (
     resolve_params,
     run_figure,
 )
-from .phase_stats import dispersion
+from .phase_stats import audit_normalization, dispersion
 from .validation import run_validation
 
 
@@ -160,6 +160,9 @@ def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
 
 
 def _write_outputs(fd: FigureData, reserved: dict[str, str], stem: str, plot_script: bool) -> int:
+    # a distribution column passes the audit its dispersion would, or no CSV is written
+    for _label, p in fd.distributions:
+        audit_normalization(p)
     out = Path(reserved.get("out", f"{stem}.csv"))
     _write_csv(fd, out)
     print(f"wrote {out}")
@@ -222,7 +225,10 @@ def _cmd_validate(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
-        print(f"{status}  {r.name:<{width}}  deviation {r.deviation:.3e}  tolerance {r.tolerance:.1e}")
+        print(
+            f"{status}  {r.name:<{width}}  deviation {r.deviation:.3e}  "
+            f"tolerance {r.tolerance:.1e}  margin {r.margin:.2e}"
+        )
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
 

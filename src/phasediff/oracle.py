@@ -1,17 +1,18 @@
 """Independent brute-force oracles used by tests and the validate command.
 
-Nothing here shares matrix assembly with the closed forms it checks: the
-master equations are integrated from their right-hand sides with hand-rolled
-Runge-Kutta steppers, the atomic phase distribution is obtained by
-Gauss-Legendre quadrature over the polar angle, and the dephasing kernel by
-composite-Simpson frequency quadrature of its defining integral.  Only numpy
-is needed.
+Nothing here shares matrix assembly with the closed forms it checks.  Both
+master equations start from their right-hand sides: the qubit's 4x4
+generator is assembled column by column from its right-hand side and
+exponentiated exactly (Taylor series with scaling and squaring), and the
+oscillator's is integrated by an adaptive Dormand-Prince 5(4) stepper.  The
+atomic phase distribution is obtained by Gauss-Legendre quadrature over the
+polar angle, and the dephasing kernel by composite-Simpson frequency
+quadrature of its defining integral.  Only numpy is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,40 +24,6 @@ from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
 from .errors import DomainError, TruncationError
 from .qnd_phase import DickeDensityMatrix
 from .special_functions import log_binomial
-
-
-@dataclass(frozen=True)
-class OdeConfig:
-    method: str = "adaptive"  # "adaptive" or "rk4"
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_step: float = math.inf  # step size for the fixed-step method
-
-    def __post_init__(self):
-        if self.method not in ("adaptive", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_ODE = OdeConfig()
-
-
-def rk4_fixed(f, y0: np.ndarray, t0: float, t1: float, h: float) -> np.ndarray:
-    """Classical fixed-step 4th-order Runge-Kutta."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    n_steps = max(1, int(math.ceil((t1 - t0) / h)))
-    h = (t1 - t0) / n_steps
-    y, t = y0.astype(complex), t0
-    for _ in range(n_steps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
 
 
 # Dormand-Prince 5(4) tableau
@@ -74,10 +41,10 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol, max_step=math.inf):
+def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
     """Adaptive embedded 5(4) integration with standard step control."""
     y, t = y0.astype(complex), t0
-    h = min(max_step, (t1 - t0) / 10.0)
+    h = (t1 - t0) / 10.0
     k1 = f(t, y)
     while t < t1:
         h = min(h, t1 - t)
@@ -96,38 +63,91 @@ def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol, max_step=math.inf):
             y = y5
             k1 = ks[6]  # FSAL
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-        h = min(max_step, h * min(5.0, max(0.2, factor)))
+        h = h * min(5.0, max(0.2, factor))
     return y
 
 
-def _integrate(f, y0, t, config: OdeConfig):
-    if t == 0:
-        return y0.astype(complex)
-    if config.method == "rk4":
-        h = config.max_step if math.isfinite(config.max_step) else t / 200.0
-        return rk4_fixed(f, y0, 0.0, t, h)
-    return dormand_prince(f, y0, 0.0, t, config.rel_tol, config.abs_tol, config.max_step)
+def expm_taylor(a: np.ndarray) -> np.ndarray:
+    """e^a for a small dense matrix by scaling and squaring a truncated
+    Taylor series (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+
+    a is scaled by 2^-s until its 1-norm is at most 1/2, where the remainder
+    after 18 terms is below 1e-22 relative, then squared s times.  Unlike an
+    eigendecomposition this needs a to be neither normal nor diagonalizable.
+    """
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    b = a / 2.0**s
+    out = term = np.eye(len(a), dtype=complex)
+    for k in range(1, 19):
+        term = term @ b / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
-def integrate_lindblad_qubit(
-    rho0: np.ndarray, spec: QubitLindbladSpec, t: float, config: OdeConfig = DEFAULT_ODE
-) -> np.ndarray:
-    """Direct integration of the qubit master equation, all terms included."""
+def qubit_liouvillian(spec: QubitLindbladSpec) -> np.ndarray:
+    """The 4x4 generator L of d vec(rho)/dt = L vec(rho) (row-major vec),
+    column k the master equation's right-hand side, all terms included,
+    applied to the k-th basis matrix."""
     sz = np.diag([-1.0 + 0.0j, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     sm = sp.T.copy()
     g0, w = spec.gamma0, spec.omega
     big_n, big_m = spec.moments.N, spec.moments.M
 
-    def rhs(_t, y):
-        rho = y.reshape(2, 2)
+    def rhs(rho):
         d = -1j * (w / 2.0) * (sz @ rho - rho @ sz)
         d += g0 * (big_n + 1) * (sm @ rho @ sp - 0.5 * (sp @ sm @ rho + rho @ sp @ sm))
         d += g0 * big_n * (sp @ rho @ sm - 0.5 * (sm @ sp @ rho + rho @ sm @ sp))
         d -= g0 * big_m * (sp @ rho @ sp) + g0 * big_m.conjugate() * (sm @ rho @ sm)
         return d.ravel()
 
-    return _integrate(rhs, np.asarray(rho0, dtype=complex).ravel(), t, config).reshape(2, 2)
+    return np.column_stack([rhs(e.reshape(2, 2)) for e in np.eye(4, dtype=complex)])
+
+
+def integrate_lindblad_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float) -> np.ndarray:
+    """Exact propagation of the qubit master equation: e^{L t} vec(rho0).
+
+    L is not normal, and it is defective where gamma0 |M| = omega, so the
+    exponential is a Taylor series with scaling and squaring rather than an
+    eigendecomposition."""
+    vec = np.asarray(rho0, dtype=complex).ravel()
+    return (expm_taylor(qubit_liouvillian(spec) * t) @ vec).reshape(2, 2)
+
+
+def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
+    """d vec(rho)/dt of the oscillator master equation (interaction picture)
+    on `cutoff` Fock levels, on the row-major flattening of rho.
+
+    The four anticommutator terms are one operator K, so they cost K rho +
+    rho K.  a and a^dag have a single off-diagonal sqrt(n), so each sandwich
+    term (a rho a^dag, a^dag rho a, a^dag rho a^dag, a rho a) is rho shifted
+    by one row and one column and scaled by sqrt(m) sqrt(n)."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+    ad = a.conj().T
+    g0 = spec.gamma0
+    big_n, big_m = spec.moments.N, spec.moments.M
+    k_op = -0.5 * g0 * (
+        (big_n + 1) * (ad @ a) + big_n * (a @ ad) + big_m * (ad @ ad)
+        + big_m.conjugate() * (a @ a)
+    )
+    root = np.sqrt(np.arange(1.0, cutoff))
+    weight = g0 * np.outer(root, root)
+    w_down, w_up = (big_n + 1) * weight, big_n * weight  # a rho a^dag, a^dag rho a
+    w_raise, w_lower = big_m * weight, big_m.conjugate() * weight  # a^dag rho a^dag, a rho a
+
+    def rhs(_t, y):
+        rho = y.reshape(cutoff, cutoff)
+        d = k_op @ rho + rho @ k_op
+        d[:-1, :-1] += w_down * rho[1:, 1:]
+        d[1:, 1:] += w_up * rho[:-1, :-1]
+        d[1:, :-1] += w_raise * rho[:-1, 1:]
+        d[:-1, 1:] += w_lower * rho[1:, :-1]
+        return d.ravel()
+
+    return rhs
 
 
 def integrate_lindblad_oscillator(
@@ -135,29 +155,15 @@ def integrate_lindblad_oscillator(
     spec: OscillatorLindbladSpec,
     t: float,
     cutoff: int,
-    config: OdeConfig = DEFAULT_ODE,
     leakage_tol: float = 1e-8,
 ) -> np.ndarray:
     """Direct integration of the oscillator master equation (interaction
     picture) on a truncated Fock space, with a boundary-leakage monitor."""
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
-    ad = a.conj().T
-    g0 = spec.gamma0
-    big_n, big_m = spec.moments.N, spec.moments.M
-    num = ad @ a
-
-    def rhs(_t, y):
-        rho = y.reshape(cutoff, cutoff)
-        d = g0 * (big_n + 1) * (a @ rho @ ad - 0.5 * (num @ rho + rho @ num))
-        d += g0 * big_n * (ad @ rho @ a - 0.5 * (a @ ad @ rho + rho @ a @ ad))
-        d += g0 * big_m * (ad @ rho @ ad - 0.5 * (ad @ ad @ rho + rho @ ad @ ad))
-        d += g0 * big_m.conjugate() * (a @ rho @ a - 0.5 * (a @ a @ rho + rho @ a @ a))
-        return d.ravel()
-
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (cutoff, cutoff):
         raise ValueError(f"rho0 shape {rho0.shape} does not match cutoff {cutoff}")
-    out = _integrate(rhs, rho0.ravel(), t, config).reshape(cutoff, cutoff)
+    rhs = oscillator_rhs(spec, cutoff)
+    out = dormand_prince(rhs, rho0.ravel(), 0.0, t, 1e-10, 1e-12).reshape(cutoff, cutoff)
     boundary = float(out[-1, -1].real)
     if abs(boundary) > leakage_tol:
         raise TruncationError(
@@ -211,9 +217,17 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     w = np.linspace(0.0, width, n + 1)
     wz = w.copy()
     wz[0] = 1.0  # placeholder; the omega -> 0 limit is patched below
-    bracket = (np.exp(1j * wz * t) - 1.0) * math.cosh(r) + (
-        np.exp(-1j * wz * t) - 1.0
-    ) * math.sinh(r) * np.exp(2j * a * wz)
+    # one complex exponential: e^{-i w t} is the conjugate of e^{i w t}, and
+    # in-place updates keep the bracket's temporaries to a few arrays
+    bracket = np.exp(1j * wz * t)
+    backward = bracket.conj()
+    backward -= 1.0  # e^{-i w t} - 1
+    backward *= math.sinh(r)
+    if a != 0:
+        backward *= np.exp(2j * a * wz)
+    bracket -= 1.0
+    bracket *= math.cosh(r)
+    bracket += backward
     mod2 = np.abs(bracket) ** 2
     if isinstance(spec.regime, ZeroTemperature):
         f = (g0 / (2.0 * math.pi)) * np.exp(-wz / wc) * mod2 / wz

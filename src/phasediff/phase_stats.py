@@ -23,13 +23,12 @@ def first_circular_moment(p: PhaseDistribution) -> complex:
     return complex(np.fft.rfft(p.values)[1] * p.step)
 
 
-def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:
-    """Phase dispersion D = 1 - |first circular moment|^2.
+def audit_normalization(p: PhaseDistribution, norm_tol: float = 1e-6) -> None:
+    """Raise ValueError unless P integrates to 1 within norm_tol.
 
-    Origin-independent; 1 for the uniform distribution, -> 0 for a narrow
-    peak.  Input must be normalized within norm_tol; on a grid of N points
-    the sum misses 1 when P has Fourier content at degrees that are nonzero
-    multiples of N, so the error names N.
+    On a grid of N points the sum misses 1 when P has Fourier content at
+    degrees that are nonzero multiples of N, and a truncated Fock space
+    loses weight, so the error names both settings.
     """
     total = integrate_distribution(p)
     if not abs(total - 1.0) <= norm_tol:  # also rejects NaN
@@ -37,4 +36,13 @@ def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:
             f"distribution integrates to {total}, not 1, on a grid of N = {len(p.values)} "
             "points; raise the grid size (--grid) or the Fock cutoff"
         )
+
+
+def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:
+    """Phase dispersion D = 1 - |first circular moment|^2.
+
+    Origin-independent; 1 for the uniform distribution, -> 0 for a narrow
+    peak.  Input must pass audit_normalization within norm_tol.
+    """
+    audit_normalization(p, norm_tol)
     return 1.0 - abs(first_circular_moment(p)) ** 2

@@ -1,10 +1,11 @@
 """Self-check suite: closed forms against independent brute-force oracles.
 
-Every check reports (name, tolerance, deviation, passed).  The oracles are
-deliberately redundant implementations: direct master-equation integration,
-polar and frequency quadrature, and the exact exponential of an
-anti-Hermitian generator from its Hermitian eigendecomposition (numpy
-`eigh`).
+Every check reports (name, tolerance, deviation, passed) and its margin,
+deviation / tolerance.  The oracles are deliberately redundant
+implementations: the exact exponential of the qubit's master-equation
+generator, adaptive integration of the oscillator's master equation, polar
+and frequency quadrature, and the exact exponential of an anti-Hermitian
+generator from its Hermitian eigendecomposition (numpy `eigh`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
+
+    @property
+    def margin(self) -> float:
+        """deviation / tolerance: the share of its budget a check uses."""
+        return self.deviation / self.tolerance
 
 
 def _check_wigner_d_orthogonality() -> CheckResult:
@@ -115,7 +121,7 @@ def _check_qubit_propagator() -> CheckResult:
         closed = propagate_qubit(rho0, spec, t)
         oracle = integrate_lindblad_qubit(rho0, spec, t)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
-    return CheckResult("qubit propagator closed form vs integration", 1e-8, worst)
+    return CheckResult("qubit propagator closed form vs generator exponential", 1e-8, worst)
 
 
 def _check_oscillator_mixture() -> CheckResult:

@@ -145,6 +145,32 @@ def test_validate_quick_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_validate_prints_each_margin(capsys):
+    assert main(["validate", "--quick"]) == 0
+    *checks, summary = capsys.readouterr().out.splitlines()
+    assert summary == f"{len(checks)}/{len(checks)} checks passed"
+    for line in checks:
+        deviation = float(line.split(" deviation ")[1].split()[0])
+        tolerance = float(line.split(" tolerance ")[1].split()[0])
+        margin = float(line.split(" margin ")[1])
+        assert margin == pytest.approx(deviation / tolerance, rel=1e-2, abs=1e-300)
+
+
+@pytest.mark.parametrize("args", [
+    # r1 = 2 has Fourier degrees beyond a 720-point grid: the column integrates to 0.99991
+    ["sweep", "--family", "qnd-oscillator", "--param", "r1", "--start", "1.9", "--stop", "2",
+     "--num", "2", "--grid", "720", "--mode", "distribution", "--set", "gamma0=0"],
+    # fig5's dissipative curve integrates to 0.9999988 on 96 points
+    ["figure", "fig5", "--grid", "96"],
+])
+def test_unnormalized_distribution_fails_without_csv(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not 1, on a grid of N =" in err and "(--grid)" in err and "Fock cutoff" in err
+    assert not out.exists()
+
+
 def test_non_finite_set_value_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["figure", "fig2", "--set", "gamma0=nan", "--out", str(out)]) == 2

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from phasediff.bath_kernels import QndBathSpec, ZeroTemperature
-from phasediff.dissipative_qubit import qubit_spec
+from phasediff.dissipative_qubit import propagate_qubit, qubit_spec
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.halfint import HalfInteger
 from phasediff.oracle import (
-    OdeConfig,
+    expm_taylor,
     gamma_by_quadrature,
     integrate_lindblad_oscillator,
     integrate_lindblad_qubit,
+    oscillator_rhs,
     phase_dist_by_quadrature,
-    rk4_fixed,
+    qubit_liouvillian,
 )
 from phasediff.qnd_phase import (
     AtomicCoherentParams,
@@ -21,23 +22,6 @@ from phasediff.qnd_phase import (
     atomic_coherent_density,
     phase_distribution_atomic,
 )
-
-
-def test_ode_config_validation():
-    with pytest.raises(ValueError):
-        OdeConfig(method="euler")
-    with pytest.raises(ValueError):
-        OdeConfig(abs_tol=-1.0)
-
-
-def test_rk4_fourth_order_convergence():
-    # halving h reduces the error ~16x on the analytic decay y' = -y
-    f = lambda _t, y: -y
-    y0 = np.array([1.0 + 0j])
-    exact = math.exp(-2.0)
-    err = lambda h: abs(rk4_fixed(f, y0, 0.0, 2.0, h)[0] - exact)
-    ratio = err(0.02) / err(0.01)
-    assert 12.0 <= ratio <= 20.0
 
 
 def test_qubit_oracle_amplitude_damping():
@@ -61,6 +45,62 @@ def test_qubit_oracle_conserves_trace():
     rho0 = np.array([[0.3, 0.2j], [-0.2j, 0.7]], dtype=complex)
     out = integrate_lindblad_qubit(rho0, spec, 5.0)
     assert abs(np.trace(out).real - 1.0) < 1e-9
+
+
+RHO0_QUBIT = np.array([[0.3, 0.25 - 0.1j], [0.25 + 0.1j, 0.7]], dtype=complex)
+
+
+def test_qubit_oracle_at_exceptional_point():
+    # gamma0 |M| = omega: alpha^2 = 0 and the generator is defective, where
+    # an eigendecomposition would fail and the Taylor exponential does not
+    moments = qubit_spec(1.0, 0.25, 1.0, math.pi / 8, 0.0).moments
+    spec = qubit_spec(1.0, 1.0 / abs(moments.M), 1.0, math.pi / 8, 0.0)
+    assert abs(spec.alpha_sq) < 1e-14
+    for t in (0.3, 1.0, 5.0):
+        oracle = integrate_lindblad_qubit(RHO0_QUBIT, spec, t)
+        closed = propagate_qubit(RHO0_QUBIT, spec, t)
+        assert np.max(np.abs(oracle - closed)) <= 1e-10
+
+
+def test_qubit_oracle_stiff_hot_squeezed():
+    # r = 2, T = 300: gamma_beta t is about 1e4, so e^{L t} takes many squarings
+    spec = qubit_spec(1.0, 0.25, 2.0, math.pi / 8, 300.0)
+    oracle = integrate_lindblad_qubit(RHO0_QUBIT, spec, 5.0)
+    closed = propagate_qubit(RHO0_QUBIT, spec, 5.0)
+    assert np.max(np.abs(oracle - closed)) <= 1e-10
+
+
+@pytest.mark.parametrize("r, temp, t", [(0.0, 0.0, 1.5), (1.0, 0.0, 0.7), (0.5, 100.0, 5.0)])
+def test_expm_taylor_matches_scipy_on_qubit_generator(r, temp, t):
+    linalg = pytest.importorskip("scipy.linalg")
+    gen = qubit_liouvillian(qubit_spec(1.0, 0.25, r, math.pi / 8, temp)) * t
+    assert np.max(np.abs(expm_taylor(gen) - linalg.expm(gen))) <= 1e-13
+
+
+def test_oscillator_rhs_matches_dense_operators():
+    # complex M (Phi = 0.7, T = 1): every sandwich and anticommutator term is on
+    cutoff = 30
+    spec = oscillator_spec(1.0, 0.25, 1.0, 0.7, 1.0)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+    ad = a.conj().T
+    g0, big_n, big_m = spec.gamma0, spec.moments.N, spec.moments.M
+
+    def dissipator(c1, c2):
+        # c1 rho c2 - {c2 c1, rho} / 2
+        return c1 @ rho @ c2 - 0.5 * (c2 @ c1 @ rho + rho @ c2 @ c1)
+
+    dense = g0 * (
+        (big_n + 1) * dissipator(a, ad)
+        + big_n * dissipator(ad, a)
+        + big_m * dissipator(ad, ad)
+        + big_m.conjugate() * dissipator(a, a)
+    )
+    shifted = oscillator_rhs(spec, cutoff)(0.0, rho.ravel()).reshape(cutoff, cutoff)
+    assert np.max(np.abs(shifted - dense)) <= 1e-14
 
 
 def test_oscillator_oracle_time_zero_identity():
