@@ -13,7 +13,7 @@ Units: hbar = k_B = 1 throughout.
 __version__ = "0.1.0"
 
 from .halfint import HalfInteger
-from .distribution import PhaseDistribution, phase_grid
+from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .bath_kernels import (
     QndBathSpec,
     ZeroTemperature,

@@ -9,12 +9,13 @@ Poisson-like weights and mixing strength beta_tilde; the consistency of
 (N, M, zeta) ties the initial system squeezing to the bath squeezing,
 r1 = r.  At beta_tilde = 0 (every T = 0 point) the mixture is the single
 squeezed coherent ket S(zeta) D(eta_tilde)|0>, built by its stable
-recurrence; otherwise the mixture is summed over its components.
+recurrence, and P(phi) is one autocorrelation of that ket; otherwise the
+mixture is summed over its components and its density matrix reaches P(phi)
+through phase_distribution_fock.
 
 The master equation and the mixture live in the interaction picture; the
 free evolution reappears only as the e^{-i omega (m-n) t} factor in the
-phase distribution, which every density matrix reaches through
-phase_distribution_fock.
+phase distribution.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from .bath_kernels import (
     OSCILLATOR_CONVENTION,
     bath_moments,
 )
-from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, distribution_from_fourier
+from .distribution import (
+    DEFAULT_GRID_SIZE,
+    PhaseDistribution,
+    distribution_from_fourier,
+    ket_autocorrelation,
+)
 from .errors import ConsistencyError, TruncationError, check_finite
 from .special_functions import (
     log_factorial,
@@ -192,37 +198,50 @@ def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int = 300):
     raise TruncationError(f"GSCS k-sum failed to converge within k_max = {k_max}")
 
 
-def fock_density_from_gscs(
-    mix: GscsMixture, cutoff: int, trace_tol: float = 1e-5
-) -> np.ndarray:
-    """Interaction-picture Fock density matrix of the GSCS mixture.
+# The largest trace deficit of the truncated state that a point accepts.
+TRACE_TOL = 1e-5
 
-    At beta_tilde = 0 it is psi psi^dag with psi = S(zeta) D(eta_tilde)|0>
-    from squeezed_coherent_ket.  Otherwise the k-sum runs in the squeeze
-    frame and is rotated by the squeeze matrix, whose columns are accurate
-    only at low index; the k-sum vectors are negligible beyond those.
-    The free e^{-i omega (m-n) t} phases are applied only when forming the
-    phase distribution, never here.
-    """
-    zeta = mix.zeta
-    r, phase = abs(zeta), math.atan2(zeta.imag, zeta.real)
-    if mix.beta_tilde == 0.0:
-        psi = squeezed_coherent_ket(r, phase, mix.eta_tilde, cutoff)
-        rho = np.outer(psi, psi.conj())
-    else:
-        g = squeeze_matrix(cutoff, r, phase)
-        dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
-        rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
-        for weight, v in _gcs_component_vectors(mix, dm):
-            rho_frame += weight * np.outer(v, v.conj())
-        pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
-        rho = pref * (g @ rho_frame @ g.conj().T)
-    trace = float(np.trace(rho).real)
+
+def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
     if abs(trace - 1.0) > trace_tol:
         raise TruncationError(
             f"assembled trace {trace:.10f} misses 1 by more than {trace_tol:.1e}; "
             f"raise the Fock cutoff (currently {cutoff})"
         )
+
+
+def _mixture_ket(mix: GscsMixture, cutoff: int, trace_tol: float) -> np.ndarray:
+    """psi = S(zeta) D(eta_tilde)|0> from squeezed_coherent_ket: the whole
+    mixture at beta_tilde = 0."""
+    zeta = mix.zeta
+    psi = squeezed_coherent_ket(abs(zeta), math.atan2(zeta.imag, zeta.real), mix.eta_tilde, cutoff)
+    _check_trace(float(np.vdot(psi, psi).real), cutoff, trace_tol)
+    return psi
+
+
+def fock_density_from_gscs(
+    mix: GscsMixture, cutoff: int, trace_tol: float = TRACE_TOL
+) -> np.ndarray:
+    """Interaction-picture Fock density matrix of the GSCS mixture.
+
+    At beta_tilde = 0 it is psi psi^dag with psi = S(zeta) D(eta_tilde)|0>.
+    Otherwise the k-sum runs in the squeeze frame and is rotated by the
+    squeeze matrix, whose columns are accurate only at low index; the k-sum
+    vectors are negligible beyond those.  The free e^{-i omega (m-n) t}
+    phases are applied only when forming the phase distribution, never here.
+    """
+    if mix.beta_tilde == 0.0:
+        psi = _mixture_ket(mix, cutoff, trace_tol)
+        return np.outer(psi, psi.conj())
+    zeta = mix.zeta
+    g = squeeze_matrix(cutoff, abs(zeta), math.atan2(zeta.imag, zeta.real))
+    dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
+    rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
+    for weight, v in _gcs_component_vectors(mix, dm):
+        rho_frame += weight * np.outer(v, v.conj())
+    pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
+    rho = pref * (g @ rho_frame @ g.conj().T)
+    _check_trace(float(np.trace(rho).real), cutoff, trace_tol)
     return rho
 
 
@@ -265,7 +284,10 @@ def phase_dist_osc_dissipative(
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
 
-    The density matrix goes through phase_distribution_fock at two Fock
+    At beta_tilde = 0 the state is the ket psi of _mixture_ket, so with
+    v_n = psi_n e^{-i omega n t} each Fourier coefficient is one entry of the
+    autocorrelation of v, in O(cutoff) memory; otherwise the density matrix
+    goes through phase_distribution_fock.  Either is evaluated at two Fock
     cutoffs; disagreement beyond agreement_tol raises TruncationError.
     """
     mix = mixture_params(spec, t, eta0)
@@ -281,14 +303,17 @@ def phase_dist_osc_dissipative(
         )
     check_cutoff = max(8, cutoff - 8)
 
-    def values(n: int) -> np.ndarray:
-        rho = fock_density_from_gscs(mix, n)
-        return phase_distribution_fock(rho, spec.omega, t, grid).values
+    def distribution(n: int) -> PhaseDistribution:
+        if mix.beta_tilde != 0.0:
+            return phase_distribution_fock(fock_density_from_gscs(mix, n), spec.omega, t, grid)
+        v = _mixture_ket(mix, n, TRACE_TOL) * np.exp(-1j * spec.omega * t * np.arange(n))
+        return PhaseDistribution(ket_autocorrelation(v) / (2.0 * math.pi), grid)
 
-    p = values(cutoff)
-    dev = float(np.max(np.abs(p - values(check_cutoff))))
+    p = distribution(cutoff)
+    dev = float(np.max(np.abs(p.values - distribution(check_cutoff).values)))
     if dev > agreement_tol:
         raise TruncationError(
-            f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff})"
+            f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff}); "
+            "raise the Fock cutoff (--cutoff)"
         )
-    return PhaseDistribution(p)
+    return p

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath_kernels import DissipativeBathMoments, QUBIT_CONVENTION, bath_moments
-from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution
 from .errors import check_finite
-from .qnd_phase import AtomicCoherentParams, _half_sign
+from .qnd_phase import AtomicCoherentParams, _closed_form, _half_sign
 
 _SZ = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
@@ -129,34 +129,28 @@ def phase_dist_qubit_coherent(
     At gamma0 = 0 this collapses to the unitary form
     (1/2pi)[1 + (pi/4) sin(alpha') cos(beta' + omega t - phi)].
     """
-    phi = phase_grid(grid)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
-    r_amp = spec.moments.R_signed
-    bracket = (
-        ch * np.cos(phi - params.beta_p)
-        + spec.omega * sh * np.sin(phi - params.beta_p)
-        - spec.gamma0 * r_amp * sh * np.cos(spec.moments.Phi + params.beta_p + phi)
+    h1 = (math.pi / 8.0) * math.sin(params.alpha_p) * (
+        cmath.rect(1.0, -params.beta_p) * complex(ch, -spec.omega * sh)
+        - spec.gamma0 * spec.moments.R_signed * sh
+        * cmath.rect(1.0, spec.moments.Phi + params.beta_p)
     )
-    values = (1.0 + (math.pi / 4.0) * math.sin(params.alpha_p) * bracket) / (2.0 * math.pi)
-    return PhaseDistribution(values)
+    return _closed_form((h1,), grid)
 
 
 def phase_dist_qubit_squeezed(
     Theta: float, p_sign: float, spec: QubitLindbladSpec, t: float, grid: int = DEFAULT_GRID_SIZE
 ) -> PhaseDistribution:
     """Closed-form phase distribution for an atomic squeezed initial state,
-    p_sign = +1/2 or -1/2."""
+    p_sign = +1/2 or -1/2: the coherent form's bracket at beta_p = 0 with
+    the prefactor sign (pi / 4 cosh Theta)."""
     sign = _half_sign(p_sign)
-    phi = phase_grid(grid)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
-    r_amp = spec.moments.R_signed
-    bracket = (
-        ch * np.cos(phi)
-        + spec.omega * sh * np.sin(phi)
-        - spec.gamma0 * r_amp * sh * np.cos(phi + spec.moments.Phi)
+    h1 = sign * (math.pi / (8.0 * math.cosh(Theta))) * (
+        complex(ch, -spec.omega * sh)
+        - spec.gamma0 * spec.moments.R_signed * sh * cmath.rect(1.0, spec.moments.Phi)
     )
-    values = (1.0 + sign * (math.pi / (4.0 * math.cosh(Theta))) * bracket) / (2.0 * math.pi)
-    return PhaseDistribution(values)
+    return _closed_form((h1,), grid)
 
 
 def excited_population(params: AtomicCoherentParams, spec: QubitLindbladSpec, t: float) -> float:

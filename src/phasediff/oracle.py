@@ -20,7 +20,12 @@ from numpy.polynomial.legendre import leggauss
 from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
 from .dissipative_qubit import QubitLindbladSpec
 from .dissipative_oscillator import OscillatorLindbladSpec
-from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
+from .distribution import (
+    DEFAULT_GRID_SIZE,
+    PhaseDistribution,
+    distribution_from_samples,
+    phase_grid,
+)
 from .errors import DomainError, TruncationError
 from .qnd_phase import DickeDensityMatrix
 from .special_functions import log_binomial
@@ -196,8 +201,7 @@ def phase_dist_by_quadrature(
     nodes, weights = leggauss(2 * tj + 16)
     thetas = 0.5 * math.pi * (nodes + 1.0)  # [-1, 1] -> [0, pi]
     integral = 0.5 * math.pi * sum(w * integrand(th) for th, w in zip(thetas, weights))
-    values = (tj + 1) / (4.0 * math.pi) * integral
-    return PhaseDistribution(values)
+    return distribution_from_samples((tj + 1) / (4.0 * math.pi) * integral)
 
 
 def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:

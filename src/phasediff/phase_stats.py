@@ -1,26 +1,29 @@
 """Functionals of phase distributions: normalization audit and dispersion.
 
-On a uniform periodic grid the trapezoid rule is a plain Riemann sum and
-integrates trigonometric polynomials of degree < grid size exactly, so the
-first circular moment below is spectrally accurate.
+Both read Fourier coefficients, never samples.  On the uniform grid of N
+points the Riemann sum of e^{-i d phi} P(phi) picks out the coefficients of
+degree d mod N, so the integral and the first circular moment below are
+exactly what the N samples of P give, aliasing included, in O(1) work.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .distribution import PhaseDistribution
 
 
 def integrate_distribution(p: PhaseDistribution) -> float:
-    """Trapezoidal integral of P over [0, 2pi)."""
-    return float(np.sum(p.values) * p.step)
+    """Integral of P over [0, 2pi) on the grid: 2 pi Re sum_{d = 0 mod N} c_d,
+    which equals the sum of the samples times the step."""
+    return 2.0 * math.pi * p.aliased(0).real
 
 
 def first_circular_moment(p: PhaseDistribution) -> complex:
-    """Integral of e^{-i phi} P(phi) d phi on the uniform grid: the degree-1
-    term of the forward DFT, sum_l e^{-2 pi i l / N} P_l, times the step."""
-    return complex(np.fft.rfft(p.values)[1] * p.step)
+    """Integral of e^{-i phi} P(phi) d phi on the grid: with P = Re sum c_d
+    e^{i d phi} it is pi (sum_{d = 1 mod N} c_d + conj sum_{d = -1 mod N} c_d),
+    which equals sum_l e^{-2 pi i l / N} P_l times the step."""
+    return math.pi * (p.aliased(1) + p.aliased(-1).conjugate())
 
 
 def audit_normalization(p: PhaseDistribution, norm_tol: float = 1e-6) -> None:
@@ -33,7 +36,7 @@ def audit_normalization(p: PhaseDistribution, norm_tol: float = 1e-6) -> None:
     total = integrate_distribution(p)
     if not abs(total - 1.0) <= norm_tol:  # also rejects NaN
         raise ValueError(
-            f"distribution integrates to {total}, not 1, on a grid of N = {len(p.values)} "
+            f"distribution integrates to {total}, not 1, on a grid of N = {p.grid_size} "
             "points; raise the grid size (--grid) or the Fock cutoff"
         )
 

@@ -18,6 +18,7 @@ autocorrelation of v times g and the oscillator runs in O(cutoff) memory.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -27,9 +28,9 @@ import numpy as np
 from .distribution import (
     DEFAULT_GRID_SIZE,
     PhaseDistribution,
-    _fold_fft,
     distribution_from_fourier,
-    phase_grid,
+    distribution_from_harmonics,
+    ket_autocorrelation,
 )
 from .errors import TruncationError
 from .halfint import HalfInteger, check_jm, m_range
@@ -192,7 +193,7 @@ def phase_distribution_atomic(
     j = rho.j
     weighted = rho.elements * _dipole_weights(j)
     pref = (j.twice_value + 1) / (4.0 * math.pi)  # (2j+1)/4pi
-    # weighted[n, m] multiplies e^{i(n-m)phi}; the synthesizer wants a[m, n]
+    # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
     return distribution_from_fourier(pref * weighted.T, grid)
 
 
@@ -201,16 +202,13 @@ def phase_dist_coherent_halfspin(
     grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic coherent initial state; only
-    gamma(t) enters."""
-    phi = phase_grid(grid)
-    values = (
-        1.0
-        + (math.pi / 4.0)
-        * math.sin(params.alpha_p)
-        * np.cos(params.beta_p + omega * t - phi)
-        * math.exp(-(omega**2) * gamma_t)
-    ) / (2.0 * math.pi)
-    return PhaseDistribution(values)
+    gamma(t) enters:
+
+        P(phi) = (1/2pi)[1 + (pi/4) sin(alpha_p) cos(beta_p + omega t - phi)
+                         e^{-omega^2 gamma}].
+    """
+    amp = (math.pi / 4.0) * math.sin(params.alpha_p) * math.exp(-(omega**2) * gamma_t)
+    return _closed_form((cmath.rect(amp / 2.0, -(params.beta_p + omega * t)),), grid)
 
 
 def phase_dist_squeezed_halfspin(
@@ -218,17 +216,20 @@ def phase_dist_squeezed_halfspin(
     grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic squeezed initial state,
-    p_sign = +1/2 or -1/2."""
+    p_sign = +1/2 or -1/2:
+
+        P(phi) = (1/2pi)[1 + sign (pi / 4 cosh Theta) cos(phi - omega t)
+                         e^{-omega^2 gamma}].
+    """
     sign = _half_sign(p_sign)
-    phi = phase_grid(grid)
-    values = (
-        1.0
-        + sign
-        * (math.pi / (4.0 * math.cosh(Theta)))
-        * np.cos(phi - omega * t)
-        * math.exp(-(omega**2) * gamma_t)
-    ) / (2.0 * math.pi)
-    return PhaseDistribution(values)
+    amp = sign * (math.pi / (4.0 * math.cosh(Theta))) * math.exp(-(omega**2) * gamma_t)
+    return _closed_form((cmath.rect(amp / 2.0, -omega * t),), grid)
+
+
+def _closed_form(harmonics, grid: int) -> PhaseDistribution:
+    """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the
+    harmonics h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
+    return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi), grid)
 
 
 def _half_sign(p_sign: float) -> float:
@@ -246,38 +247,27 @@ def phase_dist_two_atoms(
     gamma_t: float,
     grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
-    """Two-atom (j = 1) closed forms for p in {+1, -1, 0}.
+    """Two-atom (j = 1) closed forms for p in {+1, -1, 0}, with x = phi - omega t:
+
+        p = 0:   P = (1/2pi)[1 - cos(2x) e^{-4 w^2 gamma} / (2 cosh 2Theta)]
+        p = +-1: P = (1/2pi)[1 + p (3 pi / 4 s) (cos x cos(w^2 eta) cosh Theta
+                     - sin x sin(w^2 eta) sinh Theta) e^{-w^2 gamma}
+                     + cos(2x) e^{-4 w^2 gamma} / (2 s)],  s = 1 + cosh 2Theta.
 
     Unlike the single-atom case these involve eta(t) as well as gamma(t).
+    a cos x - b sin x is Re[(a + i b) e^{ix}], so each term is one harmonic.
     """
-    phi = phase_grid(grid)
     w2 = omega**2
+    h2 = cmath.rect(math.exp(-4.0 * w2 * gamma_t) / 2.0, -2.0 * omega * t)
     if p == 0:
-        values = (
-            1.0
-            - np.cos(2.0 * (phi - omega * t))
-            * math.exp(-4.0 * w2 * gamma_t)
-            / (2.0 * math.cosh(2.0 * Theta))
-        ) / (2.0 * math.pi)
-        return PhaseDistribution(values)
+        return _closed_form((0.0, -h2 / (2.0 * math.cosh(2.0 * Theta))), grid)
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
-    sign = float(p)
     denom = 1.0 + math.cosh(2.0 * Theta)
-    values = (
-        1.0
-        + sign
-        * (3.0 * math.pi / (4.0 * denom))
-        * (
-            np.cos(phi - omega * t) * math.cos(w2 * eta_t) * math.cosh(Theta)
-            - np.sin(phi - omega * t) * math.sin(w2 * eta_t) * math.sinh(Theta)
-        )
-        * math.exp(-w2 * gamma_t)
-        + (1.0 / (2.0 * denom))
-        * np.cos(2.0 * (phi - omega * t))
-        * math.exp(-4.0 * w2 * gamma_t)
-    ) / (2.0 * math.pi)
-    return PhaseDistribution(values)
+    amp = float(p) * (3.0 * math.pi / (4.0 * denom)) * math.exp(-w2 * gamma_t)
+    ab = complex(math.cos(w2 * eta_t) * math.cosh(Theta), math.sin(w2 * eta_t) * math.sinh(Theta))
+    h1 = amp * ab * cmath.rect(0.5, -omega * t)
+    return _closed_form((h1, h2 / (2.0 * denom)), grid)
 
 
 def number_distribution(
@@ -361,7 +351,6 @@ def phase_dist_osc_squeezed(
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
     v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
-    # entry i of the full autocorrelation is sum_m v_m v_{m+d}*, d = cutoff - 1 - i
-    offsets = np.arange(cutoff - 1, -cutoff, -1)
-    weights = np.correlate(v, v, "full") * np.exp(-(omega**2) * gamma_t * offsets**2)
-    return _fold_fft(offsets, weights / (2.0 * math.pi), grid)
+    offsets = np.arange(1 - cutoff, cutoff)
+    damping = np.exp(-(omega**2) * gamma_t * offsets**2) / (2.0 * math.pi)
+    return PhaseDistribution(ket_autocorrelation(v) * damping, grid)

@@ -198,7 +198,7 @@ def _check_normalization() -> CheckResult:
 
 
 def _check_dispersion_basics() -> CheckResult:
-    uniform = PhaseDistribution(np.full(360, 1.0 / (2.0 * math.pi)))
+    uniform = PhaseDistribution(np.array([1.0 / (2.0 * math.pi)]), 360)
     dev = abs(dispersion(uniform) - 1.0)
     return CheckResult("dispersion of the uniform distribution", 1e-12, dev)
 

@@ -23,7 +23,7 @@ from phasediff.dissipative_qubit import (
     propagate_qubit,
     qubit_spec,
 )
-from phasediff.distribution import PhaseDistribution, phase_grid
+from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from phasediff.figures import RunConfig, SCENARIOS, run_figure
 from phasediff.halfint import HalfInteger, m_range
 from phasediff.oracle import (
@@ -271,10 +271,10 @@ def test_criterion_07_figure_shapes():
 
 def test_criterion_08_dispersion_suite():
     checks = []
-    uniform = PhaseDistribution(np.full(GRID, 1.0 / (2.0 * math.pi)))
+    uniform = distribution_from_samples(np.full(GRID, 1.0 / (2.0 * math.pi)))
     dev = abs(dispersion(uniform) - 1.0)
     checks.append(("uniform D = 1", dev <= 1e-12, f"dev {dev:.3e}"))
-    cardioid = PhaseDistribution((1.0 + np.cos(phase_grid(GRID))) / (2.0 * math.pi))
+    cardioid = distribution_from_samples((1.0 + np.cos(phase_grid(GRID))) / (2.0 * math.pi))
     dev = abs(dispersion(cardioid) - 0.75)
     checks.append(("cardioid D = 3/4", dev <= 1e-10, f"dev {dev:.3e}"))
 

@@ -329,3 +329,18 @@ def test_negative_squared_displacement_names_the_key(tmp_path, capsys, fig, key)
     assert main(["figure", fig, "--set", f"{key}=-1", "--out", str(out)]) == 1
     assert f"{key} = -1.0 must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dispersion_sweep_never_samples_the_grid(tmp_path):
+    # one complex array on 4194304 angles is 64 MB; dispersion and the
+    # normalization audit read Fourier coefficients only
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-1",
+                   "--stop", "1", "--num", "3", "--grid", "4194304", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4e6

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ def test_insufficient_cutoff_raises():
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
     with pytest.raises(TruncationError):
         phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=40, grid=GRID)
+
+
+def test_two_cutoff_disagreement_names_the_cutoff_setting():
+    # T > 0 with squeezing, where the default cutoff is too small
+    spec = oscillator_spec(1, 0.25, 1.0, 0.3, 5.0)
+    with pytest.raises(TruncationError, match=r"two-cutoff disagreement .*--cutoff"):
+        phase_dist_osc_dissipative(spec, 1.0, 2.0)
+
+
+def test_zero_temperature_allocates_no_cutoff_squared_array():
+    # r = 2 needs about 1300 levels: psi psi^dag alone would take 27 MB
+    spec = oscillator_spec(1.0, 0.025, 2.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        phase_dist_osc_dissipative(spec, 1.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_cutoff_below_one_rejected():

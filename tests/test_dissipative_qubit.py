@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from phasediff.distribution import phase_grid
 from phasediff.dissipative_qubit import (
+    _damped_cosh_sinhc,
     alpha_param,
     excited_population,
     phase_dist_qubit_coherent,
@@ -111,3 +113,30 @@ def test_zero_coupling_reduces_to_dephasing_free_closed_forms():
 def test_spec_rejects_non_finite(args, field):
     with pytest.raises(ValueError, match=f"^{field} = "):
         qubit_spec(*args)
+
+
+def _old_qubit_bracket(spec, t, beta, phi):
+    # the closed forms' bracket as it was written on the grid
+    ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
+    return (
+        ch * np.cos(phi - beta)
+        + spec.omega * sh * np.sin(phi - beta)
+        - spec.gamma0 * spec.moments.R_signed * sh * np.cos(spec.moments.Phi + beta + phi)
+    )
+
+
+@pytest.mark.parametrize("n", [8, 720])
+@pytest.mark.parametrize("r,Phi,T,g0,t", SETTINGS)
+def test_qubit_closed_forms_equal_the_grid_formulas(n, r, Phi, T, g0, t):
+    phi = phase_grid(n)
+    spec = qubit_spec(1.0, g0, r, Phi, T)
+    state = AtomicCoherentParams(math.pi / 3, 0.4)
+    old = (1.0 + (math.pi / 4.0) * math.sin(state.alpha_p)
+           * _old_qubit_bracket(spec, t, state.beta_p, phi)) / (2.0 * math.pi)
+    p = phase_dist_qubit_coherent(state, spec, t, n)
+    assert np.max(np.abs(p.values - old)) < 1e-14
+    for p_sign in (0.5, -0.5):
+        old = (1.0 + 2.0 * p_sign * (math.pi / (4.0 * math.cosh(0.6)))
+               * _old_qubit_bracket(spec, t, 0.0, phi)) / (2.0 * math.pi)
+        p = phase_dist_qubit_squeezed(0.6, p_sign, spec, t, n)
+        assert np.max(np.abs(p.values - old)) < 1e-14

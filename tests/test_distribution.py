@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from phasediff.distribution import PhaseDistribution, distribution_from_fourier, phase_grid
+from phasediff.distribution import (
+    PhaseDistribution,
+    distribution_from_fourier,
+    distribution_from_samples,
+    phase_grid,
+)
 
 
 def _double_sum(a, n):
@@ -25,13 +30,20 @@ def test_fold_matches_brute_force_double_sum(dim, n):
 
 def test_distribution_grid_is_derived_from_its_length():
     values = np.full(24, 1.0 / (2.0 * math.pi))
-    p = PhaseDistribution(values)
+    p = distribution_from_samples(values)
     assert np.array_equal(p.grid, phase_grid(len(values)))
     assert p.step == 2.0 * math.pi / 24
 
 
 def test_distribution_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        PhaseDistribution(np.ones(5))  # below the minimum grid size
+        distribution_from_samples(np.ones(5))  # below the minimum grid size
     with pytest.raises(ValueError):
-        PhaseDistribution(np.ones((8, 8)))
+        distribution_from_samples(np.ones((8, 8)))
+
+
+def test_distribution_rejects_bad_coefficients_and_grids():
+    with pytest.raises(ValueError, match="grid size 7 too small"):
+        PhaseDistribution(np.ones(3), 7)
+    with pytest.raises(ValueError, match="odd length"):
+        PhaseDistribution(np.ones(4), 8)

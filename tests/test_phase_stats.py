@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasediff.distribution import PhaseDistribution, phase_grid
+from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from phasediff.phase_stats import dispersion, first_circular_moment, integrate_distribution
 from phasediff.qnd_phase import AtomicCoherentParams, phase_dist_coherent_halfspin
 
@@ -14,7 +14,7 @@ PHI = phase_grid(GRID)
 
 
 def _uniform():
-    return PhaseDistribution(np.full(GRID, 1.0 / (2.0 * math.pi)))
+    return distribution_from_samples(np.full(GRID, 1.0 / (2.0 * math.pi)))
 
 
 def test_uniform_dispersion_is_one():
@@ -23,12 +23,12 @@ def test_uniform_dispersion_is_one():
 
 def test_cardioid_dispersion_is_three_quarters():
     # P = (1/2pi)(1 + cos phi): first moment 1/2, D = 1 - 1/4
-    p = PhaseDistribution((1.0 + np.cos(PHI)) / (2.0 * math.pi))
+    p = distribution_from_samples((1.0 + np.cos(PHI)) / (2.0 * math.pi))
     assert abs(dispersion(p) - 0.75) < 1e-10
 
 
 def test_dispersion_origin_independent():
-    p = PhaseDistribution((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
+    p = distribution_from_samples((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
     assert abs(dispersion(p) - 0.75) < 1e-10
 
 
@@ -36,19 +36,19 @@ def test_dispersion_origin_independent():
 def test_first_moment_equals_the_explicit_sum(n):
     phi = phase_grid(n)
     values = (1.0 + 0.6 * np.cos(phi - 0.4) + 0.3 * np.sin(3.0 * phi)) / (2.0 * math.pi)
-    p = PhaseDistribution(values)
+    p = distribution_from_samples(values)
     explicit = np.sum(np.exp(-1j * phi) * values) * p.step
     assert abs(first_circular_moment(p) - explicit) < 1e-15
 
 
 def test_first_moment_of_shifted_cardioid():
-    p = PhaseDistribution((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
+    p = distribution_from_samples((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
     m = first_circular_moment(p)
     assert abs(m - 0.5 * np.exp(-1j * 1.3)) < 1e-12
 
 
 def test_unnormalized_input_rejected():
-    p = PhaseDistribution(np.full(GRID, 1.0))
+    p = distribution_from_samples(np.full(GRID, 1.0))
     with pytest.raises(ValueError):
         dispersion(p)
 
@@ -82,5 +82,27 @@ def test_dispersion_bounded_for_valid_fourier_distributions(c1, c2):
     )
     if values.min() < 0.0:
         return
-    d = dispersion(PhaseDistribution(values))
+    d = dispersion(distribution_from_samples(values))
     assert -1e-10 <= d <= 1.0 + 1e-10
+
+
+def _samples(coeffs, n):
+    # P(phi_l) = Re sum_d c_d e^{i d phi_l}, with d l reduced mod N in integers
+    degree = len(coeffs) // 2
+    d = np.arange(-degree, degree + 1)
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(n), d) % n) / n)
+    return (phase @ coeffs).real
+
+
+@pytest.mark.parametrize("n", [8, 9, 720])
+@pytest.mark.parametrize("where", ["below N/2", "between N/2 and N", "at least N"])
+def test_coefficient_functionals_equal_the_sample_sums(n, where):
+    degree = {"below N/2": (n - 1) // 2, "between N/2 and N": n - 2,
+              "at least N": 2 * n + 3}[where]
+    rng = np.random.default_rng(n * 1000 + degree)
+    coeffs = (rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)) / degree
+    p = PhaseDistribution(coeffs, n)
+    values = _samples(coeffs, n)
+    step = 2.0 * math.pi / n
+    assert abs(integrate_distribution(p) - np.sum(values) * step) < 1e-13
+    assert abs(first_circular_moment(p) - np.fft.rfft(values)[1] * step) < 1e-13

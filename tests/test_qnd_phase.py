@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasediff.distribution import distribution_from_fourier
+from phasediff.distribution import distribution_from_fourier, phase_grid
 from phasediff.errors import TruncationError
 from phasediff.figures import SWEEP_FAMILIES, _kernels
 from phasediff.halfint import HalfInteger
@@ -207,3 +207,72 @@ def test_dipole_weights_match_scalar_double_loop(j):
                 * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
             )
     assert np.array_equal(_dipole_weights(j), loop)
+
+
+# the closed forms as they were written on the grid, term by term in cos(phi)
+
+
+def _old_coherent_halfspin(params, omega, t, gamma_t, phi):
+    return (
+        1.0
+        + (math.pi / 4.0)
+        * math.sin(params.alpha_p)
+        * np.cos(params.beta_p + omega * t - phi)
+        * math.exp(-(omega**2) * gamma_t)
+    ) / (2.0 * math.pi)
+
+
+def _old_squeezed_halfspin(Theta, sign, omega, t, gamma_t, phi):
+    return (
+        1.0
+        + sign
+        * (math.pi / (4.0 * math.cosh(Theta)))
+        * np.cos(phi - omega * t)
+        * math.exp(-(omega**2) * gamma_t)
+    ) / (2.0 * math.pi)
+
+
+def _old_two_atoms(Theta, p, omega, t, eta_t, gamma_t, phi):
+    w2 = omega**2
+    if p == 0:
+        return (
+            1.0
+            - np.cos(2.0 * (phi - omega * t))
+            * math.exp(-4.0 * w2 * gamma_t)
+            / (2.0 * math.cosh(2.0 * Theta))
+        ) / (2.0 * math.pi)
+    denom = 1.0 + math.cosh(2.0 * Theta)
+    return (
+        1.0
+        + p
+        * (3.0 * math.pi / (4.0 * denom))
+        * (
+            np.cos(phi - omega * t) * math.cos(w2 * eta_t) * math.cosh(Theta)
+            - np.sin(phi - omega * t) * math.sin(w2 * eta_t) * math.sinh(Theta)
+        )
+        * math.exp(-w2 * gamma_t)
+        + (1.0 / (2.0 * denom))
+        * np.cos(2.0 * (phi - omega * t))
+        * math.exp(-4.0 * w2 * gamma_t)
+    ) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [8, 720])
+def test_halfspin_closed_forms_equal_the_grid_formulas(n):
+    phi = phase_grid(n)
+    state = AtomicCoherentParams(math.pi / 3, 0.4)
+    p = phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05, n)
+    assert np.max(np.abs(p.values - _old_coherent_halfspin(state, 1.3, 0.7, 0.05, phi))) < 1e-14
+    for p_sign in (0.5, -0.5):
+        p = phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05, n)
+        old = _old_squeezed_halfspin(-0.4, 2.0 * p_sign, 1.3, 0.7, 0.05, phi)
+        assert np.max(np.abs(p.values - old)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 720])
+@pytest.mark.parametrize("p_label", [1, -1, 0])
+def test_two_atom_closed_forms_equal_the_grid_formulas(n, p_label):
+    phi = phase_grid(n)
+    p = phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, n)
+    old = _old_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, phi)
+    assert np.max(np.abs(p.values - old)) < 1e-14
