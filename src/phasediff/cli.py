@@ -49,8 +49,9 @@ def _write_csv(fd: FigureData, path: Path) -> None:
         lines.append(f"# param: {key}={_format_value(fd.params[key])}")
     lines.append(",".join([fd.x_name] + [label for label, _ in fd.columns]))
     cols = [fd.x] + [col for _, col in fd.columns]
-    for row in zip(*cols):
-        lines.append(",".join(_format_value(v) for v in row))
+    # one %-format per row; "%.17g" % x is the same text as _format_value(x)
+    row_format = ",".join(["%.17g"] * len(cols))
+    lines.extend(row_format % row for row in zip(*cols))
     path.write_text("\n".join(lines) + "\n")
 
 

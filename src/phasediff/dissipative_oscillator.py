@@ -210,13 +210,15 @@ def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
         )
 
 
-def _mixture_ket(mix: GscsMixture, cutoff: int, trace_tol: float) -> np.ndarray:
+def _mixture_ket(mix: GscsMixture, cutoff: int) -> np.ndarray:
     """psi = S(zeta) D(eta_tilde)|0> from squeezed_coherent_ket: the whole
     mixture at beta_tilde = 0."""
     zeta = mix.zeta
-    psi = squeezed_coherent_ket(abs(zeta), math.atan2(zeta.imag, zeta.real), mix.eta_tilde, cutoff)
-    _check_trace(float(np.vdot(psi, psi).real), cutoff, trace_tol)
-    return psi
+    return squeezed_coherent_ket(abs(zeta), math.atan2(zeta.imag, zeta.real), mix.eta_tilde, cutoff)
+
+
+def _check_ket_trace(psi: np.ndarray, trace_tol: float) -> None:
+    _check_trace(float(np.vdot(psi, psi).real), len(psi), trace_tol)
 
 
 def fock_density_from_gscs(
@@ -231,14 +233,17 @@ def fock_density_from_gscs(
     phases are applied only when forming the phase distribution, never here.
     """
     if mix.beta_tilde == 0.0:
-        psi = _mixture_ket(mix, cutoff, trace_tol)
+        psi = _mixture_ket(mix, cutoff)
+        _check_ket_trace(psi, trace_tol)
         return np.outer(psi, psi.conj())
     zeta = mix.zeta
     g = squeeze_matrix(cutoff, abs(zeta), math.atan2(zeta.imag, zeta.real))
     dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
     rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
-    for weight, v in _gcs_component_vectors(mix, dm):
-        rho_frame += weight * np.outer(v, v.conj())
+    # an overflowing k-sum term raises FloatingPointError, not a warning
+    with np.errstate(over="raise", invalid="raise"):
+        for weight, v in _gcs_component_vectors(mix, dm):
+            rho_frame += weight * np.outer(v, v.conj())
     pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
     rho = pref * (g @ rho_frame @ g.conj().T)
     _check_trace(float(np.trace(rho).real), cutoff, trace_tol)
@@ -288,7 +293,10 @@ def phase_dist_osc_dissipative(
     v_n = psi_n e^{-i omega n t} each Fourier coefficient is one entry of the
     autocorrelation of v, in O(cutoff) memory; otherwise the density matrix
     goes through phase_distribution_fock.  Either is evaluated at two Fock
-    cutoffs; disagreement beyond agreement_tol raises TruncationError.
+    cutoffs; disagreement beyond agreement_tol raises TruncationError.  The
+    ket's recurrence runs forward in n, so the smaller cutoff's ket is a
+    prefix of the larger one's and is not built again.  A GSCS k-sum that
+    overflows is a TruncationError naming T and t, which no cutoff can cure.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
@@ -302,11 +310,22 @@ def phase_dist_osc_dissipative(
             f"{spec.zeta_mag}) or pass --cutoff of at most {MAX_DISSIPATIVE_CUTOFF}"
         )
     check_cutoff = max(8, cutoff - 8)
+    psi = _mixture_ket(mix, cutoff) if mix.beta_tilde == 0.0 else None
 
     def distribution(n: int) -> PhaseDistribution:
-        if mix.beta_tilde != 0.0:
-            return phase_distribution_fock(fock_density_from_gscs(mix, n), spec.omega, t, grid)
-        v = _mixture_ket(mix, n, TRACE_TOL) * np.exp(-1j * spec.omega * t * np.arange(n))
+        if psi is None:
+            try:
+                rho = fock_density_from_gscs(mix, n)
+            except ArithmeticError as exc:  # OverflowError or FloatingPointError
+                raise TruncationError(
+                    f"the GSCS k-sum overflows at T = {spec.moments.T:g}, t = {t:g} "
+                    f"(beta_tilde = {mix.beta_tilde:.3g}); lower the bath temperature T "
+                    "or the time t"
+                ) from exc
+            return phase_distribution_fock(rho, spec.omega, t, grid)
+        ket = psi[:n]
+        _check_ket_trace(ket, TRACE_TOL)
+        v = ket * np.exp(-1j * spec.omega * t * np.arange(n))
         return PhaseDistribution(ket_autocorrelation(v) / (2.0 * math.pi), grid)
 
     p = distribution(cutoff)

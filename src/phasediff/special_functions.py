@@ -7,12 +7,15 @@ factorials: it is filled by the O(cutoff^2) Gaussian-unitary recurrences of
 Miatto & Quesada, "Fast optimization of parametrized quantum optical
 circuits", Quantum 4, 366 (2020), arXiv:2004.11002.  A squeezed coherent
 ket S(zeta) D(alpha)|0> follows from a normalized three-term recurrence in
-O(cutoff) without that matrix.
+O(cutoff) without that matrix.  The ket is a bath-independent initial
+state that a sweep reuses at every point, so each distinct ket is built once
+per process in a bounded cache and returned read-only.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -78,6 +81,7 @@ def squeeze_tail_pad(r1: float) -> float:
     return 2.0 * math.log(1e10) / -math.log(math.tanh(r1)) if r1 > 0.0 else 0.0
 
 
+@functools.lru_cache(maxsize=8)
 def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes c_n = <n| S(zeta) D(alpha) |0>, n < cutoff, with
     zeta = r e^{i phase} and S(zeta) as in squeeze_matrix.
@@ -89,7 +93,8 @@ def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -
     That c_0 equals the form in alpha' = alpha cosh r - alpha* e^{i phase} sinh r,
     exp(-|alpha'|^2/2 - alpha'*^2 e^{i phase} tanh r / 2) / sqrt(cosh r), whose
     exponent cancels at large |alpha|.  No c_n can exceed 1, so nothing
-    overflows; r = 0 gives the coherent state.
+    overflows; r = 0 gives the coherent state.  The array is cached and
+    read-only.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
@@ -105,7 +110,9 @@ def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -
     for n in range(cutoff - 1):
         prev, cur = cur, (a * cur - b * math.sqrt(n) * prev) / math.sqrt(n + 1)
         amps.append(cur)
-    return np.array(amps)
+    ket = np.array(amps)
+    ket.setflags(write=False)
+    return ket
 
 
 def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:

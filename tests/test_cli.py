@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasediff.cli import SWEEP_FAMILIES, main, read_config_file
-from phasediff.figures import SCENARIOS, _dissipative_oscillator
+from phasediff.cli import SWEEP_FAMILIES, _write_csv, main, read_config_file
+from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
+from phasediff.special_functions import squeezed_coherent_ket
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -344,3 +345,35 @@ def test_dispersion_sweep_never_samples_the_grid(tmp_path):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 4e6
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one %-format per row must print each value as f"{x:.17g}" did
+    x = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-17, 7.0])
+    col = np.array([-1.0 / 3.0, -5e-324, -1e300, 0.0, 123456789.123456789, -7.0])
+    fd = FigureData("edge", "x", x, (("a", col), ("b", -x)), {"k": 0.1})
+    out = tmp_path / "edge.csv"
+    _write_csv(fd, out)
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert rows == [",".join(f"{float(v):.17g}" for v in row) for row in zip(x, col, -x)]
+    assert rows[0] == "-0,-0.33333333333333331,0"
+
+
+def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path):
+    # the 41 points vary the bath squeezing r only; the system ket is shared
+    squeezed_coherent_ket.cache_clear()
+    assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-1",
+                 "--stop", "1", "--num", "41", "--out", str(tmp_path / "s.csv")]) == 0
+    assert squeezed_coherent_ket.cache_info().misses == 1
+
+
+def test_hot_dissipative_sweep_names_temperature_and_time(tmp_path, capsys):
+    # at T = 100, t = 2 the GSCS k-sum leaves the float range; no cutoff helps
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "dissipative-oscillator", "--param", "t",
+                 "--start", "0.1", "--stop", "2", "--num", "2", "--set", "T=100",
+                 "--set", "r=0.5", "--cutoff", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "GSCS k-sum overflows at T = 100, t = 2" in err
+    assert "lower the bath temperature T or the time t" in err
+    assert not out.exists()

@@ -20,6 +20,7 @@ from phasediff.dissipative_oscillator import (
 from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import dispersion, integrate_distribution
+from phasediff.special_functions import squeezed_coherent_ket
 from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
 
 GRID = 240
@@ -180,6 +181,14 @@ def test_zero_temperature_allocates_no_cutoff_squared_array():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_zero_temperature_builds_one_ket_for_both_cutoffs():
+    # the check at cutoff - 8 reads a prefix of the cutoff ket
+    squeezed_coherent_ket.cache_clear()
+    spec = oscillator_spec(1.0, 0.025, 0.9, 0.3, 0.0)
+    phase_dist_osc_dissipative(spec, 1.0, 0.4, grid=GRID)
+    assert squeezed_coherent_ket.cache_info().misses == 1
 
 
 def test_cutoff_below_one_rejected():

@@ -6,12 +6,13 @@ import pytest
 
 from phasediff.distribution import distribution_from_fourier, phase_grid
 from phasediff.errors import TruncationError
-from phasediff.figures import SWEEP_FAMILIES, _kernels
-from phasediff.halfint import HalfInteger
+from phasediff.figures import SWEEP_FAMILIES, RunConfig, _kernels, run_figure
+from phasediff.halfint import HalfInteger, m_range
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
     _dephasing_factor,
     _dipole_weights,
+    _wigner_row,
     AtomicCoherentParams,
     AtomicSqueezedParams,
     DickeDensityMatrix,
@@ -207,6 +208,33 @@ def test_dipole_weights_match_scalar_double_loop(j):
                 * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
             )
     assert np.array_equal(_dipole_weights(j), loop)
+
+
+def test_fig6_builds_the_atomic_initial_state_once():
+    # 164 points vary only the bath: one Wigner-d row and one weight matrix
+    _dipole_weights.cache_clear()
+    _wigner_row.cache_clear()
+    run_figure(RunConfig("fig6"))
+    assert _dipole_weights.cache_info().misses == 1
+    assert _wigner_row.cache_info().misses == 1
+    assert _wigner_row.cache_info().hits == 163
+
+
+@pytest.mark.parametrize("build, args", [(_dipole_weights, (HalfInteger(10),)),
+                                         (_wigner_row, (HalfInteger(10), HalfInteger(4)))])
+def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
+    cached = build(*args)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 1.0
+    assert build.__wrapped__(*args).tobytes() == cached.tobytes()
+
+
+def test_squeezed_amplitudes_match_scalar_products():
+    # the cached row times e^{n Theta} keeps each scalar product of the old loop
+    j, p, theta = HalfInteger(10), HalfInteger(4), -0.3
+    loop = np.array([math.exp(n.value * theta) * wigner_d_half_pi(j, n, p) for n in m_range(j)])
+    loop = loop / math.sqrt(np.sum(loop**2))
+    assert np.array_equal(atomic_squeezed_amplitudes(AtomicSqueezedParams(j, p, theta)), loop)
 
 
 # the closed forms as they were written on the grid, term by term in cos(phi)

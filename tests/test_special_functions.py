@@ -128,6 +128,25 @@ def test_squeezed_coherent_ket_vs_mpmath_hermite(r1, alpha_sq):
     assert np.max(np.abs(c[rows] - oracle)) < 1e-13
 
 
+def test_squeezed_coherent_ket_cache_is_read_only_and_exact():
+    args = (0.5, math.pi / 4, 1.5 + 0.7j, 60)
+    ket = squeezed_coherent_ket(*args)
+    assert squeezed_coherent_ket(*args) is ket
+    with pytest.raises(ValueError, match="read-only"):
+        ket[0] = 0.0
+    fresh = squeezed_coherent_ket.__wrapped__(*args)
+    assert fresh.tobytes() == ket.tobytes()
+
+
+@pytest.mark.parametrize("r1, cutoff", [(0.9, 179), (1.25, 320), (2.0, 1300)])
+def test_squeezed_coherent_ket_prefix_is_the_smaller_cutoff_ket(r1, cutoff):
+    # the recurrence runs forward in n, so truncating to fewer levels is a prefix
+    alpha = 0.8 - 0.3j
+    full = squeezed_coherent_ket.__wrapped__(r1, 0.4, alpha, cutoff)
+    short = squeezed_coherent_ket.__wrapped__(r1, 0.4, alpha, cutoff - 8)
+    assert full[: cutoff - 8].tobytes() == short.tobytes()
+
+
 def test_squeezed_coherent_ket_at_zero_squeezing_is_coherent():
     alpha = 1.7 - 0.4j
     n = np.arange(40)
