@@ -4,14 +4,19 @@ The master equation is solved in the frame of the squeeze operator S(zeta),
 where it reduces to a thermal-like su(1,1) problem with damping coefficients
 alpha_coef, beta_coef (alpha_coef - beta_coef = gamma0).  A squeezed
 coherent initial state S(zeta) D(eta0)|0> then evolves into a mixture of
-generalized squeezed coherent states (GSCS) S(zeta) D(eta_tilde)|l> with
-Poisson-like weights and mixing strength beta_tilde; the consistency of
-(N, M, zeta) ties the initial system squeezing to the bath squeezing,
-r1 = r.  At beta_tilde = 0 (every T = 0 point) the mixture is the single
-squeezed coherent ket S(zeta) D(eta_tilde)|0>, built by its stable
-recurrence, and P(phi) is one autocorrelation of that ket; otherwise the
-mixture is summed over its components and its density matrix reaches P(phi)
-through phase_distribution_fock.
+generalized squeezed coherent states (GSCS) with mixing strength beta_tilde;
+the consistency of (N, M, zeta) ties the initial system squeezing to the bath
+squeezing, r1 = r.  That mixture is the displaced squeezed thermal state
+(P. Marian & T. A. Marian, Phys. Rev. A 47, 4474 (1993))
+
+    rho = sum_n p_n phi_n phi_n^dag,   p_n = beta_tilde^n / (1 + beta_tilde)^(n+1),
+    phi_n = S(zeta) D(a)|n>,           a = eta_tilde (1 + beta_tilde) = eta0 e^{-gamma0 t/2},
+
+whose thermal columns phi_n follow one from another by a recurrence in the
+Fock row (cf. the Gaussian Fock recurrences of Miatto & Quesada, Quantum 4,
+366 (2020)) and are streamed one at a time, so P(phi) costs O(cutoff) memory
+at every temperature.  At beta_tilde = 0 (every T = 0 point) the mixture is
+the single squeezed coherent ket phi_0.
 
 The master equation and the mixture live in the interaction picture; the
 free evolution reappears only as the e^{-i omega (m-n) t} factor in the
@@ -20,6 +25,7 @@ phase distribution.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,19 +36,9 @@ from .bath_kernels import (
     OSCILLATOR_CONVENTION,
     bath_moments,
 )
-from .distribution import (
-    DEFAULT_GRID_SIZE,
-    PhaseDistribution,
-    distribution_from_fourier,
-    ket_autocorrelation,
-)
+from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, ket_autocorrelation
 from .errors import ConsistencyError, TruncationError, check_finite
-from .special_functions import (
-    log_factorial,
-    squeeze_matrix,
-    squeeze_tail_pad,
-    squeezed_coherent_ket,
-)
+from .special_functions import log_factorial, squeeze_tail_pad, squeezed_coherent_ket
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,9 @@ def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
     sqrt((k+1)(k+1+a)) lam_{k+1} = (2k+1+a-x) lam_k - sqrt(k(k+a)) lam_{k-1},
     which is run once for all a at once (O(cutoff^2); cf. Miatto & Quesada,
     arXiv:2004.11002).  Every lam is a matrix element of a unitary, so none
-    exceeds 1 and the table cannot overflow at any cutoff.
+    exceeds 1 and the table cannot overflow at any cutoff.  No evaluation
+    path uses the matrix; it is kept because the benchmark harness traces it
+    by name.
     """
     mag = abs(eta)
     x = mag * mag
@@ -169,37 +167,14 @@ def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
     return phase * lam[np.minimum(f, l), sup]
 
 
-def _gcs_component_vectors(mix: GscsMixture, dm: np.ndarray, k_max: int = 300):
-    """Yield (weight_k, vector_k) with vector_k the Fock expansion of
-    sum_l C(k,l) sqrt(l!) (eta_tilde*)^{k-l} D(eta_tilde)|l>, where
-    dm = gcs_displacement_matrix(eta_tilde, cutoff)."""
-    cutoff = dm.shape[0]
-    ratio = mix.beta_tilde / (1.0 + mix.beta_tilde)  # geometric ratio of the k-weights
-    etc = mix.eta_tilde.conjugate()
-    log_w = 0.0  # ln(ratio^k / k!)
-    for k in range(k_max + 1):
-        if k > 0:
-            log_w += math.log(ratio) - math.log(k)
-        c = np.zeros(cutoff, dtype=complex)
-        for l in range(min(k, cutoff - 1) + 1):
-            log_c = (
-                log_factorial(k)
-                - log_factorial(l)
-                - log_factorial(k - l)
-                + 0.5 * log_factorial(l)
-            )
-            c[l] = math.exp(log_c) * etc ** (k - l)
-        v = dm @ c
-        weight = math.exp(log_w)
-        yield weight, v
-        # k! in |c|^2 balances the 1/k! weight; stop once contributions die
-        if k > 4 and weight * float(np.vdot(v, v).real) < 1e-16:
-            return
-    raise TruncationError(f"GSCS k-sum failed to converge within k_max = {k_max}")
-
-
-# The largest trace deficit of the truncated state that a point accepts.
+# The largest trace deficit of the truncated state that a point accepts, the
+# largest disagreement of P between the two cutoffs, and the largest weighted
+# norm excess of the thermal columns.
 TRACE_TOL = 1e-5
+AGREEMENT_TOL = 1e-8
+DRIFT_TOL = 1e-12
+# the thermal weight (beta_tilde / (1 + beta_tilde))^K of the columns left out
+COLUMN_TAIL = 1e-16
 
 
 def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
@@ -210,61 +185,73 @@ def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
         )
 
 
-def _mixture_ket(mix: GscsMixture, cutoff: int) -> np.ndarray:
-    """psi = S(zeta) D(eta_tilde)|0> from squeezed_coherent_ket: the whole
-    mixture at beta_tilde = 0."""
-    zeta = mix.zeta
-    return squeezed_coherent_ket(abs(zeta), math.atan2(zeta.imag, zeta.real), mix.eta_tilde, cutoff)
+def _thermal_columns(mix: GscsMixture, cutoff: int, point: str):
+    """Yield (p_n, phi_n) for n < K: the weights p_n = beta_tilde^n /
+    (1 + beta_tilde)^(n+1) and the columns phi_n = S(zeta) D(a)|n> on `cutoff`
+    levels, a = eta_tilde (1 + beta_tilde), one column at a time.  K is the
+    first count whose tail weight (beta_tilde / (1 + beta_tilde))^K is below
+    COLUMN_TAIL, so K = 1 at beta_tilde = 0.
 
-
-def _check_ket_trace(psi: np.ndarray, trace_tol: float) -> None:
-    _check_trace(float(np.vdot(psi, psi).real), len(psi), trace_tol)
+    phi_0 is squeezed_coherent_ket.  With B = S D a D^dag S^dag
+    = a cosh r + a^dag e^{i Phi} sinh r - a and B phi_n = sqrt(n) phi_{n-1},
+    each later column follows from the one before by a recurrence in the row:
+    cosh r sqrt(m+1) phi_n[m+1] = a phi_n[m] - e^{i Phi} sinh r sqrt(m) phi_n[m-1]
+    + sqrt(n) phi_{n-1}[m], from phi_n[0] = <0|S D(a)|n>
+    = conj <n|S(-zeta) D(-a cosh r + a* e^{i Phi} sinh r)|0>.  Both recurrences
+    run forward in the row, so the first k rows of each column are that column
+    on k levels.  A truncated column of a unitary has norm at most 1, but the
+    columns drift off it as n grows; once sum_n p_n max(0, |phi_n|^2 - 1)
+    passes DRIFT_TOL the point, named by `point`, is refused, since no cutoff
+    brings the columns back.
+    """
+    r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
+    a = mix.eta_tilde * (1.0 + mix.beta_tilde)  # eta_tilde itself at beta_tilde = 0
+    ratio = mix.beta_tilde / (1.0 + mix.beta_tilde)
+    count = 1 if ratio == 0.0 else int(math.log(COLUMN_TAIL) / math.log(ratio)) + 1
+    column = squeezed_coherent_ket(r, angle, a, cutoff)
+    weight, excess = 1.0 / (1.0 + mix.beta_tilde), 0.0
+    yield weight, column
+    if count == 1:
+        return
+    ch, sh = math.cosh(r), math.sinh(r)
+    rot = cmath.exp(1j * angle)
+    heads = squeezed_coherent_ket(r, angle + math.pi, -a * ch + a.conjugate() * rot * sh, count)
+    heads = heads.conj().tolist()
+    sq = np.sqrt(np.arange(cutoff, dtype=float))
+    scale = 1.0 / (ch * sq[1:])
+    # phi_n[m+1] = lead[m] phi_n[m] - back[m] phi_n[m-1] + drive[m]
+    lead = (a * scale).tolist()
+    back = (rot * math.tanh(r) * sq[:-1] / sq[1:]).tolist()
+    for n in range(1, count):
+        drive = (math.sqrt(n) * scale * column[:-1]).tolist()
+        cur, prev = heads[n], 0j
+        rows = [cur]
+        for lm, bm, dm in zip(lead, back, drive):
+            cur, prev = lm * cur - bm * prev + dm, cur
+            rows.append(cur)
+        column = np.array(rows)
+        weight *= ratio
+        excess += weight * max(0.0, float(np.vdot(column, column).real) - 1.0)
+        if excess > DRIFT_TOL:
+            raise TruncationError(
+                f"thermal column {n} drifts off the unitary bound (weighted norm "
+                f"excess {excess:.1e}) at {point}; lower the bath temperature T "
+                "or the time t"
+            )
+        yield weight, column
 
 
 def fock_density_from_gscs(
     mix: GscsMixture, cutoff: int, trace_tol: float = TRACE_TOL
 ) -> np.ndarray:
-    """Interaction-picture Fock density matrix of the GSCS mixture.
-
-    At beta_tilde = 0 it is psi psi^dag with psi = S(zeta) D(eta_tilde)|0>.
-    Otherwise the k-sum runs in the squeeze frame and is rotated by the
-    squeeze matrix, whose columns are accurate only at low index; the k-sum
-    vectors are negligible beyond those.  The free e^{-i omega (m-n) t}
-    phases are applied only when forming the phase distribution, never here.
-    """
-    if mix.beta_tilde == 0.0:
-        psi = _mixture_ket(mix, cutoff)
-        _check_ket_trace(psi, trace_tol)
-        return np.outer(psi, psi.conj())
-    zeta = mix.zeta
-    g = squeeze_matrix(cutoff, abs(zeta), math.atan2(zeta.imag, zeta.real))
-    dm = gcs_displacement_matrix(mix.eta_tilde, cutoff)
-    rho_frame = np.zeros((cutoff, cutoff), dtype=complex)
-    # an overflowing k-sum term raises FloatingPointError, not a warning
-    with np.errstate(over="raise", invalid="raise"):
-        for weight, v in _gcs_component_vectors(mix, dm):
-            rho_frame += weight * np.outer(v, v.conj())
-    pref = math.exp(-mix.beta_tilde * abs(mix.eta_tilde) ** 2) / (1.0 + mix.beta_tilde)
-    rho = pref * (g @ rho_frame @ g.conj().T)
+    """Interaction-picture Fock density matrix sum_n p_n phi_n phi_n^dag of
+    the mixture on `cutoff` levels, from _thermal_columns.  The free
+    e^{-i omega (m-n) t} phases are applied only when forming the phase
+    distribution, never here."""
+    point = f"beta_tilde = {mix.beta_tilde:.3g}"
+    rho = sum(p * np.outer(v, v.conj()) for p, v in _thermal_columns(mix, cutoff, point))
     _check_trace(float(np.trace(rho).real), cutoff, trace_tol)
     return rho
-
-
-def phase_distribution_fock(
-    rho: np.ndarray, omega: float, t: float, grid: int = DEFAULT_GRID_SIZE
-) -> PhaseDistribution:
-    """P(theta) = (1/2pi) <theta|rho_S|theta> for an interaction-picture Fock
-    density matrix, reverting to the Schroedinger picture on the way."""
-    rho = np.asarray(rho, dtype=complex)
-    n = np.arange(rho.shape[0], dtype=float)
-    rho_s = rho * np.exp(-1j * omega * (n[:, None] - n[None, :]) * t)
-    return distribution_from_fourier(rho_s / (2.0 * math.pi), grid)
-
-
-# Each dense cutoff x cutoff complex matrix costs 16 cutoff^2 bytes (67 MB at
-# the limit).  The squeeze tail pad puts the default cutoff near 1300 levels at
-# r = 2, past the limit near r = 2.2 and at 9330 at r = 3.
-MAX_DISSIPATIVE_CUTOFF = 2048
 
 
 def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
@@ -285,54 +272,38 @@ def phase_dist_osc_dissipative(
     t: float,
     cutoff: int | None = None,
     grid: int = DEFAULT_GRID_SIZE,
-    agreement_tol: float = 1e-8,
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
 
-    At beta_tilde = 0 the state is the ket psi of _mixture_ket, so with
-    v_n = psi_n e^{-i omega n t} each Fourier coefficient is one entry of the
-    autocorrelation of v, in O(cutoff) memory; otherwise the density matrix
-    goes through phase_distribution_fock.  Either is evaluated at two Fock
-    cutoffs; disagreement beyond agreement_tol raises TruncationError.  The
-    ket's recurrence runs forward in n, so the smaller cutoff's ket is a
-    prefix of the larger one's and is not built again.  A GSCS k-sum that
-    overflows is a TruncationError naming T and t, which no cutoff can cure.
+    With v_n = phi_n e^{-i omega m t} for each thermal column, the Fourier
+    coefficients are c_d = sum_n p_n autocorr(v_n)_d / 2pi, in O(cutoff)
+    memory; at T = 0 the one column is the state's ket.  They are summed at
+    the cutoff and, from the first check_cutoff rows of the same columns, at
+    a check cutoff 8 levels lower.  A trace deficit beyond TRACE_TOL at
+    either cutoff, or a disagreement of P beyond AGREEMENT_TOL, raises a
+    TruncationError that names the cutoff.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
-    if cutoff > MAX_DISSIPATIVE_CUTOFF:
+    levels = (cutoff, max(8, cutoff - 8))
+    traces, coeffs = [0.0, 0.0], [0.0, 0.0]
+    phase = np.exp(-1j * spec.omega * t * np.arange(cutoff))
+    point = f"T = {spec.moments.T:g}, t = {t:g} (beta_tilde = {mix.beta_tilde:.3g})"
+    for weight, column in _thermal_columns(mix, cutoff, point):
+        v = column * phase
+        for i, k in enumerate(levels):
+            traces[i] += weight * float(np.vdot(column[:k], column[:k]).real)
+            coeffs[i] += weight * ket_autocorrelation(v[:k])
+    for k, trace in zip(levels, traces):
+        _check_trace(trace, k, TRACE_TOL)
+    p, check = (PhaseDistribution(c / (2.0 * math.pi), grid) for c in coeffs)
+    dev = float(np.max(np.abs(p.values - check.values)))
+    if dev > AGREEMENT_TOL:
         raise TruncationError(
-            f"Fock cutoff {cutoff} exceeds the dissipative-oscillator limit of "
-            f"{MAX_DISSIPATIVE_CUTOFF} levels; lower the squeezing r (currently "
-            f"{spec.zeta_mag}) or pass --cutoff of at most {MAX_DISSIPATIVE_CUTOFF}"
-        )
-    check_cutoff = max(8, cutoff - 8)
-    psi = _mixture_ket(mix, cutoff) if mix.beta_tilde == 0.0 else None
-
-    def distribution(n: int) -> PhaseDistribution:
-        if psi is None:
-            try:
-                rho = fock_density_from_gscs(mix, n)
-            except ArithmeticError as exc:  # OverflowError or FloatingPointError
-                raise TruncationError(
-                    f"the GSCS k-sum overflows at T = {spec.moments.T:g}, t = {t:g} "
-                    f"(beta_tilde = {mix.beta_tilde:.3g}); lower the bath temperature T "
-                    "or the time t"
-                ) from exc
-            return phase_distribution_fock(rho, spec.omega, t, grid)
-        ket = psi[:n]
-        _check_ket_trace(ket, TRACE_TOL)
-        v = ket * np.exp(-1j * spec.omega * t * np.arange(n))
-        return PhaseDistribution(ket_autocorrelation(v) / (2.0 * math.pi), grid)
-
-    p = distribution(cutoff)
-    dev = float(np.max(np.abs(p.values - distribution(check_cutoff).values)))
-    if dev > agreement_tol:
-        raise TruncationError(
-            f"two-cutoff disagreement {dev:.3e} at cutoffs ({cutoff}, {check_cutoff}); "
+            f"two-cutoff disagreement {dev:.3e} at cutoffs {levels}; "
             "raise the Fock cutoff (--cutoff)"
         )
     return p

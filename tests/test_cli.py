@@ -306,22 +306,28 @@ def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, 
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
-def test_dissipative_cutoff_above_the_limit_names_r_and_cutoff(tmp_path, capsys):
-    # r = 2.9 asks for 7646 levels; the limit is checked before any matrix
+@pytest.mark.parametrize("grid, rc", [("32768", 0), ("720", 1)])
+def test_dissipative_strong_squeezing_runs_in_cutoff_memory(tmp_path, capsys, grid, rc):
+    # r = 2.9 and 3 ask for 7646 and 9330 Fock levels: a cutoff x cutoff
+    # array would take over 0.9 GB.  P has degree 7645 at r = 2.9, which
+    # 32768 angles resolve and the default 720 do not.
     out = tmp_path / "s.csv"
     tracemalloc.start()
     try:
-        rc = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
-                   "--start", "2.9", "--stop", "3", "--num", "2", "--out", str(out)])
+        code = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
+                     "--start", "2.9", "--stop", "3", "--num", "2", "--grid", grid,
+                     "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "Fock cutoff 7646 exceeds the dissipative-oscillator limit of 2048" in err
-    assert "r (currently 2.9)" in err and "--cutoff" in err
-    assert peak < 2e6
-    assert not out.exists()
+    assert code == rc
+    assert peak < 6e6
+    if rc == 0:
+        d = _read_table(out)["D"]
+        assert np.all((0.0 <= d) & (d <= 1.0))
+    else:
+        assert "N = 720 points; raise the grid size (--grid)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fig, key", [("fig8", "alpha_sq"), ("fig5", "eta0_sq")])
@@ -367,13 +373,22 @@ def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path):
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
-def test_hot_dissipative_sweep_names_temperature_and_time(tmp_path, capsys):
-    # at T = 100, t = 2 the GSCS k-sum leaves the float range; no cutoff helps
+@pytest.mark.parametrize("args, point", [
+    pytest.param(["--param", "t", "--start", "0.1", "--stop", "2", "--set", "T=100",
+                  "--set", "r=0.5"], "T = 100, t = 2", id="default-cutoff"),
+    pytest.param(["--param", "t", "--start", "0.1", "--stop", "2", "--set", "T=100",
+                  "--set", "r=0.5", "--cutoff", "400"], "T = 100, t = 2", id="cutoff-400"),
+    # beta_tilde = 221: the thermal columns stop at the drift, not after 8200
+    pytest.param(["--param", "r", "--start", "1", "--stop", "1.25", "--set", "T=1000",
+                  "--set", "t=10"], "T = 1000, t = 10", id="T-1000"),
+])
+def test_hot_dissipative_sweep_names_temperature_and_time(tmp_path, capsys, args, point):
+    # the thermal columns drift off the unitary bound; no cutoff helps
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--family", "dissipative-oscillator", "--param", "t",
-                 "--start", "0.1", "--stop", "2", "--num", "2", "--set", "T=100",
-                 "--set", "r=0.5", "--cutoff", "400", "--out", str(out)]) == 1
+    assert main(["sweep", "--family", "dissipative-oscillator", *args, "--num", "2",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "GSCS k-sum overflows at T = 100, t = 2" in err
+    assert "drifts off the unitary bound (weighted norm excess" in err
+    assert f"at {point} (beta_tilde = " in err
     assert "lower the bath temperature T or the time t" in err
     assert not out.exists()

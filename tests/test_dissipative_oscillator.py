@@ -15,8 +15,8 @@ from phasediff.dissipative_oscillator import (
     mixture_params,
     oscillator_spec,
     phase_dist_osc_dissipative,
-    phase_distribution_fock,
 )
+from phasediff.distribution import distribution_from_fourier
 from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import dispersion, integrate_distribution
@@ -24,6 +24,14 @@ from phasediff.special_functions import squeezed_coherent_ket
 from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
 
 GRID = 240
+
+
+def _oracle_distribution(rho, t, grid):
+    # P(theta) = <theta|rho_S|theta> / 2pi, with rho_S the Schroedinger-picture
+    # density matrix of the interaction-picture rho (omega = 1)
+    n = np.arange(rho.shape[0], dtype=float)
+    rho_s = rho * np.exp(-1j * (n[:, None] - n[None, :]) * t)
+    return distribution_from_fourier(rho_s / (2.0 * math.pi), grid)
 
 
 def test_damping_coefficient_difference_is_gamma0():
@@ -102,13 +110,15 @@ def test_density_trace_hermiticity_positivity():
     assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
-@pytest.mark.parametrize(
-    "r,T,t", [(1.0, 0.0, 0.1), (0.0, 1.0, 0.8)]
-)
-def test_density_matches_ode_oracle(r, T, t):
+@pytest.mark.parametrize("r,T,t,gamma0,cutoff", [
+    pytest.param(1.0, 0.0, 0.1, 0.025, 40, id="1.0-0.0-0.1"),
+    pytest.param(0.0, 1.0, 0.8, 0.025, 40, id="0.0-1.0-0.8"),
+    # squeezed and hot: beta_tilde = 0.53, 37 thermal columns
+    pytest.param(0.5, 5.0, 0.5, 0.25, 60, id="0.5-5.0-0.5"),
+])
+def test_density_matches_ode_oracle(r, T, t, gamma0, cutoff):
     # [DERIVED] direct integration of the oscillator master equation
-    cutoff = 40
-    spec = oscillator_spec(1.0, 0.025, r, 0.0, T)
+    spec = oscillator_spec(1.0, gamma0, r, 0.0, T)
     rho0 = fock_density_from_gscs(mixture_params(spec, 0.0, 1.0), cutoff, trace_tol=1e-4)
     # the r = 1 start already holds ~2e-6 at level 39, so relax the leakage
     # monitor to the trace-distance scale this test asserts
@@ -135,9 +145,35 @@ def test_large_displacement_matches_eigh_oracle():
     oracle = np.outer(psi, psi.conj())
     assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-13
     p = phase_dist_osc_dissipative(spec, eta0, t, grid=GRID)
-    expected = phase_distribution_fock(oracle, 1.0, t, GRID)
+    expected = _oracle_distribution(oracle, t, GRID)
     assert np.max(np.abs(p.values - expected.values)) < 1e-10
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
+
+
+def test_hot_state_matches_eigh_oracle():
+    # [DERIVED] rho = (S D) diag(p) (S D)^dag with S(zeta) and D(a) both exact
+    # exponentials on twice the default cutoff (593 levels here), weights
+    # p_n = beta^n / (1 + beta)^(n+1) and a = eta0 e^{-gamma0 t / 2}; the
+    # squeeze-matrix k-sum was 3.7e-6 off here
+    r, phi, eta0, t, T = 0.5, 0.3, math.sqrt(50.0), 0.5, 20.0
+    spec = oscillator_spec(1.0, 0.025, r, phi, T)
+    mix = mixture_params(spec, t, eta0)
+    cutoff = default_dissipative_cutoff(mix, eta0)
+    levels, columns = 2 * cutoff, 40
+    a = eta0 * math.exp(-spec.gamma0 * t / 2.0)
+    lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    displace = _exp_anti_hermitian(a * lower.T - a * lower)[:, :columns]
+    # the squeeze keeps parity: exponentiate its even and odd blocks apart
+    gen, u = _squeeze_generator(levels, r, phi), np.empty_like(displace)
+    for s in (slice(0, None, 2), slice(1, None, 2)):
+        u[s] = _exp_anti_hermitian(gen[s, s]) @ displace[s]
+    u = u[:cutoff]
+    beta = mix.beta_tilde
+    p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
+    oracle = (u * p) @ u.conj().T
+    got = phase_dist_osc_dissipative(spec, eta0, t, grid=2880)
+    expected = _oracle_distribution(oracle, t, 2880)
+    assert np.max(np.abs(got.values - expected.values)) < 1e-12
 
 
 @pytest.mark.parametrize("r", [1.75, 2.0])
@@ -174,6 +210,18 @@ def test_two_cutoff_disagreement_names_the_cutoff_setting():
 def test_zero_temperature_allocates_no_cutoff_squared_array():
     # r = 2 needs about 1300 levels: psi psi^dag alone would take 27 MB
     spec = oscillator_spec(1.0, 0.025, 2.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        phase_dist_osc_dissipative(spec, 1.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_hot_bath_allocates_no_cutoff_squared_array():
+    # about 1300 levels and 9 thermal columns, streamed one at a time
+    spec = oscillator_spec(1.0, 0.025, 2.0, 0.0, 5.0)
     tracemalloc.start()
     try:
         phase_dist_osc_dissipative(spec, 1.0, 0.1)
