@@ -378,7 +378,7 @@ def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path):
                   "--set", "r=0.5"], "T = 100, t = 2", id="default-cutoff"),
     pytest.param(["--param", "t", "--start", "0.1", "--stop", "2", "--set", "T=100",
                   "--set", "r=0.5", "--cutoff", "400"], "T = 100, t = 2", id="cutoff-400"),
-    # beta_tilde = 221: the thermal columns stop at the drift, not after 8200
+    # beta_tilde = 221: the thermal columns stop at the drift, not after 8164
     pytest.param(["--param", "r", "--start", "1", "--stop", "1.25", "--set", "T=1000",
                   "--set", "t=10"], "T = 1000, t = 10", id="T-1000"),
 ])

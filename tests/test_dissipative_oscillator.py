@@ -113,7 +113,7 @@ def test_density_trace_hermiticity_positivity():
 @pytest.mark.parametrize("r,T,t,gamma0,cutoff", [
     pytest.param(1.0, 0.0, 0.1, 0.025, 40, id="1.0-0.0-0.1"),
     pytest.param(0.0, 1.0, 0.8, 0.025, 40, id="0.0-1.0-0.8"),
-    # squeezed and hot: beta_tilde = 0.53, 37 thermal columns
+    # squeezed and hot: beta_tilde = 0.53, 35 thermal columns
     pytest.param(0.5, 5.0, 0.5, 0.25, 60, id="0.5-5.0-0.5"),
 ])
 def test_density_matches_ode_oracle(r, T, t, gamma0, cutoff):
