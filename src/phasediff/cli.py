@@ -29,7 +29,7 @@ from .figures import (
     resolve_params,
     run_figure,
 )
-from .phase_stats import audit_normalization, dispersion
+from .phase_stats import dispersion
 from .validation import run_validation
 
 
@@ -161,9 +161,6 @@ def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
 
 
 def _write_outputs(fd: FigureData, reserved: dict[str, str], stem: str, plot_script: bool) -> int:
-    # a distribution column passes the audit its dispersion would, or no CSV is written
-    for _label, p in fd.distributions:
-        audit_normalization(p)
     out = Path(reserved.get("out", f"{stem}.csv"))
     _write_csv(fd, out)
     print(f"wrote {out}")

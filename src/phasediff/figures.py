@@ -5,8 +5,8 @@ over a shared abscissa (angle, time, or swept parameter).  A point model
 maps (params, grid, cutoff) to one phase distribution; the figures and the
 `sweep` command's families (SWEEP_FAMILIES) run the same point models
 through one loop, `evaluate`.  Builders collect every phase distribution
-they produce so the normalization audit can sweep them all.  Everything is
-deterministic; there is no randomness anywhere.
+they produce, and FigureData refuses any that fails the normalization
+audit.  Everything is deterministic; there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .dissipative_qubit import (
     phase_dist_qubit_squeezed,
     qubit_spec,
 )
-from .phase_stats import dispersion
+from .phase_stats import audit_normalization, dispersion
 from .qnd_phase import (
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -50,6 +50,12 @@ class FigureData:
     params: Mapping[str, float]
     notes: tuple[str, ...] = ()
     distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
+
+    def __post_init__(self):
+        # every distribution passes the audit its dispersion would, so a
+        # figure, a sweep and the CLI refuse the same under-resolved data
+        for _label, p in self.distributions:
+            audit_normalization(p)
 
 
 @dataclass(frozen=True)

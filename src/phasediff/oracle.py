@@ -6,8 +6,10 @@ generator is assembled column by column from its right-hand side and
 exponentiated exactly (Taylor series with scaling and squaring), and the
 oscillator's is integrated by an adaptive Dormand-Prince 5(4) stepper.  The
 atomic phase distribution is obtained by Gauss-Legendre quadrature over the
-polar angle, and the dephasing kernel by composite-Simpson frequency
-quadrature of its defining integral.  Only numpy is needed.
+polar angle, and the dephasing kernel by composite Gauss-Legendre quadrature
+of its defining frequency integral: 10 nodes on each panel, panels two
+periods of the integrand's fastest oscillation wide (and no wider than the
+cutoff omega_c), over [0, 30 omega_c].  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .distribution import (
     distribution_from_samples,
     phase_grid,
 )
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_finite
 from .qnd_phase import DickeDensityMatrix
 from .special_functions import log_binomial
 
@@ -204,52 +206,54 @@ def phase_dist_by_quadrature(
     return distribution_from_samples((tj + 1) / (4.0 * math.pi) * integral)
 
 
+# dephasing-kernel quadrature: Gauss-Legendre nodes per panel, panel width
+# in oscillation periods, upper limit in omega_c.  The nodes are computed per
+# call, since an eigensolve at import would cost every CLI run its LAPACK set-up.
+_GAMMA_NODE_COUNT = 10
+_GAMMA_PANEL_PERIODS = 2.0
+_GAMMA_RANGE = 30.0
+
+
 def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     """Dephasing kernel gamma(t) by direct frequency quadrature of its
     defining Ohmic-continuum integral, with coth -> 1 at T = 0 and
-    coth -> 2T/omega in the high-temperature regime."""
+    coth -> 2T/omega in the high-temperature regime.
+
+    Composite Gauss-Legendre rule: 10 nodes on each of equal panels over
+    [0, 30 omega_c], where the cutoff factor has fallen to e^{-30}.  A panel
+    spans two periods 2 pi / f_max of the integrand's oscillation, with
+    f_max = 2 (t + 2a) + 1, and at most omega_c so the cutoff's decay is
+    resolved too.  No node lies at omega = 0, where the integrand has only a
+    removable singularity.
+    """
+    check_finite(t=t)
     if spec.a > 0 and t <= 2 * spec.a:
-        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a")
+        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
+    if t < 0:
+        raise DomainError(f"t = {t} must be nonnegative")
     g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
-    if t == 0:
-        return 0.0
-    width = 20.0 * wc
-    f_max = 2.0 * (abs(t) + 2.0 * a) + 1.0
-    h = min(0.02, 2.0 * math.pi / (80.0 * f_max))
-    n = int(math.ceil(width / h))
-    n += n % 2  # even interval count for Simpson
-    w = np.linspace(0.0, width, n + 1)
-    wz = w.copy()
-    wz[0] = 1.0  # placeholder; the omega -> 0 limit is patched below
-    # one complex exponential: e^{-i w t} is the conjugate of e^{i w t}, and
-    # in-place updates keep the bracket's temporaries to a few arrays
-    bracket = np.exp(1j * wz * t)
-    backward = bracket.conj()
-    backward -= 1.0  # e^{-i w t} - 1
-    backward *= math.sinh(r)
-    if a != 0:
-        backward *= np.exp(2j * a * wz)
-    bracket -= 1.0
-    bracket *= math.cosh(r)
-    bracket += backward
-    mod2 = np.abs(bracket) ** 2
+    f_max = 2.0 * (t + 2.0 * a) + 1.0
+    top = _GAMMA_RANGE * wc
+    panels = math.ceil(top / min(_GAMMA_PANEL_PERIODS * 2.0 * math.pi / f_max, wc))
+    h = top / panels
+    nodes, weights = leggauss(_GAMMA_NODE_COUNT)
+    w = h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
+    # |bracket|^2 of cosh r (e^{iwt} - 1) + sinh r (e^{-iwt} - 1) e^{2iaw}.
+    # With e^{+-iwt} - 1 = +-2i sin(wt/2) e^{+-iwt/2} it is
+    # 4 sin^2(wt/2) |e^{-r} + sinh r (1 - e^{ix})|^2, x = (2a - t) w, and
+    # 1 - e^{ix} = 2 s^2 - 2i s c with s, c = sin(x/2), cos(x/2): a sum of
+    # squares, so nothing cancels near w = 0 however large r is.
+    s = np.sin((a - 0.5 * t) * w)
+    c = np.cos((a - 0.5 * t) * w)
+    sh = math.sinh(r)
+    mod2 = 4.0 * np.sin(0.5 * t * w) ** 2 * (
+        (math.exp(-r) + 2.0 * sh * s * s) ** 2 + (2.0 * sh * s * c) ** 2
+    )
     if isinstance(spec.regime, ZeroTemperature):
-        f = (g0 / (2.0 * math.pi)) * np.exp(-wz / wc) * mod2 / wz
-        f[0] = 0.0
+        f = mod2 / w
     elif isinstance(spec.regime, HighTemperature):
-        temp = spec.regime.T
-        f = (g0 / (2.0 * math.pi)) * (2.0 * temp / wz**2) * np.exp(-wz / wc) * mod2
-        f[0] = (g0 / math.pi) * temp * t**2 * math.exp(-2.0 * r)
+        f = 2.0 * spec.regime.T * mod2 / w**2
     else:
         raise TypeError(f"unknown regime {spec.regime!r}")
-    return _simpson(f, width)
-
-
-def _simpson(f: np.ndarray, width: float) -> float:
-    """Composite Simpson rule, weights (1, 4, 2, ..., 4, 1) h/3, for samples
-    f at an odd number of equally spaced points spanning [0, width]."""
-    n = len(f) - 1
-    weights = np.full(n + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return float((width / n / 3.0) * (weights @ f))
+    f *= np.exp(-w / wc)
+    return (g0 / (2.0 * math.pi)) * 0.5 * h * float(np.sum(f @ weights))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from phasediff.bath_kernels import QndBathSpec, ZeroTemperature
+from phasediff.bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, gamma_qnd
 from phasediff.dissipative_qubit import propagate_qubit, qubit_spec
 from phasediff.dissipative_oscillator import oscillator_spec
+from phasediff.errors import DomainError
 from phasediff.halfint import HalfInteger
 from phasediff.oracle import (
     expm_taylor,
@@ -145,3 +146,43 @@ def test_gamma_quadrature_trivial_log_case():
     t = 0.7
     expected = (0.025 / (2.0 * math.pi)) * math.log(1.0 + (100.0 * t) ** 2)
     assert abs(gamma_by_quadrature(t, spec) - expected) < 1e-8 * expected
+
+
+def _kernel_grid(omega_c, rs, ts):
+    for regime in (ZeroTemperature(), HighTemperature(T=100.0)):
+        for r in rs:
+            for a in (0.0, 0.05):
+                spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, regime=regime)
+                for t in ts:
+                    yield t, spec
+
+
+def test_gamma_quadrature_matches_closed_form_to_1e_10():
+    # criterion 2's grid, from just outside the light cone t = 2a out to t = 10
+    worst = max(
+        abs(gamma_by_quadrature(t, spec) / gamma_qnd(t, spec) - 1.0)
+        for t, spec in _kernel_grid(100.0, (0.0, 1.0, 2.0), (0.11, 0.2, 1.0, 5.0, 10.0))
+    )
+    assert worst <= 1e-10
+
+
+def test_gamma_quadrature_resolves_a_narrow_cutoff():
+    # omega_c below the oscillation period: the panels shrink to the cutoff
+    worst = max(
+        abs(gamma_by_quadrature(t, spec) / gamma_qnd(t, spec) - 1.0)
+        for t, spec in _kernel_grid(0.1, (0.0, 2.0), (0.11, 1.0, 10.0))
+    )
+    assert worst <= 1e-8
+
+
+def test_gamma_quadrature_rejects_negative_time():
+    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
+    with pytest.raises(DomainError):
+        gamma_by_quadrature(-0.5, spec)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_gamma_quadrature_rejects_non_finite_time(t):
+    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
+    with pytest.raises(ValueError, match="must be finite"):
+        gamma_by_quadrature(t, spec)
