@@ -120,6 +120,7 @@ class GscsMixture:
 
 
 def mixture_params(spec: OscillatorLindbladSpec, t: float, eta0: complex) -> GscsMixture:
+    check_finite(t=t)
     if t < 0:
         raise ValueError(f"t = {t} must be nonnegative")
     _, beta_coef = damping_coeffs(spec)

@@ -97,6 +97,7 @@ def _damped_cosh_sinhc(alpha_sq: float, gamma_beta: float, t: float) -> tuple[fl
 
 def propagate_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float) -> np.ndarray:
     """Apply the closed-form Lindblad propagator to a 2x2 density matrix."""
+    check_finite(t=t)
     if t < 0:
         raise ValueError(f"t = {t} must be nonnegative")
     rho0 = np.asarray(rho0, dtype=complex)

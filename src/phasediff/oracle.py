@@ -5,11 +5,17 @@ master equations start from their right-hand sides: the qubit's 4x4
 generator is assembled column by column from its right-hand side and
 exponentiated exactly (Taylor series with scaling and squaring), and the
 oscillator's is integrated by an adaptive Dormand-Prince 5(4) stepper.  The
-atomic phase distribution is obtained by Gauss-Legendre quadrature over the
-polar angle, and the dephasing kernel by composite Gauss-Legendre quadrature
-of its defining frequency integral: 10 nodes on each panel, panels two
-periods of the integrand's fastest oscillation wide (and no wider than the
-cutoff omega_c), over [0, 30 omega_c].  Only numpy is needed.
+oscillator's right-hand side is nine offset diagonals of the flattened
+density matrix, each a coefficient vector times a shifted slice, with the
+coefficients read off the truncated a and a^dag once; the stepper keeps y
+and its seven stages as the rows of one array, so each stage argument is
+one product with a row of the tableau.  The atomic phase distribution is
+obtained by Gauss-Legendre quadrature over the polar angle, and the
+dephasing kernel by composite Gauss-Legendre quadrature of its defining
+frequency integral: 10 nodes on each panel, panels two periods of the
+integrand's fastest oscillation wide (and no wider than the cutoff
+omega_c), over [0, 30 omega_c].  The time-dependent oracles refuse a
+negative or non-finite t.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -48,30 +54,63 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+def _dp_stage_matrix() -> np.ndarray:
+    """Weights on the rows (y, k1, ..., k7), to be scaled by h.  Row i < 7 is
+    stage i + 1's argument less y; the last stage's weights are the
+    fifth-order ones, so row 6 is also y5 - y.  Row 7 is y5 - y4."""
+    tab = np.zeros((8, 8))
+    for i, a in enumerate(_DP_A):
+        tab[i, 1 : i + 1] = a
+    tab[7, 1:] = np.subtract(_DP_B5, _DP_B4)
+    return tab
+
+
+_DP_STAGES = _dp_stage_matrix()
+
+
 def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
-    """Adaptive embedded 5(4) integration with standard step control."""
-    y, t = y0.astype(complex), t0
+    """Adaptive embedded 5(4) integration of dy/dt = f(t, y), y0 a 1-D array,
+    with standard step control.
+
+    y and k1..k7 are the rows of one (8, n) array, so each stage argument is
+    one product of a row of the stage matrix (times h, with weight 1 on y)
+    with the rows before it.  The seventh stage's argument is y5, whose
+    slope is the next step's k1 (FSAL), and the error estimate y5 - y4 is
+    one more product.  A non-finite error estimate raises: it would
+    otherwise never reject a step."""
+    rows = np.empty((8, len(y0)), dtype=complex)  # y, k1, ..., k7
+    rows[0] = y0
+    t = t0
     h = (t1 - t0) / 10.0
-    k1 = f(t, y)
+    rows[1] = f(t, rows[0])
     while t < t1:
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError("step size underflow in adaptive integrator")
-        ks = [k1]
+        weights = h * _DP_STAGES
+        weights[:7, 0] = 1.0
         for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(f(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(y5 - y4) / scale) ** 2)))
+            arg = weights[i, : i + 1] @ rows[: i + 1]
+            rows[i + 1] = f(t + _DP_C[i] * h, arg)
+        y5 = arg  # the seventh stage's argument
+        scale = abs_tol + rel_tol * np.maximum(np.abs(rows[0]), np.abs(y5))
+        err = math.sqrt(float(np.mean((np.abs(weights[7, 1:] @ rows[1:]) / scale) ** 2)))
+        if not math.isfinite(err):
+            raise RuntimeError(f"non-finite error estimate at t = {t}, h = {h}")
         if err <= 1.0:
             t += h
-            y = y5
-            k1 = ks[6]  # FSAL
+            rows[0] = y5
+            rows[1] = rows[7]  # FSAL
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
-    return y
+    return rows[0].copy()
+
+
+def _check_time(t: float) -> None:
+    """The oracles evolve forward in time only."""
+    check_finite(t=t)
+    if t < 0:
+        raise DomainError(f"t = {t} must be nonnegative")
 
 
 def expm_taylor(a: np.ndarray) -> np.ndarray:
@@ -120,6 +159,7 @@ def integrate_lindblad_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float
     L is not normal, and it is defective where gamma0 |M| = omega, so the
     exponential is a Taylor series with scaling and squaring rather than an
     eigendecomposition."""
+    _check_time(t)
     vec = np.asarray(rho0, dtype=complex).ravel()
     return (expm_taylor(qubit_liouvillian(spec) * t) @ vec).reshape(2, 2)
 
@@ -128,11 +168,22 @@ def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
     """d vec(rho)/dt of the oscillator master equation (interaction picture)
     on `cutoff` Fock levels, on the row-major flattening of rho.
 
-    The four anticommutator terms are one operator K, so they cost K rho +
-    rho K.  a and a^dag have a single off-diagonal sqrt(n), so each sandwich
-    term (a rho a^dag, a^dag rho a, a^dag rho a^dag, a rho a) is rho shifted
-    by one row and one column and scaled by sqrt(m) sqrt(n)."""
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+    Every term reads rho at one fixed shift (dm, dn) of (m, n), so with
+    c = cutoff the right-hand side is d = sum_k C_k * y[. + o_k] over nine
+    flat offsets o_k = dm c + dn:
+    - 0: the diagonal of K on both sides of K rho + rho K, where K is the
+      four anticommutator terms in one operator;
+    - -+2c and -+2: the M and M* bands of K in K rho and in rho K;
+    - +-(c + 1): a rho a^dag and a^dag rho a;
+    - -+(c - 1): a^dag rho a^dag and a rho a.
+    C_k is read off the same operators as a dense product would use,
+    including the truncated last level of a a^dag, and is zero wherever
+    (m + dm, n + dn) leaves the c x c block, also where a flat offset would
+    wrap into the next row.  y is copied into one zero-padded buffer, so
+    every term is a contiguous slice of it; terms whose C_k vanish (the M
+    bands when M = 0) are dropped.  No Hermiticity of rho is assumed."""
+    c = cutoff
+    a = np.diag(np.sqrt(np.arange(1, c)), 1).astype(complex)
     ad = a.conj().T
     g0 = spec.gamma0
     big_n, big_m = spec.moments.N, spec.moments.M
@@ -140,19 +191,39 @@ def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
         (big_n + 1) * (ad @ a) + big_n * (a @ ad) + big_m * (ad @ ad)
         + big_m.conjugate() * (a @ a)
     )
-    root = np.sqrt(np.arange(1.0, cutoff))
-    weight = g0 * np.outer(root, root)
-    w_down, w_up = (big_n + 1) * weight, big_n * weight  # a rho a^dag, a^dag rho a
-    w_raise, w_lower = big_m * weight, big_m.conjugate() * weight  # a^dag rho a^dag, a rho a
+    k_diag, k_up, k_down = np.diagonal(k_op), np.diagonal(k_op, 2), np.diagonal(k_op, -2)
+    root = np.sqrt(np.arange(1.0, c))
+    weight = g0 * np.outer(root, root)  # sqrt(m + 1) sqrt(n + 1) g0
+    # (dm, dn, C on the rows and columns where (m + dm, n + dn) is in the block)
+    bands = (
+        (-2, 0, k_down[:, None]),  # K[m, m - 2] rho[m - 2, n]
+        (2, 0, k_up[:, None]),  # K[m, m + 2] rho[m + 2, n]
+        (0, -2, k_up[None, :]),  # rho[m, n - 2] K[n - 2, n]
+        (0, 2, k_down[None, :]),  # rho[m, n + 2] K[n + 2, n]
+        (1, 1, (big_n + 1) * weight),  # a rho a^dag
+        (-1, -1, big_n * weight),  # a^dag rho a
+        (-1, 1, big_m * weight),  # a^dag rho a^dag
+        (1, -1, big_m.conjugate() * weight),  # a rho a
+    )
+    size, pad = c * c, 2 * c
+    diag = (k_diag[:, None] + k_diag[None, :]).ravel()
+    terms = []
+    for dm, dn, values in bands:
+        coef = np.zeros((c, c), dtype=complex)
+        coef[max(0, -dm) : c - max(0, dm), max(0, -dn) : c - max(0, dn)] = values
+        if np.any(coef):
+            start = pad + dm * c + dn
+            terms.append((slice(start, start + size), coef.ravel()))
+    buf = np.zeros(size + 2 * pad, dtype=complex)
+    tmp = np.empty(size, dtype=complex)
 
     def rhs(_t, y):
-        rho = y.reshape(cutoff, cutoff)
-        d = k_op @ rho + rho @ k_op
-        d[:-1, :-1] += w_down * rho[1:, 1:]
-        d[1:, 1:] += w_up * rho[:-1, :-1]
-        d[1:, :-1] += w_raise * rho[:-1, 1:]
-        d[:-1, 1:] += w_lower * rho[1:, :-1]
-        return d.ravel()
+        buf[pad : pad + size] = y
+        d = diag * y
+        for shifted, coef in terms:
+            np.multiply(coef, buf[shifted], out=tmp)
+            d += tmp
+        return d
 
     return rhs
 
@@ -166,6 +237,7 @@ def integrate_lindblad_oscillator(
 ) -> np.ndarray:
     """Direct integration of the oscillator master equation (interaction
     picture) on a truncated Fock space, with a boundary-leakage monitor."""
+    _check_time(t)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (cutoff, cutoff):
         raise ValueError(f"rho0 shape {rho0.shape} does not match cutoff {cutoff}")
@@ -226,11 +298,9 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     resolved too.  No node lies at omega = 0, where the integrand has only a
     removable singularity.
     """
-    check_finite(t=t)
+    _check_time(t)
     if spec.a > 0 and t <= 2 * spec.a:
         raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
-    if t < 0:
-        raise DomainError(f"t = {t} must be nonnegative")
     g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
     f_max = 2.0 * (t + 2.0 * a) + 1.0
     top = _GAMMA_RANGE * wc

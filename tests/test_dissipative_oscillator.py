@@ -21,7 +21,7 @@ from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.special_functions import squeezed_coherent_ket
-from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
+from phasediff.validation import _exp_anti_hermitian, _exp_by_parity, _squeeze_generator
 
 GRID = 240
 
@@ -78,6 +78,13 @@ def test_consistency_check_rejects_tampered_moments():
     object.__setattr__(spec, "moments", bad)
     with pytest.raises(ConsistencyError):
         damping_coeffs(spec)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_mixture_rejects_non_finite_time(t):
+    spec = oscillator_spec(1.0, 0.25, 1.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        mixture_params(spec, t, 1.0)
 
 
 def test_mixture_at_time_zero_is_initial_state():
@@ -163,11 +170,7 @@ def test_hot_state_matches_eigh_oracle():
     a = eta0 * math.exp(-spec.gamma0 * t / 2.0)
     lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
     displace = _exp_anti_hermitian(a * lower.T - a * lower)[:, :columns]
-    # the squeeze keeps parity: exponentiate its even and odd blocks apart
-    gen, u = _squeeze_generator(levels, r, phi), np.empty_like(displace)
-    for s in (slice(0, None, 2), slice(1, None, 2)):
-        u[s] = _exp_anti_hermitian(gen[s, s]) @ displace[s]
-    u = u[:cutoff]
+    u = _exp_by_parity(_squeeze_generator(levels, r, phi), displace)[:cutoff]
     beta = mix.beta_tilde
     p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
     oracle = (u * p) @ u.conj().T

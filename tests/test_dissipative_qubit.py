@@ -115,6 +115,13 @@ def test_spec_rejects_non_finite(args, field):
         qubit_spec(*args)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_propagate_rejects_non_finite_time(t):
+    spec = qubit_spec(1.0, 0.25, 1.0, 0.3, 0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        propagate_qubit(RHO0, spec, t)
+
+
 def _old_qubit_bracket(spec, t, beta, phi):
     # the closed forms' bracket as it was written on the grid
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)

@@ -9,6 +9,7 @@ from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.errors import DomainError
 from phasediff.halfint import HalfInteger
 from phasediff.oracle import (
+    dormand_prince,
     expm_taylor,
     gamma_by_quadrature,
     integrate_lindblad_oscillator,
@@ -78,14 +79,9 @@ def test_expm_taylor_matches_scipy_on_qubit_generator(r, temp, t):
     assert np.max(np.abs(expm_taylor(gen) - linalg.expm(gen))) <= 1e-13
 
 
-def test_oscillator_rhs_matches_dense_operators():
-    # complex M (Phi = 0.7, T = 1): every sandwich and anticommutator term is on
-    cutoff = 30
-    spec = oscillator_spec(1.0, 0.25, 1.0, 0.7, 1.0)
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho)
+def _dense_oscillator_rhs(spec, rho):
+    # the master equation as written, from dense truncated a and a^dag
+    cutoff = len(rho)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
     ad = a.conj().T
     g0, big_n, big_m = spec.gamma0, spec.moments.N, spec.moments.M
@@ -94,14 +90,55 @@ def test_oscillator_rhs_matches_dense_operators():
         # c1 rho c2 - {c2 c1, rho} / 2
         return c1 @ rho @ c2 - 0.5 * (c2 @ c1 @ rho + rho @ c2 @ c1)
 
-    dense = g0 * (
+    return g0 * (
         (big_n + 1) * dissipator(a, ad)
         + big_n * dissipator(ad, a)
         + big_m * dissipator(ad, ad)
         + big_m.conjugate() * dissipator(a, a)
     )
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("r, phi, temp", [(1.0, 0.7, 1.0), (0.0, 0.0, 1.0), (0.5, -2.0, 0.0)])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5, 30])
+def test_oscillator_rhs_matches_dense_operators(cutoff, r, phi, temp, hermitian):
+    # complex M at r > 0, M = 0 at r = 0; below cutoff 6 the offsets +-2,
+    # +-(c + 1) and +-(c - 1) wrap into neighbouring rows of the flat vector
+    spec = oscillator_spec(1.0, 0.25, r, phi, temp)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    if hermitian:
+        rho = x @ x.conj().T
+        rho /= np.trace(rho)
+    else:
+        rho = x
+    dense = _dense_oscillator_rhs(spec, rho)
     shifted = oscillator_rhs(spec, cutoff)(0.0, rho.ravel()).reshape(cutoff, cutoff)
-    assert np.max(np.abs(shifted - dense)) <= 1e-14
+    scale = 1.0 if hermitian else max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(shifted - dense)) <= 1e-14 * scale
+
+
+def test_dormand_prince_rejects_non_finite_error_estimate():
+    # a NaN slope makes the error estimate NaN, which no step-size rule rejects
+    with pytest.raises(RuntimeError, match="non-finite error estimate"):
+        dormand_prince(lambda _t, y: np.full_like(y, np.nan), np.ones(3), 0.0, 1.0, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("t, error, message", [
+    pytest.param(math.nan, ValueError, "must be finite", id="nan"),
+    pytest.param(math.inf, ValueError, "must be finite", id="inf"),
+    pytest.param(-0.5, DomainError, "must be nonnegative", id="negative"),
+])
+def test_oracles_reject_bad_time(t, error, message):
+    # the oscillator oracle grew its step for ever at t = inf and returned
+    # rho0 at t = nan or t < 0; the qubit oracle returned a NaN matrix at
+    # t = nan and back-propagated at t < 0
+    rho0 = np.zeros((12, 12), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(error, match=message):
+        integrate_lindblad_oscillator(rho0, oscillator_spec(1.0, 0.25, 0.0, 0.0, 1.0), t, 12)
+    with pytest.raises(error, match=message):
+        integrate_lindblad_qubit(RHO0_QUBIT, qubit_spec(1.0, 0.25, 1.0, 0.3, 0.0), t)
 
 
 def test_oscillator_oracle_time_zero_identity():

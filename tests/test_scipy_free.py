@@ -13,16 +13,17 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad, quad_vec, solve_ivp
 from scipy.linalg import expm
 from scipy.special import betaln, gammaln
 
 from phasediff import oracle
 from phasediff.bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
+from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.distribution import phase_grid
 from phasediff.qnd_phase import AtomicSqueezedParams, atomic_squeezed_density, qnd_evolve
 from phasediff.special_functions import beta_integral, log_binomial, log_factorial
-from phasediff.validation import _exp_anti_hermitian
+from phasediff.validation import _exp_anti_hermitian, _exp_by_parity
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -128,6 +129,41 @@ def test_exp_anti_hermitian_matches_expm():
     x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     for gen in (squeeze, 0.5 * (x - x.conj().T)):
         assert np.max(np.abs(_exp_anti_hermitian(gen) - expm(gen))) <= 1e-13
+    # the squeeze generator couples only levels of equal parity
+    assert np.max(np.abs(_exp_by_parity(squeeze, np.eye(140)) - expm(squeeze))) <= 1e-13
+
+
+def _dense_lindblad_rhs(spec, cutoff):
+    # the oscillator master equation from dense truncated a and a^dag
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+    ad = a.conj().T
+    g0, big_n, big_m = spec.gamma0, spec.moments.N, spec.moments.M
+    jumps = (
+        ((big_n + 1) * g0, a, ad), (big_n * g0, ad, a),
+        (big_m * g0, ad, ad), (big_m.conjugate() * g0, a, a),
+    )
+
+    def rhs(_t, y):
+        rho = y.reshape(cutoff, cutoff)
+        d = sum(w * (c1 @ rho @ c2 - 0.5 * (c2 @ c1 @ rho + rho @ c2 @ c1)) for w, c1, c2 in jumps)
+        return d.ravel()
+
+    return rhs
+
+
+@pytest.mark.parametrize("cutoff", [12, 20])
+@pytest.mark.parametrize("r, phi, temp, t", [(1.0, 0.7, 1.0, 0.5), (0.5, 0.3, 5.0, 0.4)])
+def test_dormand_prince_matches_solve_ivp(cutoff, r, phi, temp, t):
+    # the oracle's integrator at its own tolerances against scipy's DOP853
+    spec = oscillator_spec(1.0, 0.25, r, phi, temp)
+    rhs = _dense_lindblad_rhs(spec, cutoff)
+    x = np.random.default_rng(3).normal(size=(cutoff, 2 * cutoff)).view(complex)
+    rho = x @ x.conj().T
+    rho0 = (rho / np.trace(rho)).ravel()
+    ours = oracle.dormand_prince(rhs, rho0, 0.0, t, 1e-10, 1e-12)
+    ref = solve_ivp(rhs, (0.0, t), rho0, method="DOP853", rtol=1e-12, atol=1e-14)
+    assert ref.success
+    assert np.max(np.abs(ours - ref.y[:, -1])) <= 1e-10
 
 
 def test_cli_runs_without_scipy(tmp_path):
