@@ -43,7 +43,6 @@ from .qnd_phase import (
 from .dissipative_qubit import (
     QubitLindbladSpec,
     qubit_spec,
-    alpha_param,
     propagate_qubit,
     phase_dist_qubit_coherent,
     phase_dist_qubit_squeezed,

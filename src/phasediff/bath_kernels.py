@@ -150,7 +150,9 @@ def thermal_occupation(omega: float, T: float) -> float:
         raise ValueError(f"T = {T} must be nonnegative")
     if T == 0:
         return 0.0
-    return 1.0 / math.expm1(omega / T)
+    x = omega / T
+    # past x = 700, where e^x nears overflow, 1/(e^x - 1) is e^{-x} to rounding
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def bath_moments(

@@ -209,7 +209,7 @@ def _cmd_sweep(args) -> int:
     runs = ((f"{args.param}={x:g}", {args.param: float(x)}) for x in xs)
     if args.mode == "dispersion":
         # stream: keep each D, not its distribution, so memory stays at one point's
-        d = [dispersion(p) for _, p in evaluate(point, base, runs, grid, cutoff)]
+        d = [dispersion(p) for _, p in evaluate(point, base, runs, cutoff)]
         fd = FigureData(scenario, args.param, xs, (("D", np.array(d)),), base)
     else:
         fd = distribution_figure(scenario, point, base, runs, grid, cutoff)
@@ -241,7 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_io_flags(p):
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--grid", type=int, help="angular grid size (default 720)")
+        p.add_argument("--grid", type=int,
+                       help="angles of sampled P(phi) columns; dispersion does not "
+                       "depend on it (default 720)")
         p.add_argument("--cutoff", type=int,
                        help="Fock cutoff of the oscillator models (default: chosen per point)")
         p.add_argument("--config", help="flat key=value config file")

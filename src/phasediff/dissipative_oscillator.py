@@ -36,7 +36,7 @@ from .bath_kernels import (
     OSCILLATOR_CONVENTION,
     bath_moments,
 )
-from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, ket_autocorrelation
+from .distribution import PhaseDistribution, ket_autocorrelation
 from .errors import ConsistencyError, TruncationError, check_finite
 from .special_functions import log_factorial, squeeze_tail_pad, squeezed_coherent_ket
 
@@ -272,7 +272,6 @@ def phase_dist_osc_dissipative(
     eta0: complex,
     t: float,
     cutoff: int | None = None,
-    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
 
@@ -282,7 +281,9 @@ def phase_dist_osc_dissipative(
     the cutoff and, from the first check_cutoff rows of the same columns, at
     a check cutoff 8 levels lower.  A trace deficit beyond TRACE_TOL at
     either cutoff, or a disagreement of P beyond AGREEMENT_TOL, raises a
-    TruncationError that names the cutoff.
+    TruncationError that names the cutoff.  The disagreement is
+    sum_d |c_d - c'_d| over the two coefficient arrays, the shorter one
+    zero-padded, which bounds sup_phi |P - P'| without an angular grid.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
@@ -300,11 +301,12 @@ def phase_dist_osc_dissipative(
             coeffs[i] += weight * ket_autocorrelation(v[:k])
     for k, trace in zip(levels, traces):
         _check_trace(trace, k, TRACE_TOL)
-    p, check = (PhaseDistribution(c / (2.0 * math.pi), grid) for c in coeffs)
-    dev = float(np.max(np.abs(p.values - check.values)))
+    full, check = (c / (2.0 * math.pi) for c in coeffs)
+    pad = (len(full) - len(check)) // 2
+    dev = float(np.sum(np.abs(full - np.pad(check, pad))))
     if dev > AGREEMENT_TOL:
         raise TruncationError(
             f"two-cutoff disagreement {dev:.3e} at cutoffs {levels}; "
             "raise the Fock cutoff (--cutoff)"
         )
-    return p
+    return PhaseDistribution(full)

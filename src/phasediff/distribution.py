@@ -1,20 +1,19 @@
-"""Phase distributions as trigonometric polynomials on the uniform angular grid.
+"""Phase distributions as trigonometric polynomials.
 
 A PhaseDistribution holds the Fourier coefficients c_d, d = -D..D, of
 
     P(phi) = Re sum_d c_d e^{i d phi}
 
-and the size N of the grid phi_l = 2 pi l / N, l = 0..N-1, on which it is
-sampled.  Every evaluator takes N and nothing else, so a non-uniform grid
-cannot arise.  The samples are one inverse FFT of the coefficients folded
-mod N, formed on first use only; the functionals in phase_stats read the
-folded coefficients of degree 0 and +-1 and never form them.
+and nothing else: the functionals in phase_stats read c_0 and c_{+-1}
+directly, so no evaluator takes an angular grid.  Only writing P as samples
+needs one, the N uniform angles phi_l = 2 pi l / N, l = 0..N-1 of
+phase_grid(N); samples(N) folds the coefficients mod N and applies one
+inverse FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +26,7 @@ def _check_grid_size(n: int) -> None:
         raise ValueError(f"grid size {n} too small; the minimum is {MIN_GRID_SIZE}")
 
 
-def phase_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def phase_grid(n: int) -> np.ndarray:
     """The N uniform angles 2 pi l / N on [0, 2pi), endpoint excluded."""
     _check_grid_size(n)
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -35,47 +34,28 @@ def phase_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """P(phi) = Re sum_d coeffs[d + D] e^{i d phi}, d = -D..D, sampled at the
-    grid_size angles of phase_grid(grid_size)."""
+    """P(phi) = Re sum_d coeffs[d + D] e^{i d phi}, d = -D..D."""
 
     coeffs: np.ndarray
-    grid_size: int
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim != 1 or len(coeffs) % 2 == 0:
             raise ValueError("coeffs must be a 1-d array of odd length 2 D + 1")
-        _check_grid_size(self.grid_size)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        """P(phi_l) at the grid_size angles: on the grid e^{i d phi_l} depends
-        only on d mod N, so the coefficients are folded mod N and one inverse
-        FFT evaluates them, exactly also when the degree reaches N."""
-        n, degree = self.grid_size, len(self.coeffs) // 2
+    def samples(self, n: int) -> np.ndarray:
+        """P(phi_l) at the n angles of phase_grid(n): on the grid e^{i d phi_l}
+        depends only on d mod n, so the coefficients are folded mod n and one
+        inverse FFT evaluates them, exactly also when the degree reaches n."""
+        _check_grid_size(n)
+        degree = len(self.coeffs) // 2
         folded = _bincount_complex(np.arange(-degree, degree + 1) % n, self.coeffs, n)
-        values = np.fft.ifft(folded).real * n
-        values.setflags(write=False)
-        return values
-
-    def aliased(self, d: int) -> complex:
-        """Sum of the coefficients whose degree is d mod N: the degree-d
-        coefficient that the samples on the grid carry."""
-        n, degree = self.grid_size, len(self.coeffs) // 2
-        return sum(self.coeffs[(d + degree) % n :: n].tolist(), 0j)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return phase_grid(self.grid_size)
-
-    @property
-    def step(self) -> float:
-        return 2.0 * np.pi / self.grid_size
+        return np.fft.ifft(folded).real * n
 
 
-def distribution_from_fourier(a: np.ndarray, n: int = DEFAULT_GRID_SIZE) -> PhaseDistribution:
-    """P(phi) = Re sum_{j,k} a[j,k] e^{i(k-j) phi} on the N-point grid.
+def distribution_from_fourier(a: np.ndarray) -> PhaseDistribution:
+    """P(phi) = Re sum_{j,k} a[j,k] e^{i(k-j) phi}.
 
     bincount sums each of the 2 dim - 1 diagonals d = k - j of a, which are
     the coefficients c_d, d = 1 - dim..dim - 1; one dim x dim index array is
@@ -85,7 +65,7 @@ def distribution_from_fourier(a: np.ndarray, n: int = DEFAULT_GRID_SIZE) -> Phas
     dim = a.shape[0]
     idx = np.arange(dim)
     diagonal = ((idx + dim - 1)[None, :] - idx[:, None]).ravel()  # k - j + dim - 1
-    return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1), n)
+    return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1))
 
 
 def ket_autocorrelation(v: np.ndarray) -> np.ndarray:
@@ -96,11 +76,11 @@ def ket_autocorrelation(v: np.ndarray) -> np.ndarray:
     return np.correlate(v, v, "full")[::-1]
 
 
-def distribution_from_harmonics(harmonics, n: int = DEFAULT_GRID_SIZE) -> PhaseDistribution:
+def distribution_from_harmonics(harmonics) -> PhaseDistribution:
     """The real P(phi) with the coefficients c_0..c_D given and
     c_{-d} = conj(c_d)."""
     c = np.asarray(harmonics, dtype=complex)
-    return PhaseDistribution(np.concatenate([c[:0:-1].conj(), c]), n)
+    return PhaseDistribution(np.concatenate([c[:0:-1].conj(), c]))
 
 
 def distribution_from_samples(values: np.ndarray) -> PhaseDistribution:
@@ -114,7 +94,7 @@ def distribution_from_samples(values: np.ndarray) -> PhaseDistribution:
     harmonics = np.fft.rfft(values) / n
     if n % 2 == 0:
         harmonics[-1] /= 2.0
-    return distribution_from_harmonics(harmonics, n)
+    return distribution_from_harmonics(harmonics)
 
 
 def _bincount_complex(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:

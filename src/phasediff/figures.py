@@ -2,11 +2,12 @@
 
 Each scenario fig1..fig10 reproduces one figure-style data set as columns
 over a shared abscissa (angle, time, or swept parameter).  A point model
-maps (params, grid, cutoff) to one phase distribution; the figures and the
+maps (params, cutoff) to one phase distribution; the figures and the
 `sweep` command's families (SWEEP_FAMILIES) run the same point models
-through one loop, `evaluate`.  Builders collect every phase distribution
-they produce, and FigureData refuses any that fails the normalization
-audit.  Everything is deterministic; there is no randomness anywhere.
+through one loop, `evaluate`.  The angular grid enters only where P is
+written as samples (`_sampled_figure`), which audits the Riemann sum of those
+samples; a dispersion audits the exact integral and needs no grid.
+Everything is deterministic; there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ class FigureData:
     notes: tuple[str, ...] = ()
     distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
 
-    def __post_init__(self):
-        # every distribution passes the audit its dispersion would, so a
-        # figure, a sweep and the CLI refuse the same under-resolved data
-        for _label, p in self.distributions:
-            audit_normalization(p)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -78,32 +73,32 @@ def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
-# --- point models: (params, grid, cutoff) -> one PhaseDistribution ---
+# --- point models: (params, cutoff) -> one PhaseDistribution ---
 
 
-def _qnd_atoms(p, grid, cutoff):
+def _qnd_atoms(p, cutoff):
     """Dicke atoms (j, p, Theta) from an atomic squeezed start, dephasing."""
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
     et, ga = _kernels(p)
-    return phase_distribution_atomic(qnd_evolve(rho0, p["omega"], p["t"], et, ga), grid)
+    return phase_distribution_atomic(qnd_evolve(rho0, p["omega"], p["t"], et, ga))
 
 
-def _qnd_atoms_zeta(p, grid, cutoff):
+def _qnd_atoms_zeta(p, cutoff):
     """_qnd_atoms with the system squeezing given as zeta instead of Theta."""
     theta = AtomicSqueezedParams.from_zeta(p["j"], p["p"], p["zeta"]).Theta
-    return _qnd_atoms({**p, "Theta": theta}, grid, cutoff)
+    return _qnd_atoms({**p, "Theta": theta}, cutoff)
 
 
-def _qnd_qubit(p, grid, cutoff):
+def _qnd_qubit(p, cutoff):
     _et, ga = _kernels(p)
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
-    return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga, grid)
+    return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga)
 
 
-def _dissipative_qubit(p, grid, cutoff):
+def _dissipative_qubit(p, cutoff):
     spec = qubit_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
-    return phase_dist_qubit_coherent(state, spec, p["t"], grid)
+    return phase_dist_qubit_coherent(state, spec, p["t"])
 
 
 def _magnitude(p, key):
@@ -113,42 +108,50 @@ def _magnitude(p, key):
     return math.sqrt(p[key])
 
 
-def _qnd_oscillator(p, grid, cutoff):
+def _qnd_oscillator(p, cutoff):
     et, ga = _kernels(p)
     return phase_dist_osc_squeezed(
         p["r1"], p["psi"], _magnitude(p, "alpha_sq"), p["theta0"],
-        p["omega"], p["t"], et, ga, cutoff, grid,
+        p["omega"], p["t"], et, ga, cutoff,
     )
 
 
-def _dissipative_oscillator(p, grid, cutoff):
+def _dissipative_oscillator(p, cutoff):
     spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
-    return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff, grid)
+    return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
 
 
-def evaluate(point, params, runs, grid, cutoff):
-    """Yield (label, point({**params, **overrides}, grid, cutoff)) for each
+def evaluate(point, params, runs, cutoff):
+    """Yield (label, point({**params, **overrides}, cutoff)) for each
     (label, overrides) in runs, one point at a time, so a caller that keeps
     only a statistic never holds more than one distribution."""
     for label, overrides in runs:
-        yield label, point({**params, **overrides}, grid, cutoff)
+        yield label, point({**params, **overrides}, cutoff)
+
+
+def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureData:
+    """One column of P at the grid angles per (label, P) in dists, each
+    refused unless its grid samples integrate to 1."""
+    for _label, p in dists:
+        audit_normalization(p, grid)
+    columns = tuple((label, p.samples(grid)) for label, p in dists)
+    return FigureData(scenario, x_name, phase_grid(grid), columns, params, notes, dists)
 
 
 def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureData:
     """One P(phi) column per (label, overrides) in runs."""
-    dists = tuple(evaluate(point, params, runs, grid, cutoff))
-    columns = tuple((label, p.values) for label, p in dists)
-    return FigureData(scenario, "phi", phase_grid(grid), columns, params, (), dists)
+    dists = tuple(evaluate(point, params, runs, cutoff))
+    return _sampled_figure(scenario, "phi", dists, params, grid)
 
 
-def _dispersion_figure(scenario, point, params, x_name, xs, curves, grid, cutoff):
+def _dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs."""
     runs = [
         (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
         for label, overrides in curves
         for x in xs
     ]
-    dists = tuple(evaluate(point, params, runs, grid, cutoff))
+    dists = tuple(evaluate(point, params, runs, cutoff))
     d = np.array([dispersion(p) for _, p in dists]).reshape(len(curves), len(xs))
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), dists)
@@ -189,8 +192,13 @@ def _build_fig2(params, grid, cutoff):
 
 
 def _build_fig3(params, grid, cutoff):
+    n_t, t_max = params["n_t"], params["t_max"]
+    if not (n_t >= 2 and n_t % 1 == 0):
+        raise ValueError(f"n_t = {n_t:g} must be a whole number of at least 2")
+    if not t_max > 0:
+        raise ValueError(f"t_max = {t_max:g} must be positive")
     state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])
-    times = np.linspace(0.0, params["t_max"], int(params["n_t"]))
+    times = np.linspace(0.0, t_max, int(n_t))
     columns = []
     for label, r, T, g0 in [
         ("T=100 gamma0=0.0025 r=0", 0.0, 100.0, 0.0025),
@@ -206,7 +214,7 @@ def _build_fig3(params, grid, cutoff):
 
 
 def _build_fig4(params, grid, cutoff):
-    columns, dists = [], []
+    dists = []
     for p_sign, tag in [(0.5, "p=+1/2"), (-0.5, "p=-1/2")]:
         for label, r, T, t in [
             ("T=0 r=0 t=0.1", 0.0, 0.0, 0.1),
@@ -215,25 +223,21 @@ def _build_fig4(params, grid, cutoff):
             ("T=300 r=0.5 t=0.1", 0.5, 300.0, 0.1),
         ]:
             spec = qubit_spec(params["omega"], params["gamma0"], r, params["Phi"], T)
-            p = phase_dist_qubit_squeezed(params["Theta"], p_sign, spec, t, grid)
-            full = f"{tag} {label}"
-            columns.append((full, p.values))
-            dists.append((full, p))
-    return FigureData("fig4", "phi", phase_grid(grid), tuple(columns), params, (), tuple(dists))
+            p = phase_dist_qubit_squeezed(params["Theta"], p_sign, spec, t)
+            dists.append((f"{tag} {label}", p))
+    return _sampled_figure("fig4", "phi", tuple(dists), params, grid)
 
 
 # --- fig5: oscillator, dephasing vs dissipative evolution ---
 
 
 def _build_fig5(params, grid, cutoff):
-    p_qnd = _qnd_oscillator({**params, "r1": params["r"]}, grid, cutoff)
-    p_diss = _dissipative_oscillator(params, grid, cutoff)
-    columns = (("dephasing", p_qnd.values), ("dissipative", p_diss.values))
-    dists = (("dephasing", p_qnd), ("dissipative", p_diss))
-    notes = (
-        "eta0_sq (dissipative displacement) and theta0 are tool defaults",
+    dists = (
+        ("dephasing", _qnd_oscillator({**params, "r1": params["r"]}, cutoff)),
+        ("dissipative", _dissipative_oscillator(params, cutoff)),
     )
-    return FigureData("fig5", "theta", phase_grid(grid), columns, params, notes, dists)
+    notes = ("eta0_sq (dissipative displacement) and theta0 are tool defaults",)
+    return _sampled_figure("fig5", "theta", dists, params, grid, notes)
 
 
 # --- dispersion sweeps (fig6-fig10) ---
@@ -241,32 +245,32 @@ def _build_fig5(params, grid, cutoff):
 
 def _build_fig6(params, grid, cutoff):
     curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
-    return _dispersion_figure("fig6", _qnd_atoms, params, "r", R_GRID, curves, grid, cutoff)
+    return _dispersion_figure("fig6", _qnd_atoms, params, "r", R_GRID, curves, cutoff)
 
 
 def _build_fig7(params, grid, cutoff):
     zetas = tuple(np.linspace(0.25, 2.0, 36))
     curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 50.0, 100.0)
     return _dispersion_figure(
-        "fig7", _qnd_atoms_zeta, params, "zeta", zetas, curves, grid, cutoff
+        "fig7", _qnd_atoms_zeta, params, "zeta", zetas, curves, cutoff
     )
 
 
 def _build_fig8(params, grid, cutoff):
     curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 100.0, 1000.0)
-    return _dispersion_figure("fig8", _qnd_oscillator, params, "r", R_GRID, curves, grid, cutoff)
+    return _dispersion_figure("fig8", _qnd_oscillator, params, "r", R_GRID, curves, cutoff)
 
 
 def _build_fig9(params, grid, cutoff):
     curves = _temperature_curves(0.0, 100.0, 300.0, 1000.0)
     return _dispersion_figure(
-        "fig9", _dissipative_qubit, params, "r", R_GRID, curves, grid, cutoff
+        "fig9", _dissipative_qubit, params, "r", R_GRID, curves, cutoff
     )
 
 
 def _build_fig10(params, grid, cutoff):
     curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
-    return _dispersion_figure("fig10", _qnd_qubit, params, "r", R_GRID, curves, grid, cutoff)
+    return _dispersion_figure("fig10", _qnd_qubit, params, "r", R_GRID, curves, cutoff)
 
 
 SCENARIOS: dict[str, Scenario] = {

@@ -28,12 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
 from .dissipative_qubit import QubitLindbladSpec
 from .dissipative_oscillator import OscillatorLindbladSpec
-from .distribution import (
-    DEFAULT_GRID_SIZE,
-    PhaseDistribution,
-    distribution_from_samples,
-    phase_grid,
-)
+from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .errors import DomainError, TruncationError, check_finite
 from .qnd_phase import DickeDensityMatrix
 from .special_functions import log_binomial
@@ -251,12 +246,11 @@ def integrate_lindblad_oscillator(
     return out
 
 
-def phase_dist_by_quadrature(
-    rho: DickeDensityMatrix, grid: int = DEFAULT_GRID_SIZE
-) -> PhaseDistribution:
+def phase_dist_by_quadrature(rho: DickeDensityMatrix, grid: int) -> PhaseDistribution:
     """Atomic phase distribution by Gauss-Legendre quadrature, over the
-    polar angle theta, of the Q-function angle marginal (independent of the
-    Beta closed form).  The integrand is a trigonometric polynomial of degree
+    polar angle theta, of the Q-function angle marginal at the `grid` angles
+    of phase_grid(grid), returned as the interpolant of those samples
+    (independent of the Beta closed form).  The integrand is a trigonometric polynomial of degree
     2j + 1 in theta; 2 (2j) + 16 nodes resolve it to rounding (checked
     against adaptive quadrature up to j = 50)."""
     phi = phase_grid(grid)

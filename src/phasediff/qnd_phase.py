@@ -33,7 +33,6 @@ from typing import Union
 import numpy as np
 
 from .distribution import (
-    DEFAULT_GRID_SIZE,
     PhaseDistribution,
     distribution_from_fourier,
     distribution_from_harmonics,
@@ -203,21 +202,18 @@ def _dipole_weights(j: HalfInteger) -> np.ndarray:
     return weights
 
 
-def phase_distribution_atomic(
-    rho: DickeDensityMatrix, grid: int = DEFAULT_GRID_SIZE
-) -> PhaseDistribution:
+def phase_distribution_atomic(rho: DickeDensityMatrix) -> PhaseDistribution:
     """Angle marginal P(phi) of the atomic Q-function, via the exact
     Beta-function polar integral."""
     j = rho.j
     weighted = rho.elements * _dipole_weights(j)
     pref = (j.twice_value + 1) / (4.0 * math.pi)  # (2j+1)/4pi
     # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
-    return distribution_from_fourier(pref * weighted.T, grid)
+    return distribution_from_fourier(pref * weighted.T)
 
 
 def phase_dist_coherent_halfspin(
-    params: AtomicCoherentParams, omega: float, t: float, gamma_t: float,
-    grid: int = DEFAULT_GRID_SIZE,
+    params: AtomicCoherentParams, omega: float, t: float, gamma_t: float
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic coherent initial state; only
     gamma(t) enters:
@@ -226,12 +222,11 @@ def phase_dist_coherent_halfspin(
                          e^{-omega^2 gamma}].
     """
     amp = (math.pi / 4.0) * math.sin(params.alpha_p) * math.exp(-(omega**2) * gamma_t)
-    return _closed_form((cmath.rect(amp / 2.0, -(params.beta_p + omega * t)),), grid)
+    return _closed_form((cmath.rect(amp / 2.0, -(params.beta_p + omega * t)),))
 
 
 def phase_dist_squeezed_halfspin(
-    Theta: float, p_sign: float, omega: float, t: float, gamma_t: float,
-    grid: int = DEFAULT_GRID_SIZE,
+    Theta: float, p_sign: float, omega: float, t: float, gamma_t: float
 ) -> PhaseDistribution:
     """Single-atom closed form for an atomic squeezed initial state,
     p_sign = +1/2 or -1/2:
@@ -241,13 +236,13 @@ def phase_dist_squeezed_halfspin(
     """
     sign = _half_sign(p_sign)
     amp = sign * (math.pi / (4.0 * math.cosh(Theta))) * math.exp(-(omega**2) * gamma_t)
-    return _closed_form((cmath.rect(amp / 2.0, -omega * t),), grid)
+    return _closed_form((cmath.rect(amp / 2.0, -omega * t),))
 
 
-def _closed_form(harmonics, grid: int) -> PhaseDistribution:
+def _closed_form(harmonics) -> PhaseDistribution:
     """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the
     harmonics h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
-    return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi), grid)
+    return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi))
 
 
 def _half_sign(p_sign: float) -> float:
@@ -263,7 +258,6 @@ def phase_dist_two_atoms(
     t: float,
     eta_t: float,
     gamma_t: float,
-    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Two-atom (j = 1) closed forms for p in {+1, -1, 0}, with x = phi - omega t:
 
@@ -278,14 +272,14 @@ def phase_dist_two_atoms(
     w2 = omega**2
     h2 = cmath.rect(math.exp(-4.0 * w2 * gamma_t) / 2.0, -2.0 * omega * t)
     if p == 0:
-        return _closed_form((0.0, -h2 / (2.0 * math.cosh(2.0 * Theta))), grid)
+        return _closed_form((0.0, -h2 / (2.0 * math.cosh(2.0 * Theta))))
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
     denom = 1.0 + math.cosh(2.0 * Theta)
     amp = float(p) * (3.0 * math.pi / (4.0 * denom)) * math.exp(-w2 * gamma_t)
     ab = complex(math.cos(w2 * eta_t) * math.cosh(Theta), math.sin(w2 * eta_t) * math.sinh(Theta))
     h1 = amp * ab * cmath.rect(0.5, -omega * t)
-    return _closed_form((h1, h2 / (2.0 * denom)), grid)
+    return _closed_form((h1, h2 / (2.0 * denom)))
 
 
 def number_distribution(
@@ -312,22 +306,12 @@ def phase_dist_osc_coherent(
     eta_t: float,
     gamma_t: float,
     cutoff: int | None = None,
-    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Oscillator phase distribution for a coherent initial state: the
     squeezed coherent form at r1 = 0."""
     return phase_dist_osc_squeezed(
-        0.0, 0.0, alpha_mag, theta0, omega, t, eta_t, gamma_t, cutoff, grid
+        0.0, 0.0, alpha_mag, theta0, omega, t, eta_t, gamma_t, cutoff
     )
-
-
-def squeezed_coherent_amplitudes(
-    r1: float, psi: float, alpha_mag: float, theta0: float, cutoff: int
-) -> np.ndarray:
-    """Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi},
-    alpha = alpha_mag e^{i theta0}."""
-    alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
-    return squeezed_coherent_ket(r1, psi, alpha, cutoff)
 
 
 def phase_dist_osc_squeezed(
@@ -340,7 +324,6 @@ def phase_dist_osc_squeezed(
     eta_t: float,
     gamma_t: float,
     cutoff: int | None = None,
-    grid: int = DEFAULT_GRID_SIZE,
 ) -> PhaseDistribution:
     """Oscillator phase distribution for a squeezed coherent initial state.
 
@@ -359,7 +342,9 @@ def phase_dist_osc_squeezed(
         mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
         span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))
         cutoff = max(30, int(math.ceil(span)))
-    amps = squeezed_coherent_amplitudes(r1, psi, alpha_mag, theta0, cutoff)
+    # Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, alpha = alpha_mag e^{i theta0}
+    alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
+    amps = squeezed_coherent_ket(r1, psi, alpha, cutoff)
     deficit = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
     if deficit > 1e-12:
         raise TruncationError(
@@ -371,4 +356,4 @@ def phase_dist_osc_squeezed(
     v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
     offsets = np.arange(1 - cutoff, cutoff)
     damping = np.exp(-(omega**2) * gamma_t * offsets**2) / (2.0 * math.pi)
-    return PhaseDistribution(ket_autocorrelation(v) * damping, grid)
+    return PhaseDistribution(ket_autocorrelation(v) * damping)

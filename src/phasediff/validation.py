@@ -153,9 +153,9 @@ def _check_oscillator_mixture() -> CheckResult:
 def _check_atomic_closed_form() -> CheckResult:
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     rho = qnd_evolve(atomic_coherent_density(state, 0.5), 1.0, 0.3, 0.0, 0.02)
-    machinery = phase_distribution_atomic(rho, 180)
-    closed = phase_dist_coherent_halfspin(state, 1.0, 0.3, 0.02, 180)
-    dev = float(np.max(np.abs(machinery.values - closed.values)))
+    machinery = phase_distribution_atomic(rho).samples(180)
+    closed = phase_dist_coherent_halfspin(state, 1.0, 0.3, 0.02).samples(180)
+    dev = float(np.max(np.abs(machinery - closed)))
     return CheckResult("single-atom closed form vs Beta machinery", 1e-13, dev)
 
 
@@ -166,9 +166,9 @@ def _check_atomic_quadrature() -> CheckResult:
     p = SCENARIOS["fig1"].defaults
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
     rho_t = qnd_evolve(rho0, p["omega"], 0.1, 0.001, 0.005)
-    exact = phase_distribution_atomic(rho_t, 90)
-    quad = phase_dist_by_quadrature(rho_t, 90)
-    dev = float(np.max(np.abs(exact.values - quad.values)))
+    exact = phase_distribution_atomic(rho_t).samples(90)
+    quad = phase_dist_by_quadrature(rho_t, 90).samples(90)
+    dev = float(np.max(np.abs(exact - quad)))
     return CheckResult("ten-atom distribution vs polar quadrature", 1e-8, dev)
 
 
@@ -180,7 +180,7 @@ def _check_dissipative_phase_dist() -> CheckResult:
     # FFT, exact because the grid is longer than the cutoff
     r, phi, eta0, t, cutoff, grid = 0.5, 0.3, math.sqrt(50.0), 0.1, 250, 360
     spec = oscillator_spec(1.0, 0.025, r, phi, 0.0)
-    closed = phase_dist_osc_dissipative(spec, eta0, t, cutoff, grid)
+    closed = phase_dist_osc_dissipative(spec, eta0, t, cutoff).samples(grid)
     eta = eta0 * math.exp(-spec.gamma0 * t / 2.0)
     n = np.arange(cutoff)
     log_n_fact = np.array([math.lgamma(k + 1.0) for k in n])
@@ -188,7 +188,7 @@ def _check_dissipative_phase_dist() -> CheckResult:
     psi = _exp_by_parity(_squeeze_generator(cutoff, r, phi), coherent)
     amp = np.fft.fft(psi * np.exp(-1j * spec.omega * t * n), grid)
     oracle = np.abs(amp) ** 2 / (2.0 * math.pi)
-    dev = float(np.max(np.abs(closed.values - oracle)))
+    dev = float(np.max(np.abs(closed - oracle)))
     return CheckResult(
         "dissipative oscillator vs exact squeeze exponential (eta0^2=50)", 1e-10, dev
     )
@@ -204,7 +204,7 @@ def _check_normalization() -> CheckResult:
 
 
 def _check_dispersion_basics() -> CheckResult:
-    uniform = PhaseDistribution(np.array([1.0 / (2.0 * math.pi)]), 360)
+    uniform = PhaseDistribution(np.array([1.0 / (2.0 * math.pi)]))
     dev = abs(dispersion(uniform) - 1.0)
     return CheckResult("dispersion of the uniform distribution", 1e-12, dev)
 

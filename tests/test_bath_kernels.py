@@ -83,6 +83,9 @@ def test_thermal_occupation_limits():
     )
     # high-T expansion: N_th -> T/omega - 1/2
     assert abs(thermal_occupation(1.0, 500.0) - (500.0 - 0.5)) < 1e-3
+    # low-T limit e^{-omega/T}, also where e^{omega/T} overflows (omega/T > 709.8)
+    for x in (699.0, 701.0, 1e5):
+        assert math.isclose(thermal_occupation(1.0, 1.0 / x), math.exp(-x), rel_tol=1e-12)
 
 
 def test_bath_moments_unsqueezed():

@@ -271,7 +271,7 @@ def test_fig5_cutoff_reaches_the_dissipative_curve(tmp_path, cutoff):
     out = tmp_path / "fig5.csv"
     flag = [] if cutoff is None else ["--cutoff", str(cutoff)]
     assert main(["figure", "fig5", *flag, "--out", str(out)]) == 0
-    expected = _dissipative_oscillator(SCENARIOS["fig5"].defaults, 720, cutoff).values
+    expected = _dissipative_oscillator(SCENARIOS["fig5"].defaults, cutoff).samples(720)
     assert np.array_equal(_read_table(out)["dissipative"], expected)
 
 
@@ -306,28 +306,28 @@ def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, 
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
-@pytest.mark.parametrize("grid, rc", [("32768", 0), ("720", 1)])
-def test_dissipative_strong_squeezing_runs_in_cutoff_memory(tmp_path, capsys, grid, rc):
+def test_dissipative_strong_squeezing_runs_in_cutoff_memory(tmp_path):
     # r = 2.9 and 3 ask for 7646 and 9330 Fock levels: a cutoff x cutoff
-    # array would take over 0.9 GB.  P has degree 7645 at r = 2.9, which
-    # 32768 angles resolve and the default 720 do not.
-    out = tmp_path / "s.csv"
-    tracemalloc.start()
-    try:
-        code = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
-                     "--start", "2.9", "--stop", "3", "--num", "2", "--grid", grid,
-                     "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == rc
-    assert peak < 6e6
-    if rc == 0:
+    # array would take over 0.9 GB.  P has degree 7645 at r = 2.9, far above
+    # the default 720 angles, but a dispersion reads c_0 and c_{+-1} only,
+    # so every grid gives the same bytes
+    written = []
+    for grid in ("32768", "720"):
+        out = tmp_path / f"s-{grid}.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
+                         "--start", "2.9", "--stop", "3", "--num", "2", "--grid", grid,
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6e6
         d = _read_table(out)["D"]
         assert np.all((0.0 <= d) & (d <= 1.0))
-    else:
-        assert "N = 720 points; raise the grid size (--grid)" in capsys.readouterr().err
-        assert not out.exists()
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("fig, key", [("fig8", "alpha_sq"), ("fig5", "eta0_sq")])
@@ -335,6 +335,23 @@ def test_negative_squared_displacement_names_the_key(tmp_path, capsys, fig, key)
     out = tmp_path / "x.csv"
     assert main(["figure", fig, "--set", f"{key}=-1", "--out", str(out)]) == 1
     assert f"{key} = -1.0 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dissipative_qubit_sweep_refuses_negative_time(tmp_path, capsys):
+    # the closed forms would propagate backwards: D = -2.77e36 at t = -100
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "dissipative-qubit", "--param", "t", "--start", "-100",
+                 "--stop", "-50", "--num", "2", "--set", "T=100", "--out", str(out)]) == 1
+    assert "t = -100.0 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig3_refuses_negative_time_span(tmp_path, capsys):
+    # t_max = -5 would write back-propagated populations
+    out = tmp_path / "fig3.csv"
+    assert main(["figure", "fig3", "--set", "t_max=-5", "--out", str(out)]) == 1
+    assert "t_max = -5 must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

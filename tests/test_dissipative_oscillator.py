@@ -19,19 +19,19 @@ from phasediff.dissipative_oscillator import (
 from phasediff.distribution import distribution_from_fourier
 from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
-from phasediff.phase_stats import dispersion, integrate_distribution
+from phasediff.phase_stats import audit_normalization, dispersion, integrate_distribution
 from phasediff.special_functions import squeezed_coherent_ket
 from phasediff.validation import _exp_anti_hermitian, _exp_by_parity, _squeeze_generator
 
 GRID = 240
 
 
-def _oracle_distribution(rho, t, grid):
+def _oracle_distribution(rho, t):
     # P(theta) = <theta|rho_S|theta> / 2pi, with rho_S the Schroedinger-picture
     # density matrix of the interaction-picture rho (omega = 1)
     n = np.arange(rho.shape[0], dtype=float)
     rho_s = rho * np.exp(-1j * (n[:, None] - n[None, :]) * t)
-    return distribution_from_fourier(rho_s / (2.0 * math.pi), grid)
+    return distribution_from_fourier(rho_s / (2.0 * math.pi))
 
 
 def test_damping_coefficient_difference_is_gamma0():
@@ -151,9 +151,9 @@ def test_large_displacement_matches_eigh_oracle():
     psi = (_exp_anti_hermitian(_squeeze_generator(700, r, phi)) @ coherent)[:cutoff]
     oracle = np.outer(psi, psi.conj())
     assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-13
-    p = phase_dist_osc_dissipative(spec, eta0, t, grid=GRID)
-    expected = _oracle_distribution(oracle, t, GRID)
-    assert np.max(np.abs(p.values - expected.values)) < 1e-10
+    p = phase_dist_osc_dissipative(spec, eta0, t)
+    expected = _oracle_distribution(oracle, t)
+    assert np.max(np.abs(p.samples(GRID) - expected.samples(GRID))) < 1e-10
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
 
 
@@ -174,9 +174,9 @@ def test_hot_state_matches_eigh_oracle():
     beta = mix.beta_tilde
     p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
     oracle = (u * p) @ u.conj().T
-    got = phase_dist_osc_dissipative(spec, eta0, t, grid=2880)
-    expected = _oracle_distribution(oracle, t, 2880)
-    assert np.max(np.abs(got.values - expected.values)) < 1e-12
+    got = phase_dist_osc_dissipative(spec, eta0, t).samples(2880)
+    expected = _oracle_distribution(oracle, t).samples(2880)
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("r", [1.75, 2.0])
@@ -184,23 +184,23 @@ def test_strong_squeezing_stays_finite_and_normalized(r):
     # default cutoffs 803 and 1298; the unnormalized Laguerre table overflowed here
     spec = oscillator_spec(1.0, 0.025, r, 0.0, 0.0)
     with np.errstate(over="raise", invalid="raise"):
-        p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=2880)
+        p = phase_dist_osc_dissipative(spec, 1.0, 0.1)
         d = dispersion(p)
-    assert np.all(np.isfinite(p.values))
+    assert np.all(np.isfinite(p.samples(2880)))
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
     assert 0.0 <= d <= 1.0
 
 
 def test_long_time_thermal_state_is_uniform():
     spec = oscillator_spec(1.0, 0.25, 0.0, 0.0, 2.0)
-    p = phase_dist_osc_dissipative(spec, 1.0, 60.0, grid=GRID)
+    p = phase_dist_osc_dissipative(spec, 1.0, 60.0)
     assert dispersion(p) > 0.999
 
 
 def test_insufficient_cutoff_raises():
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
     with pytest.raises(TruncationError):
-        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=40, grid=GRID)
+        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=40)
 
 
 def test_two_cutoff_disagreement_names_the_cutoff_setting():
@@ -238,14 +238,14 @@ def test_zero_temperature_builds_one_ket_for_both_cutoffs():
     # the check at cutoff - 8 reads a prefix of the cutoff ket
     squeezed_coherent_ket.cache_clear()
     spec = oscillator_spec(1.0, 0.025, 0.9, 0.3, 0.0)
-    phase_dist_osc_dissipative(spec, 1.0, 0.4, grid=GRID)
+    phase_dist_osc_dissipative(spec, 1.0, 0.4)
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
 def test_cutoff_below_one_rejected():
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="cutoff = -3 must be positive"):
-        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=-3, grid=GRID)
+        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=-3)
 
 
 def test_default_cutoff_grows_with_squeezing():
@@ -263,8 +263,12 @@ def test_spec_rejects_non_finite(args, field):
 
 def test_coarse_grid_dispersion_error_names_the_grid():
     # at r = 1.5 the state has Fourier content far above N = 180, which
-    # aliases into the Riemann sum; the error must point at the grid
+    # aliases into the Riemann sum of 180 samples: writing those samples is
+    # refused with an error that points at the grid, while the dispersion
+    # reads the exact c_0 and c_{+-1} and needs no grid
     spec = oscillator_spec(1.0, 0.025, 1.5, 0.0, 0.0)
-    p = phase_dist_osc_dissipative(spec, 1.0, 0.1, grid=180)
+    p = phase_dist_osc_dissipative(spec, 1.0, 0.1)
     with pytest.raises(ValueError, match=r"N = 180 points; raise the grid size \(--grid\)"):
-        dispersion(p)
+        audit_normalization(p, 180)
+    assert abs(integrate_distribution(p) - 1.0) < 1e-12
+    assert 0.0 <= dispersion(p) <= 1.0

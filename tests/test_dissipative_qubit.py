@@ -6,7 +6,6 @@ import pytest
 from phasediff.distribution import phase_grid
 from phasediff.dissipative_qubit import (
     _damped_cosh_sinhc,
-    alpha_param,
     excited_population,
     phase_dist_qubit_coherent,
     phase_dist_qubit_squeezed,
@@ -59,14 +58,6 @@ def test_zero_coupling_is_unitary_rotation():
     assert abs(out[1, 0] - RHO0[1, 0] * np.exp(-2j * 0.9)) < 1e-13
 
 
-def test_alpha_param_real_and_imaginary_branches():
-    # alpha^2 = gamma0^2 |M|^2 - omega^2 changes sign with omega
-    spec_osc = qubit_spec(1.0, 0.25, 1.0, 0.0, 0.0)
-    assert alpha_param(spec_osc).real == 0.0  # oscillatory branch
-    spec_over = qubit_spec(0.001, 2.0, 2.0, 0.0, 300.0)
-    assert alpha_param(spec_over).imag == 0.0  # overdamped branch
-
-
 def test_long_time_population_reaches_detailed_balance():
     # [TRIVIAL] p_e(infinity) = N / (2N + 1)
     spec = qubit_spec(1.0, 0.025, 0.0, 0.0, 100.0)
@@ -87,9 +78,9 @@ def test_excited_population_matches_propagator_diagonal():
 def test_phase_distributions_normalized():
     spec = qubit_spec(1.0, 0.25, 2.0, math.pi / 8, 300.0)
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
-    p = phase_dist_qubit_coherent(state, spec, 0.3, GRID)
+    p = phase_dist_qubit_coherent(state, spec, 0.3)
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
-    q = phase_dist_qubit_squeezed(-0.01832, 0.5, spec, 0.3, GRID)
+    q = phase_dist_qubit_squeezed(-0.01832, 0.5, spec, 0.3)
     assert abs(integrate_distribution(q) - 1.0) < 1e-12
 
 
@@ -98,13 +89,13 @@ def test_zero_coupling_reduces_to_dephasing_free_closed_forms():
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
     spec = qubit_spec(1.0, 0.0, 0.0, 0.0, 0.0)
     t = 0.8
-    a = phase_dist_qubit_coherent(state, spec, t, GRID)
-    b = phase_dist_coherent_halfspin(state, 1.0, t, 0.0, GRID)
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
+    a = phase_dist_qubit_coherent(state, spec, t).samples(GRID)
+    b = phase_dist_coherent_halfspin(state, 1.0, t, 0.0).samples(GRID)
+    assert np.max(np.abs(a - b)) < 1e-12
     for p_sign in (0.5, -0.5):
-        c = phase_dist_qubit_squeezed(0.3, p_sign, spec, t, GRID)
-        d = phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0, GRID)
-        assert np.max(np.abs(c.values - d.values)) < 1e-12
+        c = phase_dist_qubit_squeezed(0.3, p_sign, spec, t).samples(GRID)
+        d = phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0).samples(GRID)
+        assert np.max(np.abs(c - d)) < 1e-12
 
 
 @pytest.mark.parametrize("args, field", [((1.0, math.nan, 0.0, 0.0, 0.0), "gamma0"),
@@ -120,6 +111,24 @@ def test_propagate_rejects_non_finite_time(t):
     spec = qubit_spec(1.0, 0.25, 1.0, 0.3, 0.0)
     with pytest.raises(ValueError, match="must be finite"):
         propagate_qubit(RHO0, spec, t)
+
+
+@pytest.mark.parametrize("gamma0", [0.25, 0.0])
+@pytest.mark.parametrize("t, message", [(-1.0, "^t = -1.0 must be nonnegative"),
+                                        (math.nan, "^t = nan must be finite"),
+                                        (math.inf, "^t = inf must be finite")])
+def test_closed_forms_reject_negative_or_non_finite_time(gamma0, t, message):
+    # also in the unitary limit gamma0 = 0, which needs no damping factors
+    spec = qubit_spec(1.0, gamma0, 1.0, 0.3, 100.0)
+    state = AtomicCoherentParams(math.pi / 3, 0.4)
+    for evaluate in (
+        lambda: propagate_qubit(RHO0, spec, t),
+        lambda: phase_dist_qubit_coherent(state, spec, t),
+        lambda: phase_dist_qubit_squeezed(0.3, 0.5, spec, t),
+        lambda: excited_population(state, spec, t),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
 
 
 def _old_qubit_bracket(spec, t, beta, phi):
@@ -140,10 +149,10 @@ def test_qubit_closed_forms_equal_the_grid_formulas(n, r, Phi, T, g0, t):
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     old = (1.0 + (math.pi / 4.0) * math.sin(state.alpha_p)
            * _old_qubit_bracket(spec, t, state.beta_p, phi)) / (2.0 * math.pi)
-    p = phase_dist_qubit_coherent(state, spec, t, n)
-    assert np.max(np.abs(p.values - old)) < 1e-14
+    p = phase_dist_qubit_coherent(state, spec, t).samples(n)
+    assert np.max(np.abs(p - old)) < 1e-14
     for p_sign in (0.5, -0.5):
         old = (1.0 + 2.0 * p_sign * (math.pi / (4.0 * math.cosh(0.6)))
                * _old_qubit_bracket(spec, t, 0.0, phi)) / (2.0 * math.pi)
-        p = phase_dist_qubit_squeezed(0.6, p_sign, spec, t, n)
-        assert np.max(np.abs(p.values - old)) < 1e-14
+        p = phase_dist_qubit_squeezed(0.6, p_sign, spec, t).samples(n)
+        assert np.max(np.abs(p - old)) < 1e-14

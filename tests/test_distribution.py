@@ -23,16 +23,18 @@ def test_fold_matches_brute_force_double_sum(dim, n):
     # dim >= n puts Fourier degrees above N/2 and N, where folding mod N matters
     rng = np.random.default_rng(dim * n)
     a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
-    p = distribution_from_fourier(a, n)
-    assert len(p.values) == n
-    assert np.max(np.abs(p.values - _double_sum(a, n))) < 1e-12
+    values = distribution_from_fourier(a).samples(n)
+    assert len(values) == n
+    assert np.max(np.abs(values - _double_sum(a, n))) < 1e-12
 
 
 def test_distribution_grid_is_derived_from_its_length():
-    values = np.full(24, 1.0 / (2.0 * math.pi))
+    # N samples at the angles of phase_grid(N) give back those N samples
+    phi = phase_grid(24)
+    values = (1.0 + np.sin(phi) + 0.5 * np.cos(12.0 * phi)) / (2.0 * math.pi)  # 12: Nyquist
     p = distribution_from_samples(values)
-    assert np.array_equal(p.grid, phase_grid(len(values)))
-    assert p.step == 2.0 * math.pi / 24
+    assert len(p.coeffs) == 2 * 12 + 1
+    assert np.max(np.abs(p.samples(len(values)) - values)) < 1e-15
 
 
 def test_distribution_rejects_bad_shapes():
@@ -44,6 +46,6 @@ def test_distribution_rejects_bad_shapes():
 
 def test_distribution_rejects_bad_coefficients_and_grids():
     with pytest.raises(ValueError, match="grid size 7 too small"):
-        PhaseDistribution(np.ones(3), 7)
+        PhaseDistribution(np.ones(3)).samples(7)
     with pytest.raises(ValueError, match="odd length"):
-        PhaseDistribution(np.ones(4), 8)
+        PhaseDistribution(np.ones(4))

@@ -53,6 +53,18 @@ def test_defaults_round_trip_through_config_serialization(tmp_path):
         assert parsed == dict(scenario.defaults)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"n_t": 0.0}, "n_t = 0 must be a whole number of at least 2"),
+    ({"n_t": 2.5}, "n_t = 2.5 must be a whole number of at least 2"),
+    ({"n_t": -1.0}, "n_t = -1 must be a whole number of at least 2"),
+    ({"t_max": 0.0}, "t_max = 0 must be positive"),
+    ({"t_max": -5.0}, "t_max = -5 must be positive"),
+], ids=["n_t=0", "n_t=2.5", "n_t=-1", "t_max=0", "t_max=-5"])
+def test_fig3_rejects_bad_time_axis(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_figure(RunConfig("fig3", overrides=overrides))
+
+
 def test_fig3_is_population_curve_not_distribution():
     fd = run_figure(RunConfig("fig3", grid=48))
     assert fd.distributions == ()

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
-from phasediff.phase_stats import dispersion, first_circular_moment, integrate_distribution
+from phasediff.phase_stats import (
+    audit_normalization,
+    dispersion,
+    first_circular_moment,
+    integrate_distribution,
+)
 from phasediff.qnd_phase import AtomicCoherentParams, phase_dist_coherent_halfspin
 
 GRID = 720
@@ -37,7 +42,7 @@ def test_first_moment_equals_the_explicit_sum(n):
     phi = phase_grid(n)
     values = (1.0 + 0.6 * np.cos(phi - 0.4) + 0.3 * np.sin(3.0 * phi)) / (2.0 * math.pi)
     p = distribution_from_samples(values)
-    explicit = np.sum(np.exp(-1j * phi) * values) * p.step
+    explicit = np.sum(np.exp(-1j * phi) * values) * (2.0 * math.pi / n)
     assert abs(first_circular_moment(p) - explicit) < 1e-15
 
 
@@ -62,7 +67,7 @@ def test_monotone_diffusion_in_gamma():
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
     gammas = [0.0, 0.01, 0.05, 0.2, 1.0, 5.0]
     ds = [
-        dispersion(phase_dist_coherent_halfspin(state, 1.0, 0.5, g, GRID))
+        dispersion(phase_dist_coherent_halfspin(state, 1.0, 0.5, g))
         for g in gammas
     ]
     assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(ds, ds[1:]))
@@ -97,12 +102,23 @@ def _samples(coeffs, n):
 @pytest.mark.parametrize("n", [8, 9, 720])
 @pytest.mark.parametrize("where", ["below N/2", "between N/2 and N", "at least N"])
 def test_coefficient_functionals_equal_the_sample_sums(n, where):
+    # the functionals are the exact integrals, which the sample sums on any
+    # grid finer than degree + 1 reproduce; the N-point audit is the
+    # Riemann sum of the N samples, aliasing included
     degree = {"below N/2": (n - 1) // 2, "between N/2 and N": n - 2,
               "at least N": 2 * n + 3}[where]
     rng = np.random.default_rng(n * 1000 + degree)
     coeffs = (rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)) / degree
-    p = PhaseDistribution(coeffs, n)
-    values = _samples(coeffs, n)
-    step = 2.0 * math.pi / n
+    p = PhaseDistribution(coeffs)
+    fine = max(n, degree + 2)
+    values = _samples(coeffs, fine)
+    step = 2.0 * math.pi / fine
     assert abs(integrate_distribution(p) - np.sum(values) * step) < 1e-13
     assert abs(first_circular_moment(p) - np.fft.rfft(values)[1] * step) < 1e-13
+    # shift c_0 so that the N samples sum to exactly 1, then off by 2e-6
+    c = coeffs.copy()
+    c[degree] += (1.0 - np.sum(_samples(coeffs, n)) * (2.0 * math.pi / n)) / (2.0 * math.pi)
+    audit_normalization(PhaseDistribution(c), n, norm_tol=1e-13)
+    c[degree] += 2e-6 / (2.0 * math.pi)
+    with pytest.raises(ValueError, match=f"on a grid of N = {n} points"):
+        audit_normalization(PhaseDistribution(c), n)

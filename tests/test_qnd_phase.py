@@ -28,9 +28,13 @@ from phasediff.qnd_phase import (
     phase_dist_two_atoms,
     phase_distribution_atomic,
     qnd_evolve,
-    squeezed_coherent_amplitudes,
 )
-from phasediff.special_functions import beta_integral, log_binomial, wigner_d_half_pi
+from phasediff.special_functions import (
+    beta_integral,
+    log_binomial,
+    squeezed_coherent_ket,
+    wigner_d_half_pi,
+)
 
 GRID = 240
 
@@ -77,8 +81,8 @@ def test_density_validation_rejects_tampering():
 
 def test_dicke_diagonal_gives_uniform_distribution():
     rho = DickeDensityMatrix(HalfInteger.of(2), np.diag([0, 0, 1, 0, 0]).astype(complex))
-    p = phase_distribution_atomic(rho, GRID)
-    assert np.max(np.abs(p.values - 1.0 / (2.0 * math.pi))) < 1e-14
+    p = phase_distribution_atomic(rho)
+    assert np.max(np.abs(p.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_qnd_evolution_preserves_populations():
@@ -100,9 +104,9 @@ def test_half_spin_coherent_closed_form_vs_machinery():
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     omega, t, ga = 1.0, 0.3, 0.02
     rho = qnd_evolve(atomic_coherent_density(state, 0.5), omega, t, 0.0, ga)
-    machinery = phase_distribution_atomic(rho, GRID)
-    closed = phase_dist_coherent_halfspin(state, omega, t, ga, GRID)
-    assert np.max(np.abs(machinery.values - closed.values)) < 1e-13
+    machinery = phase_distribution_atomic(rho).samples(GRID)
+    closed = phase_dist_coherent_halfspin(state, omega, t, ga).samples(GRID)
+    assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
 def test_half_spin_squeezed_closed_form_vs_machinery():
@@ -110,9 +114,9 @@ def test_half_spin_squeezed_closed_form_vs_machinery():
         state = AtomicSqueezedParams(0.5, p_sign, 0.3)
         omega, t, ga = 1.0, 0.5, 0.015
         rho = qnd_evolve(atomic_squeezed_density(state), omega, t, 0.0, ga)
-        machinery = phase_distribution_atomic(rho, GRID)
-        closed = phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga, GRID)
-        assert np.max(np.abs(machinery.values - closed.values)) < 1e-13
+        machinery = phase_distribution_atomic(rho).samples(GRID)
+        closed = phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga).samples(GRID)
+        assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
 @pytest.mark.parametrize("p", [1, -1, 0])
@@ -120,28 +124,28 @@ def test_two_atom_closed_form_vs_machinery(p):
     Theta, omega, t = -0.2, 1.0, 0.4
     et, ga = 0.003, 0.01
     rho = qnd_evolve(atomic_squeezed_density(AtomicSqueezedParams(1, p, Theta)), omega, t, et, ga)
-    machinery = phase_distribution_atomic(rho, GRID)
-    closed = phase_dist_two_atoms(Theta, p, omega, t, et, ga, GRID)
-    assert np.max(np.abs(machinery.values - closed.values)) < 1e-13
+    machinery = phase_distribution_atomic(rho).samples(GRID)
+    closed = phase_dist_two_atoms(Theta, p, omega, t, et, ga).samples(GRID)
+    assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
 def test_oscillator_coherent_normalized_and_fock_uniform():
-    p = phase_dist_osc_coherent(math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005, grid=GRID)
+    p = phase_dist_osc_coherent(math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005)
     assert abs(integrate_distribution(p) - 1.0) < 1e-10
-    vac = phase_dist_osc_coherent(0.0, 0.0, 1.0, 0.3, 0.001, 0.005, grid=GRID)
+    vac = phase_dist_osc_coherent(0.0, 0.0, 1.0, 0.3, 0.001, 0.005)
     # vacuum is a Fock state: uniform distribution
-    assert np.max(np.abs(vac.values - 1.0 / (2.0 * math.pi))) < 1e-14
+    assert np.max(np.abs(vac.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_oscillator_squeezed_dispatches_to_coherent_at_zero_squeezing():
-    a = phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005, grid=GRID)
-    b = phase_dist_osc_coherent(2.0, 0.3, 1.0, 0.1, 0.001, 0.005, grid=GRID)
-    assert np.array_equal(a.values, b.values)
+    a = phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
+    b = phase_dist_osc_coherent(2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
+    assert np.array_equal(a.samples(GRID), b.samples(GRID))
 
 
 def test_oscillator_squeezed_normalized():
     p = phase_dist_osc_squeezed(
-        1.0, 0.0, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005, grid=GRID
+        1.0, 0.0, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005
     )
     assert abs(integrate_distribution(p) - 1.0) < 1e-8
 
@@ -160,13 +164,13 @@ def test_oscillator_autocorrelation_matches_dense_density_matrix(r1, alpha_sq, t
     eta_t, gamma_t = _kernels(p)
     alpha_mag = math.sqrt(alpha_sq)
     fast = phase_dist_osc_squeezed(
-        r1, p["psi"], alpha_mag, 0.0, 1.0, t, eta_t, gamma_t, cutoff, 2880
-    )
-    c = squeezed_coherent_amplitudes(r1, p["psi"], alpha_mag, 0.0, cutoff)
+        r1, p["psi"], alpha_mag, 0.0, 1.0, t, eta_t, gamma_t, cutoff
+    ).samples(2880)
+    c = squeezed_coherent_ket(r1, p["psi"], alpha_mag, cutoff)
     levels = np.arange(cutoff) + 0.5
     rho = np.outer(c, c.conj()) * _dephasing_factor(levels, 1.0, t, eta_t, gamma_t)
-    dense = distribution_from_fourier(rho / (2.0 * math.pi), 2880)
-    assert np.max(np.abs(fast.values - dense.values)) < 1e-12
+    dense = distribution_from_fourier(rho / (2.0 * math.pi)).samples(2880)
+    assert np.max(np.abs(fast - dense)) < 1e-12
 
 
 def test_oscillator_allocates_no_cutoff_squared_array():
@@ -182,12 +186,12 @@ def test_oscillator_allocates_no_cutoff_squared_array():
 
 def test_oscillator_cutoff_too_small_raises():
     with pytest.raises(TruncationError):
-        phase_dist_osc_coherent(3.0, 0.0, 1.0, 0.1, 0.0, 0.0, cutoff=8, grid=GRID)
+        phase_dist_osc_coherent(3.0, 0.0, 1.0, 0.1, 0.0, 0.0, cutoff=8)
 
 
 def test_squeezed_amplitudes_reject_cutoff_below_one():
     with pytest.raises(ValueError, match="cutoff = 0 must be positive"):
-        squeezed_coherent_amplitudes(0.5, 0.0, 1.0, 0.0, 0)
+        squeezed_coherent_ket(0.5, 0.0, 1.0, 0)
 
 
 @pytest.mark.parametrize("j", [0.5, 5, 20])
@@ -289,18 +293,18 @@ def _old_two_atoms(Theta, p, omega, t, eta_t, gamma_t, phi):
 def test_halfspin_closed_forms_equal_the_grid_formulas(n):
     phi = phase_grid(n)
     state = AtomicCoherentParams(math.pi / 3, 0.4)
-    p = phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05, n)
-    assert np.max(np.abs(p.values - _old_coherent_halfspin(state, 1.3, 0.7, 0.05, phi))) < 1e-14
+    p = phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05).samples(n)
+    assert np.max(np.abs(p - _old_coherent_halfspin(state, 1.3, 0.7, 0.05, phi))) < 1e-14
     for p_sign in (0.5, -0.5):
-        p = phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05, n)
+        p = phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05).samples(n)
         old = _old_squeezed_halfspin(-0.4, 2.0 * p_sign, 1.3, 0.7, 0.05, phi)
-        assert np.max(np.abs(p.values - old)) < 1e-14
+        assert np.max(np.abs(p - old)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [8, 720])
 @pytest.mark.parametrize("p_label", [1, -1, 0])
 def test_two_atom_closed_forms_equal_the_grid_formulas(n, p_label):
     phi = phase_grid(n)
-    p = phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, n)
+    p = phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04).samples(n)
     old = _old_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, phi)
-    assert np.max(np.abs(p.values - old)) < 1e-14
+    assert np.max(np.abs(p - old)) < 1e-14

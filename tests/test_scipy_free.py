@@ -111,11 +111,11 @@ def _quad_vec_reference(rho, grid):
 def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, j):
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(j, j, -0.3))
     rho = qnd_evolve(rho0, 1.0, 0.1, 0.001, 0.005)
-    ours = oracle.phase_dist_by_quadrature(rho, 90).values
+    ours = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
     assert np.max(np.abs(ours - _quad_vec_reference(rho, 90))) <= 1e-12
     # the node count is converged: doubling it changes nothing beyond rounding
     monkeypatch.setattr(oracle, "leggauss", lambda n: leggauss(2 * n))
-    doubled = oracle.phase_dist_by_quadrature(rho, 90).values
+    doubled = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
     assert np.max(np.abs(doubled - ours)) <= 1e-12
 
 
