@@ -306,28 +306,43 @@ def test_oscillator_sweeps_to_strong_squeezing_and_large_displacement(tmp_path, 
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
-def test_dissipative_strong_squeezing_runs_in_cutoff_memory(tmp_path):
+def _traced_sweep(args):
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("grid, rc", [("32768", 0), ("720", 1)])
+def test_dissipative_strong_squeezing_runs_in_cutoff_memory(tmp_path, capsys, grid, rc):
     # r = 2.9 and 3 ask for 7646 and 9330 Fock levels: a cutoff x cutoff
-    # array would take over 0.9 GB.  P has degree 7645 at r = 2.9, far above
-    # the default 720 angles, but a dispersion reads c_0 and c_{+-1} only,
-    # so every grid gives the same bytes
+    # array would take over 0.9 GB.  P has degree 7645 at r = 2.9.  A
+    # dispersion reads c_0 and c_{+-1} only, so it writes the same bytes at
+    # this grid as at the coarsest one; sampled P needs N above the degree,
+    # which 32768 angles give and the default 720 do not (exit code rc)
+    sweep = ["sweep", "--family", "dissipative-oscillator", "--param", "r",
+             "--start", "2.9", "--stop", "3", "--num", "2"]
     written = []
-    for grid in ("32768", "720"):
-        out = tmp_path / f"s-{grid}.csv"
-        tracemalloc.start()
-        try:
-            code = main(["sweep", "--family", "dissipative-oscillator", "--param", "r",
-                         "--start", "2.9", "--stop", "3", "--num", "2", "--grid", grid,
-                         "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    for g in (grid, "8"):
+        out = tmp_path / f"s-{g}.csv"
+        code, peak = _traced_sweep(sweep + ["--grid", g, "--out", str(out)])
         assert code == 0
         assert peak < 6e6
         d = _read_table(out)["D"]
         assert np.all((0.0 <= d) & (d <= 1.0))
         written.append(out.read_bytes())
     assert written[0] == written[1]
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    assert main(sweep + ["--mode", "distribution", "--grid", grid, "--out", str(out)]) == rc
+    if rc == 0:
+        assert len(_read_table(out)) == int(grid)
+    else:
+        assert "N = 720 points; raise the grid size (--grid)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fig, key", [("fig8", "alpha_sq"), ("fig5", "eta0_sq")])
