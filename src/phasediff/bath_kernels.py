@@ -72,11 +72,23 @@ def eta(t: float, spec: QndBathSpec) -> float:
     return -(spec.gamma0 / math.pi) * math.atan(spec.omega_c * t)
 
 
+def _atan_log(x: float) -> float:
+    """x arctan x - log(1 + x^2) / 2, whose terms cancel to x^2 / 2 at small
+    x: below |x| = 0.1 it is summed from sum_k (-1)^(k+1) x^(2k) / (2k (2k - 1))."""
+    if abs(x) >= 0.1:
+        return x * math.atan(x) - 0.5 * math.log1p(x * x)
+    return sum((-1) ** (k + 1) * (x * x) ** k / (2 * k * (2 * k - 1)) for k in range(1, 10))
+
+
 def gamma_qnd(t: float, spec: QndBathSpec) -> float:
     """Decoherence kernel gamma(t) in the closed form of the spec's regime.
 
-    The squeezed-bath logs are defined only for t > 2a; with a > 0 smaller
-    times are rejected as out of domain.
+    Both regimes read scale [2 cosh 2r f(omega_c t) - sinh 2r (f(2 omega_c
+    (t - a)) - 2 f(omega_c (t - 2a)) + f(2 a omega_c))], with
+    f(x) = log(1 + x^2) / 2 at T = 0 and _atan_log at high temperature; both
+    f are O(x^2) and evaluated without cancellation, so gamma keeps its
+    digits at small omega_c t.  The squeezed-bath logs are defined only for
+    t > 2a; with a > 0 smaller times are rejected as out of domain.
     """
     check_finite(t=t)
     if spec.a > 0 and t <= 2 * spec.a:
@@ -85,25 +97,13 @@ def gamma_qnd(t: float, spec: QndBathSpec) -> float:
         raise DomainError(f"t = {t} must be nonnegative")
     g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
     if isinstance(spec.regime, ZeroTemperature):
-        out = (g0 / (2 * math.pi)) * math.cosh(2 * r) * math.log(1 + wc**2 * t**2)
-        out -= (g0 / (4 * math.pi)) * math.sinh(2 * r) * math.log(
-            (1 + 4 * wc**2 * (t - a) ** 2) / (1 + wc**2 * (t - 2 * a) ** 2) ** 2
-        )
-        out -= (g0 / (4 * math.pi)) * math.sinh(2 * r) * math.log(1 + 4 * a**2 * wc**2)
-        return out
-    T = spec.regime.T
-    c = g0 * T / (math.pi * wc)
-    out = c * math.cosh(2 * r) * (
-        2 * wc * t * math.atan(wc * t) + math.log(1.0 / (1 + wc**2 * t**2))
+        f, scale = (lambda x: 0.5 * math.log1p(x * x)), g0 / (2 * math.pi)
+    else:
+        f, scale = _atan_log, g0 * spec.regime.T / (math.pi * wc)
+    return scale * (
+        2 * math.cosh(2 * r) * f(wc * t)
+        - math.sinh(2 * r) * (f(2 * wc * (t - a)) - 2 * f(wc * (t - 2 * a)) + f(2 * a * wc))
     )
-    out -= (c / 2) * math.sinh(2 * r) * (
-        4 * wc * (t - a) * math.atan(2 * wc * (t - a))
-        - 4 * wc * (t - 2 * a) * math.atan(wc * (t - 2 * a))
-        + 4 * a * wc * math.atan(2 * a * wc)
-        + math.log((1 + wc**2 * (t - 2 * a) ** 2) ** 2 / (1 + 4 * wc**2 * (t - a) ** 2))
-        + math.log(1.0 / (1 + 4 * a**2 * wc**2))
-    )
-    return out
 
 
 QUBIT_CONVENTION = "qubit"

@@ -9,14 +9,14 @@ the consistency of (N, M, zeta) ties the initial system squeezing to the bath
 squeezing, r1 = r.  That mixture is the displaced squeezed thermal state
 (P. Marian & T. A. Marian, Phys. Rev. A 47, 4474 (1993))
 
-    rho = sum_n p_n phi_n phi_n^dag,   p_n = beta_tilde^n / (1 + beta_tilde)^(n+1),
-    phi_n = S(zeta) D(a)|n>,           a = eta_tilde (1 + beta_tilde) = eta0 e^{-gamma0 t/2},
+    rho = S(zeta) D(a) rho_th D(a)^dag S(zeta)^dag,
+    a = eta_tilde (1 + beta_tilde) = eta0 e^{-gamma0 t/2},
 
-whose thermal columns phi_n follow one from another by a recurrence in the
-Fock row (cf. the Gaussian Fock recurrences of Miatto & Quesada, Quantum 4,
-366 (2020)) and are streamed one at a time, so P(phi) costs O(cutoff) memory
-at every temperature.  At beta_tilde = 0 (every T = 0 point) the mixture is
-the single squeezed coherent ket phi_0.
+with rho_th thermal of mean occupation beta_tilde: a Gaussian state, whose
+Fock rows follow one from another by the Gaussian Fock recurrence (Miatto &
+Quesada, Quantum 4, 366 (2020)) in O(cutoff) memory at every temperature.
+At beta_tilde = 0 (every T = 0 point) it is the squeezed coherent ket
+S(zeta) D(a)|0>.
 
 The master equation and the mixture live in the interaction picture; the
 free evolution reappears only as the e^{-i omega (m-n) t} factor in the
@@ -168,89 +168,79 @@ def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
     return phase * lam[np.minimum(f, l), sup]
 
 
-# The largest trace deficit of the truncated state that a point accepts, the
-# largest disagreement of P between the two cutoffs, and the largest weighted
-# norm excess of the thermal columns.
+# The largest trace deficit of the truncated state that a point accepts, and
+# the largest disagreement of P between the two cutoffs.
 TRACE_TOL = 1e-5
 AGREEMENT_TOL = 1e-8
-DRIFT_TOL = 1e-12
-# the thermal weight (beta_tilde / (1 + beta_tilde))^K of the columns left out
-COLUMN_TAIL = 1e-16
 
 
 def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
     if abs(trace - 1.0) > trace_tol:
         raise TruncationError(
             f"assembled trace {trace:.10f} misses 1 by more than {trace_tol:.1e}; "
-            f"raise the Fock cutoff (currently {cutoff})"
+            f"raise the Fock cutoff (--cutoff, currently {cutoff})"
         )
 
 
-def _thermal_columns(mix: GscsMixture, cutoff: int, point: str):
-    """Yield (p_n, phi_n) for n < K: the weights p_n = beta_tilde^n /
-    (1 + beta_tilde)^(n+1) and the columns phi_n = S(zeta) D(a)|n> on `cutoff`
-    levels, a = eta_tilde (1 + beta_tilde), one column at a time.  K is the
-    first count whose tail weight (beta_tilde / (1 + beta_tilde))^K is below
-    COLUMN_TAIL, so K = 1 at beta_tilde = 0.
+def _density_rows(mix: GscsMixture, cutoff: int):
+    """Yield the rows rho[m, :cutoff], m < cutoff, of the Gaussian state in
+    the module docstring, two rows held at a time, from the recurrence
 
-    phi_0 is squeezed_coherent_ket.  With B = S D a D^dag S^dag
-    = a cosh r + a^dag e^{i Phi} sinh r - a and B phi_n = sqrt(n) phi_{n-1},
-    each later column follows from the one before by a recurrence in the row:
-    cosh r sqrt(m+1) phi_n[m+1] = a phi_n[m] - e^{i Phi} sinh r sqrt(m) phi_n[m-1]
-    + sqrt(n) phi_{n-1}[m], from phi_n[0] = <0|S D(a)|n>
-    = conj <n|S(-zeta) D(-a cosh r + a* e^{i Phi} sinh r)|0>.  Both recurrences
-    run forward in the row, so the first k rows of each column are that column
-    on k levels.  A truncated column of a unitary has norm at most 1, but the
-    columns drift off it as n grows; once sum_n p_n max(0, |phi_n|^2 - 1)
-    passes DRIFT_TOL the point, named by `point`, is refused, since no cutoff
-    brings the columns back.
+        rho[m+1, n] = (b rho[m, n] + A00 sqrt(m) rho[m-1, n]
+                       + A01 sqrt(n) rho[m, n-1]) / sqrt(m+1)
+
+    and row 0 from rho[0, n+1] = (b* rho[0, n] + A00* sqrt(n) rho[0, n-1])
+    / sqrt(n+1), rho[0, 0] = C.  With M = [[cosh r, -e^{i Phi} sinh r],
+    [-e^{-i Phi} sinh r, cosh r]], sigma = (beta + 1/2) M M^dag + I/2 and
+    mu = M (a, a*)^T, A = X (I - sigma^-1)* (X swaps the indices),
+    (b, b*) = sigma^-1 mu and C = exp(-mu^dag sigma^-1 mu / 2) / sqrt(det).
+    Written out (beta = beta_tilde): det = (1 + beta)^2 cosh^2 r
+    - beta^2 sinh^2 r, A01 = beta (1 + beta) / det, A00 = -(2 beta + 1)
+    e^{i Phi} cosh r sinh r / det, b = ((1 + beta) a cosh r + beta a*
+    e^{i Phi} sinh r) / det, and C's exponent, -[((1 + beta) cosh^2 r
+    - beta sinh^2 r) |a|^2 - cosh r sinh r Re(a^2 e^{-i Phi})] / det, does
+    not cancel at large |a|.  The first k rows and columns are the k-level
+    state.  No |rho_mn| of a density matrix exceeds 1, but far past the
+    state the recurrence grows: a row past 1 is a TruncationError.
     """
-    r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
-    a = mix.eta_tilde * (1.0 + mix.beta_tilde)  # eta_tilde itself at beta_tilde = 0
-    ratio = mix.beta_tilde / (1.0 + mix.beta_tilde)
-    count = 1 if ratio == 0.0 else int(math.log(COLUMN_TAIL) / math.log(ratio)) + 1
-    column = squeezed_coherent_ket(r, angle, a, cutoff)
-    weight, excess = 1.0 / (1.0 + mix.beta_tilde), 0.0
-    yield weight, column
-    if count == 1:
-        return
+    beta, r, rot = mix.beta_tilde, abs(mix.zeta), cmath.exp(1j * cmath.phase(mix.zeta))
+    a = mix.eta_tilde * (1.0 + beta)
     ch, sh = math.cosh(r), math.sinh(r)
-    rot = cmath.exp(1j * angle)
-    heads = squeezed_coherent_ket(r, angle + math.pi, -a * ch + a.conjugate() * rot * sh, count)
-    heads = heads.conj().tolist()
+    det = (1.0 + beta) ** 2 * ch * ch - beta * beta * sh * sh
+    a00 = -(2.0 * beta + 1.0) * rot * ch * sh / det
+    b = ((1.0 + beta) * a * ch + beta * a.conjugate() * rot * sh) / det
+    exponent = ((1.0 + beta) * ch * ch - beta * sh * sh) * abs(a) ** 2
+    exponent -= ch * sh * (a * a / rot).real
+    cur, prev = math.exp(-exponent / det) / math.sqrt(det), 0j
+    head, b_conj, a00_conj = [cur], b.conjugate(), a00.conjugate()
+    for n in range(cutoff - 1):
+        prev, cur = cur, (b_conj * cur + a00_conj * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        head.append(cur)
     sq = np.sqrt(np.arange(cutoff, dtype=float))
-    scale = 1.0 / (ch * sq[1:])
-    # phi_n[m+1] = lead[m] phi_n[m] - back[m] phi_n[m-1] + drive[m]
-    lead = (a * scale).tolist()
-    back = (rot * math.tanh(r) * sq[:-1] / sq[1:]).tolist()
-    for n in range(1, count):
-        drive = (math.sqrt(n) * scale * column[:-1]).tolist()
-        cur, prev = heads[n], 0j
-        rows = [cur]
-        for lm, bm, dm in zip(lead, back, drive):
-            cur, prev = lm * cur - bm * prev + dm, cur
-            rows.append(cur)
-        column = np.array(rows)
-        weight *= ratio
-        excess += weight * max(0.0, float(np.vdot(column, column).real) - 1.0)
-        if excess > DRIFT_TOL:
+    cross = beta * (1.0 + beta) / det * sq[1:]
+    row, above = np.array(head), np.zeros(cutoff, dtype=complex)
+    for m in range(cutoff):
+        peak = float(np.max(np.abs(row)))
+        if not peak <= 1.0:  # also rejects NaN
             raise TruncationError(
-                f"thermal column {n} drifts off the unitary bound (weighted norm "
-                f"excess {excess:.1e}) at {point}; lower the bath temperature T "
-                "or the time t"
+                f"density-matrix row {m} reaches |rho_mn| = {peak:.3g} > 1, past the "
+                f"Fock levels the state occupies; lower the Fock cutoff "
+                f"(--cutoff, currently {cutoff})"
             )
-        yield weight, column
+        yield row
+        if m + 1 < cutoff:
+            below = b * row + (a00 * sq[m]) * above
+            below[1:] += cross * row[:-1]
+            above, row = row, below / sq[m + 1]
 
 
 def fock_density_from_gscs(
     mix: GscsMixture, cutoff: int, trace_tol: float = TRACE_TOL
 ) -> np.ndarray:
-    """Interaction-picture Fock density matrix sum_n p_n phi_n phi_n^dag of
-    the mixture on `cutoff` levels, from _thermal_columns.  The free
-    e^{-i omega (m-n) t} phases are applied only when forming the phase
-    distribution, never here."""
-    point = f"beta_tilde = {mix.beta_tilde:.3g}"
-    rho = sum(p * np.outer(v, v.conj()) for p, v in _thermal_columns(mix, cutoff, point))
+    """Interaction-picture Fock density matrix on `cutoff` levels, the rows
+    of _density_rows stacked; the free e^{-i omega (m-n) t} phases are
+    applied only when forming the phase distribution, never here."""
+    rho = np.array(list(_density_rows(mix, cutoff)))
     _check_trace(float(np.trace(rho).real), cutoff, trace_tol)
     return rho
 
@@ -275,30 +265,37 @@ def phase_dist_osc_dissipative(
 ) -> PhaseDistribution:
     """Phase distribution of the dissipative oscillator at time t.
 
-    With v_n = phi_n e^{-i omega m t} for each thermal column, the Fourier
-    coefficients are c_d = sum_n p_n autocorr(v_n)_d / 2pi, in O(cutoff)
-    memory; at T = 0 the one column is the state's ket.  They are summed at
-    the cutoff and, from the first check_cutoff rows of the same columns, at
-    a check cutoff 8 levels lower.  A trace deficit beyond TRACE_TOL at
-    either cutoff, or a disagreement of P beyond AGREEMENT_TOL, raises a
-    TruncationError that names the cutoff.  The disagreement is
-    sum_d |c_d - c'_d| over the two coefficient arrays, the shorter one
-    zero-padded, which bounds sup_phi |P - P'| without an angular grid.
+    Its coefficients are the diagonal sums c_d = sum_m rho_S[m, m+d] / 2pi
+    of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory:
+    at beta_tilde = 0 one autocorrelation of the ket psi e^{-i omega m t},
+    otherwise the rows of _density_rows added in as they come.  They are
+    summed at the cutoff and, from the first rows and columns, at a check
+    cutoff 8 levels lower.  A trace deficit beyond TRACE_TOL at either
+    cutoff, or a disagreement sum_d |c_d - c'_d| >= sup_phi |P - P'| beyond
+    AGREEMENT_TOL (the shorter array zero-padded), raises a TruncationError
+    that names the cutoff.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
-    levels = (cutoff, max(8, cutoff - 8))
-    traces, coeffs = [0.0, 0.0], [0.0, 0.0]
-    phase = np.exp(-1j * spec.omega * t * np.arange(cutoff))
-    point = f"T = {spec.moments.T:g}, t = {t:g} (beta_tilde = {mix.beta_tilde:.3g})"
-    for weight, column in _thermal_columns(mix, cutoff, point):
-        v = column * phase
-        for i, k in enumerate(levels):
-            traces[i] += weight * float(np.vdot(column[:k], column[:k]).real)
-            coeffs[i] += weight * ket_autocorrelation(v[:k])
+    levels = (cutoff, min(cutoff, max(8, cutoff - 8)))
+    if mix.beta_tilde == 0.0:
+        r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
+        ket = squeezed_coherent_ket(r, angle, mix.eta_tilde, cutoff)
+        v = ket * np.exp(-1j * spec.omega * t * np.arange(cutoff))
+        traces = [float(np.vdot(ket[:k], ket[:k]).real) for k in levels]
+        coeffs = [ket_autocorrelation(v[:k]) for k in levels]
+    else:
+        traces, sums = [0.0, 0.0], [np.zeros(2 * k - 1, dtype=complex) for k in levels]
+        for m, row in enumerate(_density_rows(mix, cutoff)):
+            for i, k in enumerate(levels):
+                if m < k:
+                    traces[i] += row[m].real
+                    sums[i][k - 1 - m : 2 * k - 1 - m] += row[:k]
+        free = [np.exp(1j * spec.omega * t * np.arange(1 - k, k)) for k in levels]
+        coeffs = [s * f for s, f in zip(sums, free)]
     for k, trace in zip(levels, traces):
         _check_trace(trace, k, TRACE_TOL)
     full, check = (c / (2.0 * math.pi) for c in coeffs)

@@ -42,12 +42,13 @@ def audit_normalization(
     loses weight either way, so the error names the settings that apply.
     """
     if n is None:
-        total, where = integrate_distribution(p), "; raise the Fock cutoff"
+        total, where = integrate_distribution(p), "; raise the Fock cutoff (--cutoff)"
     else:
         degree = len(p.coeffs) // 2
         total = 2.0 * math.pi * sum(p.coeffs[degree % n :: n].tolist(), 0j).real
         where = (
-            f", on a grid of N = {n} points; raise the grid size (--grid) or the Fock cutoff"
+            f", on a grid of N = {n} points; raise the grid size (--grid) "
+            "or the Fock cutoff (--cutoff)"
         )
     if not abs(total - 1.0) <= norm_tol:  # also rejects NaN
         raise ValueError(f"distribution integrates to {total}, not 1{where}")

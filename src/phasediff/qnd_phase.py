@@ -349,7 +349,7 @@ def phase_dist_osc_squeezed(
     if deficit > 1e-12:
         raise TruncationError(
             f"squeezed-coherent Fock tail: truncated weight deficit {deficit:.3e} "
-            f"exceeds 1.0e-12; raise the Fock cutoff (currently {cutoff})"
+            f"exceeds 1.0e-12; raise the Fock cutoff (--cutoff, currently {cutoff})"
         )
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5

@@ -129,9 +129,10 @@ def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
     (about 1e-13 at column 20, 5e-10 at column 40 for r1 = 1, 2e-3 at
     column 100 for r1 = 0.5).  No closed form uses the matrix: a squeezed
     coherent ket comes from squeezed_coherent_ket, and the dissipative
-    oscillator's thermal columns from a row recurrence.  It stays as the
-    object of the squeeze-matrix checks (validate's comparison with the
-    matrix exponential, and acceptance criterion 9).
+    oscillator's density matrix row by row from its own two-index
+    recurrence.  It stays as the object of the squeeze-matrix checks
+    (validate's comparison with the matrix exponential, and acceptance
+    criterion 9).
     """
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from phasediff.bath_kernels import (
@@ -56,6 +57,45 @@ def test_gamma_matches_quadrature(regime, r, a):
         exact = gamma_qnd(t, spec)
         quad = gamma_by_quadrature(t, spec)
         assert abs(exact - quad) <= 1e-6 * abs(exact)
+
+
+def _gamma_mpmath(t, spec):
+    # [DERIVED] the closed forms as first written, each atan and log term
+    # apart, in 50-digit arithmetic
+    with mpmath.workdps(50):
+        t, g0, wc, r, a = (mpmath.mpf(x) for x in (t, spec.gamma0, spec.omega_c, spec.r, spec.a))
+        ch, sh, pi = mpmath.cosh(2 * r), mpmath.sinh(2 * r), mpmath.pi
+        log, atan = mpmath.log, mpmath.atan
+        if isinstance(spec.regime, ZeroTemperature):
+            out = g0 / (2 * pi) * ch * log(1 + wc**2 * t**2)
+            out -= g0 / (4 * pi) * sh * log(
+                (1 + 4 * wc**2 * (t - a) ** 2) / (1 + wc**2 * (t - 2 * a) ** 2) ** 2)
+            out -= g0 / (4 * pi) * sh * log(1 + 4 * a**2 * wc**2)
+            return float(out)
+        c = g0 * mpmath.mpf(spec.regime.T) / (pi * wc)
+        out = c * ch * (2 * wc * t * atan(wc * t) + log(1 / (1 + wc**2 * t**2)))
+        out -= c / 2 * sh * (
+            4 * wc * (t - a) * atan(2 * wc * (t - a))
+            - 4 * wc * (t - 2 * a) * atan(wc * (t - 2 * a))
+            + 4 * a * wc * atan(2 * a * wc)
+            + log((1 + wc**2 * (t - 2 * a) ** 2) ** 2 / (1 + 4 * wc**2 * (t - a) ** 2))
+            + log(1 / (1 + 4 * a**2 * wc**2))
+        )
+        return float(out)
+
+
+@pytest.mark.parametrize("t, omega_c, r, a, regime", [
+    # the atan and log terms cancel to O((omega_c t)^2); 8.9e-10 and 1.6e-7
+    # off before they were summed as a series and with log1p
+    (0.11, 0.1, 2.0, 0.05, HighTemperature(T=100.0)),
+    (0.1, 0.01, 2.0, 0.0, ZeroTemperature()),
+    # the default omega_c = 100, far from the series
+    (0.3, 100.0, 1.5, 0.1, ZeroTemperature()),
+    (0.5, 100.0, 1.0, 0.05, HighTemperature(T=100.0)),
+])
+def test_gamma_keeps_its_digits_at_small_cutoff_times(t, omega_c, r, a, regime):
+    spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, regime=regime)
+    assert math.isclose(gamma_qnd(t, spec), _gamma_mpmath(t, spec), rel_tol=1e-12)
 
 
 def test_gamma_domain_error_inside_light_cone():

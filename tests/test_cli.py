@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from phasediff.cli import SWEEP_FAMILIES, _write_csv, main, read_config_file
+from phasediff.dissipative_oscillator import (
+    fock_density_from_gscs,
+    mixture_params,
+    oscillator_spec,
+)
+from phasediff.distribution import distribution_from_harmonics
+from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
+from phasediff.phase_stats import audit_normalization
+from phasediff.qnd_phase import phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -405,22 +414,54 @@ def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path):
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("args, point", [
-    pytest.param(["--param", "t", "--start", "0.1", "--stop", "2", "--set", "T=100",
-                  "--set", "r=0.5"], "T = 100, t = 2", id="default-cutoff"),
-    pytest.param(["--param", "t", "--start", "0.1", "--stop", "2", "--set", "T=100",
-                  "--set", "r=0.5", "--cutoff", "400"], "T = 100, t = 2", id="cutoff-400"),
-    # beta_tilde = 221: the thermal columns stop at the drift, not after 8164
-    pytest.param(["--param", "r", "--start", "1", "--stop", "1.25", "--set", "T=1000",
-                  "--set", "t=10"], "T = 1000, t = 10", id="T-1000"),
+# the sweep's other settings are the family defaults: omega = 1, gamma0 = 0.025,
+# Phi = 0, eta0^2 = 1
+HOT_SWEEP = ["--family", "dissipative-oscillator", "--param", "t", "--start", "0.1",
+             "--stop", "2", "--num", "2", "--set", "T=100", "--set", "r=0.5"]
+
+
+@pytest.mark.parametrize("args", [
+    # beta_tilde = 4.85 at t = 2, where the default cutoff (141) loses trace
+    pytest.param(HOT_SWEEP, id="default-cutoff"),
+    # beta_tilde = 221: the default cutoff (2420 at r = 1) leaves 9% of the trace out
+    pytest.param(["--family", "dissipative-oscillator", "--param", "r", "--start", "1",
+                  "--stop", "1.25", "--num", "2", "--set", "T=1000", "--set", "t=10"],
+                 id="T-1000"),
 ])
-def test_hot_dissipative_sweep_names_temperature_and_time(tmp_path, capsys, args, point):
-    # the thermal columns drift off the unitary bound; no cutoff helps
+def test_hot_dissipative_sweep_refusal_names_the_cutoff(tmp_path, capsys, args):
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--family", "dissipative-oscillator", *args, "--num", "2",
-                 "--out", str(out)]) == 1
+    assert main(["sweep", *args, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "drifts off the unitary bound (weighted norm excess" in err
-    assert f"at {point} (beta_tilde = " in err
-    assert "lower the bath temperature T or the time t" in err
+    assert err.startswith("error: ") and "--cutoff" in err
     assert not out.exists()
+
+
+def test_hot_dissipative_sweep_at_raised_cutoff_matches_eigh_oracle(tmp_path, hot_state_oracle):
+    # the same sweep at --cutoff 400 computes both points (beta_tilde = 0.25
+    # and 4.85), and each written P agrees with the eigh construction
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *HOT_SWEEP, "--cutoff", "400", "--mode", "distribution",
+                 "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    written = np.array([[float(v) for v in row.split(",")] for row in rows])
+    spec = oscillator_spec(1.0, 0.025, 0.5, 0.0, 100.0)
+    for column, t in zip(written.T[1:], (0.1, 2.0)):
+        _, oracle = hot_state_oracle(spec, 1.0, t, 400, 800, 240)
+        assert np.max(np.abs(column - oracle.samples(len(column)))) < 1e-12
+
+
+# every check that a Fock truncation can fail, each at a cutoff far too small
+FOCK_TRUNCATIONS = {
+    "dissipative-trace": lambda: fock_density_from_gscs(
+        mixture_params(oscillator_spec(1.0, 0.025, 0.0, 0.0, 0.0), 0.1, 3.0), 10),
+    "qnd-tail": lambda: phase_dist_osc_squeezed(0.5, 0.0, 3.0, 0.0, 1.0, 0.1, 0.0, 0.0, 10),
+    "normalization": lambda: audit_normalization(distribution_from_harmonics([0.1])),
+    "normalization-on-grid": lambda: audit_normalization(
+        distribution_from_harmonics([0.1]), 8),
+}
+
+
+@pytest.mark.parametrize("evaluate", FOCK_TRUNCATIONS.values(), ids=FOCK_TRUNCATIONS.keys())
+def test_every_fock_truncation_error_names_the_cutoff_setting(evaluate):
+    with pytest.raises((TruncationError, ValueError), match=r"Fock cutoff \(--cutoff"):
+        evaluate()

@@ -21,7 +21,7 @@ from phasediff.errors import ConsistencyError, TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import audit_normalization, dispersion, integrate_distribution
 from phasediff.special_functions import squeezed_coherent_ket
-from phasediff.validation import _exp_anti_hermitian, _exp_by_parity, _squeeze_generator
+from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
 
 GRID = 240
 
@@ -120,7 +120,7 @@ def test_density_trace_hermiticity_positivity():
 @pytest.mark.parametrize("r,T,t,gamma0,cutoff", [
     pytest.param(1.0, 0.0, 0.1, 0.025, 40, id="1.0-0.0-0.1"),
     pytest.param(0.0, 1.0, 0.8, 0.025, 40, id="0.0-1.0-0.8"),
-    # squeezed and hot: beta_tilde = 0.53, 35 thermal columns
+    # squeezed and hot: beta_tilde = 0.53
     pytest.param(0.5, 5.0, 0.5, 0.25, 60, id="0.5-5.0-0.5"),
 ])
 def test_density_matches_ode_oracle(r, T, t, gamma0, cutoff):
@@ -157,26 +157,39 @@ def test_large_displacement_matches_eigh_oracle():
     assert abs(integrate_distribution(p) - 1.0) < 1e-12
 
 
-def test_hot_state_matches_eigh_oracle():
-    # [DERIVED] rho = (S D) diag(p) (S D)^dag with S(zeta) and D(a) both exact
-    # exponentials on twice the default cutoff (593 levels here), weights
-    # p_n = beta^n / (1 + beta)^(n+1) and a = eta0 e^{-gamma0 t / 2}; the
-    # squeeze-matrix k-sum was 3.7e-6 off here
+def test_hot_state_matches_eigh_oracle(hot_state_oracle):
+    # 593 default levels; the squeeze-matrix k-sum was 3.7e-6 off here
     r, phi, eta0, t, T = 0.5, 0.3, math.sqrt(50.0), 0.5, 20.0
     spec = oscillator_spec(1.0, 0.025, r, phi, T)
-    mix = mixture_params(spec, t, eta0)
-    cutoff = default_dissipative_cutoff(mix, eta0)
-    levels, columns = 2 * cutoff, 40
-    a = eta0 * math.exp(-spec.gamma0 * t / 2.0)
-    lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
-    displace = _exp_anti_hermitian(a * lower.T - a * lower)[:, :columns]
-    u = _exp_by_parity(_squeeze_generator(levels, r, phi), displace)[:cutoff]
-    beta = mix.beta_tilde
-    p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
-    oracle = (u * p) @ u.conj().T
+    cutoff = default_dissipative_cutoff(mixture_params(spec, t, eta0), eta0)
+    _, oracle = hot_state_oracle(spec, eta0, t, cutoff, 2 * cutoff, 40)
     got = phase_dist_osc_dissipative(spec, eta0, t).samples(2880)
-    expected = _oracle_distribution(oracle, t).samples(2880)
-    assert np.max(np.abs(got - expected)) < 1e-12
+    assert np.max(np.abs(got - oracle.samples(2880))) < 1e-12
+
+
+def test_hot_density_with_complex_displacement_matches_eigh_oracle(hot_state_oracle):
+    # Phi != 0 with a complex eta0: the point where the recurrence's b
+    # conjugated would be off by order 0.1
+    eta0, t = 2.0 + 1.5j, 0.5
+    spec = oscillator_spec(1.0, 0.25, 0.8, -1.1, 5.0)
+    mix = mixture_params(spec, t, eta0)
+    # twice the default cutoff (211), which fails the two-cutoff check here
+    cutoff = 2 * default_dissipative_cutoff(mix, eta0)
+    oracle, expected = hot_state_oracle(spec, eta0, t, cutoff, 2 * cutoff, 60)
+    assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-12
+    got = phase_dist_osc_dissipative(spec, eta0, t, cutoff)
+    assert np.max(np.abs(got.samples(720) - expected.samples(720))) < 1e-12
+
+
+def test_row_past_the_density_bound_names_the_cutoff_setting():
+    # beta_tilde = 0.5, |a|^2 = 200 and r = 1 need about 2500 levels; at
+    # 30000 the forward recurrence grows past |rho_mn| = 1 near row 1500,
+    # long before it could overflow
+    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 5.0)
+    t = -math.log(1.0 - 0.5 / spec.moments.N_th) / spec.gamma0
+    eta0 = math.sqrt(200.0) * math.exp(spec.gamma0 * t / 2.0)
+    with pytest.raises(TruncationError, match=r"row \d+ reaches .*\(--cutoff, currently 30000\)"):
+        phase_dist_osc_dissipative(spec, eta0, t, cutoff=30000)
 
 
 @pytest.mark.parametrize("r", [1.75, 2.0])
@@ -223,7 +236,7 @@ def test_zero_temperature_allocates_no_cutoff_squared_array():
 
 
 def test_hot_bath_allocates_no_cutoff_squared_array():
-    # about 1300 levels and 9 thermal columns, streamed one at a time
+    # about 1300 levels, streamed two rows at a time
     spec = oscillator_spec(1.0, 0.025, 2.0, 0.0, 5.0)
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasediff.cli import read_config_file
+from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.figures import SCENARIOS, RunConfig, run_figure
 from phasediff.phase_stats import integrate_distribution
 
@@ -71,3 +72,13 @@ def test_fig3_is_population_curve_not_distribution():
     assert fd.x_name == "t"
     for _label, col in fd.columns:
         assert np.all((col >= -1e-12) & (col <= 1.0 + 1e-12))
+
+
+def test_fig5_in_a_hot_bath_matches_eigh_oracle(hot_state_oracle):
+    # T = 1000 gives beta_tilde = 2.5 at t = 0.1; at cutoff 600 the
+    # dissipative column agrees with the eigh construction
+    fd = run_figure(RunConfig("fig5", {"T": 1000.0}, cutoff=600))
+    column = dict(fd.columns)["dissipative"]
+    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 1000.0)
+    _, oracle = hot_state_oracle(spec, 1.0, 0.1, 600, 800, 120)
+    assert np.max(np.abs(column - oracle.samples(len(column)))) < 1e-12

@@ -2,7 +2,8 @@
 
 A dispersion sweep reads the Fourier coefficients c_0 and c_{+-1} of each
 P(phi), never its samples, so `--grid` must not change what it writes or
-why it fails.  Points are drawn over the range the CLI accepts: r <= 2,
+why it fails.  A point may fail only for its Fock budget, and then the error
+names `--cutoff`.  Points are drawn over the range the CLI accepts: r <= 2,
 r1 <= 3, alpha^2 and eta0^2 up to 200, T up to 1000 and t up to 10.
 """
 
@@ -46,7 +47,10 @@ def test_dispersion_sweep_is_the_same_on_every_grid(tmp_path, capsys, family):
         coarse = _dispersion_sweep(tmp_path, family, sets, start, stop, "8", capsys)
         fine = _dispersion_sweep(tmp_path, family, sets, start, stop, "720", capsys)
         assert coarse == fine
-        code, written, _err = fine
+        code, written, err = fine
+        # the one refusal inside the drawn range is a Fock budget, and it
+        # names the setting that raises it
+        assert code == 0 or (code == 1 and "--cutoff" in err), err
         if code == 0:
             rows = [l for l in written.decode().splitlines() if not l.startswith("#")][1:]
             for row in rows:
