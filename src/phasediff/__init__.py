@@ -16,8 +16,6 @@ from .halfint import HalfInteger
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .bath_kernels import (
     QndBathSpec,
-    ZeroTemperature,
-    HighTemperature,
     DissipativeBathMoments,
     QUBIT_CONVENTION,
     OSCILLATOR_CONVENTION,
@@ -28,7 +26,6 @@ from .bath_kernels import (
 from .qnd_phase import (
     AtomicCoherentParams,
     AtomicSqueezedParams,
-    DickeDensityMatrix,
     qnd_evolve,
     atomic_coherent_density,
     atomic_squeezed_density,
@@ -37,7 +34,6 @@ from .qnd_phase import (
     phase_dist_squeezed_halfspin,
     phase_dist_two_atoms,
     number_distribution,
-    phase_dist_osc_coherent,
     phase_dist_osc_squeezed,
 )
 from .dissipative_qubit import (

@@ -13,49 +13,33 @@ gamma0 carries 1/time; the two specs are separate types so they cannot be
 silently confused.
 
 Closed forms for gamma(t) exist only in the T = 0 and high-temperature
-limits, so the regime is an explicit input rather than an interpolation.
+limits: the dephasing bath's temperature T selects the T = 0 form at T = 0
+and the high-temperature form at every T > 0, with no interpolation between.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
-from .errors import DomainError, check_finite
-
-
-@dataclass(frozen=True)
-class ZeroTemperature:
-    pass
-
-
-@dataclass(frozen=True)
-class HighTemperature:
-    T: float
-
-    def __post_init__(self):
-        check_finite(T=self.T)
-        if self.T <= 0:
-            raise ValueError(f"high-temperature regime needs T > 0, got {self.T}")
-
-
-Regime = Union[ZeroTemperature, HighTemperature]
+from .errors import DomainError, check_finite, check_time
 
 
 @dataclass(frozen=True)
 class QndBathSpec:
     """Ohmic dephasing bath: coupling gamma0, cutoff omega_c, squeezing
-    magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), regime."""
+    magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T."""
 
     gamma0: float
     omega_c: float
     r: float = 0.0
     a: float = 0.0
-    regime: Regime = ZeroTemperature()
+    T: float = 0.0
 
     def __post_init__(self):
-        check_finite(gamma0=self.gamma0, omega_c=self.omega_c, r=self.r, a=self.a)
+        check_finite(gamma0=self.gamma0, omega_c=self.omega_c, r=self.r, a=self.a, T=self.T)
+        if self.T < 0:
+            raise ValueError(f"T = {self.T} must be nonnegative")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c = {self.omega_c} must be positive")
         if self.gamma0 < 0:
@@ -66,9 +50,7 @@ class QndBathSpec:
 
 def eta(t: float, spec: QndBathSpec) -> float:
     """Phase kernel eta(t) = -(gamma0/pi) arctan(omega_c t)."""
-    check_finite(t=t)
-    if t < 0:
-        raise DomainError(f"t = {t} must be nonnegative")
+    check_time(t)
     return -(spec.gamma0 / math.pi) * math.atan(spec.omega_c * t)
 
 
@@ -81,25 +63,23 @@ def _atan_log(x: float) -> float:
 
 
 def gamma_qnd(t: float, spec: QndBathSpec) -> float:
-    """Decoherence kernel gamma(t) in the closed form of the spec's regime.
+    """Decoherence kernel gamma(t) in the closed form for the spec's T.
 
-    Both regimes read scale [2 cosh 2r f(omega_c t) - sinh 2r (f(2 omega_c
+    Both forms read scale [2 cosh 2r f(omega_c t) - sinh 2r (f(2 omega_c
     (t - a)) - 2 f(omega_c (t - 2a)) + f(2 a omega_c))], with
     f(x) = log(1 + x^2) / 2 at T = 0 and _atan_log at high temperature; both
     f are O(x^2) and evaluated without cancellation, so gamma keeps its
     digits at small omega_c t.  The squeezed-bath logs are defined only for
     t > 2a; with a > 0 smaller times are rejected as out of domain.
     """
-    check_finite(t=t)
+    check_time(t)
     if spec.a > 0 and t <= 2 * spec.a:
         raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
-    if t < 0:
-        raise DomainError(f"t = {t} must be nonnegative")
     g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
-    if isinstance(spec.regime, ZeroTemperature):
+    if spec.T == 0:
         f, scale = (lambda x: 0.5 * math.log1p(x * x)), g0 / (2 * math.pi)
     else:
-        f, scale = _atan_log, g0 * spec.regime.T / (math.pi * wc)
+        f, scale = _atan_log, g0 * spec.T / (math.pi * wc)
     return scale * (
         2 * math.cosh(2 * r) * f(wc * t)
         - math.sinh(2 * r) * (f(2 * wc * (t - a)) - 2 * f(wc * (t - 2 * a)) + f(2 * a * wc))

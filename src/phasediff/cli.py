@@ -23,7 +23,6 @@ from .figures import (
     SCENARIOS,
     SWEEP_FAMILIES,
     FigureData,
-    RunConfig,
     distribution_figure,
     evaluate,
     resolve_params,
@@ -177,7 +176,7 @@ def _cmd_figure(args) -> int:
     overrides, reserved = _collect_options(args)
     grid, cutoff = _grid_and_cutoff(reserved)
     try:
-        fd = run_figure(RunConfig(args.scenario, overrides, grid, cutoff))
+        fd = run_figure(args.scenario, overrides, grid, cutoff)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
     return _write_outputs(fd, reserved, args.scenario, args.plot_script)

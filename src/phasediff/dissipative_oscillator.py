@@ -37,7 +37,7 @@ from .bath_kernels import (
     bath_moments,
 )
 from .distribution import PhaseDistribution, ket_autocorrelation
-from .errors import ConsistencyError, TruncationError, check_finite
+from .errors import ConsistencyError, TruncationError, check_finite, check_time
 from .special_functions import log_factorial, squeeze_tail_pad, squeezed_coherent_ket
 
 
@@ -120,9 +120,7 @@ class GscsMixture:
 
 
 def mixture_params(spec: OscillatorLindbladSpec, t: float, eta0: complex) -> GscsMixture:
-    check_finite(t=t)
-    if t < 0:
-        raise ValueError(f"t = {t} must be nonnegative")
+    check_time(t)
     _, beta_coef = damping_coeffs(spec)
     g0 = spec.gamma0
     beta_tilde = (beta_coef / g0) * -math.expm1(-g0 * t)

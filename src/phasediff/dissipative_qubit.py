@@ -25,7 +25,7 @@ import numpy as np
 
 from .bath_kernels import DissipativeBathMoments, QUBIT_CONVENTION, bath_moments
 from .distribution import PhaseDistribution
-from .errors import check_finite
+from .errors import check_finite, check_time
 from .qnd_phase import AtomicCoherentParams, _closed_form, _half_sign
 
 _SZ = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
@@ -90,16 +90,9 @@ def _damped_cosh_sinhc(alpha_sq: float, gamma_beta: float, t: float) -> tuple[fl
     return math.cos(x) * damp, math.sin(x) / om * damp
 
 
-def _check_time(t: float) -> None:
-    """The closed forms propagate forward only: t must be finite and >= 0."""
-    check_finite(t=t)
-    if t < 0:
-        raise ValueError(f"t = {t} must be nonnegative")
-
-
 def propagate_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float) -> np.ndarray:
     """Apply the closed-form Lindblad propagator to a 2x2 density matrix."""
-    _check_time(t)
+    check_time(t)
     rho0 = np.asarray(rho0, dtype=complex)
     g0, gb, w = spec.gamma0, spec.gamma_beta, spec.omega
     if g0 == 0.0:  # unitary limit, avoids 0/0 in the gamma0/gamma_beta ratio
@@ -130,7 +123,7 @@ def phase_dist_qubit_coherent(
     At gamma0 = 0 this collapses to the unitary form
     (1/2pi)[1 + (pi/4) sin(alpha') cos(beta' + omega t - phi)].
     """
-    _check_time(t)
+    check_time(t)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
     h1 = (math.pi / 8.0) * math.sin(params.alpha_p) * (
         cmath.rect(1.0, -params.beta_p) * complex(ch, -spec.omega * sh)
@@ -147,7 +140,7 @@ def phase_dist_qubit_squeezed(
     p_sign = +1/2 or -1/2: the coherent form's bracket at beta_p = 0 with
     the prefactor sign (pi / 4 cosh Theta)."""
     sign = _half_sign(p_sign)
-    _check_time(t)
+    check_time(t)
     ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
     h1 = sign * (math.pi / (8.0 * math.cosh(Theta))) * (
         complex(ch, -spec.omega * sh)
@@ -158,7 +151,7 @@ def phase_dist_qubit_squeezed(
 
 def excited_population(params: AtomicCoherentParams, spec: QubitLindbladSpec, t: float) -> float:
     """Population of the upper level, p(+1/2, t)."""
-    _check_time(t)
+    check_time(t)
     gb = spec.gamma_beta
     if spec.gamma0 == 0.0:
         return math.sin(params.alpha_p / 2.0) ** 2

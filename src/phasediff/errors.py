@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the finite-input guard."""
+"""Exception types shared across the package, and the finite-input and
+time guards."""
 
 import cmath
 
@@ -21,3 +22,10 @@ def check_finite(**values) -> None:
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{name} = {value} must be finite")
+
+
+def check_time(t: float) -> None:
+    """Evolution runs forward only: raise unless t is finite and >= 0."""
+    check_finite(t=t)
+    if t < 0:
+        raise DomainError(f"t = {t} must be nonnegative")

@@ -13,12 +13,12 @@ Everything is deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, eta, gamma_qnd
+from .bath_kernels import QndBathSpec, eta, gamma_qnd
 from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
 from .dissipative_oscillator import oscillator_spec, phase_dist_osc_dissipative
 from .dissipative_qubit import (
@@ -66,10 +66,7 @@ def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
     limit, which needs neither r nor T."""
     if p["gamma0"] == 0:
         return 0.0, 0.0
-    regime = ZeroTemperature() if p["T"] == 0 else HighTemperature(T=p["T"])
-    spec = QndBathSpec(
-        gamma0=p["gamma0"], omega_c=p["omega_c"], r=p["r"], a=p["a"], regime=regime
-    )
+    spec = QndBathSpec(p["gamma0"], p["omega_c"], p["r"], p["a"], p["T"])
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
@@ -387,20 +384,15 @@ def resolve_params(
     return params
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    overrides: Mapping[str, float] = field(default_factory=dict)
-    grid: int = DEFAULT_GRID_SIZE
-    cutoff: int | None = None
-
-    def resolved_params(self) -> dict[str, float]:
-        if self.scenario not in SCENARIOS:
-            raise KeyError(f"unknown scenario {self.scenario!r}")
-        return resolve_params(self.scenario, SCENARIOS[self.scenario].defaults, self.overrides)
-
-
-def run_figure(config: RunConfig) -> FigureData:
-    params = config.resolved_params()
-    scenario = SCENARIOS[config.scenario]
-    return scenario.builder(params, config.grid, config.cutoff)
+def run_figure(
+    scenario: str,
+    overrides: Mapping[str, float] | None = None,
+    grid: int = DEFAULT_GRID_SIZE,
+    cutoff: int | None = None,
+) -> FigureData:
+    """The named scenario's data at its defaults updated by overrides."""
+    if scenario not in SCENARIOS:
+        raise KeyError(f"unknown scenario {scenario!r}")
+    figure = SCENARIOS[scenario]
+    params = resolve_params(scenario, figure.defaults, overrides or {})
+    return figure.builder(params, grid, cutoff)

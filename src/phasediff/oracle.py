@@ -25,12 +25,11 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature
+from .bath_kernels import QndBathSpec
 from .dissipative_qubit import QubitLindbladSpec
 from .dissipative_oscillator import OscillatorLindbladSpec
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
-from .errors import DomainError, TruncationError, check_finite
-from .qnd_phase import DickeDensityMatrix
+from .errors import DomainError, TruncationError, check_time
 from .special_functions import log_binomial
 
 
@@ -101,13 +100,6 @@ def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
     return rows[0].copy()
 
 
-def _check_time(t: float) -> None:
-    """The oracles evolve forward in time only."""
-    check_finite(t=t)
-    if t < 0:
-        raise DomainError(f"t = {t} must be nonnegative")
-
-
 def expm_taylor(a: np.ndarray) -> np.ndarray:
     """e^a for a small dense matrix by scaling and squaring a truncated
     Taylor series (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
@@ -154,7 +146,7 @@ def integrate_lindblad_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float
     L is not normal, and it is defective where gamma0 |M| = omega, so the
     exponential is a Taylor series with scaling and squaring rather than an
     eigendecomposition."""
-    _check_time(t)
+    check_time(t)
     vec = np.asarray(rho0, dtype=complex).ravel()
     return (expm_taylor(qubit_liouvillian(spec) * t) @ vec).reshape(2, 2)
 
@@ -232,7 +224,7 @@ def integrate_lindblad_oscillator(
 ) -> np.ndarray:
     """Direct integration of the oscillator master equation (interaction
     picture) on a truncated Fock space, with a boundary-leakage monitor."""
-    _check_time(t)
+    check_time(t)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (cutoff, cutoff):
         raise ValueError(f"rho0 shape {rho0.shape} does not match cutoff {cutoff}")
@@ -246,16 +238,17 @@ def integrate_lindblad_oscillator(
     return out
 
 
-def phase_dist_by_quadrature(rho: DickeDensityMatrix, grid: int) -> PhaseDistribution:
+def phase_dist_by_quadrature(rho: np.ndarray, grid: int) -> PhaseDistribution:
     """Atomic phase distribution by Gauss-Legendre quadrature, over the
     polar angle theta, of the Q-function angle marginal at the `grid` angles
     of phase_grid(grid), returned as the interpolant of those samples
-    (independent of the Beta closed form).  The integrand is a trigonometric polynomial of degree
-    2j + 1 in theta; 2 (2j) + 16 nodes resolve it to rounding (checked
-    against adaptive quadrature up to j = 50)."""
+    (independent of the Beta closed form).  rho is the Dicke-basis density
+    matrix, m ascending from -j to j, so 2j + 1 is its dimension.  The
+    integrand is a trigonometric polynomial of degree 2j + 1 in theta;
+    2 (2j) + 16 nodes resolve it to rounding (checked against adaptive
+    quadrature up to j = 50)."""
     phi = phase_grid(grid)
-    j = rho.j
-    tj = j.twice_value
+    tj = len(rho) - 1
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
     k_idx = np.arange(tj + 1)
     phase = np.exp(-1j * np.outer(k_idx, phi))  # e^{-i(j+m) phi} per amplitude
@@ -263,7 +256,7 @@ def phase_dist_by_quadrature(rho: DickeDensityMatrix, grid: int) -> PhaseDistrib
     def integrand(theta):
         mags = half_binom * np.sin(theta / 2.0) ** k_idx * np.cos(theta / 2.0) ** (tj - k_idx)
         c = mags[:, None] * phase  # amplitudes <j,m|theta,phi>
-        q = np.einsum("nm,nf,mf->f", rho.elements, c.conj(), c, optimize=True).real
+        q = np.einsum("nm,nf,mf->f", rho, c.conj(), c, optimize=True).real
         return math.sin(theta) * q
 
     nodes, weights = leggauss(2 * tj + 16)
@@ -283,7 +276,7 @@ _GAMMA_RANGE = 30.0
 def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     """Dephasing kernel gamma(t) by direct frequency quadrature of its
     defining Ohmic-continuum integral, with coth -> 1 at T = 0 and
-    coth -> 2T/omega in the high-temperature regime.
+    coth -> 2T/omega at T > 0 (the high-temperature form).
 
     Composite Gauss-Legendre rule: 10 nodes on each of equal panels over
     [0, 30 omega_c], where the cutoff factor has fallen to e^{-30}.  A panel
@@ -292,7 +285,7 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     resolved too.  No node lies at omega = 0, where the integrand has only a
     removable singularity.
     """
-    _check_time(t)
+    check_time(t)
     if spec.a > 0 and t <= 2 * spec.a:
         raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
     g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
@@ -313,11 +306,6 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     mod2 = 4.0 * np.sin(0.5 * t * w) ** 2 * (
         (math.exp(-r) + 2.0 * sh * s * s) ** 2 + (2.0 * sh * s * c) ** 2
     )
-    if isinstance(spec.regime, ZeroTemperature):
-        f = mod2 / w
-    elif isinstance(spec.regime, HighTemperature):
-        f = 2.0 * spec.regime.T * mod2 / w**2
-    else:
-        raise TypeError(f"unknown regime {spec.regime!r}")
+    f = mod2 / w if spec.T == 0 else 2.0 * spec.T * mod2 / w**2
     f *= np.exp(-w / wc)
     return (g0 / (2.0 * math.pi)) * 0.5 * h * float(np.sum(f @ weights))

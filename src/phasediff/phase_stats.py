@@ -54,11 +54,11 @@ def audit_normalization(
         raise ValueError(f"distribution integrates to {total}, not 1{where}")
 
 
-def dispersion(p: PhaseDistribution, norm_tol: float = 1e-6) -> float:
+def dispersion(p: PhaseDistribution) -> float:
     """Phase dispersion D = 1 - |first circular moment|^2.
 
     Origin-independent; 1 for the uniform distribution, -> 0 for a narrow
-    peak.  Input must pass audit_normalization within norm_tol.
+    peak.  Input must pass audit_normalization within 1e-6.
     """
-    audit_normalization(p, norm_tol=norm_tol)
+    audit_normalization(p, norm_tol=1e-6)
     return 1.0 - abs(first_circular_moment(p)) ** 2

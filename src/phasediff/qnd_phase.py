@@ -91,44 +91,6 @@ class AtomicSqueezedParams:
         return cls(HalfInteger.of(j), HalfInteger.of(p), 0.5 * math.log(math.tanh(2 * zeta)))
 
 
-@dataclass(frozen=True)
-class DickeDensityMatrix:
-    """Density matrix in the Dicke basis |j, m>, m ascending from -j to j."""
-
-    j: HalfInteger
-    elements: np.ndarray
-
-    def __post_init__(self):
-        j = HalfInteger.of(self.j)
-        dim = j.twice_value + 1
-        el = np.array(self.elements, dtype=complex)
-        if el.shape != (dim, dim):
-            raise ValueError(f"expected shape ({dim}, {dim}), got {el.shape}")
-        el.setflags(write=False)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "elements", el)
-
-    @property
-    def dim(self) -> int:
-        return self.j.twice_value + 1
-
-    def m_values(self) -> np.ndarray:
-        return np.array([m.value for m in m_range(self.j)])
-
-    def validate(self, herm_tol=1e-12, trace_tol=1e-12, psd_tol=1e-10) -> None:
-        el = self.elements
-        if np.max(np.abs(el - el.conj().T)) > herm_tol:
-            raise ValueError("density matrix not Hermitian within tolerance")
-        if abs(np.trace(el).real - 1.0) > trace_tol or abs(np.trace(el).imag) > trace_tol:
-            raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(el)) < -psd_tol:
-            raise ValueError("density matrix has negative eigenvalues")
-
-
-def _pure_density(j: HalfInteger, amplitudes: np.ndarray) -> DickeDensityMatrix:
-    return DickeDensityMatrix(j, np.outer(amplitudes, amplitudes.conj()))
-
-
 def atomic_coherent_amplitudes(params: AtomicCoherentParams, j) -> np.ndarray:
     """Dicke-basis amplitudes of |alpha_p, beta_p>, index m ascending."""
     j = HalfInteger.of(j)
@@ -141,8 +103,10 @@ def atomic_coherent_amplitudes(params: AtomicCoherentParams, j) -> np.ndarray:
     return amps
 
 
-def atomic_coherent_density(params: AtomicCoherentParams, j) -> DickeDensityMatrix:
-    return _pure_density(HalfInteger.of(j), atomic_coherent_amplitudes(params, j))
+def atomic_coherent_density(params: AtomicCoherentParams, j) -> np.ndarray:
+    """Dicke-basis density matrix of |alpha_p, beta_p>, m ascending."""
+    amps = atomic_coherent_amplitudes(params, j)
+    return np.outer(amps, amps.conj())
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,8 +125,10 @@ def atomic_squeezed_amplitudes(params: AtomicSqueezedParams) -> np.ndarray:
     return amps / math.sqrt(np.sum(amps**2))
 
 
-def atomic_squeezed_density(params: AtomicSqueezedParams) -> DickeDensityMatrix:
-    return _pure_density(params.j, atomic_squeezed_amplitudes(params).astype(complex))
+def atomic_squeezed_density(params: AtomicSqueezedParams) -> np.ndarray:
+    """Dicke-basis density matrix of the atomic squeezed state, m ascending."""
+    amps = atomic_squeezed_amplitudes(params).astype(complex)
+    return np.outer(amps, amps.conj())
 
 
 def _dephasing_factor(
@@ -177,20 +143,30 @@ def _dephasing_factor(
     )
 
 
+def _dicke_dim(rho: np.ndarray) -> int:
+    """2j + 1 of a Dicke-basis density matrix, which must be square and
+    nonempty: a (1, n) array would otherwise broadcast against n x n factors."""
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise ValueError(f"Dicke density matrix must be square and nonempty, got shape {shape}")
+    return shape[0]
+
+
 def qnd_evolve(
-    rho0: DickeDensityMatrix, omega: float, t: float, eta_t: float, gamma_t: float
-) -> DickeDensityMatrix:
-    """Apply the dephasing propagator element-wise in the Dicke basis."""
-    factor = _dephasing_factor(rho0.m_values(), omega, t, eta_t, gamma_t)
-    return DickeDensityMatrix(rho0.j, rho0.elements * factor)
+    rho0: np.ndarray, omega: float, t: float, eta_t: float, gamma_t: float
+) -> np.ndarray:
+    """Apply the dephasing propagator element-wise to a Dicke-basis density
+    matrix, m ascending from -j to j."""
+    dim = _dicke_dim(rho0)
+    m_values = np.arange(dim) - (dim - 1) / 2.0
+    return rho0 * _dephasing_factor(m_values, omega, t, eta_t, gamma_t)
 
 
 @functools.lru_cache(maxsize=8)
-def _dipole_weights(j: HalfInteger) -> np.ndarray:
-    """Matrix W_{nm} = sqrt(C(2j,j+n) C(2j,j+m)) * 2 B(j+(n+m)/2+1, j-(n+m)/2+1),
-    the exact polar integral of the Q-function angle marginal; cached and
-    read-only."""
-    tj = j.twice_value
+def _dipole_weights(tj: int) -> np.ndarray:
+    """Matrix W_{nm} = sqrt(C(2j,j+n) C(2j,j+m)) * 2 B(j+(n+m)/2+1, j-(n+m)/2+1)
+    for tj = 2j, the exact polar integral of the Q-function angle marginal;
+    cached and read-only."""
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
     # the Beta factor depends only on kn + km = n + m + 2j: one value per sum
     beta = np.array(
@@ -202,12 +178,12 @@ def _dipole_weights(j: HalfInteger) -> np.ndarray:
     return weights
 
 
-def phase_distribution_atomic(rho: DickeDensityMatrix) -> PhaseDistribution:
-    """Angle marginal P(phi) of the atomic Q-function, via the exact
-    Beta-function polar integral."""
-    j = rho.j
-    weighted = rho.elements * _dipole_weights(j)
-    pref = (j.twice_value + 1) / (4.0 * math.pi)  # (2j+1)/4pi
+def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
+    """Angle marginal P(phi) of the atomic Q-function of a Dicke-basis
+    density matrix, via the exact Beta-function polar integral."""
+    dim = _dicke_dim(rho)
+    weighted = rho * _dipole_weights(dim - 1)
+    pref = dim / (4.0 * math.pi)  # (2j+1)/4pi
     # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
     return distribution_from_fourier(pref * weighted.T)
 
@@ -296,22 +272,6 @@ def number_distribution(
 
 
 # --- harmonic oscillator under the same dephasing propagator ---
-
-
-def phase_dist_osc_coherent(
-    alpha_mag: float,
-    theta0: float,
-    omega: float,
-    t: float,
-    eta_t: float,
-    gamma_t: float,
-    cutoff: int | None = None,
-) -> PhaseDistribution:
-    """Oscillator phase distribution for a coherent initial state: the
-    squeezed coherent form at r1 = 0."""
-    return phase_dist_osc_squeezed(
-        0.0, 0.0, alpha_mag, theta0, omega, t, eta_t, gamma_t, cutoff
-    )
 
 
 def phase_dist_osc_squeezed(

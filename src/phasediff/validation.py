@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, gamma_qnd
+from .bath_kernels import QndBathSpec, gamma_qnd
 from .dissipative_oscillator import (
     fock_density_from_gscs,
     mixture_params,
@@ -24,7 +24,7 @@ from .dissipative_oscillator import (
 )
 from .dissipative_qubit import propagate_qubit, qubit_spec
 from .distribution import PhaseDistribution
-from .figures import RunConfig, run_figure
+from .figures import run_figure
 from .halfint import HalfInteger, m_range
 from .oracle import (
     gamma_by_quadrature,
@@ -109,9 +109,9 @@ def _check_squeeze_vs_expm() -> CheckResult:
 
 def _check_gamma_kernel() -> CheckResult:
     worst = 0.0
-    for regime in (ZeroTemperature(), HighTemperature(T=100.0)):
+    for T in (0.0, 100.0):
         for r, a in ((0.0, 0.0), (1.0, 0.0), (1.0, 0.05)):
-            spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, regime=regime)
+            spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, T=T)
             for t in (0.2, 1.0):
                 exact = gamma_qnd(t, spec)
                 quad = gamma_by_quadrature(t, spec)
@@ -197,7 +197,7 @@ def _check_dissipative_phase_dist() -> CheckResult:
 def _check_normalization() -> CheckResult:
     worst = 0.0
     for name in ("fig1", "fig2", "fig4"):
-        fd = run_figure(RunConfig(name, grid=360))
+        fd = run_figure(name, grid=360)
         for _label, p in fd.distributions:
             worst = max(worst, abs(integrate_distribution(p) - 1.0))
     return CheckResult("normalization of scenario distributions", 1e-10, worst)

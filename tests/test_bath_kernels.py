@@ -6,11 +6,9 @@ import pytest
 
 from phasediff.bath_kernels import (
     DissipativeBathMoments,
-    HighTemperature,
     OSCILLATOR_CONVENTION,
     QUBIT_CONVENTION,
     QndBathSpec,
-    ZeroTemperature,
     bath_moments,
     eta,
     gamma_qnd,
@@ -20,11 +18,12 @@ from phasediff.errors import DomainError
 from phasediff.oracle import gamma_by_quadrature
 
 
-def _spec(r=0.0, a=0.0, regime=None):
-    return QndBathSpec(
-        gamma0=0.025, omega_c=100.0, r=r, a=a,
-        regime=regime if regime is not None else ZeroTemperature(),
-    )
+def _spec(r=0.0, a=0.0, T=0.0):
+    return QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, T=T)
+
+
+# the temperature settings that select the two closed forms of gamma(t)
+ZERO_T, HIGH_T = {"T": 0.0}, {"T": 100.0}
 
 
 def test_eta_closed_form():
@@ -48,11 +47,11 @@ def test_gamma_zero_at_zero_time():
     assert gamma_qnd(0.0, _spec(r=1.0)) == 0.0
 
 
-@pytest.mark.parametrize("regime", [ZeroTemperature(), HighTemperature(T=100.0)])
+@pytest.mark.parametrize("regime", [ZERO_T, HIGH_T])
 @pytest.mark.parametrize("r,a", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.05)])
 def test_gamma_matches_quadrature(regime, r, a):
     # [DERIVED] frequency-quadrature oracle of the defining integral
-    spec = _spec(r=r, a=a, regime=regime)
+    spec = _spec(r=r, a=a, **regime)
     for t in (0.2, 1.0):
         exact = gamma_qnd(t, spec)
         quad = gamma_by_quadrature(t, spec)
@@ -66,13 +65,13 @@ def _gamma_mpmath(t, spec):
         t, g0, wc, r, a = (mpmath.mpf(x) for x in (t, spec.gamma0, spec.omega_c, spec.r, spec.a))
         ch, sh, pi = mpmath.cosh(2 * r), mpmath.sinh(2 * r), mpmath.pi
         log, atan = mpmath.log, mpmath.atan
-        if isinstance(spec.regime, ZeroTemperature):
+        if spec.T == 0:
             out = g0 / (2 * pi) * ch * log(1 + wc**2 * t**2)
             out -= g0 / (4 * pi) * sh * log(
                 (1 + 4 * wc**2 * (t - a) ** 2) / (1 + wc**2 * (t - 2 * a) ** 2) ** 2)
             out -= g0 / (4 * pi) * sh * log(1 + 4 * a**2 * wc**2)
             return float(out)
-        c = g0 * mpmath.mpf(spec.regime.T) / (pi * wc)
+        c = g0 * mpmath.mpf(spec.T) / (pi * wc)
         out = c * ch * (2 * wc * t * atan(wc * t) + log(1 / (1 + wc**2 * t**2)))
         out -= c / 2 * sh * (
             4 * wc * (t - a) * atan(2 * wc * (t - a))
@@ -87,14 +86,14 @@ def _gamma_mpmath(t, spec):
 @pytest.mark.parametrize("t, omega_c, r, a, regime", [
     # the atan and log terms cancel to O((omega_c t)^2); 8.9e-10 and 1.6e-7
     # off before they were summed as a series and with log1p
-    (0.11, 0.1, 2.0, 0.05, HighTemperature(T=100.0)),
-    (0.1, 0.01, 2.0, 0.0, ZeroTemperature()),
+    (0.11, 0.1, 2.0, 0.05, HIGH_T),
+    (0.1, 0.01, 2.0, 0.0, ZERO_T),
     # the default omega_c = 100, far from the series
-    (0.3, 100.0, 1.5, 0.1, ZeroTemperature()),
-    (0.5, 100.0, 1.0, 0.05, HighTemperature(T=100.0)),
+    (0.3, 100.0, 1.5, 0.1, ZERO_T),
+    (0.5, 100.0, 1.0, 0.05, HIGH_T),
 ])
 def test_gamma_keeps_its_digits_at_small_cutoff_times(t, omega_c, r, a, regime):
-    spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, regime=regime)
+    spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, **regime)
     assert math.isclose(gamma_qnd(t, spec), _gamma_mpmath(t, spec), rel_tol=1e-12)
 
 
@@ -105,14 +104,10 @@ def test_gamma_domain_error_inside_light_cone():
     gamma_qnd(0.11, spec)  # just outside: fine
 
 
-def test_high_temperature_requires_positive_t():
-    with pytest.raises(ValueError):
-        HighTemperature(T=0.0)
-    for T in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^T = "):
-            HighTemperature(T=T)
-        with pytest.raises(ValueError, match="^T = "):
-            thermal_occupation(1.0, T)  # 1/expm1(omega/inf) would divide by zero
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_thermal_occupation_rejects_non_finite_temperature(T):
+    with pytest.raises(ValueError, match="^T = "):
+        thermal_occupation(1.0, T)  # 1/expm1(omega/inf) would divide by zero
 
 
 def test_thermal_occupation_limits():
@@ -155,12 +150,14 @@ def test_bath_moments_physicality_enforced():
 
 def test_qnd_spec_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        QndBathSpec(gamma0=-1.0, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
+        QndBathSpec(gamma0=-1.0, omega_c=100.0, r=0.0, a=0.0, T=0.0)
     with pytest.raises(ValueError):
-        QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=-0.1, regime=ZeroTemperature())
+        QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=-0.1, T=0.0)
+    with pytest.raises(ValueError, match="^T = -1.0 must be nonnegative"):
+        QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, T=-1.0)
 
 
-@pytest.mark.parametrize("field", ["gamma0", "omega_c", "r", "a"])
+@pytest.mark.parametrize("field", ["gamma0", "omega_c", "r", "a", "T"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_qnd_spec_rejects_non_finite(field, value):
     kwargs = {"gamma0": 0.025, "omega_c": 100.0, "r": 0.0, "a": 0.0, field: value}

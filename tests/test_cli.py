@@ -1,5 +1,6 @@
 import gzip
 import io
+import runpy
 import math
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,19 @@ from phasediff.phase_stats import audit_normalization
 from phasediff.qnd_phase import phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference"
+
+
+def _reference_sweeps():
+    """The benchmark's seed-0 sweep jobs that have a stored reference CSV."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    return [
+        job
+        for jobs in workloads["WORKLOADS"].values()
+        for job in jobs(workloads["DEFAULT_SEED"])
+        if job.reference is not None and job.argv[0] == "sweep"
+    ]
 
 
 def _read_table(path):
@@ -217,17 +230,31 @@ def _header_and_rows(text):
     return lines[0], np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
 
 
-@pytest.mark.parametrize("fig", [f"fig{i}" for i in range(1, 11)])
-def test_figure_matches_stored_reference(tmp_path, fig):
-    # the stored CSVs are the benchmark's reference outputs at default settings
-    out = tmp_path / f"{fig}.csv"
-    assert main(["figure", fig, "--out", str(out)]) == 0
-    with gzip.open(REFERENCE / f"{fig}.csv.gz", "rt") as fh:
+def _assert_matches_reference(out, name):
+    with gzip.open(REFERENCE / f"{name}.csv.gz", "rt") as fh:
         ref_header, ref = _header_and_rows(fh.read())
     header, got = _header_and_rows(out.read_text())
     assert header == ref_header
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("fig", [f"fig{i}" for i in range(1, 11)])
+def test_figure_matches_stored_reference(tmp_path, fig):
+    # the stored CSVs are the benchmark's reference outputs at default settings
+    out = tmp_path / f"{fig}.csv"
+    assert main(["figure", fig, "--out", str(out)]) == 0
+    _assert_matches_reference(out, fig)
+
+
+@pytest.mark.parametrize("job", _reference_sweeps(), ids=lambda job: job.name)
+def test_sweep_matches_stored_reference(tmp_path, job):
+    # the benchmark's sweep jobs as it runs them, with the output moved
+    out = tmp_path / job.out
+    argv = list(job.argv)
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 0
+    _assert_matches_reference(out, job.reference)
 
 
 @pytest.mark.parametrize("mode", ["dispersion", "distribution"])
@@ -368,6 +395,14 @@ def test_dissipative_qubit_sweep_refuses_negative_time(tmp_path, capsys):
     assert main(["sweep", "--family", "dissipative-qubit", "--param", "t", "--start", "-100",
                  "--stop", "-50", "--num", "2", "--set", "T=100", "--out", str(out)]) == 1
     assert "t = -100.0 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qnd_sweep_refuses_negative_temperature(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "0.1",
+                 "--stop", "1", "--num", "2", "--set", "T=-1", "--out", str(out)]) == 1
+    assert "T = -1.0 must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,7 +68,7 @@ def test_long_time_population_reaches_detailed_balance():
 
 def test_excited_population_matches_propagator_diagonal():
     state = AtomicCoherentParams(math.pi / 3, 0.7)
-    rho0 = atomic_coherent_density(state, 0.5).elements
+    rho0 = atomic_coherent_density(state, 0.5)
     for r, T, t in ((0.0, 0.0, 0.8), (1.0, 300.0, 0.4)):
         spec = qubit_spec(1.0, 0.25, r, math.pi / 8, T)
         out = propagate_qubit(rho0, spec, t)

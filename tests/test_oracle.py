@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from phasediff.bath_kernels import HighTemperature, QndBathSpec, ZeroTemperature, gamma_qnd
+from phasediff.bath_kernels import QndBathSpec, gamma_qnd
 from phasediff.dissipative_qubit import propagate_qubit, qubit_spec
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.errors import DomainError
-from phasediff.halfint import HalfInteger
 from phasediff.oracle import (
     dormand_prince,
     expm_taylor,
@@ -20,7 +19,6 @@ from phasediff.oracle import (
 )
 from phasediff.qnd_phase import (
     AtomicCoherentParams,
-    DickeDensityMatrix,
     atomic_coherent_density,
     phase_distribution_atomic,
 )
@@ -163,8 +161,7 @@ def test_oscillator_oracle_thermalizes_vacuum():
 
 
 def test_quadrature_distribution_fock_state_uniform():
-    rho = DickeDensityMatrix(HalfInteger.of(1), np.diag([0, 1, 0]).astype(complex))
-    p = phase_dist_by_quadrature(rho, 60)
+    p = phase_dist_by_quadrature(np.diag([0, 1, 0]).astype(complex), 60)
     assert np.max(np.abs(p.samples(60) - 1.0 / (2.0 * math.pi))) < 1e-10
 
 
@@ -177,19 +174,17 @@ def test_quadrature_distribution_matches_beta_closed_form():
 
 
 def test_gamma_quadrature_trivial_log_case():
-    spec = QndBathSpec(
-        gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature()
-    )
+    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, T=0.0)
     t = 0.7
     expected = (0.025 / (2.0 * math.pi)) * math.log(1.0 + (100.0 * t) ** 2)
     assert abs(gamma_by_quadrature(t, spec) - expected) < 1e-8 * expected
 
 
 def _kernel_grid(omega_c, rs, ts):
-    for regime in (ZeroTemperature(), HighTemperature(T=100.0)):
+    for T in (0.0, 100.0):
         for r in rs:
             for a in (0.0, 0.05):
-                spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, regime=regime)
+                spec = QndBathSpec(gamma0=0.025, omega_c=omega_c, r=r, a=a, T=T)
                 for t in ts:
                     yield t, spec
 
@@ -213,13 +208,13 @@ def test_gamma_quadrature_resolves_a_narrow_cutoff():
 
 
 def test_gamma_quadrature_rejects_negative_time():
-    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
+    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, T=0.0)
     with pytest.raises(DomainError):
         gamma_by_quadrature(-0.5, spec)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_gamma_quadrature_rejects_non_finite_time(t):
-    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, regime=ZeroTemperature())
+    spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, T=0.0)
     with pytest.raises(ValueError, match="must be finite"):
         gamma_by_quadrature(t, spec)

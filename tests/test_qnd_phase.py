@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from phasediff.distribution import distribution_from_fourier, phase_grid
 from phasediff.errors import TruncationError
-from phasediff.figures import SWEEP_FAMILIES, RunConfig, _kernels, run_figure
+from phasediff.figures import SWEEP_FAMILIES, _kernels, run_figure
 from phasediff.halfint import HalfInteger, m_range
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
@@ -15,14 +16,12 @@ from phasediff.qnd_phase import (
     _wigner_row,
     AtomicCoherentParams,
     AtomicSqueezedParams,
-    DickeDensityMatrix,
     atomic_coherent_amplitudes,
     atomic_coherent_density,
     atomic_squeezed_amplitudes,
     atomic_squeezed_density,
     number_distribution,
     phase_dist_coherent_halfspin,
-    phase_dist_osc_coherent,
     phase_dist_osc_squeezed,
     phase_dist_squeezed_halfspin,
     phase_dist_two_atoms,
@@ -71,25 +70,29 @@ def test_squeezed_half_spin_populations():
     assert math.isclose(ratio, math.exp(2.0 * 0.3), rel_tol=1e-12)
 
 
-def test_density_validation_rejects_tampering():
-    rho = atomic_coherent_density(AtomicCoherentParams(1.0, 0.5), 1)
-    bad = rho.elements.copy()
-    bad[0, 2] *= 3.0  # breaks Hermiticity
-    with pytest.raises(ValueError):
-        DickeDensityMatrix(rho.j, bad).validate()
-
-
 def test_dicke_diagonal_gives_uniform_distribution():
-    rho = DickeDensityMatrix(HalfInteger.of(2), np.diag([0, 0, 1, 0, 0]).astype(complex))
-    p = phase_distribution_atomic(rho)
+    p = phase_distribution_atomic(np.diag([0, 0, 1, 0, 0]).astype(complex))
     assert np.max(np.abs(p.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_qnd_evolution_preserves_populations():
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(5, 5, -0.01832))
     rho_t = qnd_evolve(rho0, 1.0, 0.7, 0.01, 0.02)
-    assert np.max(np.abs(np.diag(rho_t.elements) - np.diag(rho0.elements))) < 1e-15
-    rho_t.validate()
+    assert np.max(np.abs(np.diag(rho_t) - np.diag(rho0))) < 1e-15
+    # still a density matrix: Hermitian, unit trace, no negative eigenvalue
+    assert np.max(np.abs(rho_t - rho_t.conj().T)) <= 1e-12
+    assert abs(np.trace(rho_t).real - 1.0) <= 1e-12 and abs(np.trace(rho_t).imag) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rho_t)) >= -1e-10
+
+
+@pytest.mark.parametrize("shape", [(11,), (1, 11), (11, 10), (0, 0), (1, 11, 11)])
+def test_dicke_entry_points_reject_non_square_arrays(shape):
+    # a (1, 11) array would broadcast against the 11 x 11 dephasing factor
+    rho = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=f"square and nonempty, got shape {re.escape(str(shape))}"):
+        qnd_evolve(rho, 1.0, 0.7, 0.01, 0.02)
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        phase_distribution_atomic(rho)
 
 
 def test_number_distribution_matches_amplitudes():
@@ -130,16 +133,17 @@ def test_two_atom_closed_form_vs_machinery(p):
 
 
 def test_oscillator_coherent_normalized_and_fock_uniform():
-    p = phase_dist_osc_coherent(math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005)
+    # the coherent state is the squeezed coherent state at r1 = 0
+    p = phase_dist_osc_squeezed(0.0, 0.0, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005)
     assert abs(integrate_distribution(p) - 1.0) < 1e-10
-    vac = phase_dist_osc_coherent(0.0, 0.0, 1.0, 0.3, 0.001, 0.005)
+    vac = phase_dist_osc_squeezed(0.0, 0.0, 0.0, 0.0, 1.0, 0.3, 0.001, 0.005)
     # vacuum is a Fock state: uniform distribution
     assert np.max(np.abs(vac.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_oscillator_squeezed_dispatches_to_coherent_at_zero_squeezing():
     a = phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
-    b = phase_dist_osc_coherent(2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
+    b = phase_dist_osc_squeezed(0.0, 0.0, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
     assert np.array_equal(a.samples(GRID), b.samples(GRID))
 
 
@@ -186,7 +190,7 @@ def test_oscillator_allocates_no_cutoff_squared_array():
 
 def test_oscillator_cutoff_too_small_raises():
     with pytest.raises(TruncationError):
-        phase_dist_osc_coherent(3.0, 0.0, 1.0, 0.1, 0.0, 0.0, cutoff=8)
+        phase_dist_osc_squeezed(0.0, 0.0, 3.0, 0.0, 1.0, 0.1, 0.0, 0.0, cutoff=8)
 
 
 def test_squeezed_amplitudes_reject_cutoff_below_one():
@@ -211,20 +215,20 @@ def test_dipole_weights_match_scalar_double_loop(j):
                 * 2.0
                 * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
             )
-    assert np.array_equal(_dipole_weights(j), loop)
+    assert np.array_equal(_dipole_weights(tj), loop)
 
 
 def test_fig6_builds_the_atomic_initial_state_once():
     # 164 points vary only the bath: one Wigner-d row and one weight matrix
     _dipole_weights.cache_clear()
     _wigner_row.cache_clear()
-    run_figure(RunConfig("fig6"))
+    run_figure("fig6")
     assert _dipole_weights.cache_info().misses == 1
     assert _wigner_row.cache_info().misses == 1
     assert _wigner_row.cache_info().hits == 163
 
 
-@pytest.mark.parametrize("build, args", [(_dipole_weights, (HalfInteger(10),)),
+@pytest.mark.parametrize("build, args", [(_dipole_weights, (10,)),
                                          (_wigner_row, (HalfInteger(10), HalfInteger(4)))])
 def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
     cached = build(*args)
