@@ -30,6 +30,7 @@ from .qnd_phase import (
     atomic_coherent_density,
     atomic_squeezed_density,
     phase_distribution_atomic,
+    phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
     phase_dist_squeezed_halfspin,
     phase_dist_two_atoms,

@@ -27,15 +27,14 @@ from .dissipative_qubit import (
     phase_dist_qubit_squeezed,
     qubit_spec,
 )
+from .errors import check_time
 from .phase_stats import audit_normalization, dispersion
 from .qnd_phase import (
     AtomicCoherentParams,
     AtomicSqueezedParams,
-    atomic_squeezed_density,
+    phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
     phase_dist_osc_squeezed,
-    phase_distribution_atomic,
-    qnd_evolve,
 )
 
 THETA_TEN_ATOMS = -0.01832  # squeeze exponent used by the ten-atom scenarios
@@ -62,11 +61,14 @@ class Scenario:
 
 
 def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
-    """eta(t) and gamma(t) of the dephasing bath; gamma0 = 0 is the unitary
-    limit, which needs neither r nor T."""
-    if p["gamma0"] == 0:
+    """eta(t) and gamma(t) of the dephasing bath.  gamma0 = 0 is the unitary
+    limit, where both vanish; its bath and t are checked all the same, with
+    the bath's own r = 0 and T = 0 where the scenario sets neither."""
+    bath = {key: p[key] for key in ("r", "a", "T") if key in p}
+    spec = QndBathSpec(p["gamma0"], p["omega_c"], **bath)
+    check_time(p["t"])
+    if spec.gamma0 == 0:
         return 0.0, 0.0
-    spec = QndBathSpec(p["gamma0"], p["omega_c"], p["r"], p["a"], p["T"])
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
@@ -75,9 +77,9 @@ def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
 
 def _qnd_atoms(p, cutoff):
     """Dicke atoms (j, p, Theta) from an atomic squeezed start, dephasing."""
-    rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
+    state = AtomicSqueezedParams(p["j"], p["p"], p["Theta"])
     et, ga = _kernels(p)
-    return phase_distribution_atomic(qnd_evolve(rho0, p["omega"], p["t"], et, ga))
+    return phase_dist_atomic_squeezed(state, p["omega"], p["t"], et, ga)
 
 
 def _qnd_atoms_zeta(p, cutoff):
@@ -142,13 +144,18 @@ def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureDa
 
 
 def _dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
-    """One dispersion column per (label, overrides) curve, over x_name = xs."""
+    """One dispersion column per (label, overrides) curve, over x_name = xs.
+
+    The runs are evaluated x-major, so the curves at one x, which differ only
+    in the bath, share its cached gamma-free state; the distributions are
+    then put back curve by curve."""
     runs = [
         (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
-        for label, overrides in curves
         for x in xs
+        for label, overrides in curves
     ]
-    dists = tuple(evaluate(point, params, runs, cutoff))
+    by_x = tuple(evaluate(point, params, runs, cutoff))
+    dists = tuple(dist for c in range(len(curves)) for dist in by_x[c :: len(curves)])
     d = np.array([dispersion(p) for _, p in dists]).reshape(len(curves), len(xs))
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), dists)

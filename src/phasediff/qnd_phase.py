@@ -15,11 +15,19 @@ v_n = c_n e^{i(w^2 eta l_n^2 - w t l_n)}, l_n = n + 1/2, and
 g_d = e^{-w^2 gamma d^2}, so every Fourier coefficient of P(phi) is one
 autocorrelation of v times g and the oscillator runs in O(cutoff) memory.
 
-The dispersion figures and most sweeps vary only the bath, so the
-bath-independent parts of the initial state (the squeezed coherent ket, the
-Wigner-d row of the atomic squeezed state and the dipole weights) are built
-once per process in a bounded cache, returned read-only, and shared across
-sweep points.
+The bath's squeezing r, its phase slope a and its temperature T enter the
+dephased state only through gamma(t), and eta(t) depends on none of them.
+So the propagator splits into a gamma-free part, e^{-i w (m-n) t} e^{i w^2
+(m^2-n^2) eta}, and the damping G_mn = e^{-w^2 gamma (m-n)^2}.  The
+gamma-free dephased state is cached: for the atoms it is
+qnd_evolve(rho0, w, t, eta, 0), keyed by (AtomicSqueezedParams, w, t, eta);
+for the oscillator it is the autocorrelation sum_m v_m v_{m+d}^*, keyed by
+(r1, psi, |alpha|, theta0, w, t, eta, cutoff) and stored only once the Fock
+tail check has passed.  A sweep over r, T or a then computes gamma and
+applies G at each point.  The bath-independent parts of the initial state
+(the squeezed coherent ket, the Wigner-d row of the atomic squeezed state
+and the dipole weights) are cached the same way.  Every cache is a bounded
+lru_cache of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -188,6 +196,28 @@ def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
     return distribution_from_fourier(pref * weighted.T)
 
 
+@functools.lru_cache(maxsize=8)
+def _gamma_free_atomic_state(
+    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float
+) -> np.ndarray:
+    """The dephased atomic squeezed state at gamma = 0, which the bath's
+    r, a and T never reach; cached and read-only."""
+    rho = qnd_evolve(atomic_squeezed_density(state), omega, t, eta_t, 0.0)
+    rho.setflags(write=False)
+    return rho
+
+
+def phase_dist_atomic_squeezed(
+    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, gamma_t: float
+) -> PhaseDistribution:
+    """P(phi) of a dephased atomic squeezed state: the cached gamma-free
+    state times the damping G_mn = e^{-w^2 gamma (m-n)^2}."""
+    rho = _gamma_free_atomic_state(state, omega, t, eta_t)
+    k = np.arange(len(rho))
+    damping = np.exp(-(omega**2) * gamma_t * np.subtract.outer(k, k) ** 2)
+    return phase_distribution_atomic(rho * damping)
+
+
 def phase_dist_coherent_halfspin(
     params: AtomicCoherentParams, omega: float, t: float, gamma_t: float
 ) -> PhaseDistribution:
@@ -274,6 +304,31 @@ def number_distribution(
 # --- harmonic oscillator under the same dephasing propagator ---
 
 
+@functools.lru_cache(maxsize=8)
+def _gamma_free_autocorrelation(
+    r1: float, psi: float, alpha_mag: float, theta0: float,
+    omega: float, t: float, eta_t: float, cutoff: int,
+) -> np.ndarray:
+    """sum_m v_m v_{m+d}^* of the dephased squeezed coherent ket at gamma = 0,
+    refused unless the cutoff keeps all but 1e-12 of its weight; cached and
+    read-only."""
+    # Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, alpha = alpha_mag e^{i theta0}
+    alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
+    amps = squeezed_coherent_ket(r1, psi, alpha, cutoff)
+    deficit = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
+    if deficit > 1e-12:
+        raise TruncationError(
+            f"squeezed-coherent Fock tail: truncated weight deficit {deficit:.3e} "
+            f"exceeds 1.0e-12; raise the Fock cutoff (--cutoff, currently {cutoff})"
+        )
+    # E_n = omega (n + 1/2)
+    levels = np.arange(cutoff, dtype=float) + 0.5
+    v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
+    correlation = ket_autocorrelation(v)
+    correlation.setflags(write=False)
+    return correlation
+
+
 def phase_dist_osc_squeezed(
     r1: float,
     psi: float,
@@ -292,9 +347,9 @@ def phase_dist_osc_squeezed(
     1e-20; the truncated weight must miss 1 by at most 1e-12.
 
     The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
-    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}*: one
-    autocorrelation of the ket, in O(cutoff) memory and with no
-    cutoff x cutoff array.
+    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}*: the
+    cached gamma-free autocorrelation of the ket times the damping, in
+    O(cutoff) memory and with no cutoff x cutoff array.
     """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
@@ -302,18 +357,7 @@ def phase_dist_osc_squeezed(
         mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
         span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))
         cutoff = max(30, int(math.ceil(span)))
-    # Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, alpha = alpha_mag e^{i theta0}
-    alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
-    amps = squeezed_coherent_ket(r1, psi, alpha, cutoff)
-    deficit = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if deficit > 1e-12:
-        raise TruncationError(
-            f"squeezed-coherent Fock tail: truncated weight deficit {deficit:.3e} "
-            f"exceeds 1.0e-12; raise the Fock cutoff (--cutoff, currently {cutoff})"
-        )
-    # E_n = omega (n + 1/2)
-    levels = np.arange(cutoff, dtype=float) + 0.5
-    v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
+    correlation = _gamma_free_autocorrelation(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff)
     offsets = np.arange(1 - cutoff, cutoff)
     damping = np.exp(-(omega**2) * gamma_t * offsets**2) / (2.0 * math.pi)
-    return PhaseDistribution(ket_autocorrelation(v) * damping)
+    return PhaseDistribution(correlation * damping)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,3 +33,13 @@ def hot_state_oracle():
     """The eigh oracle for the dissipative oscillator at T > 0:
     hot_state_oracle(spec, eta0, t, cutoff, levels, columns) -> (rho, P)."""
     return _hot_state_oracle
+
+
+@pytest.fixture
+def cold_caches():
+    """Clears every lru_cache in the package, so a test counts its own builds."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phasediff"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

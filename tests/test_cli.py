@@ -2,6 +2,8 @@ import gzip
 import io
 import runpy
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,11 +20,12 @@ from phasediff.distribution import distribution_from_harmonics
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
 from phasediff.phase_stats import audit_normalization
-from phasediff.qnd_phase import phase_dist_osc_squeezed
+from phasediff.qnd_phase import _gamma_free_autocorrelation, phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _reference_sweeps():
@@ -441,12 +444,49 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     assert rows[0] == "-0,-0.33333333333333331,0"
 
 
-def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path):
-    # the 41 points vary the bath squeezing r only; the system ket is shared
-    squeezed_coherent_ket.cache_clear()
-    assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-1",
-                 "--stop", "1", "--num", "41", "--out", str(tmp_path / "s.csv")]) == 0
+def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path, cold_caches):
+    # the 961 points vary the bath squeezing r only, which enters through
+    # gamma alone: one gamma-free autocorrelation, from one ket
+    assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-2",
+                 "--stop", "2", "--num", "961", "--out", str(tmp_path / "s.csv")]) == 0
+    assert _gamma_free_autocorrelation.cache_info()[:2] == (960, 1)
     assert squeezed_coherent_ket.cache_info().misses == 1
+
+
+def test_cached_gamma_free_states_never_go_stale(tmp_path):
+    # a t sweep after an r sweep in the same process writes what a fresh
+    # process writes: t and omega_c change eta, and eta is part of the key
+    r_sweep = ["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-1",
+               "--stop", "1", "--num", "5", "--out", str(tmp_path / "r.csv")]
+    t_sweep = ["sweep", "--family", "qnd-oscillator", "--param", "t", "--start", "0.1",
+               "--stop", "1", "--num", "5", "--set", "omega_c=10", "--set", "r=1"]
+    assert main(r_sweep) == 0
+    assert main([*t_sweep, "--out", str(tmp_path / "warm.csv")]) == 0
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); from phasediff.cli import main; "
+              f"sys.exit(main({[*t_sweep, '--out', str(tmp_path / 'fresh.csv')]!r}))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--family", "qnd-qubit", "--param", "t", "--start", "0.1", "--stop", "1",
+      "--set", "T=-1", "--set", "gamma0=0", "--set", "omega_c=-5"],
+     "T = -1.0 must be nonnegative"),
+    (["--family", "qnd-qubit", "--param", "t", "--start", "0.1", "--stop", "1",
+      "--set", "gamma0=0", "--set", "omega_c=-5"],
+     "omega_c = -5.0 must be positive"),
+    (["--family", "qnd-oscillator", "--param", "t", "--start", "-1", "--stop", "1",
+      "--set", "gamma0=0"],
+     "t = -1.0 must be nonnegative"),
+], ids=["T", "omega_c", "t"])
+def test_unitary_limit_still_checks_the_bath_and_time(tmp_path, capsys, args, message):
+    # gamma0 = 0 makes eta and gamma vanish, but a bad setting is still refused
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *args, "--num", "2", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # the sweep's other settings are the family defaults: omega = 1, gamma0 = 0.025,

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from phasediff.cli import read_config_file
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.figures import SCENARIOS, run_figure
-from phasediff.phase_stats import integrate_distribution
+from phasediff.phase_stats import dispersion, integrate_distribution
+from phasediff.qnd_phase import (
+    AtomicSqueezedParams,
+    atomic_squeezed_density,
+    phase_dist_osc_squeezed,
+    phase_distribution_atomic,
+    qnd_evolve,
+)
 
 
 def test_every_scenario_builds_with_small_grid():
@@ -82,3 +91,40 @@ def test_fig5_in_a_hot_bath_matches_eigh_oracle(hot_state_oracle):
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 1000.0)
     _, oracle = hot_state_oracle(spec, 1.0, 0.1, 600, 800, 120)
     assert np.max(np.abs(column - oracle.samples(len(column)))) < 1e-12
+
+
+def _undamped_atoms(theta, t):
+    rho0 = atomic_squeezed_density(AtomicSqueezedParams(5, 5, theta))
+    return phase_distribution_atomic(qnd_evolve(rho0, 1.0, t, 0.0, 0.0))
+
+
+def test_unitary_curves_are_the_undamped_evolution():
+    # gamma0 = 0 still builds the bath, with r = 0 and T = 0 where a scenario
+    # sets neither, and its eta and gamma stay exactly 0
+    fig1 = run_figure("fig1")
+    assert fig1.columns[0][0] == "unitary t=0.1"
+    theta = SCENARIOS["fig1"].defaults["Theta"]
+    assert np.array_equal(fig1.columns[0][1], _undamped_atoms(theta, 0.1).samples(720))
+    fig7 = run_figure("fig7")
+    assert fig7.columns[0][0] == "unitary"
+    expected = [dispersion(_undamped_atoms(AtomicSqueezedParams.from_zeta(5, 5, z).Theta, 1.0))
+                for z in fig7.x]
+    assert np.array_equal(fig7.columns[0][1], expected)
+    fig8 = run_figure("fig8")
+    assert fig8.columns[0][0] == "unitary"
+    osc = phase_dist_osc_squeezed(0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.0, 0.0)
+    assert np.array_equal(fig8.columns[0][1], np.full(len(fig8.x), dispersion(osc)))
+
+
+def test_dispersion_figure_keeps_its_curves_in_order():
+    # the runs are evaluated x-major, but the columns and distributions stay
+    # curve by curve
+    fd = run_figure("fig7")
+    labels = [label for label, _ in fd.columns]
+    assert labels == ["unitary", "T=0", "T=50", "T=100"]
+    assert [label for label, _ in fd.distributions] == [
+        f"{label} zeta={x:g}" for label in labels for x in fd.x
+    ]
+    for c, (_label, column) in enumerate(fd.columns):
+        dists = fd.distributions[c * len(fd.x):(c + 1) * len(fd.x)]
+        assert np.array_equal(column, [dispersion(p) for _, p in dists])

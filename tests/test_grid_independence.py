@@ -4,7 +4,8 @@ A dispersion sweep reads the Fourier coefficients c_0 and c_{+-1} of each
 P(phi), never its samples, so `--grid` must not change what it writes or
 why it fails.  A point may fail only for its Fock budget, and then the error
 names `--cutoff`.  Points are drawn over the range the CLI accepts: r <= 2,
-r1 <= 3, alpha^2 and eta0^2 up to 200, T up to 1000 and t up to 10.
+r1 <= 3, alpha^2 and eta0^2 up to 200, T up to 1000, t up to 10 and, for
+the dephasing bath, omega_c from 0.01 to 1000.
 """
 
 import pytest
@@ -14,16 +15,18 @@ from hypothesis import strategies as st
 from phasediff.cli import main
 
 BATH = {"r": st.floats(-2.0, 2.0), "T": st.floats(0.0, 1000.0)}
+QND_BATH = {**BATH, "omega_c": st.floats(0.01, 1000.0)}
 FAMILIES = {
-    "qnd-qubit": BATH,
+    "qnd-qubit": QND_BATH,
     "dissipative-qubit": BATH,
-    "qnd-oscillator": {**BATH, "r1": st.floats(0.0, 3.0), "alpha_sq": st.floats(0.0, 200.0)},
+    "qnd-oscillator": {**QND_BATH, "r1": st.floats(0.0, 3.0),
+                       "alpha_sq": st.floats(0.0, 200.0)},
     "dissipative-oscillator": {**BATH, "eta0_sq": st.floats(0.0, 200.0)},
 }
 TIMES = st.floats(0.0, 10.0)
 # a cold bath keeps P narrow, so its harmonics reach past N = 8: the point
 # every family also runs besides its random draws
-COLD = {"r": 0.0, "T": 0.0, "r1": 0.5, "alpha_sq": 5.0, "eta0_sq": 50.0}
+COLD = {"r": 0.0, "T": 0.0, "omega_c": 100.0, "r1": 0.5, "alpha_sq": 5.0, "eta0_sq": 50.0}
 
 
 def _dispersion_sweep(tmp_path, family, sets, start, stop, grid, capsys):

@@ -7,12 +7,14 @@ import pytest
 
 from phasediff.distribution import distribution_from_fourier, phase_grid
 from phasediff.errors import TruncationError
-from phasediff.figures import SWEEP_FAMILIES, _kernels, run_figure
+from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, _kernels, run_figure
 from phasediff.halfint import HalfInteger, m_range
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
     _dephasing_factor,
     _dipole_weights,
+    _gamma_free_atomic_state,
+    _gamma_free_autocorrelation,
     _wigner_row,
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -21,6 +23,7 @@ from phasediff.qnd_phase import (
     atomic_squeezed_amplitudes,
     atomic_squeezed_density,
     number_distribution,
+    phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
     phase_dist_osc_squeezed,
     phase_dist_squeezed_halfspin,
@@ -218,18 +221,55 @@ def test_dipole_weights_match_scalar_double_loop(j):
     assert np.array_equal(_dipole_weights(tj), loop)
 
 
-def test_fig6_builds_the_atomic_initial_state_once():
-    # 164 points vary only the bath: one Wigner-d row and one weight matrix
-    _dipole_weights.cache_clear()
-    _wigner_row.cache_clear()
+def test_fig6_builds_the_atomic_initial_state_once(cold_caches):
+    # 164 points vary only the bath: one gamma-free state, whose build makes
+    # the one Wigner-d row, and one weight matrix
     run_figure("fig6")
-    assert _dipole_weights.cache_info().misses == 1
+    assert _gamma_free_atomic_state.cache_info()[:2] == (163, 1)
     assert _wigner_row.cache_info().misses == 1
-    assert _wigner_row.cache_info().hits == 163
+    assert _dipole_weights.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("build, args", [(_dipole_weights, (10,)),
-                                         (_wigner_row, (HalfInteger(10), HalfInteger(4)))])
+def test_fig7_builds_one_gamma_free_state_per_zeta_and_eta(cold_caches):
+    # each zeta is one initial state; its unitary curve has eta = 0 and its
+    # three temperature curves share one eta, so 36 x 2 states are built
+    run_figure("fig7")
+    assert _gamma_free_atomic_state.cache_info()[:2] == (72, 72)
+    assert _wigner_row.cache_info().misses == 1
+    assert _dipole_weights.cache_info().misses == 1
+
+
+# (bath settings over fig6's defaults, t): squeezing r, phase slope a,
+# temperature T and cutoff omega_c, the unitary limit gamma0 = 0 included
+FACTORIZATION_CASES = [
+    ({"r": 0.0, "T": 0.0}, 1.0),
+    ({"r": 2.0, "T": 0.0}, 0.1),
+    ({"r": -1.5, "T": 1000.0}, 3.0),
+    ({"r": 1.0, "T": 300.0, "a": 0.2, "omega_c": 0.5}, 0.7),
+    ({"r": 0.5, "T": 50.0, "omega_c": 1000.0, "gamma0": 0.25}, 10.0),
+    ({"gamma0": 0.0, "r": 2.0, "T": 100.0}, 0.4),
+]
+
+
+@pytest.mark.parametrize("j, p, Theta", [(5, 5, -0.01832), (1, 0, 0.4), (2.5, -1.5, -0.3)])
+@pytest.mark.parametrize("bath, t", FACTORIZATION_CASES)
+def test_gamma_free_state_times_damping_is_the_dephased_state(j, p, Theta, bath, t):
+    params = {**SCENARIOS["fig6"].defaults, **bath, "t": t}
+    eta_t, gamma_t = _kernels(params)
+    state = AtomicSqueezedParams(j, p, Theta)
+    direct = phase_distribution_atomic(
+        qnd_evolve(atomic_squeezed_density(state), 1.3, t, eta_t, gamma_t)
+    )
+    factored = phase_dist_atomic_squeezed(state, 1.3, t, eta_t, gamma_t)
+    assert np.max(np.abs(factored.coeffs - direct.coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("build, args", [
+    (_dipole_weights, (10,)),
+    (_wigner_row, (HalfInteger(10), HalfInteger(4))),
+    (_gamma_free_atomic_state, (AtomicSqueezedParams(5, 5, -0.01832), 1.0, 1.0, -7.9e-4)),
+    (_gamma_free_autocorrelation, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, 70)),
+])
 def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
     cached = build(*args)
     with pytest.raises(ValueError, match="read-only"):
