@@ -16,12 +16,9 @@ from .halfint import HalfInteger
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .bath_kernels import (
     QndBathSpec,
-    DissipativeBathMoments,
-    QUBIT_CONVENTION,
-    OSCILLATOR_CONVENTION,
+    DissipativeBathSpec,
     eta,
     gamma_qnd,
-    bath_moments,
 )
 from .qnd_phase import (
     AtomicCoherentParams,
@@ -38,7 +35,6 @@ from .qnd_phase import (
     phase_dist_osc_squeezed,
 )
 from .dissipative_qubit import (
-    QubitLindbladSpec,
     qubit_spec,
     propagate_qubit,
     phase_dist_qubit_coherent,
@@ -46,10 +42,8 @@ from .dissipative_qubit import (
     excited_population,
 )
 from .dissipative_oscillator import (
-    OscillatorLindbladSpec,
     GscsMixture,
     oscillator_spec,
-    damping_coeffs,
     mixture_params,
     fock_density_from_gscs,
     phase_dist_osc_dissipative,

@@ -1,12 +1,13 @@
-"""Squeezed thermal bath kernels and moments.
+"""Squeezed thermal bath kernels and specs.
 
 Two distinct bath descriptions appear:
 
 * the QND (dephasing) bath, an Ohmic continuum with exponential cutoff
   omega_c, squeezing magnitude r and frequency-linear squeezing phase
   Phi(omega) = a*omega, entering through the kernels eta(t), gamma(t);
-* the dissipative bath, characterized by its moments N and M at the system
-  frequency, with a constant squeezing phase Phi.
+* the dissipative bath, one DissipativeBathSpec of five numbers (omega,
+  gamma0, r, Phi, T) with a constant squeezing phase Phi; its moments N and
+  M at the system frequency follow from them once, at construction.
 
 Units: hbar = k_B = 1.  The QND gamma0 carries 1/energy^2, the dissipative
 gamma0 carries 1/time; the two specs are separate types so they cannot be
@@ -20,7 +21,7 @@ and the high-temperature form at every T > 0, with no interpolation between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, check_finite, check_time
 
@@ -46,6 +47,10 @@ class QndBathSpec:
             raise ValueError(f"gamma0 = {self.gamma0} must be nonnegative")
         if self.a < 0:
             raise ValueError(f"a = {self.a} must be nonnegative")
+        try:
+            math.cosh(2 * self.r)
+        except OverflowError:
+            raise ValueError(f"r = {self.r}: cosh 2r overflows; keep |r| below 355") from None
 
 
 def eta(t: float, spec: QndBathSpec) -> float:
@@ -86,43 +91,6 @@ def gamma_qnd(t: float, spec: QndBathSpec) -> float:
     )
 
 
-QUBIT_CONVENTION = "qubit"
-OSCILLATOR_CONVENTION = "oscillator"
-
-
-@dataclass(frozen=True)
-class DissipativeBathMoments:
-    """Moments of a squeezed thermal bath at the system frequency.
-
-    N counts effective quanta, M is the anomalous (phase-sensitive) moment;
-    physicality requires |M|^2 <= N(N+1), with equality at T = 0.
-    """
-
-    N: float
-    M: complex
-    N_th: float
-    r: float
-    Phi: float
-    T: float
-    omega: float
-
-    def __post_init__(self):
-        check_finite(r=self.r, Phi=self.Phi, T=self.T, omega=self.omega)
-        check_finite(N=self.N, M=self.M, N_th=self.N_th)
-        if self.omega <= 0:
-            raise ValueError(f"omega = {self.omega} must be positive")
-        if self.N < 0 or self.N_th < 0:
-            raise ValueError("N and N_th must be nonnegative")
-        if abs(self.M) ** 2 > self.N * (self.N + 1) * (1 + 1e-12) + 1e-12:
-            raise ValueError("unphysical moments: |M|^2 > N(N+1)")
-
-    @property
-    def R_signed(self) -> float:
-        """Real amplitude of M relative to e^{i Phi}; negative in the qubit
-        convention, positive in the oscillator convention."""
-        return (self.M * complex(math.cos(-self.Phi), math.sin(-self.Phi))).real
-
-
 def thermal_occupation(omega: float, T: float) -> float:
     """Planck occupation 1/(e^{omega/T} - 1); zero at T = 0."""
     check_finite(omega=omega, T=T)
@@ -135,21 +103,39 @@ def thermal_occupation(omega: float, T: float) -> float:
     return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
-def bath_moments(
-    r: float, Phi: float, T: float, omega: float, sign: str = QUBIT_CONVENTION
-) -> DissipativeBathMoments:
-    """Squeezed thermal bath moments N, M.
+@dataclass(frozen=True)
+class DissipativeBathSpec:
+    """Squeezed thermal bath of a dissipative system at frequency omega:
+    damping rate gamma0, squeezing zeta = r e^{i Phi}, temperature T.
 
-    The anomalous moment carries a minus sign in the qubit convention and a
-    plus sign in the oscillator convention; the two differ only by M -> -M.
+    Its moments at omega are computed once, at construction: the Planck
+    occupation N_th, N = N_th cosh 2r + sinh^2 r and
+    M = (N_th + 1/2) sinh 2r e^{i Phi}, with |M|^2 <= N (N + 1), equal at
+    T = 0.  M carries the oscillator master equation's sign; the qubit's
+    master equation has -M in its place.  A negative r is |r| at phase
+    Phi + pi.
     """
-    if sign not in (QUBIT_CONVENTION, OSCILLATOR_CONVENTION):
-        raise ValueError(f"unknown sign convention {sign!r}")
-    n_th = thermal_occupation(omega, T)
-    big_n = n_th * (math.cosh(r) ** 2 + math.sinh(r) ** 2) + math.sinh(r) ** 2
-    mag = 0.5 * math.sinh(2 * r) * (2 * n_th + 1)
-    phase = complex(math.cos(Phi), math.sin(Phi))
-    m = (-mag if sign == QUBIT_CONVENTION else mag) * phase
-    return DissipativeBathMoments(
-        N=big_n, M=m, N_th=n_th, r=r, Phi=Phi, T=T, omega=omega
-    )
+
+    omega: float
+    gamma0: float
+    r: float
+    Phi: float
+    T: float
+    N_th: float = field(init=False)
+    N: float = field(init=False)
+    M: complex = field(init=False)
+
+    def __post_init__(self):
+        check_finite(omega=self.omega, gamma0=self.gamma0, r=self.r, Phi=self.Phi, T=self.T)
+        if self.omega <= 0:
+            raise ValueError(f"omega = {self.omega} must be positive")
+        if self.gamma0 < 0:
+            raise ValueError(f"gamma0 = {self.gamma0} must be nonnegative")
+        if math.tanh(abs(self.r)) == 1.0:
+            raise ValueError(f"r = {self.r}: tanh|r| rounds to 1; keep |r| below 19")
+        n_th = thermal_occupation(self.omega, self.T)
+        sh = math.sinh(self.r)
+        m = (n_th + 0.5) * math.sinh(2 * self.r) * complex(math.cos(self.Phi), math.sin(self.Phi))
+        object.__setattr__(self, "N_th", n_th)
+        object.__setattr__(self, "N", n_th * (math.cosh(self.r) ** 2 + sh**2) + sh**2)
+        object.__setattr__(self, "M", m)

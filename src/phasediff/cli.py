@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .distribution import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
-from .errors import ConsistencyError, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 from .figures import (
     SCENARIOS,
     SWEEP_FAMILIES,
@@ -282,10 +282,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ConsistencyError, DomainError, ValueError) as exc:
+    except (TruncationError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,16 +1,17 @@
 """Dissipative harmonic oscillator in a squeezed thermal bath.
 
-The master equation is solved in the frame of the squeeze operator S(zeta),
-where it reduces to a thermal-like su(1,1) problem with damping coefficients
-alpha_coef, beta_coef (alpha_coef - beta_coef = gamma0).  A squeezed
-coherent initial state S(zeta) D(eta0)|0> then evolves into a mixture of
-generalized squeezed coherent states (GSCS) with mixing strength beta_tilde;
-the consistency of (N, M, zeta) ties the initial system squeezing to the bath
-squeezing, r1 = r.  That mixture is the displaced squeezed thermal state
-(P. Marian & T. A. Marian, Phys. Rev. A 47, 4474 (1993))
+The bath is one DissipativeBathSpec (omega, gamma0, r, Phi, T), and the
+initial state S(zeta) D(eta0)|0> is squeezed by the bath's own
+zeta = r e^{i Phi}.  The bath's moments obey M coth|zeta| / u
++ u M* tanh|zeta| = 2N + 1 with u = zeta/|zeta|, so in the frame of S(zeta)
+the master equation is that of a thermal bath of occupation N_th, with
+damping coefficients gamma0 (N_th + 1) and gamma0 N_th.  The state at time t
+is a mixture of generalized squeezed coherent states (GSCS), the displaced
+squeezed thermal state (P. Marian & T. A. Marian, Phys. Rev. A 47, 4474
+(1993))
 
     rho = S(zeta) D(a) rho_th D(a)^dag S(zeta)^dag,
-    a = eta_tilde (1 + beta_tilde) = eta0 e^{-gamma0 t/2},
+    a = eta0 e^{-gamma0 t/2},  beta_tilde = N_th (1 - e^{-gamma0 t}),
 
 with rho_th thermal of mean occupation beta_tilde: a Gaussian state, whose
 Fock rows follow one from another by the Gaussian Fock recurrence (Miatto &
@@ -31,101 +32,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath_kernels import (
-    DissipativeBathMoments,
-    OSCILLATOR_CONVENTION,
-    bath_moments,
-)
+from .bath_kernels import DissipativeBathSpec
 from .distribution import PhaseDistribution, ket_autocorrelation
-from .errors import ConsistencyError, TruncationError, check_finite, check_time
+from .errors import TruncationError, check_time
 from .special_functions import log_factorial, squeeze_tail_pad, squeezed_coherent_ket
-
-
-@dataclass(frozen=True)
-class OscillatorLindbladSpec:
-    omega: float
-    gamma0: float
-    moments: DissipativeBathMoments
-
-    def __post_init__(self):
-        check_finite(omega=self.omega, gamma0=self.gamma0)
-        if self.omega <= 0:
-            raise ValueError(f"omega = {self.omega} must be positive")
-        if self.gamma0 <= 0:
-            raise ValueError(f"gamma0 = {self.gamma0} must be positive")
-
-    @property
-    def zeta_mag(self) -> float:
-        return self.moments.r
-
-    @property
-    def zeta_phase(self) -> float:
-        return self.moments.Phi
-
-    @property
-    def zeta(self) -> complex:
-        r, phi = self.zeta_mag, self.zeta_phase
-        return r * complex(math.cos(phi), math.sin(phi))
 
 
 def oscillator_spec(
     omega: float, gamma0: float, r: float, Phi: float, T: float
-) -> OscillatorLindbladSpec:
-    """Convenience constructor (oscillator sign convention, zeta = r e^{i Phi})."""
-    return OscillatorLindbladSpec(
-        omega, gamma0, bath_moments(r, Phi, T, omega, OSCILLATOR_CONVENTION)
-    )
-
-
-def _check_consistency(moments: DissipativeBathMoments, zeta: complex) -> None:
-    """(|zeta|/zeta) M coth|zeta| + (zeta/|zeta|) M* tanh|zeta| = 2N + 1."""
-    mag = abs(zeta)
-    if mag == 0:
-        return
-    phase = zeta / mag
-    lhs = moments.M / phase / math.tanh(mag) + phase * moments.M.conjugate() * math.tanh(mag)
-    rhs = 2.0 * moments.N + 1.0
-    if abs(lhs - rhs) > 1e-10 * max(1.0, rhs):
-        raise ConsistencyError(
-            f"squeeze-frame consistency violated: residual {abs(lhs - rhs):.3e}"
-        )
-
-
-def damping_coeffs(spec: OscillatorLindbladSpec) -> tuple[float, float]:
-    """Squeezed-frame damping coefficients (alpha_coef, beta_coef).
-
-    Once the bath moments satisfy the squeeze-frame consistency condition,
-    the squeezed-bath coefficients gamma0 [N cosh 2r - Re(M zeta*) sinh 2r / r
-    + (cosh^2 r, sinh^2 r)] reduce exactly to the thermal pair
-    (gamma0 (N_th + 1), gamma0 N_th); the reduced form avoids the
-    cancellation, so beta_coef is exactly 0 at T = 0.
-    """
-    _check_consistency(spec.moments, spec.zeta)
-    g0, n_th = spec.gamma0, spec.moments.N_th
-    return g0 * (n_th + 1.0), g0 * n_th
+) -> DissipativeBathSpec:
+    """The bath of a dissipative oscillator, zeta = r e^{i Phi}; its damping
+    gamma0 must be positive."""
+    if gamma0 <= 0:
+        raise ValueError(f"gamma0 = {gamma0} must be positive")
+    return DissipativeBathSpec(omega, gamma0, r, Phi, T)
 
 
 @dataclass(frozen=True)
 class GscsMixture:
-    """Parameters of the GSCS mixture at a fixed time: mixing strength
-    beta_tilde, shrunk displacement eta_tilde, frame squeeze zeta."""
+    """The state at a fixed time: mixing strength beta_tilde, displacement a
+    and frame squeeze zeta of the module docstring."""
 
     beta_tilde: float
-    eta_tilde: complex
+    a: complex
     zeta: complex
 
-    def __post_init__(self):
-        if self.beta_tilde < -1e-15:
-            raise ValueError(f"beta_tilde = {self.beta_tilde} must be nonnegative")
 
-
-def mixture_params(spec: OscillatorLindbladSpec, t: float, eta0: complex) -> GscsMixture:
+def mixture_params(spec: DissipativeBathSpec, t: float, eta0: complex) -> GscsMixture:
+    """beta_tilde = N_th (1 - e^{-gamma0 t}), exactly 0 at T = 0, and
+    a = eta0 e^{-gamma0 t / 2}."""
     check_time(t)
-    _, beta_coef = damping_coeffs(spec)
     g0 = spec.gamma0
-    beta_tilde = (beta_coef / g0) * -math.expm1(-g0 * t)
-    eta_tilde = eta0 * math.exp(-g0 * t / 2.0) / (1.0 + beta_tilde)
-    return GscsMixture(beta_tilde=beta_tilde, eta_tilde=eta_tilde, zeta=spec.zeta)
+    return GscsMixture(
+        beta_tilde=spec.N_th * -math.expm1(-g0 * t),
+        a=eta0 * math.exp(-g0 * t / 2.0),
+        zeta=spec.r * complex(math.cos(spec.Phi), math.sin(spec.Phi)),
+    )
 
 
 def gcs_displacement_matrix(eta: complex, cutoff: int) -> np.ndarray:
@@ -201,8 +143,8 @@ def _density_rows(mix: GscsMixture, cutoff: int):
     state.  No |rho_mn| of a density matrix exceeds 1, but far past the
     state the recurrence grows: a row past 1 is a TruncationError.
     """
-    beta, r, rot = mix.beta_tilde, abs(mix.zeta), cmath.exp(1j * cmath.phase(mix.zeta))
-    a = mix.eta_tilde * (1.0 + beta)
+    beta, a = mix.beta_tilde, mix.a
+    r, rot = abs(mix.zeta), cmath.exp(1j * cmath.phase(mix.zeta))
     ch, sh = math.cosh(r), math.sinh(r)
     det = (1.0 + beta) ** 2 * ch * ch - beta * beta * sh * sh
     a00 = -(2.0 * beta + 1.0) * rot * ch * sh / det
@@ -250,13 +192,13 @@ def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
     tanh(r1)^(cutoff/2), so the squeeze term targets a 1e-10 tail; the
     displaced-thermal occupation adds a plain pad on top.
     """
-    mean_frame = mix.beta_tilde + max(abs(mix.eta_tilde), abs(eta0)) ** 2
+    mean_frame = mix.beta_tilde + abs(eta0) ** 2
     pad = 10.0 * (mean_frame + 1.0) + squeeze_tail_pad(abs(mix.zeta))
     return max(40, int(math.ceil(pad + 20.0)))
 
 
 def phase_dist_osc_dissipative(
-    spec: OscillatorLindbladSpec,
+    spec: DissipativeBathSpec,
     eta0: complex,
     t: float,
     cutoff: int | None = None,
@@ -281,7 +223,7 @@ def phase_dist_osc_dissipative(
     levels = (cutoff, min(cutoff, max(8, cutoff - 8)))
     if mix.beta_tilde == 0.0:
         r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
-        ket = squeezed_coherent_ket(r, angle, mix.eta_tilde, cutoff)
+        ket = squeezed_coherent_ket(r, angle, mix.a, cutoff)
         v = ket * np.exp(-1j * spec.omega * t * np.arange(cutoff))
         traces = [float(np.vdot(ket[:k], ket[:k]).real) for k in levels]
         coeffs = [ket_autocorrelation(v[:k]) for k in levels]

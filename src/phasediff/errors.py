@@ -12,10 +12,6 @@ class TruncationError(RuntimeError):
     """A truncated series failed its tail or self-consistency bound."""
 
 
-class ConsistencyError(ValueError):
-    """Bath moments violate the squeeze-frame consistency condition."""
-
-
 def check_finite(**values) -> None:
     """Raise ValueError naming the first keyword argument that is NaN or
     infinite; every comparison with NaN is false, so range checks miss it."""

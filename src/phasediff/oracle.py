@@ -25,9 +25,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bath_kernels import QndBathSpec
-from .dissipative_qubit import QubitLindbladSpec
-from .dissipative_oscillator import OscillatorLindbladSpec
+from .bath_kernels import DissipativeBathSpec, QndBathSpec
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .errors import DomainError, TruncationError, check_time
 from .special_functions import log_binomial
@@ -120,7 +118,7 @@ def expm_taylor(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def qubit_liouvillian(spec: QubitLindbladSpec) -> np.ndarray:
+def qubit_liouvillian(spec: DissipativeBathSpec) -> np.ndarray:
     """The 4x4 generator L of d vec(rho)/dt = L vec(rho) (row-major vec),
     column k the master equation's right-hand side, all terms included,
     applied to the k-th basis matrix."""
@@ -128,7 +126,7 @@ def qubit_liouvillian(spec: QubitLindbladSpec) -> np.ndarray:
     sp = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     sm = sp.T.copy()
     g0, w = spec.gamma0, spec.omega
-    big_n, big_m = spec.moments.N, spec.moments.M
+    big_n, big_m = spec.N, -spec.M  # the qubit's anomalous moment is -M
 
     def rhs(rho):
         d = -1j * (w / 2.0) * (sz @ rho - rho @ sz)
@@ -140,7 +138,7 @@ def qubit_liouvillian(spec: QubitLindbladSpec) -> np.ndarray:
     return np.column_stack([rhs(e.reshape(2, 2)) for e in np.eye(4, dtype=complex)])
 
 
-def integrate_lindblad_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float) -> np.ndarray:
+def integrate_lindblad_qubit(rho0: np.ndarray, spec: DissipativeBathSpec, t: float) -> np.ndarray:
     """Exact propagation of the qubit master equation: e^{L t} vec(rho0).
 
     L is not normal, and it is defective where gamma0 |M| = omega, so the
@@ -151,7 +149,7 @@ def integrate_lindblad_qubit(rho0: np.ndarray, spec: QubitLindbladSpec, t: float
     return (expm_taylor(qubit_liouvillian(spec) * t) @ vec).reshape(2, 2)
 
 
-def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
+def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int):
     """d vec(rho)/dt of the oscillator master equation (interaction picture)
     on `cutoff` Fock levels, on the row-major flattening of rho.
 
@@ -173,7 +171,7 @@ def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
     a = np.diag(np.sqrt(np.arange(1, c)), 1).astype(complex)
     ad = a.conj().T
     g0 = spec.gamma0
-    big_n, big_m = spec.moments.N, spec.moments.M
+    big_n, big_m = spec.N, spec.M
     k_op = -0.5 * g0 * (
         (big_n + 1) * (ad @ a) + big_n * (a @ ad) + big_m * (ad @ ad)
         + big_m.conjugate() * (a @ a)
@@ -217,7 +215,7 @@ def oscillator_rhs(spec: OscillatorLindbladSpec, cutoff: int):
 
 def integrate_lindblad_oscillator(
     rho0: np.ndarray,
-    spec: OscillatorLindbladSpec,
+    spec: DissipativeBathSpec,
     t: float,
     cutoff: int,
     leakage_tol: float = 1e-8,

@@ -353,6 +353,11 @@ def phase_dist_osc_squeezed(
     """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
+    if math.tanh(r1) == 1.0:
+        raise ValueError(
+            f"r1 = {r1}: tanh r1 rounds to 1, so the squeezed Fock tail never decays; "
+            "keep r1 below 19"
+        )
     if cutoff is None:
         mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
         span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))

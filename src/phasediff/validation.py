@@ -173,8 +173,8 @@ def _check_atomic_quadrature() -> CheckResult:
 
 
 def _check_dissipative_phase_dist() -> CheckResult:
-    # large displacement at T = 0, where the state is S(zeta) D(eta_tilde)|0>
-    # with eta_tilde = eta0 e^{-gamma0 t / 2}: a Poisson coherent vector
+    # large displacement at T = 0, where the state is S(zeta) D(a)|0>
+    # with a = eta0 e^{-gamma0 t / 2}: a Poisson coherent vector
     # squeezed by the exact exponential, and
     # P(theta_l) = |sum_n psi_n e^{-i n (omega t + theta_l)}|^2 / 2pi as one
     # FFT, exact because the grid is longer than the cutoff

@@ -15,11 +15,11 @@ def _hot_state_oracle(spec, eta0, t, cutoff, levels, columns):
     # of the first `columns` levels; shares no recurrence with the closed form.
     # Returns rho and P(theta) = <theta|rho_S|theta> / 2pi, with rho_S the
     # Schroedinger-picture density matrix.
-    beta = spec.moments.N_th * -math.expm1(-spec.gamma0 * t)
+    beta = spec.N_th * -math.expm1(-spec.gamma0 * t)
     a = eta0 * math.exp(-spec.gamma0 * t / 2.0)
     lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
     displace = _exp_anti_hermitian(a * lower.T - np.conj(a) * lower)[:, :columns]
-    squeeze = _squeeze_generator(levels, spec.zeta_mag, spec.zeta_phase)
+    squeeze = _squeeze_generator(levels, spec.r, spec.Phi)
     u = _exp_by_parity(squeeze, displace)[:cutoff]
     p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
     rho = (u * p) @ u.conj().T

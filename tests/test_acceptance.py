@@ -243,7 +243,7 @@ def test_criterion_07_figure_shapes():
         f"final {cold[-1]:.4f}",
     ))
     spec_hot = qubit_spec(1.0, 0.0025, 0.0, 0.0, 100.0)
-    n = spec_hot.moments.N
+    n = spec_hot.N
     target = n / (2.0 * n + 1.0)
     hot_final = cols["T=100 gamma0=0.0025 r=0"][-1]
     checks.append((

@@ -5,11 +5,8 @@ import mpmath
 import pytest
 
 from phasediff.bath_kernels import (
-    DissipativeBathMoments,
-    OSCILLATOR_CONVENTION,
-    QUBIT_CONVENTION,
+    DissipativeBathSpec,
     QndBathSpec,
-    bath_moments,
     eta,
     gamma_qnd,
     thermal_occupation,
@@ -124,28 +121,30 @@ def test_thermal_occupation_limits():
 
 
 def test_bath_moments_unsqueezed():
-    for conv in (QUBIT_CONVENTION, OSCILLATOR_CONVENTION):
-        mom = bath_moments(0.0, 0.3, 1.0, 1.0, conv)
-        assert mom.M == 0.0
-        assert math.isclose(mom.N, thermal_occupation(1.0, 1.0), rel_tol=1e-12)
-
-
-def test_bath_moments_sign_conventions_differ_only_in_m():
-    mq = bath_moments(1.0, 0.4, 2.0, 1.0, QUBIT_CONVENTION)
-    mo = bath_moments(1.0, 0.4, 2.0, 1.0, OSCILLATOR_CONVENTION)
-    assert math.isclose(mq.N, mo.N, rel_tol=1e-14)
-    assert abs(mq.M + mo.M) < 1e-14 * abs(mq.M)
+    spec = DissipativeBathSpec(1.0, 0.25, 0.0, 0.3, 1.0)
+    assert spec.M == 0.0
+    assert math.isclose(spec.N, thermal_occupation(1.0, 1.0), rel_tol=1e-12)
 
 
 def test_bath_moments_physicality_enforced():
-    # |M|^2 <= N (N + 1) must hold; a tampered M is rejected
-    mom = bath_moments(1.5, 0.0, 10.0, 1.0, QUBIT_CONVENTION)
-    assert abs(mom.M) ** 2 <= mom.N * (mom.N + 1.0) * (1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        DissipativeBathMoments(
-            N=mom.N, M=3.0 * mom.M, N_th=mom.N_th, r=mom.r, Phi=mom.Phi,
-            T=mom.T, omega=mom.omega,
-        )
+    # [DERIVED] |M|^2 <= N (N + 1), with equality at T = 0; a negative r is
+    # |r| at phase Phi + pi
+    for r in (-2.0, -0.5, 0.0, 0.5, 2.0):
+        for phi in (0.0, 0.7, -2.0):
+            for T in (0.0, 2.0, 300.0):
+                spec = DissipativeBathSpec(1.0, 0.25, r, phi, T)
+                bound = spec.N * (spec.N + 1.0)
+                assert abs(spec.M) ** 2 <= bound * (1.0 + 1e-14)
+                if T == 0:
+                    assert math.isclose(abs(spec.M) ** 2, bound, rel_tol=1e-14, abs_tol=0.0)
+
+
+def test_bath_moments_are_computed_once():
+    # stored at construction, not recomputed on every read
+    spec = DissipativeBathSpec(1.0, 0.25, 1.0, 0.3, 2.0)
+    assert {"N_th", "N", "M"} <= vars(spec).keys()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.N = 0.0
 
 
 def test_qnd_spec_rejects_bad_parameters():
@@ -155,6 +154,10 @@ def test_qnd_spec_rejects_bad_parameters():
         QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=-0.1, T=0.0)
     with pytest.raises(ValueError, match="^T = -1.0 must be nonnegative"):
         QndBathSpec(gamma0=0.025, omega_c=100.0, r=0.0, a=0.0, T=-1.0)
+    # cosh 2r overflows a double from r = 355.24
+    with pytest.raises(ValueError, match="^r = 360.0: cosh 2r overflows"):
+        QndBathSpec(gamma0=0.025, omega_c=100.0, r=360.0)
+    QndBathSpec(gamma0=0.025, omega_c=100.0, r=355.0)
 
 
 @pytest.mark.parametrize("field", ["gamma0", "omega_c", "r", "a", "T"])
@@ -174,10 +177,18 @@ def test_kernels_reject_non_finite_time(kernel, t):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("N", math.nan), ("M", complex(0.0, math.nan)), ("N_th", math.inf), ("r", math.nan),
-     ("Phi", math.inf), ("T", math.nan), ("omega", math.nan)],
+    [("gamma0", math.inf), ("r", math.nan), ("Phi", math.inf), ("T", math.nan),
+     ("omega", math.nan)],
 )
 def test_bath_moments_reject_non_finite(field, value):
-    mom = bath_moments(0.5, 0.3, 10.0, 1.0, QUBIT_CONVENTION)
+    kwargs = {"omega": 1.0, "gamma0": 0.25, "r": 0.5, "Phi": 0.3, "T": 10.0, field: value}
     with pytest.raises(ValueError, match=f"^{field} = "):
-        dataclasses.replace(mom, **{field: value})
+        DissipativeBathSpec(**kwargs)
+
+
+@pytest.mark.parametrize("r", [20.0, -20.0])
+def test_dissipative_spec_names_squeezing_past_double_precision(r):
+    # tanh|r| rounds to 1 from |r| = 19.07
+    with pytest.raises(ValueError, match=f"^r = {r}: tanh"):
+        DissipativeBathSpec(1.0, 0.25, r, 0.0, 0.0)
+    DissipativeBathSpec(1.0, 0.25, math.copysign(19.0, r), 0.0, 0.0)

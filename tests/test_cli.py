@@ -107,11 +107,16 @@ def test_read_config_file_parsing(tmp_path):
     assert read_config_file(cfg) == {"a": "1", "b": "2.5"}
 
 
-def test_missing_config_file_usage_error(tmp_path):
-    assert main(
-        ["figure", "fig2", "--config", str(tmp_path / "nope.cfg"),
-         "--out", str(tmp_path / "x.csv")]
-    ) == 2
+def test_missing_config_file_usage_error(tmp_path, capsys):
+    # a missing config file, and a directory given as the config or the output
+    out = tmp_path / "x.csv"
+    for args in (["--config", str(tmp_path / "nope.cfg"), "--out", str(out)],
+                 ["--config", str(tmp_path), "--out", str(out)],
+                 ["--out", str(tmp_path)]):
+        capsys.readouterr()
+        assert main(["figure", "fig3", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_plot_script_emission(tmp_path):
@@ -486,6 +491,24 @@ def test_unitary_limit_still_checks_the_bath_and_time(tmp_path, capsys, args, me
     out = tmp_path / "s.csv"
     assert main(["sweep", *args, "--num", "2", "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, setting, message", [
+    ("dissipative-oscillator", "r=20", "r = 20.0: tanh|r| rounds to 1"),
+    ("qnd-oscillator", "r1=20", "r1 = 20.0: tanh r1 rounds to 1"),
+    ("dissipative-qubit", "r=300", "r = 300.0: tanh|r| rounds to 1"),
+    ("qnd-qubit", "r=360", "r = 360.0: cosh 2r overflows"),
+], ids=["dissipative-oscillator", "qnd-oscillator", "dissipative-qubit", "qnd-qubit"])
+def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting, message):
+    # squeezing past what a double resolves: one error line, no traceback, no
+    # CSV.  Between about 5 and 19 the default Fock cutoff is finite but far
+    # too large to run, so no test goes there without --cutoff.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", family, "--param", "t", "--start", "0.1",
+                 "--stop", "1", "--num", "2", "--set", setting, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasediff.bath_kernels import DissipativeBathMoments
 from phasediff.dissipative_oscillator import (
     GscsMixture,
-    damping_coeffs,
     default_dissipative_cutoff,
     fock_density_from_gscs,
     gcs_displacement_matrix,
@@ -17,7 +15,7 @@ from phasediff.dissipative_oscillator import (
     phase_dist_osc_dissipative,
 )
 from phasediff.distribution import distribution_from_fourier
-from phasediff.errors import ConsistencyError, TruncationError
+from phasediff.errors import TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import audit_normalization, dispersion, integrate_distribution
 from phasediff.special_functions import squeezed_coherent_ket
@@ -34,50 +32,55 @@ def _oracle_distribution(rho, t):
     return distribution_from_fourier(rho_s / (2.0 * math.pi))
 
 
-def test_damping_coefficient_difference_is_gamma0():
-    for r, T in ((0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.5, 100.0)):
-        spec = oscillator_spec(1.0, 0.25, r, 0.3, T)
-        a, b = damping_coeffs(spec)
-        # cosh^2 - sinh^2 = 1 exactly
-        assert math.isclose(a - b, 0.25, rel_tol=1e-12)
-        assert b >= -1e-15
+# the bath grid of the identities below; a negative r is |r| at phase Phi + pi
+R_VALUES = (-2.0, -0.5, 0.0, 0.5, 2.0)
+PHI_VALUES = (0.0, 0.7, -2.0)
+T_VALUES = (0.0, 2.0, 300.0)
 
 
 def test_damping_beta_vanishes_at_zero_temperature():
-    for r in (0.0, 0.5, 1.0, 2.0):
+    # exactly: the T = 0 ket branch keys on beta_tilde == 0.0
+    for r in R_VALUES:
         spec = oscillator_spec(1.0, 0.25, r, 0.9, 0.0)
-        _, b = damping_coeffs(spec)
-        assert b == 0.0
+        for t in (0.0, 0.5, 10.0):
+            assert mixture_params(spec, t, 1.0).beta_tilde == 0.0
 
 
 def test_damping_coeffs_equal_squeezed_bath_form():
-    # [DERIVED] the unreduced squeezed-bath expression, whose terms cancel
-    # down to the thermal pair; agreement to a few ulps of the largest term
-    for r in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-        for T in (0.0, 0.5, 2.0, 10.0, 100.0, 300.0):
-            for phi in (0.0, 0.7, -2.0):
+    # [DERIVED] beta_tilde = (beta_coef / gamma0) (1 - e^{-gamma0 t}) with the
+    # unreduced squeezed-bath coefficient gamma0 [N cosh 2r - Re(M zeta*)
+    # sinh 2r / r + sinh^2 r], whose terms cancel down to gamma0 N_th;
+    # agreement to a few ulps of the largest term
+    for r in R_VALUES:
+        for T in T_VALUES:
+            for phi in PHI_VALUES:
                 spec = oscillator_spec(1.0, 0.25, r, phi, T)
-                g0, m, z = spec.gamma0, spec.moments, spec.zeta
-                cross = 2.0 * (m.M * z.conjugate()).real
-                cross *= math.sinh(2.0 * r) / (2.0 * r) if r > 0 else 1.0
-                common = g0 * (m.N * math.cosh(2.0 * r) - cross)
-                expected = (common + g0 * math.cosh(r) ** 2, common + g0 * math.sinh(r) ** 2)
-                scale = g0 * (m.N * math.cosh(2.0 * r) + math.cosh(r) ** 2)
-                for got, want in zip(damping_coeffs(spec), expected):
-                    assert abs(got - want) <= 8 * np.finfo(float).eps * scale
+                g0, z = spec.gamma0, r * complex(math.cos(phi), math.sin(phi))
+                cross = 2.0 * (spec.M * z.conjugate()).real
+                cross *= math.sinh(2.0 * r) / (2.0 * r) if r != 0 else 1.0
+                beta_coef = g0 * (spec.N * math.cosh(2.0 * r) - cross + math.sinh(r) ** 2)
+                scale = g0 * (spec.N * math.cosh(2.0 * r) + math.cosh(r) ** 2)
+                for t in (0.0, 0.5, 4.0):
+                    decay = -math.expm1(-g0 * t)
+                    got = mixture_params(spec, t, 1.0).beta_tilde
+                    assert abs(got - beta_coef / g0 * decay) <= 8 * np.finfo(float).eps * scale
 
 
-def test_consistency_check_rejects_tampered_moments():
-    # flipping the sign of M breaks the squeeze-frame consistency condition
-    good = oscillator_spec(1.0, 0.25, 1.0, 0.3, 0.0).moments
-    bad = DissipativeBathMoments(
-        N=good.N, M=-good.M, N_th=good.N_th, r=good.r, Phi=good.Phi,
-        T=good.T, omega=good.omega,
-    )
-    spec = oscillator_spec(1.0, 0.25, 1.0, 0.3, 0.0)
-    object.__setattr__(spec, "moments", bad)
-    with pytest.raises(ConsistencyError):
-        damping_coeffs(spec)
+def test_bath_moments_satisfy_squeeze_frame_consistency():
+    # [DERIVED] M coth|zeta| / u + u M* tanh|zeta| = 2N + 1, u = zeta/|zeta|:
+    # the identity that turns the squeezed bath into a thermal one in the
+    # frame of S(zeta); M = 0 and N = N_th without squeezing
+    for r in R_VALUES:
+        for T in T_VALUES:
+            for phi in PHI_VALUES:
+                spec = oscillator_spec(1.0, 0.25, r, phi, T)
+                if r == 0:
+                    assert spec.M == 0 and spec.N == spec.N_th
+                    continue
+                u = math.copysign(1.0, r) * complex(math.cos(phi), math.sin(phi))
+                mag = abs(r)
+                lhs = spec.M / u / math.tanh(mag) + u * spec.M.conjugate() * math.tanh(mag)
+                assert abs(lhs - (2.0 * spec.N + 1.0)) <= 1e-14 * (2.0 * spec.N + 1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -91,7 +94,7 @@ def test_mixture_at_time_zero_is_initial_state():
     spec = oscillator_spec(1.0, 0.25, 1.0, 0.0, 2.0)
     mix = mixture_params(spec, 0.0, 1.0 + 0.5j)
     assert mix.beta_tilde == 0.0
-    assert mix.eta_tilde == 1.0 + 0.5j
+    assert mix.a == 1.0 + 0.5j
 
 
 def test_gcs_displacement_matrix_is_unitary_in_window():
@@ -136,7 +139,7 @@ def test_density_matches_ode_oracle(r, T, t, gamma0, cutoff):
 
 
 def test_large_displacement_matches_eigh_oracle():
-    # [DERIVED] at T = 0 the state is S(zeta) D(eta_tilde)|0>: a Poisson
+    # [DERIVED] at T = 0 the state is S(zeta) D(a)|0>: a Poisson
     # coherent vector squeezed by the exact exponential on 700 levels, far
     # above the default cutoff (590); the squeeze-matrix columns were 2e-6
     # off here
@@ -169,16 +172,17 @@ def test_hot_state_matches_eigh_oracle(hot_state_oracle):
 
 def test_hot_density_with_complex_displacement_matches_eigh_oracle(hot_state_oracle):
     # Phi != 0 with a complex eta0: the point where the recurrence's b
-    # conjugated would be off by order 0.1
+    # conjugated would be off by order 0.1; r = -0.8 is |r| at Phi + pi
     eta0, t = 2.0 + 1.5j, 0.5
-    spec = oscillator_spec(1.0, 0.25, 0.8, -1.1, 5.0)
-    mix = mixture_params(spec, t, eta0)
-    # twice the default cutoff (211), which fails the two-cutoff check here
-    cutoff = 2 * default_dissipative_cutoff(mix, eta0)
-    oracle, expected = hot_state_oracle(spec, eta0, t, cutoff, 2 * cutoff, 60)
-    assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-12
-    got = phase_dist_osc_dissipative(spec, eta0, t, cutoff)
-    assert np.max(np.abs(got.samples(720) - expected.samples(720))) < 1e-12
+    for r in (0.8, -0.8):
+        spec = oscillator_spec(1.0, 0.25, r, -1.1, 5.0)
+        mix = mixture_params(spec, t, eta0)
+        # twice the default cutoff (211), which fails the two-cutoff check here
+        cutoff = 2 * default_dissipative_cutoff(mix, eta0)
+        oracle, expected = hot_state_oracle(spec, eta0, t, cutoff, 2 * cutoff, 60)
+        assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-12
+        got = phase_dist_osc_dissipative(spec, eta0, t, cutoff)
+        assert np.max(np.abs(got.samples(720) - expected.samples(720))) < 1e-12
 
 
 def test_row_past_the_density_bound_names_the_cutoff_setting():
@@ -186,7 +190,7 @@ def test_row_past_the_density_bound_names_the_cutoff_setting():
     # 30000 the forward recurrence grows past |rho_mn| = 1 near row 1500,
     # long before it could overflow
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 5.0)
-    t = -math.log(1.0 - 0.5 / spec.moments.N_th) / spec.gamma0
+    t = -math.log(1.0 - 0.5 / spec.N_th) / spec.gamma0
     eta0 = math.sqrt(200.0) * math.exp(spec.gamma0 * t / 2.0)
     with pytest.raises(TruncationError, match=r"row \d+ reaches .*\(--cutoff, currently 30000\)"):
         phase_dist_osc_dissipative(spec, eta0, t, cutoff=30000)
@@ -272,6 +276,12 @@ def test_default_cutoff_grows_with_squeezing():
 def test_spec_rejects_non_finite(args, field):
     with pytest.raises(ValueError, match=f"^{field} = "):
         oscillator_spec(*args)
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -0.25])
+def test_spec_rejects_nonpositive_damping(gamma0):
+    with pytest.raises(ValueError, match=f"^gamma0 = {gamma0} must be positive"):
+        oscillator_spec(1.0, gamma0, 1.0, 0.0, 0.0)
 
 
 def test_coarse_grid_dispersion_error_names_the_grid():

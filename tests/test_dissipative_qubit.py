@@ -31,6 +31,9 @@ SETTINGS = [
     (1.0, math.pi / 8, 0.0, 0.25, 0.7),
     (2.0, math.pi / 8, 300.0, 0.25, 0.3),
     (0.5, 1.1, 100.0, 0.0025, 5.0),
+    # a negative r is |r| at phase Phi + pi
+    (-1.0, math.pi / 8, 100.0, 0.25, 0.7),
+    (-2.0, math.pi / 8, 100.0, 0.25, 0.7),
 ]
 
 
@@ -61,7 +64,7 @@ def test_zero_coupling_is_unitary_rotation():
 def test_long_time_population_reaches_detailed_balance():
     # [TRIVIAL] p_e(infinity) = N / (2N + 1)
     spec = qubit_spec(1.0, 0.025, 0.0, 0.0, 100.0)
-    n = spec.moments.N
+    n = spec.N
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
     assert abs(excited_population(state, spec, 5000.0) - n / (2 * n + 1)) < 1e-6
 
@@ -133,11 +136,13 @@ def test_closed_forms_reject_negative_or_non_finite_time(gamma0, t, message):
 
 def _old_qubit_bracket(spec, t, beta, phi):
     # the closed forms' bracket as it was written on the grid
-    ch, sh = _damped_cosh_sinhc(spec.alpha_sq, spec.gamma_beta, t)
+    # with the anomalous moment's magnitude (N_th + 1/2) sinh 2r written out
+    ch, sh = _damped_cosh_sinhc(spec, t)
+    mag = (spec.N_th + 0.5) * math.sinh(2.0 * spec.r)
     return (
         ch * np.cos(phi - beta)
         + spec.omega * sh * np.sin(phi - beta)
-        - spec.gamma0 * spec.moments.R_signed * sh * np.cos(spec.moments.Phi + beta + phi)
+        + spec.gamma0 * mag * sh * np.cos(spec.Phi + beta + phi)
     )
 
 

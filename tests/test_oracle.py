@@ -53,9 +53,9 @@ RHO0_QUBIT = np.array([[0.3, 0.25 - 0.1j], [0.25 + 0.1j, 0.7]], dtype=complex)
 def test_qubit_oracle_at_exceptional_point():
     # gamma0 |M| = omega: alpha^2 = 0 and the generator is defective, where
     # an eigendecomposition would fail and the Taylor exponential does not
-    moments = qubit_spec(1.0, 0.25, 1.0, math.pi / 8, 0.0).moments
-    spec = qubit_spec(1.0, 1.0 / abs(moments.M), 1.0, math.pi / 8, 0.0)
-    assert abs(spec.alpha_sq) < 1e-14
+    big_m = qubit_spec(1.0, 0.25, 1.0, math.pi / 8, 0.0).M
+    spec = qubit_spec(1.0, 1.0 / abs(big_m), 1.0, math.pi / 8, 0.0)
+    assert abs(spec.gamma0**2 * abs(spec.M) ** 2 - spec.omega**2) < 1e-14
     for t in (0.3, 1.0, 5.0):
         oracle = integrate_lindblad_qubit(RHO0_QUBIT, spec, t)
         closed = propagate_qubit(RHO0_QUBIT, spec, t)
@@ -82,7 +82,7 @@ def _dense_oscillator_rhs(spec, rho):
     cutoff = len(rho)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
     ad = a.conj().T
-    g0, big_n, big_m = spec.gamma0, spec.moments.N, spec.moments.M
+    g0, big_n, big_m = spec.gamma0, spec.N, spec.M
 
     def dissipator(c1, c2):
         # c1 rho c2 - {c2 c1, rho} / 2
@@ -149,7 +149,7 @@ def test_oscillator_oracle_time_zero_identity():
 def test_oscillator_oracle_thermalizes_vacuum():
     # r = 0, T > 0: detailed-balance fixed point is the thermal state
     spec = oscillator_spec(1.0, 1.0, 0.0, 0.0, 1.0)
-    nth = spec.moments.N_th
+    nth = spec.N_th
     cutoff = 25
     rho0 = np.zeros((cutoff, cutoff), dtype=complex)
     rho0[0, 0] = 1.0

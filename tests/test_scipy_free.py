@@ -134,7 +134,7 @@ def _dense_lindblad_rhs(spec, cutoff):
     # the oscillator master equation from dense truncated a and a^dag
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
     ad = a.conj().T
-    g0, big_n, big_m = spec.gamma0, spec.moments.N, spec.moments.M
+    g0, big_n, big_m = spec.gamma0, spec.N, spec.M
     jumps = (
         ((big_n + 1) * g0, a, ad), (big_n * g0, ad, a),
         (big_m * g0, ad, ad), (big_m.conjugate() * g0, a, a),
