@@ -75,7 +75,9 @@ def gamma_qnd(t: float, spec: QndBathSpec) -> float:
     f(x) = log(1 + x^2) / 2 at T = 0 and _atan_log at high temperature; both
     f are O(x^2) and evaluated without cancellation, so gamma keeps its
     digits at small omega_c t.  The squeezed-bath logs are defined only for
-    t > 2a; with a > 0 smaller times are rejected as out of domain.
+    t > 2a; with a > 0 smaller times are rejected as out of domain.  A gamma
+    that passes the double range (cosh 2r near its limit, or inf - inf) is a
+    ValueError that names r, T and t.
     """
     check_time(t)
     if spec.a > 0 and t <= 2 * spec.a:
@@ -85,10 +87,16 @@ def gamma_qnd(t: float, spec: QndBathSpec) -> float:
         f, scale = (lambda x: 0.5 * math.log1p(x * x)), g0 / (2 * math.pi)
     else:
         f, scale = _atan_log, g0 * spec.T / (math.pi * wc)
-    return scale * (
+    gamma = scale * (
         2 * math.cosh(2 * r) * f(wc * t)
         - math.sinh(2 * r) * (f(2 * wc * (t - a)) - 2 * f(wc * (t - 2 * a)) + f(2 * a * wc))
     )
+    if not math.isfinite(gamma):
+        raise ValueError(
+            f"gamma(t) = {gamma} is not finite at r = {r}, T = {spec.T}, t = {t}; "
+            "lower the bath squeezing |r|"
+        )
+    return gamma
 
 
 def thermal_occupation(omega: float, T: float) -> float:
@@ -111,9 +119,9 @@ class DissipativeBathSpec:
     Its moments at omega are computed once, at construction: the Planck
     occupation N_th, N = N_th cosh 2r + sinh^2 r and
     M = (N_th + 1/2) sinh 2r e^{i Phi}, with |M|^2 <= N (N + 1), equal at
-    T = 0.  M carries the oscillator master equation's sign; the qubit's
-    master equation has -M in its place.  A negative r is |r| at phase
-    Phi + pi.
+    T = 0; a bath whose N (N + 1) passes the double range is refused.  M
+    carries the oscillator master equation's sign; the qubit's master
+    equation has -M in its place.  A negative r is |r| at phase Phi + pi.
     """
 
     omega: float
@@ -135,7 +143,13 @@ class DissipativeBathSpec:
             raise ValueError(f"r = {self.r}: tanh|r| rounds to 1; keep |r| below 19")
         n_th = thermal_occupation(self.omega, self.T)
         sh = math.sinh(self.r)
+        n = n_th * (math.cosh(self.r) ** 2 + sh**2) + sh**2
+        if not math.isfinite(n * (n + 1.0)):
+            raise ValueError(
+                f"T = {self.T} with r = {self.r}: the bath moment N (N + 1) overflows; "
+                "lower the bath temperature T"
+            )
         m = (n_th + 0.5) * math.sinh(2 * self.r) * complex(math.cos(self.Phi), math.sin(self.Phi))
         object.__setattr__(self, "N_th", n_th)
-        object.__setattr__(self, "N", n_th * (math.cosh(self.r) ** 2 + sh**2) + sh**2)
+        object.__setattr__(self, "N", n)
         object.__setattr__(self, "M", m)

@@ -147,8 +147,8 @@ def _dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs.
 
     The runs are evaluated x-major, so the curves at one x, which differ only
-    in the bath, share its cached gamma-free state; the distributions are
-    then put back curve by curve."""
+    in the bath, share its cached gamma-free coefficients; the distributions
+    are then put back curve by curve."""
     runs = [
         (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
         for x in xs

@@ -18,16 +18,22 @@ autocorrelation of v times g and the oscillator runs in O(cutoff) memory.
 The bath's squeezing r, its phase slope a and its temperature T enter the
 dephased state only through gamma(t), and eta(t) depends on none of them.
 So the propagator splits into a gamma-free part, e^{-i w (m-n) t} e^{i w^2
-(m^2-n^2) eta}, and the damping G_mn = e^{-w^2 gamma (m-n)^2}.  The
-gamma-free dephased state is cached: for the atoms it is
-qnd_evolve(rho0, w, t, eta, 0), keyed by (AtomicSqueezedParams, w, t, eta);
-for the oscillator it is the autocorrelation sum_m v_m v_{m+d}^*, keyed by
-(r1, psi, |alpha|, theta0, w, t, eta, cutoff) and stored only once the Fock
-tail check has passed.  A sweep over r, T or a then computes gamma and
-applies G at each point.  The bath-independent parts of the initial state
-(the squeezed coherent ket, the Wigner-d row of the atomic squeezed state
-and the dipole weights) are cached the same way.  Every cache is a bounded
-lru_cache of 8 entries whose arrays are read-only.
+(m^2-n^2) eta}, and the damping e^{-w^2 gamma (m-n)^2}, which depends only
+on the offset d = m - n that harmonic d of P(phi) collects.  Every dephased
+distribution therefore follows one rule: its Fourier coefficients are those
+of the gamma-free distribution, c0_d, times e^{-w^2 gamma d^2} (_damped).
+The models cache c0 and never their states: for the atoms it is the
+gamma-free pure state u u^dag, u_m = a_m e^{i(w^2 eta m^2 - w t m)}, passed
+through phase_distribution_atomic, keyed by (AtomicSqueezedParams, w, t,
+eta); for the oscillator it is the ket autocorrelation over 2 pi, keyed by
+(r1, psi, |alpha|, theta0, w, t, eta, cutoff), with a default cutoff
+resolved only on a miss and the entry stored only once the Fock tail check
+has passed.  The closed forms damp their gamma-free harmonics the same way.
+A sweep over r, T or a then computes gamma and one exponential per point.
+The bath-independent parts of the initial state (the squeezed coherent ket,
+the Wigner-d row of the atomic squeezed state and the dipole weights) and
+the squared degrees d^2 are cached too.  Every cache is a bounded lru_cache
+of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -197,25 +203,41 @@ def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
 
 
 @functools.lru_cache(maxsize=8)
-def _gamma_free_atomic_state(
+def _squared_degrees(degree: int) -> np.ndarray:
+    """d^2 for d = -degree..degree; cached and read-only."""
+    d2 = np.arange(-degree, degree + 1, dtype=float) ** 2
+    d2.setflags(write=False)
+    return d2
+
+
+def _damped(c0: np.ndarray, omega: float, gamma_t: float) -> PhaseDistribution:
+    """The dephased P(phi) whose gamma-free coefficients are c0: harmonic d
+    times e^{-w^2 gamma d^2}, the one step every QND distribution takes."""
+    return PhaseDistribution(c0 * np.exp(-(omega**2) * gamma_t * _squared_degrees(len(c0) // 2)))
+
+
+@functools.lru_cache(maxsize=8)
+def _gamma_free_atomic_coeffs(
     state: AtomicSqueezedParams, omega: float, t: float, eta_t: float
 ) -> np.ndarray:
-    """The dephased atomic squeezed state at gamma = 0, which the bath's
-    r, a and T never reach; cached and read-only."""
-    rho = qnd_evolve(atomic_squeezed_density(state), omega, t, eta_t, 0.0)
-    rho.setflags(write=False)
-    return rho
+    """Coefficients c0_d of the dephased atomic squeezed state at gamma = 0,
+    which the bath's r, a and T never reach; cached and read-only.  The state
+    is pure and the gamma-free propagator factorizes, so it is u u^dag with
+    u_m = a_m e^{i(w^2 eta m^2 - w t m)}."""
+    amps = atomic_squeezed_amplitudes(state)
+    m = np.arange(len(amps)) - (len(amps) - 1) / 2.0
+    u = amps * np.exp(1j * (omega**2 * eta_t * m**2 - omega * t * m))
+    c0 = phase_distribution_atomic(np.outer(u, u.conj())).coeffs
+    c0.setflags(write=False)
+    return c0
 
 
 def phase_dist_atomic_squeezed(
     state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, gamma_t: float
 ) -> PhaseDistribution:
     """P(phi) of a dephased atomic squeezed state: the cached gamma-free
-    state times the damping G_mn = e^{-w^2 gamma (m-n)^2}."""
-    rho = _gamma_free_atomic_state(state, omega, t, eta_t)
-    k = np.arange(len(rho))
-    damping = np.exp(-(omega**2) * gamma_t * np.subtract.outer(k, k) ** 2)
-    return phase_distribution_atomic(rho * damping)
+    coefficients, damped."""
+    return _damped(_gamma_free_atomic_coeffs(state, omega, t, eta_t), omega, gamma_t)
 
 
 def phase_dist_coherent_halfspin(
@@ -227,8 +249,9 @@ def phase_dist_coherent_halfspin(
         P(phi) = (1/2pi)[1 + (pi/4) sin(alpha_p) cos(beta_p + omega t - phi)
                          e^{-omega^2 gamma}].
     """
-    amp = (math.pi / 4.0) * math.sin(params.alpha_p) * math.exp(-(omega**2) * gamma_t)
-    return _closed_form((cmath.rect(amp / 2.0, -(params.beta_p + omega * t)),))
+    amp = (math.pi / 4.0) * math.sin(params.alpha_p)
+    h1 = cmath.rect(amp / 2.0, -(params.beta_p + omega * t))
+    return _damped(_closed_form((h1,)).coeffs, omega, gamma_t)
 
 
 def phase_dist_squeezed_halfspin(
@@ -241,13 +264,14 @@ def phase_dist_squeezed_halfspin(
                          e^{-omega^2 gamma}].
     """
     sign = _half_sign(p_sign)
-    amp = sign * (math.pi / (4.0 * math.cosh(Theta))) * math.exp(-(omega**2) * gamma_t)
-    return _closed_form((cmath.rect(amp / 2.0, -omega * t),))
+    amp = sign * (math.pi / (4.0 * math.cosh(Theta)))
+    return _damped(_closed_form((cmath.rect(amp / 2.0, -omega * t),)).coeffs, omega, gamma_t)
 
 
 def _closed_form(harmonics) -> PhaseDistribution:
     """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the
-    harmonics h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
+    harmonics h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2.
+    The QND closed forms pass their gamma-free harmonics and damp the result."""
     return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi))
 
 
@@ -276,16 +300,17 @@ def phase_dist_two_atoms(
     a cos x - b sin x is Re[(a + i b) e^{ix}], so each term is one harmonic.
     """
     w2 = omega**2
-    h2 = cmath.rect(math.exp(-4.0 * w2 * gamma_t) / 2.0, -2.0 * omega * t)
+    h2 = cmath.rect(0.5, -2.0 * omega * t)
     if p == 0:
-        return _closed_form((0.0, -h2 / (2.0 * math.cosh(2.0 * Theta))))
+        h2 = -h2 / (2.0 * math.cosh(2.0 * Theta))
+        return _damped(_closed_form((0.0, h2)).coeffs, omega, gamma_t)
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
     denom = 1.0 + math.cosh(2.0 * Theta)
-    amp = float(p) * (3.0 * math.pi / (4.0 * denom)) * math.exp(-w2 * gamma_t)
+    amp = float(p) * (3.0 * math.pi / (4.0 * denom))
     ab = complex(math.cos(w2 * eta_t) * math.cosh(Theta), math.sin(w2 * eta_t) * math.sinh(Theta))
     h1 = amp * ab * cmath.rect(0.5, -omega * t)
-    return _closed_form((h1, h2 / (2.0 * denom)))
+    return _damped(_closed_form((h1, h2 / (2.0 * denom))).coeffs, omega, gamma_t)
 
 
 def number_distribution(
@@ -305,13 +330,25 @@ def number_distribution(
 
 
 @functools.lru_cache(maxsize=8)
-def _gamma_free_autocorrelation(
+def _gamma_free_osc_coeffs(
     r1: float, psi: float, alpha_mag: float, theta0: float,
-    omega: float, t: float, eta_t: float, cutoff: int,
+    omega: float, t: float, eta_t: float, cutoff: int | None,
 ) -> np.ndarray:
-    """sum_m v_m v_{m+d}^* of the dephased squeezed coherent ket at gamma = 0,
-    refused unless the cutoff keeps all but 1e-12 of its weight; cached and
-    read-only."""
+    """Coefficients c0_d = sum_m v_m v_{m+d}^* / 2pi of the dephased squeezed
+    coherent ket at gamma = 0, refused unless the cutoff keeps all but 1e-12
+    of its weight; cached and read-only.  A cutoff of None is the default of
+    phase_dist_osc_squeezed, resolved here, on a miss only."""
+    if r1 < 0:
+        raise ValueError(f"r1 = {r1} must be nonnegative")
+    if math.tanh(r1) == 1.0:
+        raise ValueError(
+            f"r1 = {r1}: tanh r1 rounds to 1, so the squeezed Fock tail never decays; "
+            "keep r1 below 19"
+        )
+    if cutoff is None:
+        mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
+        span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))
+        cutoff = max(30, int(math.ceil(span)))
     # Fock amplitudes of S(xi) D(alpha)|0>, xi = r1 e^{i psi}, alpha = alpha_mag e^{i theta0}
     alpha = alpha_mag * complex(math.cos(theta0), math.sin(theta0))
     amps = squeezed_coherent_ket(r1, psi, alpha, cutoff)
@@ -324,9 +361,9 @@ def _gamma_free_autocorrelation(
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
     v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
-    correlation = ket_autocorrelation(v)
-    correlation.setflags(write=False)
-    return correlation
+    c0 = ket_autocorrelation(v) / (2.0 * math.pi)
+    c0.setflags(write=False)
+    return c0
 
 
 def phase_dist_osc_squeezed(
@@ -347,22 +384,9 @@ def phase_dist_osc_squeezed(
     1e-20; the truncated weight must miss 1 by at most 1e-12.
 
     The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
-    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}*: the
-    cached gamma-free autocorrelation of the ket times the damping, in
-    O(cutoff) memory and with no cutoff x cutoff array.
+    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}* / 2pi: the
+    cached gamma-free autocorrelation of the ket, damped, in O(cutoff)
+    memory and with no cutoff x cutoff array.
     """
-    if r1 < 0:
-        raise ValueError(f"r1 = {r1} must be nonnegative")
-    if math.tanh(r1) == 1.0:
-        raise ValueError(
-            f"r1 = {r1}: tanh r1 rounds to 1, so the squeezed Fock tail never decays; "
-            "keep r1 below 19"
-        )
-    if cutoff is None:
-        mean = alpha_mag**2 * math.cosh(2 * r1) + math.sinh(r1) ** 2
-        span = max(mean + 14.0 * math.sqrt(mean + 1.0) + 20.0, squeeze_tail_pad(r1))
-        cutoff = max(30, int(math.ceil(span)))
-    correlation = _gamma_free_autocorrelation(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff)
-    offsets = np.arange(1 - cutoff, cutoff)
-    damping = np.exp(-(omega**2) * gamma_t * offsets**2) / (2.0 * math.pi)
-    return PhaseDistribution(correlation * damping)
+    c0 = _gamma_free_osc_coeffs(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff)
+    return _damped(c0, omega, gamma_t)

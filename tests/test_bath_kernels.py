@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import pytest
@@ -192,3 +193,26 @@ def test_dissipative_spec_names_squeezing_past_double_precision(r):
     with pytest.raises(ValueError, match=f"^r = {r}: tanh"):
         DissipativeBathSpec(1.0, 0.25, r, 0.0, 0.0)
     DissipativeBathSpec(1.0, 0.25, math.copysign(19.0, r), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("r", [354.5, 355.0, -355.0])
+@pytest.mark.parametrize("T", [0.0, 50.0])
+def test_gamma_past_the_double_range_is_refused_by_name(r, T):
+    # cosh 2r is still finite, but 2 cosh 2r f(omega_c t) is not (inf at
+    # T = 0, inf - inf = nan at T > 0)
+    spec = QndBathSpec(0.0025, 100.0, r=r, T=T)
+    with pytest.raises(ValueError, match=rf"^gamma\(t\) = .* at r = {r}, T = {T}, t = 0.1;"):
+        gamma_qnd(0.1, spec)
+    below = QndBathSpec(0.0025, 100.0, r=math.copysign(353.0, r), T=T)
+    assert math.isfinite(gamma_qnd(0.1, below))
+
+
+@pytest.mark.parametrize("r, T_ok, T_over", [(1.0, 3.5e153, 3.6e153), (0.0, 1.3e154, 1.35e154),
+                                             (-1.0, 3.5e153, 3.6e153)])
+def test_dissipative_spec_names_a_temperature_whose_moments_overflow(r, T_ok, T_over):
+    # N (N + 1), the bound on |M|^2, must be a double: just below the limit
+    # the moments are finite, just above it T is named
+    spec = DissipativeBathSpec(1.0, 0.025, r, 0.3, T_ok)
+    assert math.isfinite(spec.N * (spec.N + 1.0)) and math.isfinite(abs(spec.M) ** 2)
+    with pytest.raises(ValueError, match=re.escape(f"T = {T_over} with r = {r}: the bath")):
+        DissipativeBathSpec(1.0, 0.025, r, 0.3, T_over)

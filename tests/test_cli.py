@@ -20,7 +20,7 @@ from phasediff.distribution import distribution_from_harmonics
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
 from phasediff.phase_stats import audit_normalization
-from phasediff.qnd_phase import _gamma_free_autocorrelation, phase_dist_osc_squeezed
+from phasediff.qnd_phase import _gamma_free_osc_coeffs, phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -451,10 +451,10 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
 
 def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path, cold_caches):
     # the 961 points vary the bath squeezing r only, which enters through
-    # gamma alone: one gamma-free autocorrelation, from one ket
+    # gamma alone: one gamma-free coefficient vector, from one ket
     assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-2",
                  "--stop", "2", "--num", "961", "--out", str(tmp_path / "s.csv")]) == 0
-    assert _gamma_free_autocorrelation.cache_info()[:2] == (960, 1)
+    assert _gamma_free_osc_coeffs.cache_info()[:2] == (960, 1)
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
@@ -510,6 +510,51 @@ def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family, settings, message", [
+    ("qnd-oscillator", ["r=355"], "gamma(t) = inf is not finite at r = 355.0, T = 0.0"),
+    ("qnd-qubit", ["r=355"], "gamma(t) = inf is not finite at r = 355.0, T = 0.0"),
+    ("qnd-qubit", ["r=355", "T=50"], "gamma(t) = nan is not finite at r = 355.0, T = 50.0"),
+    ("dissipative-qubit", ["T=1e300", "r=1"],
+     "T = 1e+300 with r = 1.0: the bath moment N (N + 1) overflows"),
+    ("dissipative-oscillator", ["T=3.6e153", "r=1"],
+     "T = 3.6e+153 with r = 1.0: the bath moment N (N + 1) overflows"),
+], ids=["qnd-oscillator", "qnd-qubit", "qnd-qubit-hot", "dissipative-qubit",
+        "dissipative-oscillator"])
+def test_bath_past_the_double_range_is_refused_by_name(tmp_path, capsys, family, settings,
+                                                       message):
+    # a gamma(t) or a bath moment that a double cannot hold: one error line,
+    # no warning, no CSV
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", family, "--param", "t", "--start", "0.1", "--stop", "1",
+                 "--num", "2", *sets, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", [3.5e153, 3.6e153])
+@pytest.mark.parametrize("family", ["dissipative-qubit", "dissipative-oscillator"])
+def test_dissipative_families_on_both_sides_of_the_moment_overflow(tmp_path, capsys, family, T):
+    # N (N + 1) overflows between these temperatures at r = 1.  Below, the
+    # qubit computes D; the oscillator's mixture outgrows any cutoff, so
+    # --cutoff keeps the run short and the refusal names it
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--family", family, "--param", "t", "--start", "0.1", "--stop", "1",
+               "--num", "2", "--set", f"T={T}", "--set", "r=1", "--cutoff", "40",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        table = _read_table(out)
+        d = np.array([table[name] for name in table.dtype.names[1:]])
+        assert np.all((d >= 0.0) & (d <= 1.0)), d
+    else:
+        assert rc == 1 and err.count("\n") == 1 and not out.exists(), err
+        named = "T = 3.6e+153" if T > 3.55e153 else "--cutoff"
+        assert err.startswith("error: ") and named in err, err
+    assert (rc == 0) == (family == "dissipative-qubit" and T < 3.55e153)
 
 
 # the sweep's other settings are the family defaults: omega = 1, gamma0 = 0.025,

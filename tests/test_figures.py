@@ -100,16 +100,19 @@ def _undamped_atoms(theta, t):
 
 def test_unitary_curves_are_the_undamped_evolution():
     # gamma0 = 0 still builds the bath, with r = 0 and T = 0 where a scenario
-    # sets neither, and its eta and gamma stay exactly 0
+    # sets neither, and its eta and gamma stay exactly 0; the figures build
+    # the atoms from their amplitudes, qnd_evolve from the density matrix, so
+    # the two agree to rounding
     fig1 = run_figure("fig1")
     assert fig1.columns[0][0] == "unitary t=0.1"
     theta = SCENARIOS["fig1"].defaults["Theta"]
-    assert np.array_equal(fig1.columns[0][1], _undamped_atoms(theta, 0.1).samples(720))
+    undamped = _undamped_atoms(theta, 0.1).samples(720)
+    assert np.max(np.abs(fig1.columns[0][1] - undamped)) <= 1e-15
     fig7 = run_figure("fig7")
     assert fig7.columns[0][0] == "unitary"
     expected = [dispersion(_undamped_atoms(AtomicSqueezedParams.from_zeta(5, 5, z).Theta, 1.0))
                 for z in fig7.x]
-    assert np.array_equal(fig7.columns[0][1], expected)
+    assert np.max(np.abs(fig7.columns[0][1] - expected)) <= 1e-15
     fig8 = run_figure("fig8")
     assert fig8.columns[0][0] == "unitary"
     osc = phase_dist_osc_squeezed(0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.0, 0.0)

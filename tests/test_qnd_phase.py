@@ -13,8 +13,9 @@ from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
     _dephasing_factor,
     _dipole_weights,
-    _gamma_free_atomic_state,
-    _gamma_free_autocorrelation,
+    _gamma_free_atomic_coeffs,
+    _gamma_free_osc_coeffs,
+    _squared_degrees,
     _wigner_row,
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -222,19 +223,20 @@ def test_dipole_weights_match_scalar_double_loop(j):
 
 
 def test_fig6_builds_the_atomic_initial_state_once(cold_caches):
-    # 164 points vary only the bath: one gamma-free state, whose build makes
-    # the one Wigner-d row, and one weight matrix
+    # 164 points vary only the bath: one gamma-free coefficient vector, whose
+    # build makes the one Wigner-d row, and one weight matrix
     run_figure("fig6")
-    assert _gamma_free_atomic_state.cache_info()[:2] == (163, 1)
+    assert _gamma_free_atomic_coeffs.cache_info()[:2] == (163, 1)
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
 
 def test_fig7_builds_one_gamma_free_state_per_zeta_and_eta(cold_caches):
     # each zeta is one initial state; its unitary curve has eta = 0 and its
-    # three temperature curves share one eta, so 36 x 2 states are built
+    # three temperature curves share one eta, so 36 x 2 coefficient vectors
+    # are built
     run_figure("fig7")
-    assert _gamma_free_atomic_state.cache_info()[:2] == (72, 72)
+    assert _gamma_free_atomic_coeffs.cache_info()[:2] == (72, 72)
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
@@ -264,11 +266,40 @@ def test_gamma_free_state_times_damping_is_the_dephased_state(j, p, Theta, bath,
     assert np.max(np.abs(factored.coeffs - direct.coeffs)) <= 1e-15
 
 
+# every QND distribution as a function of gamma alone, at omega = 1.3
+DAMPED_FORMS = {
+    "atomic": lambda g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(2.5, -1.5, -0.3), 1.3, 0.7, -4e-3, g),
+    "oscillator": lambda g: phase_dist_osc_squeezed(
+        0.5, math.pi / 4, math.sqrt(5.0), 0.3, 1.3, 0.7, -4e-3, g),
+    "coherent half-spin": lambda g: phase_dist_coherent_halfspin(
+        AtomicCoherentParams(1.1, 2.3), 1.3, 0.7, g),
+    "squeezed half-spin": lambda g: phase_dist_squeezed_halfspin(-0.3, -0.5, 1.3, 0.7, g),
+    "two atoms p=1": lambda g: phase_dist_two_atoms(0.4, 1, 1.3, 0.7, -4e-3, g),
+    "two atoms p=0": lambda g: phase_dist_two_atoms(0.4, 0, 1.3, 0.7, -4e-3, g),
+}
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 1e-3, 0.3, 40.0])
+@pytest.mark.parametrize("form", DAMPED_FORMS)
+def test_gamma_damps_harmonic_d_by_exp_minus_omega2_gamma_d2(form, gamma_t):
+    # the bath reaches P only through gamma: harmonic d of the gamma-free
+    # distribution times e^{-w^2 gamma d^2}
+    free, damped = DAMPED_FORMS[form](0.0), DAMPED_FORMS[form](gamma_t)
+    degree = len(free.coeffs) // 2
+    d = np.arange(-degree, degree + 1)
+    expected = free.coeffs * np.exp(-(1.3**2) * gamma_t * d**2)
+    assert len(damped.coeffs) == len(free.coeffs)
+    assert np.max(np.abs(damped.coeffs - expected)) <= 1e-15
+
+
 @pytest.mark.parametrize("build, args", [
+    (_squared_degrees, (12,)),
     (_dipole_weights, (10,)),
     (_wigner_row, (HalfInteger(10), HalfInteger(4))),
-    (_gamma_free_atomic_state, (AtomicSqueezedParams(5, 5, -0.01832), 1.0, 1.0, -7.9e-4)),
-    (_gamma_free_autocorrelation, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, 70)),
+    (_gamma_free_atomic_coeffs, (AtomicSqueezedParams(5, 5, -0.01832), 1.0, 1.0, -7.9e-4)),
+    (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, 70)),
+    (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, None)),
 ])
 def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
     cached = build(*args)
