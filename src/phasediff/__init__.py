@@ -3,16 +3,15 @@
 Closed-form evolution of two-level atoms, N-atom Dicke systems and harmonic
 oscillators coupled to squeezed thermal baths, through either a purely
 dephasing (QND) or a dissipative (Lindblad) interaction, together with the
-phase distributions, number distributions and phase dispersion of the
-resulting states.  Every closed form is backed by an independent brute-force
-oracle in :mod:`phasediff.oracle`.
+phase distributions and phase dispersion of the resulting states.  Every
+closed form is backed by an independent brute-force oracle in
+:mod:`phasediff.oracle`.
 
 Units: hbar = k_B = 1 throughout.
 """
 
 __version__ = "0.1.0"
 
-from .halfint import HalfInteger
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from .bath_kernels import (
     QndBathSpec,
@@ -31,7 +30,6 @@ from .qnd_phase import (
     phase_dist_coherent_halfspin,
     phase_dist_squeezed_halfspin,
     phase_dist_two_atoms,
-    number_distribution,
     phase_dist_osc_squeezed,
 )
 from .dissipative_qubit import (

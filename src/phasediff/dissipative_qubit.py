@@ -44,8 +44,18 @@ def _gamma_beta(spec: DissipativeBathSpec) -> float:
 
 
 def _damped_cosh_sinhc(spec: DissipativeBathSpec, t: float) -> tuple[float, float]:
-    """(cosh(alpha t) e^{-gb t/2}, (sinh(alpha t)/alpha) e^{-gb t/2})."""
-    alpha_sq = spec.gamma0**2 * abs(spec.M) ** 2 - spec.omega**2
+    """(cosh(alpha t) e^{-gb t/2}, (sinh(alpha t)/alpha) e^{-gb t/2}); an
+    alpha^2 past the double range is refused by name, since sinh(alpha t)/alpha
+    would be inf/inf."""
+    try:
+        alpha_sq = spec.gamma0**2 * abs(spec.M) ** 2 - spec.omega**2
+    except OverflowError:  # a float ** raises where * would give inf
+        alpha_sq = math.inf
+    if not math.isfinite(alpha_sq):
+        raise ValueError(
+            f"alpha^2 = gamma0^2 |M|^2 - omega^2 overflows a double at omega = {spec.omega}, "
+            f"gamma0 = {spec.gamma0}, T = {spec.T}, r = {spec.r}; lower omega, gamma0 or T"
+        )
     half_gb = _gamma_beta(spec) / 2.0
     if alpha_sq > 0.0:
         al = math.sqrt(alpha_sq)

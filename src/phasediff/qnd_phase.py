@@ -1,4 +1,4 @@
-"""QND (pure dephasing) evolution and phase/number distributions.
+"""QND (pure dephasing) evolution and phase distributions.
 
 The dephasing propagator acts element-wise in the energy eigenbasis:
 
@@ -41,8 +41,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,8 +51,7 @@ from .distribution import (
     distribution_from_harmonics,
     ket_autocorrelation,
 )
-from .errors import TruncationError
-from .halfint import HalfInteger, check_jm, m_range
+from .errors import MAX_TWICE_J, TruncationError, twice_spin
 from .special_functions import (
     beta_integral,
     log_binomial,
@@ -82,19 +80,20 @@ class AtomicCoherentParams:
 class AtomicSqueezedParams:
     """Atomic squeezed state labels (j, p) and squeeze exponent Theta.
 
-    Theta = (1/2) ln tanh(2 zeta) for squeezing strength zeta > 0.
+    Theta = (1/2) ln tanh(2 zeta) for squeezing strength zeta > 0.  The
+    labels are checked once, here, and kept exact as tj = 2j and tp = 2p.
     """
 
-    j: HalfInteger
-    p: HalfInteger
+    j: float
+    p: float
     Theta: float
+    tj: int = field(init=False)
+    tp: int = field(init=False)
 
     def __post_init__(self):
-        j = HalfInteger.of(self.j)
-        p = HalfInteger.of(self.p)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "p", p)
-        check_jm(j, p, "p")
+        tj = twice_spin("j", self.j)
+        object.__setattr__(self, "tj", tj)
+        object.__setattr__(self, "tp", twice_spin("p", self.p, tj))
         if not math.isfinite(self.Theta):
             raise ValueError("Theta must be finite")
 
@@ -102,13 +101,12 @@ class AtomicSqueezedParams:
     def from_zeta(cls, j, p, zeta: float) -> "AtomicSqueezedParams":
         if zeta <= 0:
             raise ValueError(f"zeta = {zeta} must be positive")
-        return cls(HalfInteger.of(j), HalfInteger.of(p), 0.5 * math.log(math.tanh(2 * zeta)))
+        return cls(j, p, 0.5 * math.log(math.tanh(2 * zeta)))
 
 
 def atomic_coherent_amplitudes(params: AtomicCoherentParams, j) -> np.ndarray:
     """Dicke-basis amplitudes of |alpha_p, beta_p>, index m ascending."""
-    j = HalfInteger.of(j)
-    tj = j.twice_value
+    tj = twice_spin("j", j)
     s, c = math.sin(params.alpha_p / 2.0), math.cos(params.alpha_p / 2.0)
     amps = np.empty(tj + 1, dtype=complex)
     for k in range(tj + 1):  # k = j + m
@@ -124,18 +122,18 @@ def atomic_coherent_density(params: AtomicCoherentParams, j) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _wigner_row(j: HalfInteger, p: HalfInteger) -> np.ndarray:
-    """d^j_{n,p}(pi/2) for n = -j..j; cached and read-only."""
-    row = np.array([wigner_d_half_pi(j, n, p) for n in m_range(j)])
+def _wigner_row(tj: int, tp: int) -> np.ndarray:
+    """d^j_{n,p}(pi/2) for n = -j..j, tj = 2j, tp = 2p; cached and read-only."""
+    row = np.array([wigner_d_half_pi(tj, tn, tp) for tn in range(-tj, tj + 1, 2)])
     row.setflags(write=False)
     return row
 
 
 def atomic_squeezed_amplitudes(params: AtomicSqueezedParams) -> np.ndarray:
     """Amplitudes a_n = A_p e^{n Theta} d^j_{n,p}(pi/2), normalized."""
-    j = params.j
-    amps = np.array([math.exp(n.value * params.Theta) for n in m_range(j)])
-    amps *= _wigner_row(j, params.p)
+    tj = params.tj
+    amps = np.array([math.exp(tn / 2.0 * params.Theta) for tn in range(-tj, tj + 1, 2)])
+    amps *= _wigner_row(tj, params.tp)
     return amps / math.sqrt(np.sum(amps**2))
 
 
@@ -196,6 +194,11 @@ def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
     """Angle marginal P(phi) of the atomic Q-function of a Dicke-basis
     density matrix, via the exact Beta-function polar integral."""
     dim = _dicke_dim(rho)
+    if dim - 1 > MAX_TWICE_J:
+        raise ValueError(
+            f"j = {(dim - 1) / 2:g} of a {dim} x {dim} Dicke matrix exceeds "
+            f"{MAX_TWICE_J / 2:g}, past which the dipole weights overflow a double"
+        )
     weighted = rho * _dipole_weights(dim - 1)
     pref = dim / (4.0 * math.pi)  # (2j+1)/4pi
     # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
@@ -210,10 +213,41 @@ def _squared_degrees(degree: int) -> np.ndarray:
     return d2
 
 
+def _omega_sq(omega: float) -> float:
+    """omega^2, refused by name where a double cannot hold it (a float **
+    raises OverflowError where * would give inf)."""
+    try:
+        return omega**2
+    except OverflowError:
+        raise ValueError(f"omega = {omega}: omega^2 overflows a double; lower omega") from None
+
+
+def _gamma_free_phase(levels: np.ndarray, omega: float, t: float, eta_t: float) -> np.ndarray:
+    """w^2 eta l^2 - w t l at the ascending levels l, whose last is the
+    largest |l|: the gamma-free propagator's phase, refused by name when its
+    bound at that level leaves the double range, before numpy could warn."""
+    w2, top = _omega_sq(omega), float(levels[-1])
+    if not math.isfinite(w2 * abs(eta_t) * top**2 + abs(omega * t) * top):
+        raise ValueError(
+            f"omega = {omega}: the phase omega^2 eta(t) l^2 - omega t l overflows a double "
+            f"at t = {t}, l = {top:g}; lower omega"
+        )
+    return w2 * eta_t * levels**2 - omega * t * levels
+
+
 def _damped(c0: np.ndarray, omega: float, gamma_t: float) -> PhaseDistribution:
     """The dephased P(phi) whose gamma-free coefficients are c0: harmonic d
-    times e^{-w^2 gamma d^2}, the one step every QND distribution takes."""
-    return PhaseDistribution(c0 * np.exp(-(omega**2) * gamma_t * _squared_degrees(len(c0) // 2)))
+    times e^{-w^2 gamma d^2}, the one step every QND distribution takes.  An
+    exponent past the double range is refused by name, before numpy could
+    warn or make inf * 0 = nan at d = 0."""
+    degree = len(c0) // 2
+    rate = _omega_sq(omega) * gamma_t
+    if not math.isfinite(rate * degree**2):
+        raise ValueError(
+            f"omega = {omega}: the damping omega^2 gamma(t) d^2 overflows a double at "
+            f"gamma(t) = {gamma_t}, d = {degree}; lower omega"
+        )
+    return PhaseDistribution(c0 * np.exp(-rate * _squared_degrees(degree)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,7 +260,7 @@ def _gamma_free_atomic_coeffs(
     u_m = a_m e^{i(w^2 eta m^2 - w t m)}."""
     amps = atomic_squeezed_amplitudes(state)
     m = np.arange(len(amps)) - (len(amps) - 1) / 2.0
-    u = amps * np.exp(1j * (omega**2 * eta_t * m**2 - omega * t * m))
+    u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
     c0 = phase_distribution_atomic(np.outer(u, u.conj())).coeffs
     c0.setflags(write=False)
     return c0
@@ -299,7 +333,7 @@ def phase_dist_two_atoms(
     Unlike the single-atom case these involve eta(t) as well as gamma(t).
     a cos x - b sin x is Re[(a + i b) e^{ix}], so each term is one harmonic.
     """
-    w2 = omega**2
+    w2 = _omega_sq(omega)
     h2 = cmath.rect(0.5, -2.0 * omega * t)
     if p == 0:
         h2 = -h2 / (2.0 * math.cosh(2.0 * Theta))
@@ -311,19 +345,6 @@ def phase_dist_two_atoms(
     ab = complex(math.cos(w2 * eta_t) * math.cosh(Theta), math.sin(w2 * eta_t) * math.sinh(Theta))
     h1 = amp * ab * cmath.rect(0.5, -omega * t)
     return _damped(_closed_form((h1, h2 / (2.0 * denom))).coeffs, omega, gamma_t)
-
-
-def number_distribution(
-    state: Union[AtomicCoherentParams, AtomicSqueezedParams], j=None
-) -> np.ndarray:
-    """Dicke populations p(m), m ascending; invariant under QND evolution."""
-    if isinstance(state, AtomicCoherentParams):
-        if j is None:
-            raise ValueError("j required for a coherent-state input")
-        return np.abs(atomic_coherent_amplitudes(state, j)) ** 2
-    if isinstance(state, AtomicSqueezedParams):
-        return atomic_squeezed_amplitudes(state) ** 2
-    raise TypeError(f"unsupported state type {type(state)!r}")
 
 
 # --- harmonic oscillator under the same dephasing propagator ---
@@ -360,7 +381,7 @@ def _gamma_free_osc_coeffs(
         )
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
-    v = amps * np.exp(1j * (omega**2 * eta_t * levels**2 - omega * t * levels))
+    v = amps * np.exp(1j * _gamma_free_phase(levels, omega, t, eta_t))
     c0 = ket_autocorrelation(v) / (2.0 * math.pi)
     c0.setflags(write=False)
     return c0

@@ -39,30 +39,21 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-def wigner_d_half_pi(j, n, p) -> float:
-    """Wigner rotation matrix element d^j_{n,p}(pi/2).
+def wigner_d_half_pi(tj: int, tn: int, tp: int) -> float:
+    """Wigner rotation matrix element d^j_{n,p}(pi/2) for tj = 2j, tn = 2n and
+    tp = 2p, with |n|, |p| <= j and j - n, j - p integers.
 
     d = 2^{-j} sqrt((j+p)! (j-p)! / ((j+n)! (j-n)!))
         * sum_q (-1)^q C(j+n, q) C(j-n, j-p-q),
     with the alternating q-sum taken exactly in integers and the prefactor
     as one correctly rounded ratio, so the result carries only final rounding.
     """
-    from .halfint import HalfInteger, check_jm
-
-    j = HalfInteger.of(j)
-    n = HalfInteger.of(n)
-    p = HalfInteger.of(p)
-    check_jm(j, n, "n")
-    check_jm(j, p, "p")
-
     # integer combinations j+-n, j+-p
-    jn = (j.twice_value + n.twice_value) // 2
-    jmn = (j.twice_value - n.twice_value) // 2
-    jp = (j.twice_value + p.twice_value) // 2
-    jmp = (j.twice_value - p.twice_value) // 2
+    jn, jmn = (tj + tn) // 2, (tj - tn) // 2
+    jp, jmp = (tj + tp) // 2, (tj - tp) // 2
 
     # both binomials need 0 <= q <= j+n and 0 <= j-p-q <= j-n
-    q_min = max(0, (n.twice_value - p.twice_value) // 2)
+    q_min = max(0, (tn - tp) // 2)
     q_max = min(jn, jmp)
     total = sum(
         (-1) ** q * math.comb(jn, q) * math.comb(jmn, jmp - q)
@@ -71,7 +62,7 @@ def wigner_d_half_pi(j, n, p) -> float:
     fact = math.factorial
     # 2^{-j} squared is 2^{-2j}, folded into the ratio under the root; the
     # integer true division rounds once
-    ratio = fact(jp) * fact(jmp) / ((fact(jn) * fact(jmn)) << j.twice_value)
+    ratio = fact(jp) * fact(jmp) / ((fact(jn) * fact(jmn)) << tj)
     return total * math.sqrt(ratio)
 
 

@@ -25,7 +25,6 @@ from .dissipative_oscillator import (
 from .dissipative_qubit import propagate_qubit, qubit_spec
 from .distribution import PhaseDistribution
 from .figures import run_figure
-from .halfint import HalfInteger, m_range
 from .oracle import (
     gamma_by_quadrature,
     integrate_lindblad_oscillator,
@@ -60,9 +59,9 @@ class CheckResult:
 
 
 def _check_wigner_d_orthogonality() -> CheckResult:
-    j = HalfInteger.of(5)
-    ms = m_range(j)
-    d = np.array([[wigner_d_half_pi(j, n, p) for p in ms] for n in ms])
+    tj = 10
+    ms = range(-tj, tj + 1, 2)
+    d = np.array([[wigner_d_half_pi(tj, tn, tp) for tp in ms] for tn in ms])
     dev = float(np.max(np.abs(d.T @ d - np.eye(len(ms)))))
     return CheckResult("wigner-d rotation matrix orthogonality (j=5)", 1e-12, dev)
 

@@ -25,7 +25,6 @@ from phasediff.dissipative_qubit import (
 )
 from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from phasediff.figures import SCENARIOS, run_figure
-from phasediff.halfint import HalfInteger, m_range
 from phasediff.oracle import (
     gamma_by_quadrature,
     integrate_lindblad_oscillator,
@@ -310,9 +309,8 @@ def test_criterion_09_special_function_suite():
     checks = []
     worst = 0.0
     for twice_j in range(1, 21):
-        j = HalfInteger(twice_j)
-        ms = m_range(j)
-        d = np.array([[wigner_d_half_pi(j, n, p) for p in ms] for n in ms])
+        ms = range(-twice_j, twice_j + 1, 2)
+        d = np.array([[wigner_d_half_pi(twice_j, tn, tp) for tp in ms] for tn in ms])
         worst = max(worst, float(np.max(np.abs(d.T @ d - np.eye(len(ms))))))
     checks.append(("Wigner-d unitarity j <= 10", worst <= 1e-12, f"dev {worst:.3e}"))
 

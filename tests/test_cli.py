@@ -520,8 +520,11 @@ def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting,
      "T = 1e+300 with r = 1.0: the bath moment N (N + 1) overflows"),
     ("dissipative-oscillator", ["T=3.6e153", "r=1"],
      "T = 3.6e+153 with r = 1.0: the bath moment N (N + 1) overflows"),
+    ("dissipative-qubit", ["T=1e150", "r=1", "gamma0=1e10"],
+     "alpha^2 = gamma0^2 |M|^2 - omega^2 overflows a double at omega = 1.0, "
+     "gamma0 = 10000000000.0, T = 1e+150, r = 1.0"),
 ], ids=["qnd-oscillator", "qnd-qubit", "qnd-qubit-hot", "dissipative-qubit",
-        "dissipative-oscillator"])
+        "dissipative-oscillator", "dissipative-qubit-alpha"])
 def test_bath_past_the_double_range_is_refused_by_name(tmp_path, capsys, family, settings,
                                                        message):
     # a gamma(t) or a bath moment that a double cannot hold: one error line,
@@ -608,3 +611,50 @@ FOCK_TRUNCATIONS = {
 def test_every_fock_truncation_error_names_the_cutoff_setting(evaluate):
     with pytest.raises((TruncationError, ValueError), match=r"Fock cutoff \(--cutoff"):
         evaluate()
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["j=2.3"], "j = 2.3 is not a multiple of 1/2"),
+    (["p=6"], "|p| = 6.0 exceeds j = 5"),
+    (["p=4.5"], "j - p = 0.5 is not an integer"),
+    (["j=-1", "p=0"], "j = -1.0 must be nonnegative"),
+    # past 2j = 1028 the dipole weights overflow a double
+    (["j=514.5", "p=514.5"], "j = 514.5 exceeds 514"),
+], ids=["j-not-half-integer", "p-exceeds-j", "j-minus-p-not-integer", "j-negative",
+        "j-past-the-weights"])
+def test_spin_refusals_name_the_setting(tmp_path, capsys, sets, message):
+    out = tmp_path / "fig6.csv"
+    sets = [arg for setting in sets for arg in ("--set", setting)]
+    assert main(["figure", "fig6", *sets, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+T_SWEEP = ["--param", "t", "--start", "0.1", "--stop", "1", "--num", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--family", "qnd-qubit", *T_SWEEP, "--set", "omega=1e160"],
+     "omega = 1e+160: omega^2 overflows a double"),
+    (["sweep", "--family", "qnd-oscillator", *T_SWEEP, "--set", "omega=1e160"],
+     "omega = 1e+160: omega^2 overflows a double"),
+    (["sweep", "--family", "dissipative-qubit", *T_SWEEP, "--set", "omega=1e160"],
+     "overflows a double at omega = 1e+160"),
+    (["figure", "fig1", "--set", "omega=1e160"], "omega = 1e+160: omega^2 overflows a double"),
+    (["figure", "fig6", "--set", "omega=1e160"], "omega = 1e+160: omega^2 overflows a double"),
+    (["sweep", "--family", "qnd-oscillator", *T_SWEEP, "--set", "omega=1e154"],
+     "omega = 1e+154: the phase omega^2 eta(t) l^2 - omega t l overflows a double"),
+    (["figure", "fig6", "--set", "omega=1e154"],
+     "omega = 1e+154: the damping omega^2 gamma(t) d^2 overflows a double"),
+], ids=["qnd-qubit", "qnd-oscillator", "dissipative-qubit", "fig1", "fig6",
+        "qnd-oscillator-phase", "fig6-damping"])
+def test_system_frequency_past_the_double_range_is_refused_by_name(tmp_path, capsys, args,
+                                                                   message):
+    # omega^2, the gamma-free phase, the damping exponent and the qubit's
+    # alpha^2 must fit a double: no traceback, no NaN, no warning
+    out = tmp_path / "x.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists()

@@ -8,8 +8,7 @@ import pytest
 from phasediff.distribution import distribution_from_fourier, phase_grid
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, _kernels, run_figure
-from phasediff.halfint import HalfInteger, m_range
-from phasediff.phase_stats import integrate_distribution
+from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
     _dephasing_factor,
     _dipole_weights,
@@ -23,7 +22,6 @@ from phasediff.qnd_phase import (
     atomic_coherent_density,
     atomic_squeezed_amplitudes,
     atomic_squeezed_density,
-    number_distribution,
     phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
     phase_dist_osc_squeezed,
@@ -58,12 +56,8 @@ def test_coherent_poles():
 
 def test_squeezed_amplitudes_reduce_to_rotation_column():
     # Theta = 0: amplitudes are the Wigner-d column, already normalized
-    j = HalfInteger.of(3)
     amps = atomic_squeezed_amplitudes(AtomicSqueezedParams(3, 1, 0.0))
-    expected = [
-        wigner_d_half_pi(j, HalfInteger(2 * n - 6), HalfInteger(2))
-        for n in range(7)
-    ]
+    expected = [wigner_d_half_pi(6, 2 * n - 6, 2) for n in range(7)]
     assert np.max(np.abs(amps - np.array(expected))) < 1e-13
 
 
@@ -99,12 +93,26 @@ def test_dicke_entry_points_reject_non_square_arrays(shape):
         phase_distribution_atomic(rho)
 
 
-def test_number_distribution_matches_amplitudes():
-    state = AtomicCoherentParams(0.9, 0.2)
-    pm = number_distribution(state, j=1.5)
-    amps = atomic_coherent_amplitudes(state, 1.5)
-    assert np.max(np.abs(pm - np.abs(amps) ** 2)) < 1e-15
-    assert math.isclose(float(np.sum(pm)), 1.0, rel_tol=1e-12)
+def test_largest_spin_computes_and_integrates_to_one():
+    # 2j = 1028 is the largest spin whose dipole weights fit a double
+    state = AtomicSqueezedParams(514, 514, -0.01832)
+    p = phase_dist_atomic_squeezed(state, 1.0, 0.1, -1e-3, 1e-2)
+    assert abs(integrate_distribution(p) - 1.0) <= 1e-6
+
+
+def test_spin_past_the_dipole_weights_is_refused_by_name():
+    # at 2j = 1029 the largest weight overflows, and inf * 0 made P NaN; the
+    # CLI test covers AtomicSqueezedParams
+    with pytest.raises(ValueError, match=r"^j = 514\.5 exceeds 514"):
+        atomic_coherent_amplitudes(AtomicCoherentParams(1.0, 0.3), 514.5)
+    with pytest.raises(ValueError, match=r"^j = 514\.5 of a 1030 x 1030 Dicke matrix exceeds 514"):
+        phase_distribution_atomic(np.eye(1030, dtype=complex))
+
+
+def test_astronomical_spin_is_refused_on_construction():
+    # listing its 2e300 + 1 labels would run until the process is killed
+    with pytest.raises(ValueError, match=r"^j = 1e\+300 exceeds 514"):
+        AtomicSqueezedParams(1e300, 1e300, 0.0)
 
 
 def test_half_spin_coherent_closed_form_vs_machinery():
@@ -205,8 +213,7 @@ def test_squeezed_amplitudes_reject_cutoff_below_one():
 @pytest.mark.parametrize("j", [0.5, 5, 20])
 def test_dipole_weights_match_scalar_double_loop(j):
     # the one-pass build keeps every product in the order of the scalar loop
-    j = HalfInteger.of(j)
-    tj = j.twice_value
+    tj = round(2 * j)
     half_binom = [math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)]
     loop = np.empty((tj + 1, tj + 1))
     for kn in range(tj + 1):
@@ -217,7 +224,7 @@ def test_dipole_weights_match_scalar_double_loop(j):
                 half_binom[kn]
                 * half_binom[km]
                 * 2.0
-                * beta_integral(j.value + (n + m) / 2.0 + 1.0, j.value - (n + m) / 2.0 + 1.0)
+                * beta_integral(tj / 2.0 + (n + m) / 2.0 + 1.0, tj / 2.0 - (n + m) / 2.0 + 1.0)
             )
     assert np.array_equal(_dipole_weights(tj), loop)
 
@@ -266,17 +273,19 @@ def test_gamma_free_state_times_damping_is_the_dephased_state(j, p, Theta, bath,
     assert np.max(np.abs(factored.coeffs - direct.coeffs)) <= 1e-15
 
 
-# every QND distribution as a function of gamma alone, at omega = 1.3
+# every QND distribution as a function of omega and gamma alone
 DAMPED_FORMS = {
-    "atomic": lambda g: phase_dist_atomic_squeezed(
-        AtomicSqueezedParams(2.5, -1.5, -0.3), 1.3, 0.7, -4e-3, g),
-    "oscillator": lambda g: phase_dist_osc_squeezed(
-        0.5, math.pi / 4, math.sqrt(5.0), 0.3, 1.3, 0.7, -4e-3, g),
-    "coherent half-spin": lambda g: phase_dist_coherent_halfspin(
-        AtomicCoherentParams(1.1, 2.3), 1.3, 0.7, g),
-    "squeezed half-spin": lambda g: phase_dist_squeezed_halfspin(-0.3, -0.5, 1.3, 0.7, g),
-    "two atoms p=1": lambda g: phase_dist_two_atoms(0.4, 1, 1.3, 0.7, -4e-3, g),
-    "two atoms p=0": lambda g: phase_dist_two_atoms(0.4, 0, 1.3, 0.7, -4e-3, g),
+    "atomic": lambda w, g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(2.5, -1.5, -0.3), w, 0.7, -4e-3, g),
+    "atomic j=5": lambda w, g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(5, 5, -0.01832), w, 0.7, -4e-3, g),
+    "oscillator": lambda w, g: phase_dist_osc_squeezed(
+        0.5, math.pi / 4, math.sqrt(5.0), 0.3, w, 0.7, -4e-3, g),
+    "coherent half-spin": lambda w, g: phase_dist_coherent_halfspin(
+        AtomicCoherentParams(1.1, 2.3), w, 0.7, g),
+    "squeezed half-spin": lambda w, g: phase_dist_squeezed_halfspin(-0.3, -0.5, w, 0.7, g),
+    "two atoms p=1": lambda w, g: phase_dist_two_atoms(0.4, 1, w, 0.7, -4e-3, g),
+    "two atoms p=0": lambda w, g: phase_dist_two_atoms(0.4, 0, w, 0.7, -4e-3, g),
 }
 
 
@@ -285,7 +294,7 @@ DAMPED_FORMS = {
 def test_gamma_damps_harmonic_d_by_exp_minus_omega2_gamma_d2(form, gamma_t):
     # the bath reaches P only through gamma: harmonic d of the gamma-free
     # distribution times e^{-w^2 gamma d^2}
-    free, damped = DAMPED_FORMS[form](0.0), DAMPED_FORMS[form](gamma_t)
+    free, damped = DAMPED_FORMS[form](1.3, 0.0), DAMPED_FORMS[form](1.3, gamma_t)
     degree = len(free.coeffs) // 2
     d = np.arange(-degree, degree + 1)
     expected = free.coeffs * np.exp(-(1.3**2) * gamma_t * d**2)
@@ -293,10 +302,21 @@ def test_gamma_damps_harmonic_d_by_exp_minus_omega2_gamma_d2(form, gamma_t):
     assert np.max(np.abs(damped.coeffs - expected)) <= 1e-15
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gamma_t", [0.0, 1e-3, 0.3, 4.0])
+@pytest.mark.parametrize("form", DAMPED_FORMS)
+def test_bath_reaches_the_dispersion_only_through_gamma(form, gamma_t, omega):
+    # the paper's QND result, squeezing and temperature in tandem: c_0 is
+    # undamped and c_{+-1} carry e^{-w^2 gamma}, so D = 1 - (1 - D0) e^{-2 w^2 gamma}
+    d0 = dispersion(DAMPED_FORMS[form](omega, 0.0))
+    d = dispersion(DAMPED_FORMS[form](omega, gamma_t))
+    assert abs(d - (1.0 - (1.0 - d0) * math.exp(-2.0 * omega**2 * gamma_t))) <= 1e-14
+
+
 @pytest.mark.parametrize("build, args", [
     (_squared_degrees, (12,)),
     (_dipole_weights, (10,)),
-    (_wigner_row, (HalfInteger(10), HalfInteger(4))),
+    (_wigner_row, (10, 4)),
     (_gamma_free_atomic_coeffs, (AtomicSqueezedParams(5, 5, -0.01832), 1.0, 1.0, -7.9e-4)),
     (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, 70)),
     (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, None)),
@@ -310,10 +330,13 @@ def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
 
 def test_squeezed_amplitudes_match_scalar_products():
     # the cached row times e^{n Theta} keeps each scalar product of the old loop
-    j, p, theta = HalfInteger(10), HalfInteger(4), -0.3
-    loop = np.array([math.exp(n.value * theta) * wigner_d_half_pi(j, n, p) for n in m_range(j)])
+    tj, tp, theta = 10, 4, -0.3
+    loop = np.array([
+        math.exp(tn / 2.0 * theta) * wigner_d_half_pi(tj, tn, tp) for tn in range(-tj, tj + 1, 2)
+    ])
     loop = loop / math.sqrt(np.sum(loop**2))
-    assert np.array_equal(atomic_squeezed_amplitudes(AtomicSqueezedParams(j, p, theta)), loop)
+    amps = atomic_squeezed_amplitudes(AtomicSqueezedParams(tj / 2, tp / 2, theta))
+    assert np.array_equal(amps, loop)
 
 
 # the closed forms as they were written on the grid, term by term in cos(phi)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from phasediff.halfint import HalfInteger, m_range
 from phasediff.special_functions import (
     beta_integral,
     log_binomial,
@@ -41,28 +40,25 @@ def test_log_binomial_matches_math():
 @pytest.mark.parametrize("twice_j", range(1, 21))
 def test_wigner_d_orthogonality(twice_j):
     # rows of d^j(pi/2) are orthonormal for every j <= 10
-    j = HalfInteger(twice_j)
-    ms = m_range(j)
-    d = np.array([[wigner_d_half_pi(j, n, p) for p in ms] for n in ms])
+    ms = range(-twice_j, twice_j + 1, 2)
+    d = np.array([[wigner_d_half_pi(twice_j, tn, tp) for tp in ms] for tn in ms])
     assert np.max(np.abs(d.T @ d - np.eye(len(ms)))) < 1e-12
 
 
 def test_wigner_d_against_rotation_exponential():
     # [DERIVED] d^j_{m',m}(pi/2) equals the exponential of -i (pi/2) J_y
     for twice_j in (1, 2, 4, 7):
-        j = HalfInteger(twice_j)
-        ms = [m.value for m in m_range(j)]
+        tms = range(-twice_j, twice_j + 1, 2)
+        ms = [tm / 2.0 for tm in tms]
         dim = len(ms)
         jp = np.zeros((dim, dim))
-        jv = j.value
+        jv = twice_j / 2.0
         for k in range(dim - 1):  # J_+ |j,m> = sqrt(j(j+1)-m(m+1)) |j,m+1>
             m = ms[k]
             jp[k + 1, k] = math.sqrt(jv * (jv + 1) - m * (m + 1))
         jy = (jp - jp.T) / 2j
         oracle = expm(-1j * (math.pi / 2.0) * jy).real
-        d = np.array(
-            [[wigner_d_half_pi(j, n, p) for p in m_range(j)] for n in m_range(j)]
-        )
+        d = np.array([[wigner_d_half_pi(twice_j, tn, tp) for tp in tms] for tn in tms])
         assert np.max(np.abs(d - oracle)) < 1e-12
 
 
@@ -85,7 +81,8 @@ def test_wigner_d_large_j_vs_mpmath(j):
     worst = 0.0
     for n in range(-j, j + 1, 3):
         for p in range(-j, j + 1, 3):
-            worst = max(worst, abs(wigner_d_half_pi(j, n, p) - _wigner_d_mpmath(j, n, p)))
+            d = wigner_d_half_pi(2 * j, 2 * n, 2 * p)
+            worst = max(worst, abs(d - _wigner_d_mpmath(j, n, p)))
     assert worst < 1e-13
 
 
