@@ -21,15 +21,26 @@ and the high-temperature form at every T > 0, with no interpolation between.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, check_finite, check_time
+
+
+# cosh 2r passes the largest double where 2 |r| passes acosh of it, 710.48
+_R_MAX = math.acosh(sys.float_info.max) / 2
 
 
 @dataclass(frozen=True)
 class QndBathSpec:
     """Ohmic dephasing bath: coupling gamma0, cutoff omega_c, squeezing
-    magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T."""
+    magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T.
+
+    r, a and T may each be one number or one numpy array, one entry per
+    bath (a group of sweep points that differ only in the bath); every entry
+    is checked, and a refusal names the first entry at fault."""
 
     gamma0: float
     omega_c: float
@@ -38,65 +49,132 @@ class QndBathSpec:
     T: float = 0.0
 
     def __post_init__(self):
-        check_finite(gamma0=self.gamma0, omega_c=self.omega_c, r=self.r, a=self.a, T=self.T)
-        if self.T < 0:
-            raise ValueError(f"T = {self.T} must be nonnegative")
+        check_finite(gamma0=self.gamma0, omega_c=self.omega_c)
+        bounds = {name: _bounds(getattr(self, name)) for name in ("r", "a", "T")}
+        for name, (lo, hi) in bounds.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                _refuse(name, getattr(self, name), lambda v: not math.isfinite(v), " must be finite")
+        if bounds["T"][0] < 0:
+            _refuse("T", self.T, lambda v: v < 0, " must be nonnegative")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c = {self.omega_c} must be positive")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 = {self.gamma0} must be nonnegative")
-        if self.a < 0:
-            raise ValueError(f"a = {self.a} must be nonnegative")
-        try:
-            math.cosh(2 * self.r)
-        except OverflowError:
-            raise ValueError(f"r = {self.r}: cosh 2r overflows; keep |r| below 355") from None
+        if bounds["a"][0] < 0:
+            _refuse("a", self.a, lambda v: v < 0, " must be nonnegative")
+        if max(-bounds["r"][0], bounds["r"][1]) > _R_MAX:
+            _refuse("r", self.r, lambda v: abs(v) > _R_MAX, ": cosh 2r overflows; keep |r| below 355")
+
+
+def _bounds(values) -> tuple[float, float]:
+    """The least and the greatest of one number or of an array's entries;
+    both are NaN where one entry is."""
+    if not isinstance(values, np.ndarray):
+        return float(values), float(values)
+    return float(values.min()), float(values.max())
+
+
+def _refuse(name: str, values, bad, why: str):
+    """Raise ValueError naming the first of values for which bad holds."""
+    first = next(v for v in np.ravel(values).tolist() if bad(v))
+    raise ValueError(f"{name} = {first}{why}")
 
 
 def eta(t: float, spec: QndBathSpec) -> float:
-    """Phase kernel eta(t) = -(gamma0/pi) arctan(omega_c t)."""
+    """Phase kernel eta(t) = -(gamma0/pi) arctan(omega_c t); the bath's r, a
+    and T do not enter."""
     check_time(t)
     return -(spec.gamma0 / math.pi) * math.atan(spec.omega_c * t)
 
 
+def _log_form(x: float) -> float:
+    """log(1 + x^2) / 2, the f of the T = 0 form."""
+    return 0.5 * math.log1p(x * x)
+
+
 def _atan_log(x: float) -> float:
-    """x arctan x - log(1 + x^2) / 2, whose terms cancel to x^2 / 2 at small
-    x: below |x| = 0.1 it is summed from sum_k (-1)^(k+1) x^(2k) / (2k (2k - 1))."""
+    """x arctan x - log(1 + x^2) / 2, the f of the high-temperature form,
+    whose terms cancel to x^2 / 2 at small x: below |x| = 0.1 it is summed
+    from sum_k (-1)^(k+1) x^(2k) / (2k (2k - 1))."""
     if abs(x) >= 0.1:
         return x * math.atan(x) - 0.5 * math.log1p(x * x)
     return sum((-1) ** (k + 1) * (x * x) ** k / (2 * k * (2 * k - 1)) for k in range(1, 10))
 
 
-def gamma_qnd(t: float, spec: QndBathSpec) -> float:
+def _f_sums(t: float, wc: float, a: float, hot: bool) -> tuple[float, float]:
+    """f(omega_c t) and f(2 omega_c (t - a)) - 2 f(omega_c (t - 2a))
+    + f(2 a omega_c), with the f of the high-temperature form where hot and
+    of the T = 0 form otherwise.  Past the double range they are inf or NaN,
+    which gamma_qnd refuses."""
+    f = _atan_log if hot else _log_form
+    return f(wc * t), f(2 * wc * (t - a)) - 2 * f(wc * (t - 2 * a)) + f(2 * a * wc)
+
+
+def gamma_qnd(t: float, spec: QndBathSpec):
     """Decoherence kernel gamma(t) in the closed form for the spec's T.
 
     Both forms read scale [2 cosh 2r f(omega_c t) - sinh 2r (f(2 omega_c
     (t - a)) - 2 f(omega_c (t - 2a)) + f(2 a omega_c))], with
     f(x) = log(1 + x^2) / 2 at T = 0 and _atan_log at high temperature; both
     f are O(x^2) and evaluated without cancellation, so gamma keeps its
-    digits at small omega_c t.  The squeezed-bath logs are defined only for
-    t > 2a; with a > 0 smaller times are rejected as out of domain.  A gamma
-    that passes the double range (cosh 2r near its limit, or inf - inf) is a
-    ValueError that names r, T and t.
+    digits at small omega_c t.  For numbers r, a and T gamma is one float.
+    Where one of them is a numpy array, gamma is an array of their broadcast
+    shape: the f sums are formed once per distinct (a, T > 0), and cosh 2r,
+    sinh 2r and the scale of every entry at once.
+
+    The squeezed-bath logs are defined only for t > 2a; with a > 0 smaller
+    times are rejected as out of domain.  Refusals name what to change: an
+    f past the double range (omega_c t near 1e154) names t and omega_c, and a
+    gamma past it (cosh 2r near its limit, or inf - inf) names r, T and t.
     """
     check_time(t)
-    if spec.a > 0 and t <= 2 * spec.a:
-        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
-    g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
-    if spec.T == 0:
-        f, scale = (lambda x: 0.5 * math.log1p(x * x)), g0 / (2 * math.pi)
-    else:
-        f, scale = _atan_log, g0 * spec.T / (math.pi * wc)
-    gamma = scale * (
-        2 * math.cosh(2 * r) * f(wc * t)
-        - math.sinh(2 * r) * (f(2 * wc * (t - a)) - 2 * f(wc * (t - 2 * a)) + f(2 * a * wc))
-    )
+    g0, wc, r, a, T = spec.gamma0, spec.omega_c, spec.r, spec.a, spec.T
+    if isinstance(r, np.ndarray) or isinstance(a, np.ndarray) or isinstance(T, np.ndarray):
+        return _gamma_over_array(t, g0, wc, *np.broadcast_arrays(r, a, T))
+    if a > 0 and t <= 2 * a:
+        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * a}")
+    f_t, f_a = _f_sums(t, wc, a, T > 0)
+    scale = g0 * T / (math.pi * wc) if T > 0 else g0 / (2 * math.pi)
+    gamma = scale * (2 * math.cosh(2 * r) * f_t - math.sinh(2 * r) * f_a)
     if not math.isfinite(gamma):
-        raise ValueError(
-            f"gamma(t) = {gamma} is not finite at r = {r}, T = {spec.T}, t = {t}; "
-            "lower the bath squeezing |r|"
-        )
+        _refuse_gamma(t, wc, f_t + f_a, gamma, r, T)
     return gamma
+
+
+def _gamma_over_array(t, g0, wc, r, a, T) -> np.ndarray:
+    """gamma_qnd over arrays r, a and T of one shape."""
+    a_max = a.max()
+    if a_max > 0 and t <= 2 * a_max:
+        first = float(a[(a > 0) & (t <= 2 * a)][0])
+        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * first}")
+    hot = T > 0
+    keys = list(zip(a.ravel().tolist(), hot.ravel().tolist()))
+    sums = {key: _f_sums(t, wc, *key) for key in set(keys)}
+    f = np.array([sums[key] for key in keys]).reshape(a.shape + (2,))
+    f_t, f_a = f[..., 0], f[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        scale = np.where(hot, g0 * T / (math.pi * wc), g0 / (2 * math.pi))
+        gamma = scale * (2 * np.cosh(2 * r) * f_t - np.sinh(2 * r) * f_a)
+    ok = np.isfinite(gamma)
+    if not ok.all():
+        i = np.argmin(ok)
+        _refuse_gamma(t, wc, f_t.flat[i] + f_a.flat[i], gamma.flat[i], r.flat[i], T.flat[i])
+    return gamma
+
+
+def _refuse_gamma(t, wc, f_sum, gamma, r, T):
+    """The refusal of a gamma(t) that is not finite: where its f sum is not
+    finite either, omega_c t is past the double range, so it names t and
+    omega_c; otherwise the squeezing r is at fault."""
+    if not math.isfinite(f_sum):
+        raise ValueError(
+            f"gamma(t) is not finite at t = {t}, omega_c = {wc}: (omega_c t)^2 overflows "
+            "a double; lower t or omega_c"
+        )
+    raise ValueError(
+        f"gamma(t) = {float(gamma)} is not finite at r = {float(r)}, T = {float(T)}, t = {t}; "
+        "lower the bath squeezing |r|"
+    )
 
 
 def thermal_occupation(omega: float, T: float) -> float:

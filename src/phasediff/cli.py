@@ -207,8 +207,8 @@ def _cmd_sweep(args) -> int:
     base = {k: v for k, v in params.items() if k != args.param}
     runs = ((f"{args.param}={x:g}", {args.param: float(x)}) for x in xs)
     if args.mode == "dispersion":
-        # stream: keep each D, not its distribution, so memory stays at one point's
-        d = [dispersion(p) for _, p in evaluate(point, base, runs, cutoff)]
+        # keep each D, not its distribution, read to degree 1
+        d = [dispersion(p) for _, p in evaluate(point, base, runs, cutoff, degree=1)]
         fd = FigureData(scenario, args.param, xs, (("D", np.array(d)),), base)
     else:
         fd = distribution_figure(scenario, point, base, runs, grid, cutoff)

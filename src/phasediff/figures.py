@@ -4,10 +4,16 @@ Each scenario fig1..fig10 reproduces one figure-style data set as columns
 over a shared abscissa (angle, time, or swept parameter).  A point model
 maps (params, cutoff) to one phase distribution; the figures and the
 `sweep` command's families (SWEEP_FAMILIES) run the same point models
-through one loop, `evaluate`.  The angular grid enters only where P is
-written as samples (`_sampled_figure`), which audits the Riemann sum of those
-samples; a dispersion audits the exact integral and needs no grid.
-Everything is deterministic; there is no randomness anywhere.
+through one loop, `evaluate`.  Under dephasing the bath's r, a and T reach
+P only through gamma(t), so `evaluate` hands each dephasing model a whole
+group of runs that differ only in those three, as arrays: one gamma-free
+coefficient lookup, one array of gamma(t) and one broadcast damping per
+group.  The caller passes down the Fourier degree it reads: 1 for a
+dispersion, all for a distribution.  The dissipative models run one point
+at a time.  The angular grid enters only where P is written as samples
+(`_sampled_figure`), which audits the Riemann sum of those samples; a
+dispersion audits the exact integral and needs no grid.  Everything is
+deterministic; there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ class FigureData:
     columns: tuple[tuple[str, np.ndarray], ...]
     params: Mapping[str, float]
     notes: tuple[str, ...] = ()
+    # (label, P) per run; a dephasing dispersion figure keeps P to degree 1, all D reads
     distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
 
 
@@ -60,35 +67,46 @@ class Scenario:
     builder: Callable
 
 
-def _kernels(p: Mapping[str, float]) -> tuple[float, float]:
-    """eta(t) and gamma(t) of the dephasing bath.  gamma0 = 0 is the unitary
-    limit, where both vanish; its bath and t are checked all the same, with
-    the bath's own r = 0 and T = 0 where the scenario sets neither."""
-    bath = {key: p[key] for key in ("r", "a", "T") if key in p}
+# the dephasing bath's settings: they reach a dephased P only through gamma(t)
+BATH_KEYS = ("r", "a", "T")
+
+
+def _kernels(p: Mapping[str, float]):
+    """eta(t) and gamma(t) of the dephasing bath, gamma with the shape of the
+    bath settings r, a and T: one value each, or one array each over a group
+    of runs.  gamma0 = 0 is the unitary limit, where both vanish; its bath and
+    t are checked all the same, with the bath's own r = 0 and T = 0 where the
+    scenario sets neither."""
+    bath = {key: p[key] for key in BATH_KEYS if key in p}
     spec = QndBathSpec(p["gamma0"], p["omega_c"], **bath)
     check_time(p["t"])
     if spec.gamma0 == 0:
-        return 0.0, 0.0
+        shape = np.broadcast(spec.r, spec.a, spec.T).shape
+        return 0.0, np.zeros(shape) if shape else 0.0
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
 # --- point models: (params, cutoff) -> one PhaseDistribution ---
+#
+# The dephasing models also take the degree their caller reads and accept the
+# bath settings r, a and T as arrays over a group of runs; they then return one
+# row of coefficients per run (see evaluate).
 
 
-def _qnd_atoms(p, cutoff):
+def _qnd_atoms(p, cutoff, degree=None):
     """Dicke atoms (j, p, Theta) from an atomic squeezed start, dephasing."""
     state = AtomicSqueezedParams(p["j"], p["p"], p["Theta"])
     et, ga = _kernels(p)
-    return phase_dist_atomic_squeezed(state, p["omega"], p["t"], et, ga)
+    return phase_dist_atomic_squeezed(state, p["omega"], p["t"], et, ga, degree)
 
 
-def _qnd_atoms_zeta(p, cutoff):
+def _qnd_atoms_zeta(p, cutoff, degree=None):
     """_qnd_atoms with the system squeezing given as zeta instead of Theta."""
     theta = AtomicSqueezedParams.from_zeta(p["j"], p["p"], p["zeta"]).Theta
-    return _qnd_atoms({**p, "Theta": theta}, cutoff)
+    return _qnd_atoms({**p, "Theta": theta}, cutoff, degree)
 
 
-def _qnd_qubit(p, cutoff):
+def _qnd_qubit(p, cutoff, degree=None):
     _et, ga = _kernels(p)
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
     return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga)
@@ -107,11 +125,11 @@ def _magnitude(p, key):
     return math.sqrt(p[key])
 
 
-def _qnd_oscillator(p, cutoff):
+def _qnd_oscillator(p, cutoff, degree=None):
     et, ga = _kernels(p)
     return phase_dist_osc_squeezed(
         p["r1"], p["psi"], _magnitude(p, "alpha_sq"), p["theta0"],
-        p["omega"], p["t"], et, ga, cutoff,
+        p["omega"], p["t"], et, ga, cutoff, degree,
     )
 
 
@@ -120,12 +138,44 @@ def _dissipative_oscillator(p, cutoff):
     return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
 
 
-def evaluate(point, params, runs, cutoff):
-    """Yield (label, point({**params, **overrides}, cutoff)) for each
-    (label, overrides) in runs, one point at a time, so a caller that keeps
-    only a statistic never holds more than one distribution."""
+DEPHASING_MODELS = (_qnd_atoms, _qnd_atoms_zeta, _qnd_qubit, _qnd_oscillator)
+
+
+def evaluate(point, params, runs, cutoff, degree=None):
+    """Yield (label, P) for each (label, overrides) in runs, in run order,
+    where P is the point model at {**params, **overrides}.
+
+    A dephasing model is called once per group: the runs whose overrides
+    agree on every setting but the bath's r, a and T, which reach P only
+    through gamma(t).  The group shares one gamma-free coefficient lookup
+    and gets one array of gamma(t) and one broadcast damping, to degree
+    (1 where the caller reads only a dispersion; None for all).  Any other
+    model is called once per run, one run at a time, so a caller that keeps
+    only a statistic never holds more than one of its distributions."""
+    if point not in DEPHASING_MODELS:
+        for label, overrides in runs:
+            yield label, point({**params, **overrides}, cutoff)
+        return
+    # each run's place, (label, group key, row); a group's key is its runs'
+    # overrides but the bath's, in their given order, which the runs of one
+    # figure or sweep share
+    groups: dict[tuple, list[dict]] = {}
+    places = []
     for label, overrides in runs:
-        yield label, point({**params, **overrides}, cutoff)
+        key = tuple(item for item in overrides.items() if item[0] not in BATH_KEYS)
+        members = groups.setdefault(key, [])
+        places.append((label, key, len(members)))
+        members.append(overrides)
+    results = {}
+    for key, members in groups.items():
+        p = {**params, **members[0]}
+        if len(members) > 1:  # a group of one keeps plain values, which are faster
+            bath = [[o.get(k, params.get(k, 0.0)) for k in BATH_KEYS] for o in members]
+            p.update(zip(BATH_KEYS, np.array(bath).T))
+        results[key] = point(p, cutoff, degree)
+    for label, key, row in places:
+        out = results[key]
+        yield label, out if isinstance(out, PhaseDistribution) else PhaseDistribution(out[row])
 
 
 def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureData:
@@ -145,17 +195,14 @@ def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureDa
 
 def _dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs.
-
-    The runs are evaluated x-major, so the curves at one x, which differ only
-    in the bath, share its cached gamma-free coefficients; the distributions
-    are then put back curve by curve."""
+    Its distributions are evaluated to degree 1, all that a dispersion
+    reads, so a dephasing curve keeps only c_0 and c_{+-1} of each."""
     runs = [
         (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
-        for x in xs
         for label, overrides in curves
+        for x in xs
     ]
-    by_x = tuple(evaluate(point, params, runs, cutoff))
-    dists = tuple(dist for c in range(len(curves)) for dist in by_x[c :: len(curves)])
+    dists = tuple(evaluate(point, params, runs, cutoff, degree=1))
     d = np.array([dispersion(p) for _, p in dists]).reshape(len(curves), len(xs))
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), dists)

@@ -17,7 +17,7 @@ from .distribution import PhaseDistribution
 def _coefficient(p: PhaseDistribution, d: int) -> complex:
     """c_d, and 0 for a degree above that of P."""
     degree = len(p.coeffs) // 2
-    return complex(p.coeffs[d + degree]) if abs(d) <= degree else 0j
+    return p.coeffs.item(d + degree) if abs(d) <= degree else 0j
 
 
 def integrate_distribution(p: PhaseDistribution) -> float:

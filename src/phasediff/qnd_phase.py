@@ -26,14 +26,22 @@ The models cache c0 and never their states: for the atoms it is the
 gamma-free pure state u u^dag, u_m = a_m e^{i(w^2 eta m^2 - w t m)}, passed
 through phase_distribution_atomic, keyed by (AtomicSqueezedParams, w, t,
 eta); for the oscillator it is the ket autocorrelation over 2 pi, keyed by
-(r1, psi, |alpha|, theta0, w, t, eta, cutoff), with a default cutoff
-resolved only on a miss and the entry stored only once the Fock tail check
-has passed.  The closed forms damp their gamma-free harmonics the same way.
-A sweep over r, T or a then computes gamma and one exponential per point.
-The bath-independent parts of the initial state (the squeezed coherent ket,
-the Wigner-d row of the atomic squeezed state and the dipole weights) and
-the squared degrees d^2 are cached too.  Every cache is a bounded lru_cache
-of 8 entries whose arrays are read-only.
+(r1, psi, |alpha|, theta0, w, t, eta, cutoff, degree), with a default
+cutoff resolved only on a miss and the entry stored only once the Fock tail
+check has passed.  The closed forms damp their gamma-free harmonics the same
+way.
+
+gamma_t may be one gamma(t) or a 1-d array of them: the runs of a sweep that
+differ only in r, T and a (figures.evaluate groups them) then share one c0
+and are damped by one broadcast exponential, one row of coefficients per
+entry.  A
+caller that reads only a dispersion passes degree = 1, and only c_0 and
+c_{+-1} are damped; the oscillator then forms its three lags as inner
+products, in O(cutoff) time, instead of the full O(cutoff^2)
+autocorrelation.  The bath-independent parts of the initial state (the
+squeezed coherent ket, the Wigner-d row of the atomic squeezed state and
+the dipole weights) and the squared degrees d^2 are cached too.  Every cache
+is a bounded lru_cache of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -235,19 +243,29 @@ def _gamma_free_phase(levels: np.ndarray, omega: float, t: float, eta_t: float) 
     return w2 * eta_t * levels**2 - omega * t * levels
 
 
-def _damped(c0: np.ndarray, omega: float, gamma_t: float) -> PhaseDistribution:
+def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
     """The dephased P(phi) whose gamma-free coefficients are c0: harmonic d
-    times e^{-w^2 gamma d^2}, the one step every QND distribution takes.  An
-    exponent past the double range is refused by name, before numpy could
-    warn or make inf * 0 = nan at d = 0."""
-    degree = len(c0) // 2
-    rate = _omega_sq(omega) * gamma_t
-    if not math.isfinite(rate * degree**2):
+    times e^{-w^2 gamma d^2}, the one step every QND distribution takes.
+
+    Only the harmonics up to degree are kept (all of c0 by default), so a
+    caller that reads c_0 and c_{+-1} passes 1.  gamma_t is one gamma(t),
+    which gives one PhaseDistribution, or a 1-d array of them, which gives
+    a 2-d array from one broadcast exponential: row k holds the coefficients
+    of P at gamma_t[k].  An exponent past the double range is refused by
+    name, before numpy could warn or make inf * 0 = nan at d = 0."""
+    full = len(c0) // 2
+    degree = full if degree is None else min(degree, full)
+    w2, gamma = _omega_sq(omega), np.asarray(gamma_t, dtype=float)
+    worst = float(gamma.flat[np.argmax(np.abs(gamma))]) if gamma.ndim else float(gamma)
+    if not math.isfinite(w2 * abs(worst) * degree**2):
         raise ValueError(
             f"omega = {omega}: the damping omega^2 gamma(t) d^2 overflows a double at "
-            f"gamma(t) = {gamma_t}, d = {degree}; lower omega"
+            f"gamma(t) = {worst}, d = {degree}; lower omega"
         )
-    return PhaseDistribution(c0 * np.exp(-rate * _squared_degrees(degree)))
+    rows = c0[full - degree : full + degree + 1] * np.exp(
+        np.multiply.outer(-w2 * gamma, _squared_degrees(degree))
+    )
+    return PhaseDistribution(rows) if gamma.ndim == 0 else rows
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,18 +285,21 @@ def _gamma_free_atomic_coeffs(
 
 
 def phase_dist_atomic_squeezed(
-    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, gamma_t: float
-) -> PhaseDistribution:
+    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, gamma_t,
+    degree: int | None = None,
+):
     """P(phi) of a dephased atomic squeezed state: the cached gamma-free
-    coefficients, damped."""
-    return _damped(_gamma_free_atomic_coeffs(state, omega, t, eta_t), omega, gamma_t)
+    coefficients, damped to the given degree; an array gamma_t gives one row
+    of coefficients per entry, as in _damped."""
+    c0 = _gamma_free_atomic_coeffs(state, omega, t, eta_t)
+    return _damped(c0, omega, gamma_t, degree)
 
 
 def phase_dist_coherent_halfspin(
-    params: AtomicCoherentParams, omega: float, t: float, gamma_t: float
-) -> PhaseDistribution:
+    params: AtomicCoherentParams, omega: float, t: float, gamma_t
+):
     """Single-atom closed form for an atomic coherent initial state; only
-    gamma(t) enters:
+    gamma(t) enters, and an array of it gives rows as in _damped:
 
         P(phi) = (1/2pi)[1 + (pi/4) sin(alpha_p) cos(beta_p + omega t - phi)
                          e^{-omega^2 gamma}].
@@ -353,12 +374,14 @@ def phase_dist_two_atoms(
 @functools.lru_cache(maxsize=8)
 def _gamma_free_osc_coeffs(
     r1: float, psi: float, alpha_mag: float, theta0: float,
-    omega: float, t: float, eta_t: float, cutoff: int | None,
+    omega: float, t: float, eta_t: float, cutoff: int | None, degree: int | None = None,
 ) -> np.ndarray:
     """Coefficients c0_d = sum_m v_m v_{m+d}^* / 2pi of the dephased squeezed
     coherent ket at gamma = 0, refused unless the cutoff keeps all but 1e-12
     of its weight; cached and read-only.  A cutoff of None is the default of
-    phase_dist_osc_squeezed, resolved here, on a miss only."""
+    phase_dist_osc_squeezed, resolved here, on a miss only.  At degree 1
+    only d = -1, 0, 1 are formed, three inner products in O(cutoff) time;
+    otherwise all 2 cutoff - 1, by the O(cutoff^2) autocorrelation."""
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
     if math.tanh(r1) == 1.0:
@@ -382,7 +405,11 @@ def _gamma_free_osc_coeffs(
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
     v = amps * np.exp(1j * _gamma_free_phase(levels, omega, t, eta_t))
-    c0 = ket_autocorrelation(v) / (2.0 * math.pi)
+    if degree == 1:
+        lags = np.array([np.vdot(v[:-1], v[1:]), np.vdot(v, v), np.vdot(v[1:], v[:-1])])
+    else:
+        lags = ket_autocorrelation(v)
+    c0 = lags / (2.0 * math.pi)
     c0.setflags(write=False)
     return c0
 
@@ -395,10 +422,13 @@ def phase_dist_osc_squeezed(
     omega: float,
     t: float,
     eta_t: float,
-    gamma_t: float,
+    gamma_t,
     cutoff: int | None = None,
-) -> PhaseDistribution:
-    """Oscillator phase distribution for a squeezed coherent initial state.
+    degree: int | None = None,
+):
+    """Oscillator phase distribution for a squeezed coherent initial state,
+    to the given degree; an array gamma_t gives one row of coefficients per
+    entry, as in _damped.
 
     The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
     and at least the levels over which the geometric squeeze tail falls by
@@ -409,5 +439,5 @@ def phase_dist_osc_squeezed(
     cached gamma-free autocorrelation of the ket, damped, in O(cutoff)
     memory and with no cutoff x cutoff array.
     """
-    c0 = _gamma_free_osc_coeffs(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff)
-    return _damped(c0, omega, gamma_t)
+    c0 = _gamma_free_osc_coeffs(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff, degree)
+    return _damped(c0, omega, gamma_t, degree)

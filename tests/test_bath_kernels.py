@@ -3,6 +3,7 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 
 from phasediff.bath_kernels import (
@@ -216,3 +217,44 @@ def test_dissipative_spec_names_a_temperature_whose_moments_overflow(r, T_ok, T_
     assert math.isfinite(spec.N * (spec.N + 1.0)) and math.isfinite(abs(spec.M) ** 2)
     with pytest.raises(ValueError, match=re.escape(f"T = {T_over} with r = {r}: the bath")):
         DissipativeBathSpec(1.0, 0.025, r, 0.3, T_over)
+
+
+def test_gamma_over_an_array_of_baths_is_the_gamma_of_each():
+    # one array call: every entry with the closed form of its own T, T = 0
+    # and T > 0 mixed, a > 0 included
+    r = [0.0, 1.0, -1.5, 2.0, 0.5, 0.0]
+    a = [0.0, 0.0, 0.05, 0.2, 0.0, 0.3]
+    T = [0.0, 50.0, 0.0, 300.0, 1000.0, 100.0]
+    spec = QndBathSpec(0.025, 100.0, r=np.array(r), a=np.array(a), T=np.array(T))
+    for t in (0.7, 3.0):
+        gamma = gamma_qnd(t, spec)
+        assert gamma.shape == (6,)
+        each = [gamma_qnd(t, QndBathSpec(0.025, 100.0, r=ri, a=ai, T=Ti))
+                for ri, ai, Ti in zip(r, a, T)]
+        assert np.max(np.abs(gamma / each - 1.0)) <= 1e-15
+    assert isinstance(gamma_qnd(0.7, _spec(r=1.0)), float)
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("T", [0.0, 50.0, -1.0, -2.0], "T = -1.0 must be nonnegative"),
+    ("a", [0.0, -0.5, 0.1], "a = -0.5 must be nonnegative"),
+    ("r", [0.0, 1.0, 360.0], "r = 360.0: cosh 2r overflows"),
+    ("r", [0.0, math.nan, 1.0], "r = nan must be finite"),
+    ("T", [1.0, math.inf], "T = inf must be finite"),
+])
+def test_qnd_spec_over_an_array_names_the_first_entry_at_fault(field, values, message):
+    kwargs = {"r": np.zeros(len(values)), field: np.array(values)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        QndBathSpec(0.025, 100.0, **kwargs)
+
+
+@pytest.mark.parametrize("T", [0.0, 50.0])
+@pytest.mark.parametrize("t, omega_c", [(1e160, 100.0), (1e200, 100.0), (1e153, 1e3)])
+def test_gamma_names_t_and_omega_c_when_omega_c_t_overflows(t, omega_c, T):
+    # (omega_c t)^2 past the double range makes f infinite; lowering the bath
+    # squeezing cannot help, so the refusal names t and omega_c
+    spec = QndBathSpec(0.0025, omega_c, r=0.0, T=T)
+    with pytest.raises(ValueError, match=re.escape(
+            f"at t = {t}, omega_c = {omega_c}: (omega_c t)^2 overflows a double; "
+            "lower t or omega_c")):
+        gamma_qnd(t, spec)

@@ -451,11 +451,43 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
 
 def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path, cold_caches):
     # the 961 points vary the bath squeezing r only, which enters through
-    # gamma alone: one gamma-free coefficient vector, from one ket
+    # gamma alone: one group, one gamma-free coefficient vector, from one ket
     assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-2",
                  "--stop", "2", "--num", "961", "--out", str(tmp_path / "s.csv")]) == 0
-    assert _gamma_free_osc_coeffs.cache_info()[:2] == (960, 1)
+    assert _gamma_free_osc_coeffs.cache_info()[:2] == (0, 1)
     assert squeezed_coherent_ket.cache_info().misses == 1
+
+
+def test_strongly_squeezed_bath_sweep_holds_three_coefficients_per_point(tmp_path):
+    # r1 = 2 puts the default cutoff near 1258 levels: a dispersion sweep damps
+    # c_0 and c_{+-1} only, a points x 3 array, where all 2 cutoff - 1
+    # harmonics of the 961 points would take about 39 MB
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-2",
+                   "--stop", "2", "--num", "961", "--set", "r1=2",
+                   "--out", str(tmp_path / "s.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("sets", [["--start", "1e160", "--stop", "1e161"],
+                                  ["--start", "1e200", "--stop", "1e201", "--set", "omega=1e100"]],
+                         ids=["t", "t-and-omega"])
+def test_an_overflow_of_omega_c_t_names_t_and_omega_c(tmp_path, capsys, sets):
+    # f(omega_c t) passes the double range at the bath's r = 0, where lowering
+    # the squeezing cannot help: the refusal names t and omega_c
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "qnd-qubit", "--param", "t", *sets, "--num", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma(t) is not finite at t = ") and err.count("\n") == 1, err
+    assert "omega_c = 100.0: (omega_c t)^2 overflows a double; lower t or omega_c" in err
+    assert "squeezing" not in err
+    assert not out.exists()
 
 
 def test_cached_gamma_free_states_never_go_stale(tmp_path):

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from phasediff import figures
 from phasediff.cli import read_config_file
 from phasediff.dissipative_oscillator import oscillator_spec
-from phasediff.figures import SCENARIOS, run_figure
+from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, evaluate, run_figure
 from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
     AtomicSqueezedParams,
@@ -120,8 +122,8 @@ def test_unitary_curves_are_the_undamped_evolution():
 
 
 def test_dispersion_figure_keeps_its_curves_in_order():
-    # the runs are evaluated x-major, but the columns and distributions stay
-    # curve by curve
+    # the runs are evaluated in groups that differ only in the bath, but the
+    # columns and distributions stay curve by curve
     fd = run_figure("fig7")
     labels = [label for label, _ in fd.columns]
     assert labels == ["unitary", "T=0", "T=50", "T=100"]
@@ -131,3 +133,89 @@ def test_dispersion_figure_keeps_its_curves_in_order():
     for c, (_label, column) in enumerate(fd.columns):
         dists = fd.distributions[c * len(fd.x):(c + 1) * len(fd.x)]
         assert np.array_equal(column, [dispersion(p) for _, p in dists])
+
+
+def _central(p, degree):
+    """c_{-degree}..c_degree of P."""
+    full = len(p.coeffs) // 2
+    return p.coeffs[full - degree : full + degree + 1]
+
+
+def _one_at_a_time(monkeypatch):
+    """evaluate as it treats a dissipative model: one run per call, every
+    harmonic, the bath as plain values."""
+    monkeypatch.setattr(figures, "DEPHASING_MODELS", ())
+
+
+@pytest.mark.parametrize("fig", ["fig1", "fig6", "fig7", "fig8", "fig10"])
+def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
+    # fig6 mixes T = 0 and T > 0 in one group; fig7 and fig8 have unitary
+    # (gamma0 = 0) curves; a dispersion figure reads degree 1 only
+    grouped = run_figure(fig)
+    _one_at_a_time(monkeypatch)
+    single = run_figure(fig)
+    assert [label for label, _ in grouped.distributions] == [
+        label for label, _ in single.distributions
+    ]
+    for (_, p), (_, q) in zip(grouped.distributions, single.distributions):
+        degree = len(p.coeffs) // 2
+        assert degree == (1 if fig != "fig1" else len(q.coeffs) // 2)
+        assert np.max(np.abs(p.coeffs - _central(q, degree))) <= 1e-14
+    for (label, col), (label_single, col_single) in zip(grouped.columns, single.columns):
+        assert label == label_single
+        assert np.max(np.abs(col - col_single)) <= 1e-14
+
+
+SWEEPS = [
+    ("r", np.linspace(-2.0, 2.0, 9), {}),
+    ("T", np.array([0.0, 0.5, 50.0, 1000.0]), {"r": 1.0}),
+    ("a", np.array([0.0, 0.01, 0.03, 0.045]), {"r": 0.5, "T": 100.0}),
+    ("t", np.array([0.05, 0.1, 2.0]), {"r": 1.0, "T": 50.0}),
+    ("r", np.linspace(-1.0, 1.0, 3), {"gamma0": 0.0}),
+]
+
+
+@pytest.mark.parametrize("degree", [1, None])
+@pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
+@pytest.mark.parametrize("param, values, sets", SWEEPS, ids=["r", "T", "a", "t", "unitary"])
+def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, values, sets,
+                                                 degree):
+    point, defaults = SWEEP_FAMILIES[family]
+    params = {**defaults, **sets}
+    runs = [(f"{param}={x:g}", {param: float(x)}) for x in values]
+    grouped = list(evaluate(point, params, runs, None, degree))
+    _one_at_a_time(monkeypatch)
+    single = list(evaluate(point, params, runs, None, degree))
+    for (label, p), (label_single, q) in zip(grouped, single, strict=True):
+        assert label == label_single
+        full = len(q.coeffs) // 2
+        assert len(p.coeffs) // 2 == (full if degree is None else min(degree, full))
+        # every coefficient, so c_{+1} and c_{-1} are checked apart
+        assert np.max(np.abs(p.coeffs - _central(q, len(p.coeffs) // 2))) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
+@pytest.mark.parametrize("param, values, sets", [
+    ("T", [0.0, 50.0, -1.0, 100.0], {}),
+    ("a", [0.0, 0.2, 0.6, 0.3], {"t": 1.0}),
+    ("r", [0.0, 354.5, 1.0], {"T": 50.0}),
+    ("r", [1.0, 355.0, 2.0], {"T": 0.0}),
+], ids=["T<0", "t<=2a", "gamma-nan", "gamma-inf"])
+def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family, param, values,
+                                                            sets):
+    # the group names the same setting and value as the failing run alone,
+    # and no RuntimeWarning escapes from either
+    point, defaults = SWEEP_FAMILIES[family]
+    params = {**defaults, **sets}
+    runs = [(f"{param}={x:g}", {param: x}) for x in values]
+    bad = next(i for i, x in enumerate(values) if x in (-1.0, 0.6, 354.5, 355.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as group:
+            list(evaluate(point, params, runs, None, 1))
+        _one_at_a_time(monkeypatch)
+        with pytest.raises(ValueError) as alone:
+            list(evaluate(point, params, runs[bad : bad + 1], None, 1))
+    assert type(group.value) is type(alone.value)
+    assert str(group.value) == str(alone.value)
+    assert f"{param} = {values[bad]}" in str(alone.value) or "2a = 1.2" in str(alone.value)
