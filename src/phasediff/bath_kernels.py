@@ -137,7 +137,7 @@ def gamma_qnd(t: float, spec: QndBathSpec):
     scale = g0 * T / (math.pi * wc) if T > 0 else g0 / (2 * math.pi)
     gamma = scale * (2 * math.cosh(2 * r) * f_t - math.sinh(2 * r) * f_a)
     if not math.isfinite(gamma):
-        _refuse_gamma(t, wc, f_t + f_a, gamma, r, T)
+        _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0)
     return gamma
 
 
@@ -158,18 +158,25 @@ def _gamma_over_array(t, g0, wc, r, a, T) -> np.ndarray:
     ok = np.isfinite(gamma)
     if not ok.all():
         i = np.argmin(ok)
-        _refuse_gamma(t, wc, f_t.flat[i] + f_a.flat[i], gamma.flat[i], r.flat[i], T.flat[i])
+        _refuse_gamma(t, wc, f_t.flat[i], f_a.flat[i], scale.flat[i], gamma.flat[i], r.flat[i],
+                      T.flat[i], g0)
     return gamma
 
 
-def _refuse_gamma(t, wc, f_sum, gamma, r, T):
+def _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0):
     """The refusal of a gamma(t) that is not finite: where its f sum is not
     finite either, omega_c t is past the double range, so it names t and
-    omega_c; otherwise the squeezing r is at fault."""
-    if not math.isfinite(f_sum):
+    omega_c; where gamma at r = 0, 2 scale f(omega_c t), is not finite
+    either, it names T and gamma0; otherwise the squeezing r is at fault."""
+    if not math.isfinite(f_t + f_a):
         raise ValueError(
             f"gamma(t) is not finite at t = {t}, omega_c = {wc}: (omega_c t)^2 overflows "
             "a double; lower t or omega_c"
+        )
+    if not math.isfinite(2 * float(scale) * float(f_t)):
+        raise ValueError(
+            f"gamma(t) is not finite at T = {float(T)}, gamma0 = {g0}, t = {t}: it overflows "
+            "a double even at r = 0; lower T or gamma0"
         )
     raise ValueError(
         f"gamma(t) = {float(gamma)} is not finite at r = {float(r)}, T = {float(T)}, t = {t}; "

@@ -23,12 +23,11 @@ from .figures import (
     SCENARIOS,
     SWEEP_FAMILIES,
     FigureData,
+    dispersion_figure,
     distribution_figure,
-    evaluate,
     resolve_params,
     run_figure,
 )
-from .phase_stats import dispersion
 from .validation import run_validation
 
 
@@ -202,15 +201,13 @@ def _cmd_sweep(args) -> int:
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise UsageError(f"--start and --stop must be finite, got {args.start}, {args.stop}")
     grid, cutoff = _grid_and_cutoff(reserved)
-    xs = np.linspace(args.start, args.stop, args.num)
+    xs = np.linspace(args.start, args.stop, args.num).tolist()
     scenario = f"sweep-{args.family}-{args.param}"
     base = {k: v for k, v in params.items() if k != args.param}
-    runs = ((f"{args.param}={x:g}", {args.param: float(x)}) for x in xs)
     if args.mode == "dispersion":
-        # keep each D, not its distribution, read to degree 1
-        d = [dispersion(p) for _, p in evaluate(point, base, runs, cutoff, degree=1)]
-        fd = FigureData(scenario, args.param, xs, (("D", np.array(d)),), base)
+        fd = dispersion_figure(scenario, point, base, args.param, xs, [("D", {})], cutoff)
     else:
+        runs = ((f"{args.param}={x:g}", {args.param: x}) for x in xs)
         fd = distribution_figure(scenario, point, base, runs, grid, cutoff)
     return _write_outputs(fd, reserved, scenario, args.plot_script)
 

@@ -7,7 +7,7 @@ maps (params, cutoff) to one phase distribution; the figures and the
 through one loop, `evaluate`.  Under dephasing the bath's r, a and T reach
 P only through gamma(t), so `evaluate` hands each dephasing model a whole
 group of runs that differ only in those three, as arrays: one gamma-free
-coefficient lookup, one array of gamma(t) and one broadcast damping per
+coefficient build, one array of gamma(t) and one broadcast damping per
 group.  The caller passes down the Fourier degree it reads: 1 for a
 dispersion, all for a distribution.  The dissipative models run one point
 at a time.  The angular grid enters only where P is written as samples
@@ -147,11 +147,10 @@ def evaluate(point, params, runs, cutoff, degree=None):
 
     A dephasing model is called once per group: the runs whose overrides
     agree on every setting but the bath's r, a and T, which reach P only
-    through gamma(t).  The group shares one gamma-free coefficient lookup
+    through gamma(t).  The group shares one gamma-free coefficient build
     and gets one array of gamma(t) and one broadcast damping, to degree
     (1 where the caller reads only a dispersion; None for all).  Any other
-    model is called once per run, one run at a time, so a caller that keeps
-    only a statistic never holds more than one of its distributions."""
+    model is called once per run, one run at a time."""
     if point not in DEPHASING_MODELS:
         for label, overrides in runs:
             yield label, point({**params, **overrides}, cutoff)
@@ -193,7 +192,7 @@ def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureDa
     return _sampled_figure(scenario, "phi", dists, params, grid)
 
 
-def _dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
+def dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs.
     Its distributions are evaluated to degree 1, all that a dispersion
     reads, so a dephasing curve keeps only c_0 and c_{+-1} of each."""
@@ -296,32 +295,32 @@ def _build_fig5(params, grid, cutoff):
 
 def _build_fig6(params, grid, cutoff):
     curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
-    return _dispersion_figure("fig6", _qnd_atoms, params, "r", R_GRID, curves, cutoff)
+    return dispersion_figure("fig6", _qnd_atoms, params, "r", R_GRID, curves, cutoff)
 
 
 def _build_fig7(params, grid, cutoff):
     zetas = tuple(np.linspace(0.25, 2.0, 36))
     curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 50.0, 100.0)
-    return _dispersion_figure(
+    return dispersion_figure(
         "fig7", _qnd_atoms_zeta, params, "zeta", zetas, curves, cutoff
     )
 
 
 def _build_fig8(params, grid, cutoff):
     curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 100.0, 1000.0)
-    return _dispersion_figure("fig8", _qnd_oscillator, params, "r", R_GRID, curves, cutoff)
+    return dispersion_figure("fig8", _qnd_oscillator, params, "r", R_GRID, curves, cutoff)
 
 
 def _build_fig9(params, grid, cutoff):
     curves = _temperature_curves(0.0, 100.0, 300.0, 1000.0)
-    return _dispersion_figure(
+    return dispersion_figure(
         "fig9", _dissipative_qubit, params, "r", R_GRID, curves, cutoff
     )
 
 
 def _build_fig10(params, grid, cutoff):
     curves = _temperature_curves(0.0, 50.0, 100.0, 1000.0)
-    return _dispersion_figure("fig10", _qnd_qubit, params, "r", R_GRID, curves, cutoff)
+    return dispersion_figure("fig10", _qnd_qubit, params, "r", R_GRID, curves, cutoff)
 
 
 SCENARIOS: dict[str, Scenario] = {

@@ -22,26 +22,24 @@ So the propagator splits into a gamma-free part, e^{-i w (m-n) t} e^{i w^2
 on the offset d = m - n that harmonic d of P(phi) collects.  Every dephased
 distribution therefore follows one rule: its Fourier coefficients are those
 of the gamma-free distribution, c0_d, times e^{-w^2 gamma d^2} (_damped).
-The models cache c0 and never their states: for the atoms it is the
-gamma-free pure state u u^dag, u_m = a_m e^{i(w^2 eta m^2 - w t m)}, passed
-through phase_distribution_atomic, keyed by (AtomicSqueezedParams, w, t,
-eta); for the oscillator it is the ket autocorrelation over 2 pi, keyed by
-(r1, psi, |alpha|, theta0, w, t, eta, cutoff, degree), with a default
-cutoff resolved only on a miss and the entry stored only once the Fock tail
-check has passed.  The closed forms damp their gamma-free harmonics the same
-way.
+For the atoms c0 is the gamma-free pure state u u^dag,
+u_m = a_m e^{i(w^2 eta m^2 - w t m)}, passed through
+phase_distribution_atomic; for the oscillator it is the ket autocorrelation
+over 2 pi.  The closed forms damp their gamma-free harmonics the same way.
 
 gamma_t may be one gamma(t) or a 1-d array of them: the runs of a sweep that
 differ only in r, T and a (figures.evaluate groups them) then share one c0
 and are damped by one broadcast exponential, one row of coefficients per
-entry.  A
-caller that reads only a dispersion passes degree = 1, and only c_0 and
-c_{+-1} are damped; the oscillator then forms its three lags as inner
+entry.  c0 is built once per call and not cached: the group already shares
+it.  A caller that reads only a dispersion passes degree = 1, and only c_0
+and c_{+-1} are damped; the oscillator then forms its three lags as inner
 products, in O(cutoff) time, instead of the full O(cutoff^2)
-autocorrelation.  The bath-independent parts of the initial state (the
-squeezed coherent ket, the Wigner-d row of the atomic squeezed state and
-the dipole weights) and the squared degrees d^2 are cached too.  Every cache
-is a bounded lru_cache of 8 entries whose arrays are read-only.
+autocorrelation.  Three parts of an initial state are cached, since runs in
+different groups reuse them: the atoms' Wigner-d row (_wigner_row) and
+dipole weights (_dipole_weights), built once for all 36 zetas of fig7, and
+the squeezed coherent ket (special_functions.squeezed_coherent_ket), built
+once for all points of a QND oscillator t or omega sweep.  Each is a bounded
+lru_cache of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -213,14 +211,6 @@ def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
     return distribution_from_fourier(pref * weighted.T)
 
 
-@functools.lru_cache(maxsize=8)
-def _squared_degrees(degree: int) -> np.ndarray:
-    """d^2 for d = -degree..degree; cached and read-only."""
-    d2 = np.arange(-degree, degree + 1, dtype=float) ** 2
-    d2.setflags(write=False)
-    return d2
-
-
 def _omega_sq(omega: float) -> float:
     """omega^2, refused by name where a double cannot hold it (a float **
     raises OverflowError where * would give inf)."""
@@ -263,35 +253,25 @@ def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
             f"gamma(t) = {worst}, d = {degree}; lower omega"
         )
     rows = c0[full - degree : full + degree + 1] * np.exp(
-        np.multiply.outer(-w2 * gamma, _squared_degrees(degree))
+        np.multiply.outer(-w2 * gamma, np.arange(-degree, degree + 1) ** 2)
     )
     return PhaseDistribution(rows) if gamma.ndim == 0 else rows
-
-
-@functools.lru_cache(maxsize=8)
-def _gamma_free_atomic_coeffs(
-    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float
-) -> np.ndarray:
-    """Coefficients c0_d of the dephased atomic squeezed state at gamma = 0,
-    which the bath's r, a and T never reach; cached and read-only.  The state
-    is pure and the gamma-free propagator factorizes, so it is u u^dag with
-    u_m = a_m e^{i(w^2 eta m^2 - w t m)}."""
-    amps = atomic_squeezed_amplitudes(state)
-    m = np.arange(len(amps)) - (len(amps) - 1) / 2.0
-    u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
-    c0 = phase_distribution_atomic(np.outer(u, u.conj())).coeffs
-    c0.setflags(write=False)
-    return c0
 
 
 def phase_dist_atomic_squeezed(
     state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, gamma_t,
     degree: int | None = None,
 ):
-    """P(phi) of a dephased atomic squeezed state: the cached gamma-free
-    coefficients, damped to the given degree; an array gamma_t gives one row
-    of coefficients per entry, as in _damped."""
-    c0 = _gamma_free_atomic_coeffs(state, omega, t, eta_t)
+    """P(phi) of a dephased atomic squeezed state: the gamma-free
+    coefficients c0, which the bath's r, a and T never reach, damped to the
+    given degree; an array gamma_t gives one row of coefficients per entry,
+    as in _damped.  The state is pure and the gamma-free propagator
+    factorizes, so c0 is that of u u^dag with
+    u_m = a_m e^{i(w^2 eta m^2 - w t m)}."""
+    amps = atomic_squeezed_amplitudes(state)
+    m = np.arange(len(amps)) - (len(amps) - 1) / 2.0
+    u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
+    c0 = phase_distribution_atomic(np.outer(u, u.conj())).coeffs
     return _damped(c0, omega, gamma_t, degree)
 
 
@@ -371,17 +351,33 @@ def phase_dist_two_atoms(
 # --- harmonic oscillator under the same dephasing propagator ---
 
 
-@functools.lru_cache(maxsize=8)
-def _gamma_free_osc_coeffs(
-    r1: float, psi: float, alpha_mag: float, theta0: float,
-    omega: float, t: float, eta_t: float, cutoff: int | None, degree: int | None = None,
-) -> np.ndarray:
-    """Coefficients c0_d = sum_m v_m v_{m+d}^* / 2pi of the dephased squeezed
-    coherent ket at gamma = 0, refused unless the cutoff keeps all but 1e-12
-    of its weight; cached and read-only.  A cutoff of None is the default of
-    phase_dist_osc_squeezed, resolved here, on a miss only.  At degree 1
-    only d = -1, 0, 1 are formed, three inner products in O(cutoff) time;
-    otherwise all 2 cutoff - 1, by the O(cutoff^2) autocorrelation."""
+def phase_dist_osc_squeezed(
+    r1: float,
+    psi: float,
+    alpha_mag: float,
+    theta0: float,
+    omega: float,
+    t: float,
+    eta_t: float,
+    gamma_t,
+    cutoff: int | None = None,
+    degree: int | None = None,
+):
+    """Oscillator phase distribution for a squeezed coherent initial state,
+    to the given degree; an array gamma_t gives one row of coefficients per
+    entry, as in _damped.
+
+    The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
+    and at least the levels over which the geometric squeeze tail falls by
+    1e-20; the truncated weight must miss 1 by at most 1e-12.
+
+    The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
+    so the coefficient of each offset d is g_d c0_d, with the gamma-free
+    autocorrelation c0_d = sum_m v_m v_{m+d}* / 2pi of the ket, in O(cutoff)
+    memory and with no cutoff x cutoff array.  At degree 1 only d = -1, 0, 1
+    are formed, three inner products in O(cutoff) time; otherwise all
+    2 cutoff - 1, by the O(cutoff^2) autocorrelation.
+    """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
     if math.tanh(r1) == 1.0:
@@ -409,35 +405,4 @@ def _gamma_free_osc_coeffs(
         lags = np.array([np.vdot(v[:-1], v[1:]), np.vdot(v, v), np.vdot(v[1:], v[:-1])])
     else:
         lags = ket_autocorrelation(v)
-    c0 = lags / (2.0 * math.pi)
-    c0.setflags(write=False)
-    return c0
-
-
-def phase_dist_osc_squeezed(
-    r1: float,
-    psi: float,
-    alpha_mag: float,
-    theta0: float,
-    omega: float,
-    t: float,
-    eta_t: float,
-    gamma_t,
-    cutoff: int | None = None,
-    degree: int | None = None,
-):
-    """Oscillator phase distribution for a squeezed coherent initial state,
-    to the given degree; an array gamma_t gives one row of coefficients per
-    entry, as in _damped.
-
-    The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
-    and at least the levels over which the geometric squeeze tail falls by
-    1e-20; the truncated weight must miss 1 by at most 1e-12.
-
-    The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
-    so the coefficient of each offset d is g_d sum_m v_m v_{m+d}* / 2pi: the
-    cached gamma-free autocorrelation of the ket, damped, in O(cutoff)
-    memory and with no cutoff x cutoff array.
-    """
-    c0 = _gamma_free_osc_coeffs(r1, psi, alpha_mag, theta0, omega, t, eta_t, cutoff, degree)
-    return _damped(c0, omega, gamma_t, degree)
+    return _damped(lags / (2.0 * math.pi), omega, gamma_t, degree)

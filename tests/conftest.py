@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from phasediff import qnd_phase
 from phasediff.distribution import distribution_from_fourier
 from phasediff.validation import _exp_anti_hermitian, _exp_by_parity, _squeeze_generator
 
@@ -43,3 +44,18 @@ def cold_caches():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+@pytest.fixture
+def gamma_free_builds(monkeypatch):
+    """A list that grows by one entry per gamma-free coefficient build of a
+    QND model: each build calls qnd_phase._gamma_free_phase once."""
+    builds = []
+    phase = qnd_phase._gamma_free_phase
+
+    def counted(*args):
+        builds.append(None)
+        return phase(*args)
+
+    monkeypatch.setattr(qnd_phase, "_gamma_free_phase", counted)
+    return builds

@@ -20,7 +20,7 @@ from phasediff.distribution import distribution_from_harmonics
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
 from phasediff.phase_stats import audit_normalization
-from phasediff.qnd_phase import _gamma_free_osc_coeffs, phase_dist_osc_squeezed
+from phasediff.qnd_phase import phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -449,13 +449,24 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     assert rows[0] == "-0,-0.33333333333333331,0"
 
 
-def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path, cold_caches):
+def test_qnd_oscillator_bath_sweep_builds_the_ket_once(tmp_path, cold_caches,
+                                                      gamma_free_builds):
     # the 961 points vary the bath squeezing r only, which enters through
     # gamma alone: one group, one gamma-free coefficient vector, from one ket
     assert main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-2",
                  "--stop", "2", "--num", "961", "--out", str(tmp_path / "s.csv")]) == 0
-    assert _gamma_free_osc_coeffs.cache_info()[:2] == (0, 1)
+    assert len(gamma_free_builds) == 1
     assert squeezed_coherent_ket.cache_info().misses == 1
+
+
+def test_qnd_oscillator_time_sweep_reuses_the_cached_ket(tmp_path, cold_caches,
+                                                         gamma_free_builds):
+    # t enters eta and the gamma-free phase, so each of the 20 points is its
+    # own group and builds its own coefficients, all from one cached ket
+    assert main(["sweep", "--family", "qnd-oscillator", "--param", "t", "--start", "0.1",
+                 "--stop", "2", "--num", "20", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(gamma_free_builds) == 20
+    assert squeezed_coherent_ket.cache_info()[:2] == (19, 1)
 
 
 def test_strongly_squeezed_bath_sweep_holds_three_coefficients_per_point(tmp_path):
@@ -548,6 +559,9 @@ def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting,
     ("qnd-oscillator", ["r=355"], "gamma(t) = inf is not finite at r = 355.0, T = 0.0"),
     ("qnd-qubit", ["r=355"], "gamma(t) = inf is not finite at r = 355.0, T = 0.0"),
     ("qnd-qubit", ["r=355", "T=50"], "gamma(t) = nan is not finite at r = 355.0, T = 50.0"),
+    ("qnd-qubit", ["T=1e300", "gamma0=1e10"],
+     "gamma(t) is not finite at T = 1e+300, gamma0 = 10000000000.0, t = 0.1: it overflows "
+     "a double even at r = 0; lower T or gamma0"),
     ("dissipative-qubit", ["T=1e300", "r=1"],
      "T = 1e+300 with r = 1.0: the bath moment N (N + 1) overflows"),
     ("dissipative-oscillator", ["T=3.6e153", "r=1"],
@@ -555,8 +569,8 @@ def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting,
     ("dissipative-qubit", ["T=1e150", "r=1", "gamma0=1e10"],
      "alpha^2 = gamma0^2 |M|^2 - omega^2 overflows a double at omega = 1.0, "
      "gamma0 = 10000000000.0, T = 1e+150, r = 1.0"),
-], ids=["qnd-oscillator", "qnd-qubit", "qnd-qubit-hot", "dissipative-qubit",
-        "dissipative-oscillator", "dissipative-qubit-alpha"])
+], ids=["qnd-oscillator", "qnd-qubit", "qnd-qubit-hot", "qnd-qubit-scale",
+        "dissipative-qubit", "dissipative-oscillator", "dissipative-qubit-alpha"])
 def test_bath_past_the_double_range_is_refused_by_name(tmp_path, capsys, family, settings,
                                                        message):
     # a gamma(t) or a bath moment that a double cannot hold: one error line,

@@ -200,7 +200,8 @@ def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, valu
     ("a", [0.0, 0.2, 0.6, 0.3], {"t": 1.0}),
     ("r", [0.0, 354.5, 1.0], {"T": 50.0}),
     ("r", [1.0, 355.0, 2.0], {"T": 0.0}),
-], ids=["T<0", "t<=2a", "gamma-nan", "gamma-inf"])
+    ("T", [0.0, 50.0, 1e300], {"gamma0": 1e10}),
+], ids=["T<0", "t<=2a", "gamma-nan", "gamma-inf", "scale-inf"])
 def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family, param, values,
                                                             sets):
     # the group names the same setting and value as the failing run alone,
@@ -208,7 +209,7 @@ def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family,
     point, defaults = SWEEP_FAMILIES[family]
     params = {**defaults, **sets}
     runs = [(f"{param}={x:g}", {param: x}) for x in values]
-    bad = next(i for i, x in enumerate(values) if x in (-1.0, 0.6, 354.5, 355.0))
+    bad = next(i for i, x in enumerate(values) if x in (-1.0, 0.6, 354.5, 355.0, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as group:

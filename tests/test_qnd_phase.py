@@ -12,9 +12,6 @@ from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
     _dephasing_factor,
     _dipole_weights,
-    _gamma_free_atomic_coeffs,
-    _gamma_free_osc_coeffs,
-    _squared_degrees,
     _wigner_row,
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -229,21 +226,21 @@ def test_dipole_weights_match_scalar_double_loop(j):
     assert np.array_equal(_dipole_weights(tj), loop)
 
 
-def test_fig6_builds_the_atomic_initial_state_once(cold_caches):
+def test_fig6_builds_the_atomic_initial_state_once(cold_caches, gamma_free_builds):
     # 164 points vary only the bath: one group, one gamma-free coefficient
     # vector, whose build makes the one Wigner-d row, and one weight matrix
     run_figure("fig6")
-    assert _gamma_free_atomic_coeffs.cache_info()[:2] == (0, 1)
+    assert len(gamma_free_builds) == 1
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
 
-def test_fig7_builds_one_gamma_free_state_per_zeta_and_eta(cold_caches):
+def test_fig7_builds_one_gamma_free_state_per_zeta_and_eta(cold_caches, gamma_free_builds):
     # each zeta is one initial state; its unitary curve has eta = 0 and its
     # three temperature curves share one eta and form one group, so 36 x 2
-    # coefficient vectors are built, each looked up once
+    # coefficient vectors are built, from one Wigner-d row and weight matrix
     run_figure("fig7")
-    assert _gamma_free_atomic_coeffs.cache_info()[:2] == (0, 72)
+    assert len(gamma_free_builds) == 72
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
@@ -314,13 +311,8 @@ def test_bath_reaches_the_dispersion_only_through_gamma(form, gamma_t, omega):
 
 
 @pytest.mark.parametrize("build, args", [
-    (_squared_degrees, (12,)),
     (_dipole_weights, (10,)),
     (_wigner_row, (10, 4)),
-    (_gamma_free_atomic_coeffs, (AtomicSqueezedParams(5, 5, -0.01832), 1.0, 1.0, -7.9e-4)),
-    (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, 70)),
-    (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, None)),
-    (_gamma_free_osc_coeffs, (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, None, 1)),
 ])
 def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
     cached = build(*args)
@@ -333,25 +325,25 @@ def test_cached_initial_state_arrays_are_read_only_and_exact(build, args):
 def test_three_lags_are_the_central_autocorrelation_entries(r1, alpha_sq, cutoff):
     # at degree 1 the gamma-free coefficients are three inner products; they
     # must be c_{-1}, c_0, c_{+1} of the full autocorrelation in that order,
-    # which a dispersion cannot check (it is the same with c_{+-1} swapped)
-    args = (r1, math.pi / 4, math.sqrt(alpha_sq), 0.3, 1.0, 0.7, -4e-3, cutoff)
-    full = _gamma_free_osc_coeffs.__wrapped__(*args)
-    three = _gamma_free_osc_coeffs.__wrapped__(*args, 1)
+    # which a dispersion cannot check (it is the same with c_{+-1} swapped).
+    # gamma = 0 damps by e^0 = 1, which leaves every coefficient bit-exact.
+    args = (r1, math.pi / 4, math.sqrt(alpha_sq), 0.3, 1.0, 0.7, -4e-3, 0.0, cutoff)
+    full = phase_dist_osc_squeezed(*args).coeffs
+    three = phase_dist_osc_squeezed(*args, degree=1).coeffs
     assert len(full) == 2 * cutoff - 1
     assert np.array_equal(three, full[cutoff - 2 : cutoff + 1])
     assert three[2] != three[0]  # c_{+1} = conj c_{-1}, not c_{-1}
 
 
 def test_gamma_free_oscillator_cache_is_keyed_by_degree(cold_caches):
-    # a dispersion reads degree 1 and a distribution all of them: one entry
-    # each, from one ket
+    # a dispersion reads degree 1 and a distribution all of them, both from
+    # one cached ket
     args = (0.5, math.pi / 4, math.sqrt(5.0), 0.0, 1.0, 0.1, -7e-4, np.array([0.0, 0.1]))
     for _ in range(2):
         near = phase_dist_osc_squeezed(*args, degree=1)
         full = phase_dist_osc_squeezed(*args)
     assert near.shape == (2, 3)
     assert full.shape[1] > 3
-    assert _gamma_free_osc_coeffs.cache_info()[:2] == (2, 2)
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
