@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,15 @@ from .errors import DomainError, check_finite, check_time
 _R_MAX = math.acosh(sys.float_info.max) / 2
 
 
-@dataclass(frozen=True)
-class QndBathSpec:
+class _QndBathFields(NamedTuple):
+    gamma0: float
+    omega_c: float
+    r: float
+    a: float
+    T: float
+
+
+class QndBathSpec(_QndBathFields):
     """Ohmic dephasing bath: coupling gamma0, cutoff omega_c, squeezing
     magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T.
 
@@ -42,13 +49,10 @@ class QndBathSpec:
     bath (a group of sweep points that differ only in the bath); every entry
     is checked, and a refusal names the first entry at fault."""
 
-    gamma0: float
-    omega_c: float
-    r: float = 0.0
-    a: float = 0.0
-    T: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gamma0, omega_c, r=0.0, a=0.0, T=0.0):
+        self = super().__new__(cls, gamma0, omega_c, r, a, T)
         check_finite(gamma0=self.gamma0, omega_c=self.omega_c)
         bounds = {name: _bounds(getattr(self, name)) for name in ("r", "a", "T")}
         for name, (lo, hi) in bounds.items():
@@ -64,6 +68,7 @@ class QndBathSpec:
             _refuse("a", self.a, lambda v: v < 0, " must be nonnegative")
         if max(-bounds["r"][0], bounds["r"][1]) > _R_MAX:
             _refuse("r", self.r, lambda v: abs(v) > _R_MAX, ": cosh 2r overflows; keep |r| below 355")
+        return self
 
 
 def _bounds(values) -> tuple[float, float]:
@@ -196,8 +201,18 @@ def thermal_occupation(omega: float, T: float) -> float:
     return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
-@dataclass(frozen=True)
-class DissipativeBathSpec:
+class _DissipativeBathFields(NamedTuple):
+    omega: float
+    gamma0: float
+    r: float
+    Phi: float
+    T: float
+    N_th: float
+    N: float
+    M: complex
+
+
+class DissipativeBathSpec(_DissipativeBathFields):
     """Squeezed thermal bath of a dissipative system at frequency omega:
     damping rate gamma0, squeezing zeta = r e^{i Phi}, temperature T.
 
@@ -209,32 +224,26 @@ class DissipativeBathSpec:
     equation has -M in its place.  A negative r is |r| at phase Phi + pi.
     """
 
-    omega: float
-    gamma0: float
-    r: float
-    Phi: float
-    T: float
-    N_th: float = field(init=False)
-    N: float = field(init=False)
-    M: complex = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_finite(omega=self.omega, gamma0=self.gamma0, r=self.r, Phi=self.Phi, T=self.T)
-        if self.omega <= 0:
-            raise ValueError(f"omega = {self.omega} must be positive")
-        if self.gamma0 < 0:
-            raise ValueError(f"gamma0 = {self.gamma0} must be nonnegative")
-        if math.tanh(abs(self.r)) == 1.0:
-            raise ValueError(f"r = {self.r}: tanh|r| rounds to 1; keep |r| below 19")
-        n_th = thermal_occupation(self.omega, self.T)
-        sh = math.sinh(self.r)
-        n = n_th * (math.cosh(self.r) ** 2 + sh**2) + sh**2
+    def __new__(cls, omega, gamma0, r, Phi, T):
+        check_finite(omega=omega, gamma0=gamma0, r=r, Phi=Phi, T=T)
+        if omega <= 0:
+            raise ValueError(f"omega = {omega} must be positive")
+        if gamma0 < 0:
+            raise ValueError(f"gamma0 = {gamma0} must be nonnegative")
+        if math.tanh(abs(r)) == 1.0:
+            raise ValueError(f"r = {r}: tanh|r| rounds to 1; keep |r| below 19")
+        n_th = thermal_occupation(omega, T)
+        sh = math.sinh(r)
+        n = n_th * (math.cosh(r) ** 2 + sh**2) + sh**2
         if not math.isfinite(n * (n + 1.0)):
             raise ValueError(
-                f"T = {self.T} with r = {self.r}: the bath moment N (N + 1) overflows; "
+                f"T = {T} with r = {r}: the bath moment N (N + 1) overflows; "
                 "lower the bath temperature T"
             )
-        m = (n_th + 0.5) * math.sinh(2 * self.r) * complex(math.cos(self.Phi), math.sin(self.Phi))
-        object.__setattr__(self, "N_th", n_th)
-        object.__setattr__(self, "N", n)
-        object.__setattr__(self, "M", m)
+        m = (n_th + 0.5) * math.sinh(2 * r) * complex(math.cos(Phi), math.sin(Phi))
+        return super().__new__(cls, omega, gamma0, r, Phi, T, n_th, n, m)
+
+    def __getnewargs__(self):
+        return self[:5]  # copy and pickle rebuild from the five inputs

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def oscillator_spec(
     return DissipativeBathSpec(omega, gamma0, r, Phi, T)
 
 
-@dataclass(frozen=True)
-class GscsMixture:
+class GscsMixture(NamedTuple):
     """The state at a fixed time: mixing strength beta_tilde, displacement a
     and frame squeeze zeta of the module docstring."""
 

@@ -13,7 +13,7 @@ inverse FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,17 +32,20 @@ def phase_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """P(phi) = Re sum_d coeffs[d + D] e^{i d phi}, d = -D..D."""
-
+class _PhaseDistributionFields(NamedTuple):
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+
+class PhaseDistribution(_PhaseDistributionFields):
+    """P(phi) = Re sum_d coeffs[d + D] e^{i d phi}, d = -D..D."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 1 or len(coeffs) % 2 == 0:
             raise ValueError("coeffs must be a 1-d array of odd length 2 D + 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     def samples(self, n: int) -> np.ndarray:
         """P(phi_l) at the n angles of phase_grid(n): on the grid e^{i d phi_l}

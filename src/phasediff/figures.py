@@ -19,8 +19,7 @@ deterministic; there is no randomness anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,7 @@ THETA_TEN_ATOMS = -0.01832  # squeeze exponent used by the ten-atom scenarios
 R_GRID = tuple(np.linspace(-2.0, 2.0, 41))
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     scenario: str
     x_name: str
     x: np.ndarray
@@ -59,8 +57,7 @@ class FigureData:
     distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     description: str
     defaults: Mapping[str, float]

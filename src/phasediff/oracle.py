@@ -20,10 +20,10 @@ negative or non-finite t.  Only numpy is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bath_kernels import DissipativeBathSpec, QndBathSpec
 from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
@@ -60,6 +60,28 @@ def _dp_stage_matrix() -> np.ndarray:
 _DP_STAGES = _dp_stage_matrix()
 
 
+def _rms(v: np.ndarray, scale: np.ndarray) -> float:
+    """The step control's norm: root-mean-square of |v| / scale."""
+    return math.sqrt(float(np.mean((np.abs(v) / scale) ** 2)))
+
+
+def _starting_step(f, t0, y0, f0, span, rel_tol, abs_tol) -> float:
+    """The first trial step of an order-5 pair (Hairer, Norsett & Wanner,
+    Solving Ordinary Differential Equations I, 2nd ed., II.4): an explicit
+    Euler step of size h0 = 0.01 |y0| / |f0| estimates the second derivative,
+    and the step is the one whose local error that derivative puts at 0.01,
+    at most 100 h0 and at most the span.  Norms are _rms relative to
+    abs_tol + rel_tol |y0|; one more evaluation of f."""
+    scale = abs_tol + rel_tol * np.abs(y0)
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms(f(t0 + h0, y0 + h0 * f0) - f0, scale) / h0
+    big = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if big <= 1e-15 else (0.01 / big) ** 0.2
+    return min(100.0 * h0, h1, span)
+
+
 def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
     """Adaptive embedded 5(4) integration of dy/dt = f(t, y), y0 a 1-D array,
     with standard step control.
@@ -68,13 +90,14 @@ def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
     one product of a row of the stage matrix (times h, with weight 1 on y)
     with the rows before it.  The seventh stage's argument is y5, whose
     slope is the next step's k1 (FSAL), and the error estimate y5 - y4 is
-    one more product.  A non-finite error estimate raises: it would
-    otherwise never reject a step."""
+    one more product.  The first trial step is _starting_step's.  A
+    non-finite error estimate raises: it would otherwise never reject a
+    step."""
     rows = np.empty((8, len(y0)), dtype=complex)  # y, k1, ..., k7
     rows[0] = y0
     t = t0
-    h = (t1 - t0) / 10.0
     rows[1] = f(t, rows[0])
+    h = _starting_step(f, t, rows[0], rows[1], t1 - t0, rel_tol, abs_tol) if t1 > t0 else 0.0
     while t < t1:
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
@@ -86,7 +109,7 @@ def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
             rows[i + 1] = f(t + _DP_C[i] * h, arg)
         y5 = arg  # the seventh stage's argument
         scale = abs_tol + rel_tol * np.maximum(np.abs(rows[0]), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(weights[7, 1:] @ rows[1:]) / scale) ** 2)))
+        err = _rms(weights[7, 1:] @ rows[1:], scale)
         if not math.isfinite(err):
             raise RuntimeError(f"non-finite error estimate at t = {t}, h = {h}")
         if err <= 1.0:
@@ -250,22 +273,34 @@ def phase_dist_by_quadrature(rho: np.ndarray, grid: int) -> PhaseDistribution:
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])
     k_idx = np.arange(tj + 1)
     phase = np.exp(-1j * np.outer(k_idx, phi))  # e^{-i(j+m) phi} per amplitude
-
-    def integrand(theta):
-        mags = half_binom * np.sin(theta / 2.0) ** k_idx * np.cos(theta / 2.0) ** (tj - k_idx)
-        c = mags[:, None] * phase  # amplitudes <j,m|theta,phi>
-        q = np.einsum("nm,nf,mf->f", rho, c.conj(), c, optimize=True).real
-        return math.sin(theta) * q
-
-    nodes, weights = leggauss(2 * tj + 16)
-    thetas = 0.5 * math.pi * (nodes + 1.0)  # [-1, 1] -> [0, pi]
-    integral = 0.5 * math.pi * sum(w * integrand(th) for th, w in zip(thetas, weights))
+    nodes, weights = _gauss_legendre(2 * tj + 16)
+    half = 0.25 * math.pi * (nodes + 1.0)  # theta / 2, theta in [0, pi]
+    # |<j,m|theta,phi>| per node (rows) and amplitude (columns)
+    mags = half_binom * np.sin(half)[:, None] ** k_idx * np.cos(half)[:, None] ** (tj - k_idx)
+    # Q(theta, phi) = sum_{n,m} rho[n,m] c_n^* c_m with c = mags e^{-i(j+m) phi}:
+    # each node's mags weight rho, and the phases multiply it on both sides
+    rho_c = (mags[:, :, None] * rho * mags[:, None, :]) @ phase
+    q = np.einsum("nf,tnf->tf", phase.conj(), rho_c).real
+    integral = 0.5 * math.pi * ((weights * np.sin(2.0 * half)) @ q)
     return distribution_from_samples((tj + 1) / (4.0 * math.pi) * integral)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes and weights on [-1, 1], built once per
+    order and read-only.  numpy.polynomial is imported here, on first use,
+    so figure and sweep runs never load it."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 # dephasing-kernel quadrature: Gauss-Legendre nodes per panel, panel width
-# in oscillation periods, upper limit in omega_c.  The nodes are computed per
-# call, since an eigensolve at import would cost every CLI run its LAPACK set-up.
+# in oscillation periods, upper limit in omega_c.  The nodes are computed on
+# first use, once per order.
 _GAMMA_NODE_COUNT = 10
 _GAMMA_PANEL_PERIODS = 2.0
 _GAMMA_RANGE = 30.0
@@ -291,7 +326,7 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     top = _GAMMA_RANGE * wc
     panels = math.ceil(top / min(_GAMMA_PANEL_PERIODS * 2.0 * math.pi / f_max, wc))
     h = top / panels
-    nodes, weights = leggauss(_GAMMA_NODE_COUNT)
+    nodes, weights = _gauss_legendre(_GAMMA_NODE_COUNT)
     w = h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))
     # |bracket|^2 of cosh r (e^{iwt} - 1) + sinh r (e^{-iwt} - 1) e^{2iaw}.
     # With e^{+-iwt} - 1 = +-2i sin(wt/2) e^{+-iwt/2} it is

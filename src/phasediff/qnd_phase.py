@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,41 +67,51 @@ from .special_functions import (
 )
 
 
-@dataclass(frozen=True)
-class AtomicCoherentParams:
-    """Atomic coherent state angles: polar alpha_p in [0, pi], azimuth
-    beta_p in [0, 2pi)."""
-
+class _AtomicCoherentFields(NamedTuple):
     alpha_p: float
     beta_p: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_p <= math.pi:
-            raise ValueError(f"alpha_p = {self.alpha_p} outside [0, pi]")
-        if not 0.0 <= self.beta_p < 2.0 * math.pi:
-            raise ValueError(f"beta_p = {self.beta_p} outside [0, 2pi)")
+
+class AtomicCoherentParams(_AtomicCoherentFields):
+    """Atomic coherent state angles: polar alpha_p in [0, pi], azimuth
+    beta_p in [0, 2pi)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha_p, beta_p):
+        if not 0.0 <= alpha_p <= math.pi:
+            raise ValueError(f"alpha_p = {alpha_p} outside [0, pi]")
+        if not 0.0 <= beta_p < 2.0 * math.pi:
+            raise ValueError(f"beta_p = {beta_p} outside [0, 2pi)")
+        return super().__new__(cls, alpha_p, beta_p)
 
 
-@dataclass(frozen=True)
-class AtomicSqueezedParams:
+class _AtomicSqueezedFields(NamedTuple):
+    j: float
+    p: float
+    Theta: float
+    tj: int
+    tp: int
+
+
+class AtomicSqueezedParams(_AtomicSqueezedFields):
     """Atomic squeezed state labels (j, p) and squeeze exponent Theta.
 
     Theta = (1/2) ln tanh(2 zeta) for squeezing strength zeta > 0.  The
     labels are checked once, here, and kept exact as tj = 2j and tp = 2p.
     """
 
-    j: float
-    p: float
-    Theta: float
-    tj: int = field(init=False)
-    tp: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        tj = twice_spin("j", self.j)
-        object.__setattr__(self, "tj", tj)
-        object.__setattr__(self, "tp", twice_spin("p", self.p, tj))
-        if not math.isfinite(self.Theta):
+    def __new__(cls, j, p, Theta):
+        tj = twice_spin("j", j)
+        tp = twice_spin("p", p, tj)
+        if not math.isfinite(Theta):
             raise ValueError("Theta must be finite")
+        return super().__new__(cls, j, p, Theta, tj, tp)
+
+    def __getnewargs__(self):
+        return self[:3]  # copy and pickle rebuild from the three inputs
 
     @classmethod
     def from_zeta(cls, j, p, zeta: float) -> "AtomicSqueezedParams":

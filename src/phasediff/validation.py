@@ -11,7 +11,7 @@ generator from its Hermitian eigendecomposition (numpy `eigh`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .qnd_phase import (
 from .special_functions import squeeze_matrix, wigner_d_half_pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     tolerance: float
     deviation: float

@@ -8,6 +8,7 @@ from phasediff.dissipative_qubit import propagate_qubit, qubit_spec
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.errors import DomainError
 from phasediff.oracle import (
+    _gauss_legendre,
     dormand_prince,
     expm_taylor,
     gamma_by_quadrature,
@@ -205,6 +206,18 @@ def test_gamma_quadrature_resolves_a_narrow_cutoff():
         for t, spec in _kernel_grid(0.1, (0.0, 2.0), (0.11, 1.0, 10.0))
     )
     assert worst <= 1e-8
+
+
+def test_gamma_quadrature_builds_its_nodes_once(cold_caches):
+    # 16 kernels read one cached, read-only set of 10 Gauss-Legendre nodes
+    for t, spec in _kernel_grid(100.0, (0.0, 1.0), (0.2, 1.0)):
+        gamma_by_quadrature(t, spec)
+    info = _gauss_legendre.cache_info()
+    assert (info.misses, info.hits) == (1, 15)
+    nodes, weights = _gauss_legendre(10)
+    for array in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_gamma_quadrature_rejects_negative_time():

@@ -12,7 +12,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, quad_vec, solve_ivp
 from scipy.linalg import expm
 from scipy.special import betaln, gammaln
@@ -105,13 +104,14 @@ def _quad_vec_reference(rho, grid):
 
 
 @pytest.mark.parametrize("j", [5, 20])
-def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, j):
+def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, cold_caches, j):
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(j, j, -0.3))
     rho = qnd_evolve(rho0, 1.0, 0.1, 0.001, 0.005)
     ours = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
     assert np.max(np.abs(ours - _quad_vec_reference(rho, 90))) <= 1e-12
     # the node count is converged: doubling it changes nothing beyond rounding
-    monkeypatch.setattr(oracle, "leggauss", lambda n: leggauss(2 * n))
+    nodes = oracle._gauss_legendre
+    monkeypatch.setattr(oracle, "_gauss_legendre", lambda n: nodes(2 * n))
     doubled = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
     assert np.max(np.abs(doubled - ours)) <= 1e-12
 
@@ -185,3 +185,32 @@ print(json.dumps({{"rcs": rcs, "scipy": loaded}}))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"rcs": [0, 0, 0], "scipy": []}
+
+
+def test_runs_import_only_what_they_use(tmp_path):
+    # one fresh isolated interpreter: the records define no generated code, so
+    # the import leaves dataclasses out, and only validate's oracles load
+    # numpy.polynomial, for their Gauss-Legendre nodes
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+from phasediff.cli import main
+out = {str(tmp_path)!r}
+watched = ("dataclasses", "numpy.polynomial")
+loaded = [[m for m in watched if m in sys.modules]]
+rcs = [
+    main(["figure", "fig5", "--out", out + "/fig5.csv"]),
+    main(["sweep", "--family", "dissipative-oscillator", "--param", "t", "--start", "0.1",
+          "--stop", "2", "--num", "3", "--set", "r=0.9", "--out", out + "/sweep.csv"]),
+]
+loaded.append([m for m in watched if m in sys.modules])
+rcs.append(main(["validate", "--quick"]))
+loaded.append([m for m in watched if m in sys.modules])
+print(json.dumps({{"rcs": rcs, "loaded": loaded}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"rcs": [0, 0, 0], "loaded": [[], [], ["numpy.polynomial"]]}
