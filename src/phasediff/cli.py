@@ -35,19 +35,15 @@ class UsageError(Exception):
     pass
 
 
-def _format_value(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(fd: FigureData, path: Path) -> None:
     lines = [f"# phasediff {__version__}", f"# scenario: {fd.scenario}"]
     for note in fd.notes:
         lines.append(f"# note: {note}")
     for key in sorted(fd.params):
-        lines.append(f"# param: {key}={_format_value(fd.params[key])}")
+        lines.append("# param: %s=%.17g" % (key, fd.params[key]))
     lines.append(",".join([fd.x_name] + [label for label, _ in fd.columns]))
     cols = [fd.x] + [col for _, col in fd.columns]
-    # one %-format per row; "%.17g" % x is the same text as _format_value(x)
+    # one %-format per row
     row_format = ",".join(["%.17g"] * len(cols))
     lines.extend(row_format % row for row in zip(*cols))
     path.write_text("\n".join(lines) + "\n")

@@ -35,7 +35,12 @@ import numpy as np
 from .bath_kernels import DissipativeBathSpec
 from .distribution import PhaseDistribution, ket_autocorrelation
 from .errors import TruncationError, check_time
-from .special_functions import log_factorial, squeeze_tail_pad, squeezed_coherent_ket
+from .special_functions import (
+    gaussian_recurrence,
+    log_factorial,
+    squeeze_tail_pad,
+    squeezed_coherent_ket,
+)
 
 
 def oscillator_spec(
@@ -128,8 +133,9 @@ def _density_rows(mix: GscsMixture, cutoff: int):
         rho[m+1, n] = (b rho[m, n] + A00 sqrt(m) rho[m-1, n]
                        + A01 sqrt(n) rho[m, n-1]) / sqrt(m+1)
 
-    and row 0 from rho[0, n+1] = (b* rho[0, n] + A00* sqrt(n) rho[0, n-1])
-    / sqrt(n+1), rho[0, 0] = C.  With M = [[cosh r, -e^{i Phi} sinh r],
+    and row 0 from the Gaussian ket recurrence (gaussian_recurrence)
+    rho[0, n+1] = (b* rho[0, n] + A00* sqrt(n) rho[0, n-1]) / sqrt(n+1),
+    rho[0, 0] = C.  With M = [[cosh r, -e^{i Phi} sinh r],
     [-e^{-i Phi} sinh r, cosh r]], sigma = (beta + 1/2) M M^dag + I/2 and
     mu = M (a, a*)^T, A = X (I - sigma^-1)* (X swaps the indices),
     (b, b*) = sigma^-1 mu and C = exp(-mu^dag sigma^-1 mu / 2) / sqrt(det).
@@ -150,14 +156,11 @@ def _density_rows(mix: GscsMixture, cutoff: int):
     b = ((1.0 + beta) * a * ch + beta * a.conjugate() * rot * sh) / det
     exponent = ((1.0 + beta) * ch * ch - beta * sh * sh) * abs(a) ** 2
     exponent -= ch * sh * (a * a / rot).real
-    cur, prev = math.exp(-exponent / det) / math.sqrt(det), 0j
-    head, b_conj, a00_conj = [cur], b.conjugate(), a00.conjugate()
-    for n in range(cutoff - 1):
-        prev, cur = cur, (b_conj * cur + a00_conj * math.sqrt(n) * prev) / math.sqrt(n + 1)
-        head.append(cur)
+    start = math.exp(-exponent / det) / math.sqrt(det)
+    row = gaussian_recurrence(start, b.conjugate(), a00.conjugate(), cutoff)
     sq = np.sqrt(np.arange(cutoff, dtype=float))
     cross = beta * (1.0 + beta) / det * sq[1:]
-    row, above = np.array(head), np.zeros(cutoff, dtype=complex)
+    above = np.zeros(cutoff, dtype=complex)
     for m in range(cutoff):
         peak = float(np.max(np.abs(row)))
         if not peak <= 1.0:  # also rejects NaN
@@ -205,14 +208,15 @@ def phase_dist_osc_dissipative(
     """Phase distribution of the dissipative oscillator at time t.
 
     Its coefficients are the diagonal sums c_d = sum_m rho_S[m, m+d] / 2pi
-    of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory:
-    at beta_tilde = 0 one autocorrelation of the ket psi e^{-i omega m t},
-    otherwise the rows of _density_rows added in as they come.  They are
-    summed at the cutoff and, from the first rows and columns, at a check
-    cutoff 8 levels lower.  A trace deficit beyond TRACE_TOL at either
-    cutoff, or a disagreement sum_d |c_d - c'_d| >= sup_phi |P - P'| beyond
-    AGREEMENT_TOL (the shorter array zero-padded), raises a TruncationError
-    that names the cutoff.
+    of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory.
+    Both branches form the interaction-picture sums sum_m rho[m, m+d]: at
+    beta_tilde = 0 the autocorrelation of the bare ket, otherwise the rows
+    of _density_rows added in as they come.  The free evolution is then one
+    factor e^{i omega t d} per harmonic.  The sums are taken at the cutoff
+    and, from the first rows and columns, at a check cutoff 8 levels lower.
+    A trace deficit beyond TRACE_TOL at either cutoff, or a disagreement
+    sum_d |c_d - c'_d| >= sup_phi |P - P'| beyond AGREEMENT_TOL (the shorter
+    array zero-padded), raises a TruncationError that names the cutoff.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
@@ -223,9 +227,8 @@ def phase_dist_osc_dissipative(
     if mix.beta_tilde == 0.0:
         r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
         ket = squeezed_coherent_ket(r, angle, mix.a, cutoff)
-        v = ket * np.exp(-1j * spec.omega * t * np.arange(cutoff))
         traces = [float(np.vdot(ket[:k], ket[:k]).real) for k in levels]
-        coeffs = [ket_autocorrelation(v[:k]) for k in levels]
+        sums = [ket_autocorrelation(ket[:k]) for k in levels]
     else:
         traces, sums = [0.0, 0.0], [np.zeros(2 * k - 1, dtype=complex) for k in levels]
         for m, row in enumerate(_density_rows(mix, cutoff)):
@@ -233,11 +236,13 @@ def phase_dist_osc_dissipative(
                 if m < k:
                     traces[i] += row[m].real
                     sums[i][k - 1 - m : 2 * k - 1 - m] += row[:k]
-        free = [np.exp(1j * spec.omega * t * np.arange(1 - k, k)) for k in levels]
-        coeffs = [s * f for s, f in zip(sums, free)]
     for k, trace in zip(levels, traces):
         _check_trace(trace, k, TRACE_TOL)
-    full, check = (c / (2.0 * math.pi) for c in coeffs)
+    # harmonic d = 1 - cutoff..cutoff - 1 of the free evolution, sliced per level
+    free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
+    full, check = (
+        s * free[cutoff - k : cutoff - 1 + k] / (2.0 * math.pi) for s, k in zip(sums, levels)
+    )
     pad = (len(full) - len(check)) // 2
     dev = float(np.sum(np.abs(full - np.pad(check, pad))))
     if dev > AGREEMENT_TOL:

@@ -71,10 +71,13 @@ def distribution_from_fourier(a: np.ndarray) -> PhaseDistribution:
     return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1))
 
 
-def ket_autocorrelation(v: np.ndarray) -> np.ndarray:
-    """sum_m v_m v_{m+d}^* for d = 1 - len(v)..len(v) - 1: the diagonal sums
-    of v v^dag, which distribution_from_fourier would form, in O(len(v))
-    memory."""
+def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """sum_m v_m v_{m+d}^*, d ascending: the diagonal sums of v v^dag, which
+    distribution_from_fourier would form, in O(len(v)) memory.  At degree 1
+    only d = -1, 0, 1, three inner products in O(len(v)) time; otherwise all
+    d = 1 - len(v)..len(v) - 1, by the O(len(v)^2) correlation."""
+    if degree == 1:
+        return np.array([np.vdot(v[:-1], v[1:]), np.vdot(v, v), np.vdot(v[1:], v[:-1])])
     # entry i of the full correlation is sum_m v_m v_{m+d}^* with d = len(v) - 1 - i
     return np.correlate(v, v, "full")[::-1]
 

@@ -58,7 +58,6 @@ class FigureData(NamedTuple):
 
 
 class Scenario(NamedTuple):
-    name: str
     description: str
     defaults: Mapping[str, float]
     builder: Callable
@@ -322,34 +321,29 @@ def _build_fig10(params, grid, cutoff):
 
 SCENARIOS: dict[str, Scenario] = {
     "fig1": Scenario(
-        "fig1",
         "Phase distribution of ten atoms under dephasing, atomic squeezed start",
         {"j": 5.0, "p": 5.0, "Theta": THETA_TEN_ATOMS, "gamma0": 0.025,
          "omega": 1.0, "omega_c": 100.0, "a": 0.0},
         _build_fig1,
     ),
     "fig2": Scenario(
-        "fig2",
         "Phase distribution of a dissipative qubit, atomic coherent start",
         {"omega": 1.0, "gamma0": 0.25, "Phi": math.pi / 8,
          "alpha_p": math.pi / 4, "beta_p": math.pi / 4},
         _build_fig2,
     ),
     "fig3": Scenario(
-        "fig3",
         "Excited-state population decay of a dissipative qubit",
         {"omega": 1.0, "Phi": 0.0, "alpha_p": math.pi / 4, "beta_p": math.pi / 4,
          "t_max": 250.0, "n_t": 501.0},
         _build_fig3,
     ),
     "fig4": Scenario(
-        "fig4",
         "Phase distribution of a dissipative qubit, atomic squeezed start, p = +-1/2",
         {"omega": 1.0, "gamma0": 0.025, "Phi": math.pi / 8, "Theta": THETA_TEN_ATOMS},
         _build_fig4,
     ),
     "fig5": Scenario(
-        "fig5",
         "Oscillator phase distribution: dephasing vs dissipative bath",
         {"omega": 1.0, "omega_c": 100.0, "T": 0.0, "r": 1.0, "t": 0.1,
          "gamma0": 0.025, "psi": 0.0, "Phi": 0.0, "alpha_sq": 5.0,
@@ -357,35 +351,30 @@ SCENARIOS: dict[str, Scenario] = {
         _build_fig5,
     ),
     "fig6": Scenario(
-        "fig6",
         "Dispersion vs bath squeezing, ten atoms under dephasing",
         {"j": 5.0, "p": 5.0, "Theta": THETA_TEN_ATOMS, "a": 0.0,
          "gamma0": 0.0025, "t": 1.0, "omega": 1.0, "omega_c": 100.0},
         _build_fig6,
     ),
     "fig7": Scenario(
-        "fig7",
         "Dispersion vs system squeezing, ten atoms under dephasing",
         {"j": 5.0, "p": 5.0, "a": 0.0, "r": 0.0, "gamma0": 0.0025,
          "t": 1.0, "omega": 1.0, "omega_c": 100.0},
         _build_fig7,
     ),
     "fig8": Scenario(
-        "fig8",
         "Dispersion vs bath squeezing, oscillator under dephasing",
         {"alpha_sq": 5.0, "theta0": 0.0, "r1": 0.5, "psi": math.pi / 4,
          "gamma0": 0.0025, "t": 0.1, "omega": 1.0, "omega_c": 100.0, "a": 0.0},
         _build_fig8,
     ),
     "fig9": Scenario(
-        "fig9",
         "Dispersion vs bath squeezing, dissipative qubit",
         {"gamma0": 0.0025, "t": 1.0, "omega": 1.0, "Phi": math.pi / 8,
          "alpha_p": math.pi / 4, "beta_p": math.pi / 4},
         _build_fig9,
     ),
     "fig10": Scenario(
-        "fig10",
         "Dispersion vs bath squeezing, qubit under dephasing",
         {"a": 0.0, "gamma0": 0.0025, "t": 1.0, "omega": 1.0, "omega_c": 100.0,
          "alpha_p": math.pi / 4, "beta_p": math.pi / 4},
@@ -394,22 +383,14 @@ SCENARIOS: dict[str, Scenario] = {
 }
 
 
+# three families sweep a figure's model from that figure's settings, with the
+# bath unsqueezed at T = 0
 SWEEP_FAMILIES = {
-    "qnd-qubit": (
-        _qnd_qubit,
-        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "omega_c": 100.0,
-         "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
-    ),
+    "qnd-qubit": (_qnd_qubit, {**SCENARIOS["fig10"].defaults, "r": 0.0, "T": 0.0}),
     "dissipative-qubit": (
-        _dissipative_qubit,
-        {"alpha_p": math.pi / 4, "beta_p": math.pi / 4, "omega": 1.0, "Phi": math.pi / 8,
-         "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 1.0},
+        _dissipative_qubit, {**SCENARIOS["fig9"].defaults, "r": 0.0, "T": 0.0}
     ),
-    "qnd-oscillator": (
-        _qnd_oscillator,
-        {"alpha_sq": 5.0, "theta0": 0.0, "r1": 0.5, "psi": math.pi / 4, "omega": 1.0,
-         "omega_c": 100.0, "a": 0.0, "gamma0": 0.0025, "r": 0.0, "T": 0.0, "t": 0.1},
-    ),
+    "qnd-oscillator": (_qnd_oscillator, {**SCENARIOS["fig8"].defaults, "r": 0.0, "T": 0.0}),
     "dissipative-oscillator": (
         _dissipative_oscillator,
         {"eta0_sq": 1.0, "omega": 1.0, "Phi": 0.0, "gamma0": 0.025,

@@ -32,14 +32,15 @@ differ only in r, T and a (figures.evaluate groups them) then share one c0
 and are damped by one broadcast exponential, one row of coefficients per
 entry.  c0 is built once per call and not cached: the group already shares
 it.  A caller that reads only a dispersion passes degree = 1, and only c_0
-and c_{+-1} are damped; the oscillator then forms its three lags as inner
-products, in O(cutoff) time, instead of the full O(cutoff^2)
-autocorrelation.  Three parts of an initial state are cached, since runs in
-different groups reuse them: the atoms' Wigner-d row (_wigner_row) and
-dipole weights (_dipole_weights), built once for all 36 zetas of fig7, and
-the squeezed coherent ket (special_functions.squeezed_coherent_ket), built
-once for all points of a QND oscillator t or omega sweep.  Each is a bounded
-lru_cache of 8 entries whose arrays are read-only.
+and c_{+-1} are damped; the oscillator then asks ket_autocorrelation for
+only its three central lags, in O(cutoff) time, instead of the full
+O(cutoff^2) autocorrelation.  Three parts of an initial state are cached,
+since runs in different groups reuse them: the atoms' Wigner-d row
+(_wigner_row) and dipole weights (_dipole_weights), built once for all 36
+zetas of fig7, and the squeezed coherent ket
+(special_functions.squeezed_coherent_ket), built once for all points of a
+QND oscillator t or omega sweep.  Each is a bounded lru_cache of 8 entries
+whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -384,9 +385,8 @@ def phase_dist_osc_squeezed(
     The dephased state is rho_mn(t) = v_m v_n* g_{m-n} (module docstring),
     so the coefficient of each offset d is g_d c0_d, with the gamma-free
     autocorrelation c0_d = sum_m v_m v_{m+d}* / 2pi of the ket, in O(cutoff)
-    memory and with no cutoff x cutoff array.  At degree 1 only d = -1, 0, 1
-    are formed, three inner products in O(cutoff) time; otherwise all
-    2 cutoff - 1, by the O(cutoff^2) autocorrelation.
+    memory and with no cutoff x cutoff array; ket_autocorrelation forms
+    only d = -1, 0, 1 at degree 1, all 2 cutoff - 1 lags otherwise.
     """
     if r1 < 0:
         raise ValueError(f"r1 = {r1} must be nonnegative")
@@ -411,8 +411,4 @@ def phase_dist_osc_squeezed(
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
     v = amps * np.exp(1j * _gamma_free_phase(levels, omega, t, eta_t))
-    if degree == 1:
-        lags = np.array([np.vdot(v[:-1], v[1:]), np.vdot(v, v), np.vdot(v[1:], v[:-1])])
-    else:
-        lags = ket_autocorrelation(v)
-    return _damped(lags / (2.0 * math.pi), omega, gamma_t, degree)
+    return _damped(ket_autocorrelation(v, degree) / (2.0 * math.pi), omega, gamma_t, degree)

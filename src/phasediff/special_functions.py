@@ -5,11 +5,14 @@ in integers and rounded once, so its alternating terms cannot cancel away
 the result at large j.  The squeeze-operator Fock matrix needs no
 factorials: it is filled by the O(cutoff^2) Gaussian-unitary recurrences of
 Miatto & Quesada, "Fast optimization of parametrized quantum optical
-circuits", Quantum 4, 366 (2020), arXiv:2004.11002.  A squeezed coherent
-ket S(zeta) D(alpha)|0> follows from a normalized three-term recurrence in
-O(cutoff) without that matrix.  The ket is a bath-independent initial
-state that a sweep reuses at every point, so each distinct ket is built once
-per process in a bounded cache and returned read-only.
+circuits", Quantum 4, 366 (2020), arXiv:2004.11002.  Fock amplitudes of a
+Gaussian ket follow one normalized three-term recurrence in O(cutoff),
+gaussian_recurrence, without that matrix: the squeezed coherent ket
+S(zeta) D(alpha)|0> and the first row of the dissipative oscillator's
+density matrix are both written by it.  The squeezed coherent ket is a
+bath-independent initial state that a sweep reuses at every point, so each
+distinct ket is built once per process in a bounded cache and returned
+read-only.
 """
 
 from __future__ import annotations
@@ -72,13 +75,27 @@ def squeeze_tail_pad(r1: float) -> float:
     return 2.0 * math.log(1e10) / -math.log(math.tanh(r1)) if r1 > 0.0 else 0.0
 
 
+def gaussian_recurrence(
+    start: complex, first: complex, second: complex, cutoff: int
+) -> np.ndarray:
+    """x_n, n < cutoff, from x_0 = start and the normalized three-term
+    recurrence of a Gaussian ket's Fock amplitudes,
+    x_{n+1} = (first x_n + second sqrt(n) x_{n-1}) / sqrt(n+1)."""
+    cur, prev = complex(start), 0j
+    amps = [cur]
+    for n in range(cutoff - 1):
+        prev, cur = cur, (first * cur + second * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        amps.append(cur)
+    return np.array(amps)
+
+
 @functools.lru_cache(maxsize=8)
 def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes c_n = <n| S(zeta) D(alpha) |0>, n < cutoff, with
     zeta = r e^{i phase} and S(zeta) as in squeeze_matrix.
 
     The ket is the eigenvector of S a S^dag = a cosh r + a^dag e^{i phase} sinh r
-    with eigenvalue alpha, hence the normalized recurrence
+    with eigenvalue alpha, hence the gaussian_recurrence
     c_{n+1} = (alpha/cosh r c_n - e^{i phase} tanh r sqrt(n) c_{n-1}) / sqrt(n+1),
     from c_0 = exp(-|alpha|^2/2 + alpha^2 e^{-i phase} tanh r / 2) / sqrt(cosh r).
     That c_0 equals the form in alpha' = alpha cosh r - alpha* e^{i phase} sinh r,
@@ -94,14 +111,8 @@ def squeezed_coherent_ket(r: float, phase: float, alpha: complex, cutoff: int) -
     alpha = complex(alpha)
     rot = cmath.exp(1j * phase)
     ch, th = math.cosh(r), math.tanh(r)
-    cur = cmath.exp(-abs(alpha) ** 2 / 2.0 + alpha * alpha * rot.conjugate() * th / 2.0)
-    cur /= math.sqrt(ch)
-    a, b = alpha / ch, rot * th
-    amps, prev = [cur], 0j
-    for n in range(cutoff - 1):
-        prev, cur = cur, (a * cur - b * math.sqrt(n) * prev) / math.sqrt(n + 1)
-        amps.append(cur)
-    ket = np.array(amps)
+    start = cmath.exp(-abs(alpha) ** 2 / 2.0 + alpha * alpha * rot.conjugate() * th / 2.0)
+    ket = gaussian_recurrence(start / math.sqrt(ch), alpha / ch, -rot * th, cutoff)
     ket.setflags(write=False)
     return ket
 

@@ -22,6 +22,7 @@ from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
 from phasediff.phase_stats import audit_normalization
 from phasediff.qnd_phase import phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
+from phasediff.validation import FULL_EXTRA_CHECKS, QUICK_CHECKS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
@@ -263,6 +264,31 @@ def test_sweep_matches_stored_reference(tmp_path, job):
     argv[argv.index("--out") + 1] = str(out)
     assert main(argv) == 0
     _assert_matches_reference(out, job.reference)
+
+
+def test_benchmark_reads_the_default_cutoff_of_each_oscillator_job():
+    # job._cutoffs turns any missing name into None, which the benchmark
+    # reports as no cutoff rather than as an error
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    cutoffs = runpy.run_path(str(PERFBENCH / "job.py"))["_cutoffs"]
+    jobs = [
+        job
+        for jobs in workloads["WORKLOADS"].values()
+        for job in jobs(workloads["DEFAULT_SEED"])
+        if job.cutoff_points
+    ]
+    assert sorted(job.name for job in jobs) == ["fig5", "osc-r", "osc-t"]
+    for job in jobs:
+        values = cutoffs(job.cutoff_points)
+        assert isinstance(values, list) and values, job.name
+        assert all(type(k) is int and k > 0 for k in values), (job.name, values)
+
+
+def test_benchmark_traces_only_checks_that_validate_runs():
+    # a renamed check shows in the benchmark only as a missing per-layer metric
+    traced = runpy.run_path(str(PERFBENCH / "tracing.py"))["_VALIDATION_CHECKS"]
+    checks = {c.__name__ for c in QUICK_CHECKS + FULL_EXTRA_CHECKS}
+    assert set(traced) <= checks
 
 
 @pytest.mark.parametrize("mode", ["dispersion", "distribution"])

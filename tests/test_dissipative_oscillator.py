@@ -259,6 +259,21 @@ def test_zero_temperature_builds_one_ket_for_both_cutoffs():
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("r, Phi", [(0.9, 0.0), (0.5, 0.7), (-0.6, 0.3)])
+def test_ket_and_row_branches_apply_the_same_free_evolution(r, Phi):
+    # at T = 0.03 beta_tilde is about 1e-16, so the rows branch computes a
+    # state that equals the T = 0 ket's to rounding: the coefficients agree
+    # only if both branches put in the same e^{i omega t d}
+    eta0, t = math.sqrt(2.0), 1.3
+    cold, warm = (oscillator_spec(1.0, 0.025, r, Phi, T) for T in (0.0, 0.03))
+    assert mixture_params(cold, t, eta0).beta_tilde == 0.0
+    assert 0.0 < mixture_params(warm, t, eta0).beta_tilde < 1e-15
+    ket = phase_dist_osc_dissipative(cold, eta0, t)
+    rows = phase_dist_osc_dissipative(warm, eta0, t)
+    assert ket.coeffs.shape == rows.coeffs.shape
+    assert np.max(np.abs(ket.coeffs - rows.coeffs)) <= 1e-14
+
+
 def test_cutoff_below_one_rejected():
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="cutoff = -3 must be positive"):

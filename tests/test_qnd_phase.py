@@ -310,6 +310,44 @@ def test_bath_reaches_the_dispersion_only_through_gamma(form, gamma_t, omega):
     assert abs(d - (1.0 - (1.0 - d0) * math.exp(-2.0 * omega**2 * gamma_t))) <= 1e-14
 
 
+# the QND models of the paper, as functions of omega, gamma and the degree
+# read; the closed forms keep all of their few harmonics
+QND_IDENTITY_FORMS = {
+    "oscillator": lambda w, g, k: phase_dist_osc_squeezed(
+        0.5, math.pi / 4, math.sqrt(5.0), 0.3, w, 0.7, -4e-3, g, degree=k),
+    "atomic j=5": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(5, 5, -0.01832), w, 0.7, -4e-3, g, k),
+    "coherent half-spin": lambda w, g, k: phase_dist_coherent_halfspin(
+        AtomicCoherentParams(1.1, 2.3), w, 0.7, g),
+    "squeezed half-spin p=+1/2": lambda w, g, k: phase_dist_squeezed_halfspin(
+        -0.3, 0.5, w, 0.7, g),
+    "squeezed half-spin p=-1/2": lambda w, g, k: phase_dist_squeezed_halfspin(
+        -0.3, -0.5, w, 0.7, g),
+    "two atoms p=1": lambda w, g, k: phase_dist_two_atoms(0.4, 1, w, 0.7, -4e-3, g),
+    "two atoms p=-1": lambda w, g, k: phase_dist_two_atoms(0.4, -1, w, 0.7, -4e-3, g),
+    "two atoms p=0": lambda w, g, k: phase_dist_two_atoms(0.4, 0, w, 0.7, -4e-3, g),
+}
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gamma_t", [0.0, 1e-3, 0.3, 4.0])
+@pytest.mark.parametrize("form", QND_IDENTITY_FORMS)
+def test_qnd_identity_damps_each_first_harmonic_on_its_own_side(form, gamma_t, omega):
+    # D = 1 - (1 - D0) e^{-2 w^2 gamma}, with D0 the gamma-free dispersion,
+    # because c_0 is undamped and c_{+1}, c_{-1} each carry e^{-w^2 gamma}.
+    # D is the same with c_{+-1} swapped, so each is also compared on its own
+    # side: the dispersion's degree-1 build against the full gamma-free one.
+    free = QND_IDENTITY_FORMS[form](omega, 0.0, None)
+    damped = QND_IDENTITY_FORMS[form](omega, gamma_t, 1)
+    d0, d = dispersion(free), dispersion(damped)
+    assert abs(d - (1.0 - (1.0 - d0) * math.exp(-2.0 * omega**2 * gamma_t))) <= 1e-14
+    mid, mid0 = len(damped.coeffs) // 2, len(free.coeffs) // 2
+    near = damped.coeffs[mid - 1 : mid + 2]
+    damping = np.exp(-(omega**2) * gamma_t * np.array([1, 0, 1]))
+    expected = free.coeffs[mid0 - 1 : mid0 + 2] * damping
+    assert np.max(np.abs(near - expected)) <= 1e-14
+
+
 @pytest.mark.parametrize("build, args", [
     (_dipole_weights, (10,)),
     (_wigner_row, (10, 4)),

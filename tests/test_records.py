@@ -22,7 +22,7 @@ RECORDS = {
     "AtomicCoherentParams": lambda: AtomicCoherentParams(1.0, 0.4),
     "AtomicSqueezedParams": lambda: AtomicSqueezedParams(5, 5, -0.3),
     "FigureData": lambda: FigureData("fig0", "t", np.zeros(2), (("D", np.ones(2)),), {"t": 1.0}),
-    "Scenario": lambda: Scenario("fig0", "a scenario", {"t": 1.0}, lambda p, grid: None),
+    "Scenario": lambda: Scenario("a scenario", {"t": 1.0}, lambda p, grid: None),
     "CheckResult": lambda: CheckResult("a check", 1e-8, 1e-9),
 }
 
