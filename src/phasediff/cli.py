@@ -9,10 +9,10 @@ failure, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,22 +104,17 @@ def read_config_file(path: Path) -> dict[str, str]:
 _RESERVED_KEYS = ("out", "grid", "cutoff")
 
 
-def _collect_options(args) -> tuple[dict[str, float], dict[str, str]]:
+def _collect_options(opts) -> tuple[dict[str, float], dict[str, str]]:
     """Merge config-file entries and --set flags; CLI flags win.  Returns
     (parameter overrides, reserved settings as strings)."""
     merged: dict[str, str] = {}
-    if args.config is not None:
-        merged.update(read_config_file(Path(args.config)))
-    for item in args.set or []:
+    if opts["config"] is not None:
+        merged.update(read_config_file(Path(opts["config"])))
+    for item in opts["set"]:
         key, value = _parse_kv(item)
         merged[key] = value
     reserved = {k: merged.pop(k) for k in list(merged) if k in _RESERVED_KEYS}
-    if args.out is not None:
-        reserved["out"] = args.out
-    if args.grid is not None:
-        reserved["grid"] = str(args.grid)
-    if args.cutoff is not None:
-        reserved["cutoff"] = str(args.cutoff)
+    reserved.update((k, opts[k]) for k in _RESERVED_KEYS if opts[k] is not None)
     overrides = {}
     for key, value in merged.items():
         try:
@@ -144,18 +139,32 @@ def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
         if text is None:
             values.append(default)
             continue
-        try:
-            n = int(text)
-        except ValueError:
-            raise UsageError(f"{key} must be an integer, got {text!r}")
+        n = _convert(int, key, text, "an integer")
         if n < minimum:
             raise UsageError(f"{name} {n} is below the minimum {minimum}")
         values.append(n)
     return values[0], values[1]
 
 
-def _write_outputs(fd: FigureData, reserved: dict[str, str], stem: str, plot_script: bool) -> int:
+def _convert(kind, name: str, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{name} must be {what}, got {text!r}")
+
+
+def _out_path(reserved: dict[str, str], stem: str, plot_script: bool) -> Path:
+    """The CSV path, refused before any work when the plot script or its
+    figure would overwrite it."""
     out = Path(reserved.get("out", f"{stem}.csv"))
+    if plot_script and out.suffix in (".py", ".png"):
+        raise UsageError(
+            f"--out {out} would be overwritten by --plot-script; give the CSV another suffix"
+        )
+    return out
+
+
+def _write_outputs(fd: FigureData, out: Path, plot_script: bool) -> int:
     _write_csv(fd, out)
     print(f"wrote {out}")
     if plot_script:
@@ -163,53 +172,69 @@ def _write_outputs(fd: FigureData, reserved: dict[str, str], stem: str, plot_scr
     return 0
 
 
-def _cmd_figure(args) -> int:
-    if args.scenario not in SCENARIOS:
+def _sweep_label(x: float) -> str:
+    """The %g form where it reads back as x, else the shortest repr without a
+    trailing .0, so distinct points get distinct column labels."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x).removesuffix(".0")
+
+
+def _cmd_figure(opts) -> int:
+    scenario = opts["scenario"]
+    if scenario not in SCENARIOS:
         raise UsageError(
-            f"unknown scenario {args.scenario!r}; valid: {', '.join(sorted(SCENARIOS))}"
+            f"unknown scenario {scenario!r}; valid: {', '.join(sorted(SCENARIOS))}"
         )
-    overrides, reserved = _collect_options(args)
+    overrides, reserved = _collect_options(opts)
     grid, cutoff = _grid_and_cutoff(reserved)
+    out = _out_path(reserved, scenario, opts["plot-script"])
     try:
-        fd = run_figure(args.scenario, overrides, grid, cutoff)
+        fd = run_figure(scenario, overrides, grid, cutoff)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    return _write_outputs(fd, reserved, args.scenario, args.plot_script)
+    return _write_outputs(fd, out, opts["plot-script"])
 
 
-def _cmd_sweep(args) -> int:
-    if args.family not in SWEEP_FAMILIES:
+def _cmd_sweep(opts) -> int:
+    family, param, mode = opts["family"], opts["param"], opts["mode"]
+    start = _convert(float, "--start", opts["start"], "a number")
+    stop = _convert(float, "--stop", opts["stop"], "a number")
+    num = _convert(int, "--num", opts["num"], "an integer")
+    if mode not in ("dispersion", "distribution"):
+        raise UsageError(f"--mode must be dispersion or distribution, got {mode!r}")
+    if family not in SWEEP_FAMILIES:
         raise UsageError(
-            f"unknown family {args.family!r}; valid: {', '.join(sorted(SWEEP_FAMILIES))}"
+            f"unknown family {family!r}; valid: {', '.join(sorted(SWEEP_FAMILIES))}"
         )
-    point, defaults = SWEEP_FAMILIES[args.family]
-    overrides, reserved = _collect_options(args)
+    point, defaults = SWEEP_FAMILIES[family]
+    overrides, reserved = _collect_options(opts)
     try:
-        params = resolve_params(args.family, defaults, overrides)
+        params = resolve_params(family, defaults, overrides)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
-    if args.param not in params:
+    if param not in params:
         raise UsageError(
-            f"cannot sweep {args.param!r}; valid keys: {', '.join(sorted(params))}"
+            f"cannot sweep {param!r}; valid keys: {', '.join(sorted(params))}"
         )
-    if args.num < 2:
+    if num < 2:
         raise UsageError("--num must be at least 2")
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise UsageError(f"--start and --stop must be finite, got {args.start}, {args.stop}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"--start and --stop must be finite, got {start}, {stop}")
     grid, cutoff = _grid_and_cutoff(reserved)
-    xs = np.linspace(args.start, args.stop, args.num).tolist()
-    scenario = f"sweep-{args.family}-{args.param}"
-    base = {k: v for k, v in params.items() if k != args.param}
-    if args.mode == "dispersion":
-        fd = dispersion_figure(scenario, point, base, args.param, xs, [("D", {})], cutoff)
+    scenario = f"sweep-{family}-{param}"
+    out = _out_path(reserved, scenario, opts["plot-script"])
+    xs = np.linspace(start, stop, num).tolist()
+    base = {k: v for k, v in params.items() if k != param}
+    if mode == "dispersion":
+        fd = dispersion_figure(scenario, point, base, param, xs, [("D", {})], cutoff)
     else:
-        runs = ((f"{args.param}={x:g}", {args.param: x}) for x in xs)
+        runs = ((f"{param}={_sweep_label(x)}", {param: x}) for x in xs)
         fd = distribution_figure(scenario, point, base, runs, grid, cutoff)
-    return _write_outputs(fd, reserved, scenario, args.plot_script)
+    return _write_outputs(fd, out, opts["plot-script"])
 
 
-def _cmd_validate(args) -> int:
-    results = run_validation(quick=args.quick)
+def _cmd_validate(opts) -> int:
+    results = run_validation(quick=opts["quick"])
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -223,59 +248,140 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="phasediff",
-        description="Phase distributions and dispersion of open quantum systems",
-    )
-    parser.add_argument("--version", action="version", version=f"phasediff {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    positional: tuple[str, str] | None  # (name, help)
+    flags: dict[str, tuple[str, str | None, str]]  # name -> (kind, default, help)
+    required: tuple[str, ...] = ()
 
-    def add_io_flags(p):
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--grid", type=int,
-                       help="angles of sampled P(phi) columns; dispersion does not "
-                       "depend on it (default 720)")
-        p.add_argument("--cutoff", type=int,
-                       help="Fock cutoff of the oscillator models (default: chosen per point)")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--plot-script", action="store_true",
-                       help="also emit a matplotlib script next to the CSV")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a scenario parameter (repeatable)")
 
-    p_fig = sub.add_parser("figure", help="reproduce a figure scenario as CSV")
-    p_fig.add_argument("scenario", help=f"one of: {', '.join(sorted(SCENARIOS))}")
-    add_io_flags(p_fig)
-    p_fig.set_defaults(func=_cmd_figure)
+# Flag kinds: "value" takes one string (--flag value or --flag=value),
+# "switch" is True when present, "repeat" collects every value given.
+_IO_FLAGS = {
+    "out": ("value", None, "output CSV path"),
+    "grid": ("value", None, "angles of sampled P(phi) columns; dispersion does not "
+             "depend on it (default 720)"),
+    "cutoff": ("value", None, "Fock cutoff of the oscillator models (default: chosen per point)"),
+    "config": ("value", None, "flat key=value config file"),
+    "plot-script": ("switch", False, "also emit a matplotlib script next to the CSV"),
+    "set": ("repeat", None, "KEY=VALUE: override a scenario parameter (repeatable)"),
+}
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter of a model family")
-    p_sweep.add_argument("--family", required=True,
-                         help=f"one of: {', '.join(sorted(SWEEP_FAMILIES))}")
-    p_sweep.add_argument("--param", required=True, help="parameter to sweep")
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
-    p_sweep.add_argument("--num", type=int, default=41, help="number of sweep points")
-    p_sweep.add_argument("--mode", choices=("dispersion", "distribution"),
-                         default="dispersion")
-    add_io_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+COMMANDS = {
+    "figure": Command(
+        _cmd_figure, "reproduce a figure scenario as CSV",
+        ("scenario", "one of the scenarios below"), _IO_FLAGS,
+    ),
+    "sweep": Command(
+        _cmd_sweep, "sweep one parameter of a model family", None,
+        {
+            "family": ("value", None, "one of the families below"),
+            "param": ("value", None, "parameter to sweep"),
+            "start": ("value", None, "first value of the parameter"),
+            "stop": ("value", None, "last value of the parameter"),
+            "num": ("value", "41", "number of sweep points"),
+            "mode": ("value", "dispersion", "dispersion or distribution"),
+            **_IO_FLAGS,
+        },
+        ("family", "param", "start", "stop"),
+    ),
+    "validate": Command(
+        _cmd_validate, "run the oracle validation suite", None,
+        {"quick": ("switch", False, "skip the slower checks")},
+    ),
+}
 
-    p_val = sub.add_parser("validate", help="run the oracle validation suite")
-    p_val.add_argument("--quick", action="store_true", help="skip the slower checks")
-    p_val.set_defaults(func=_cmd_validate)
-    return parser
+
+def _usage() -> str:
+    lines = [
+        f"usage: phasediff {{{','.join(COMMANDS)}}} [flags]  |  phasediff --version",
+        "",
+        "Phase distributions and dispersion of open quantum systems.",
+        "Flags take exact long names, as --flag value or --flag=value.",
+    ]
+    for name, command in COMMANDS.items():
+        head = f"{name} {command.positional[0].upper()}" if command.positional else name
+        lines += ["", f"{head}: {command.help}"]
+        if command.positional:
+            lines.append(f"  {command.positional[0].upper():<15}{command.positional[1]}")
+        for flag, (kind, default, text) in command.flags.items():
+            if flag in command.required:
+                text += " (required)"
+            elif kind == "value" and default is not None:
+                text += f" (default {default})"
+            lines.append(f"  --{flag:<13}{text}")
+    lines += ["", f"scenarios: {', '.join(SCENARIOS)}",
+              f"families: {', '.join(sorted(SWEEP_FAMILIES))}"]
+    return "\n".join(lines)
+
+
+def _is_flag(token: str) -> bool:
+    try:
+        float(token)  # a negative number, as in --start -100, is a value
+    except ValueError:
+        return token.startswith("-")
+    return False
+
+
+def _parse(argv: list[str]) -> tuple[Command, dict]:
+    """Read argv against COMMANDS: the command's handler and its settings,
+    each a string (a bool for a switch, a list for a repeated flag)."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise UsageError(f"{got}; valid: {', '.join(COMMANDS)}")
+    command = COMMANDS[argv[0]]
+    opts = {flag: [] if kind == "repeat" else default
+            for flag, (kind, default, _help) in command.flags.items()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_flag(token):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.removeprefix("--").partition("=")
+        if not token.startswith("--") or flag not in command.flags:
+            raise UsageError(f"unknown flag {token.partition('=')[0]} for {argv[0]}; "
+                             f"valid: {', '.join('--' + f for f in command.flags)}")
+        kind = command.flags[flag][0]
+        if kind == "switch":
+            if eq:
+                raise UsageError(f"--{flag} takes no value")
+            opts[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"--{flag} needs a value")
+        if kind == "repeat":
+            opts[flag].append(value)
+        else:
+            opts[flag] = value
+    missing = [f"--{flag}" for flag in command.required if opts[flag] is None]
+    if missing:
+        raise UsageError(f"{argv[0]} needs {', '.join(missing)}")
+    if command.positional:
+        name = command.positional[0]
+        if not positionals:
+            raise UsageError(f"{argv[0]} needs a {name}")
+        opts[name] = positionals.pop(0)
+    if positionals:
+        raise UsageError(f"unexpected argument {positionals[0]!r}")
+    return command, opts
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return 0
+    if "--version" in argv:
+        print(f"phasediff {__version__}")
+        return 0
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        command, opts = _parse(argv)
+        return command.handler(opts)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, DomainError, ValueError) as exc:

@@ -127,6 +127,77 @@ def test_plot_script_emission(tmp_path):
     assert "matplotlib" in script and "fig3.csv" in script
 
 
+@pytest.mark.parametrize("name", ["res.py", "res.png"])
+def test_plot_script_never_overwrites_the_csv(tmp_path, capsys, name):
+    assert main(["figure", "fig3", "--out", str(tmp_path / name), "--plot-script"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out ") and "--plot-script" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["figure", "--help"], ["figure", "fig1", "-h"],
+                                  ["sweep", "--family", "x", "--help"], ["validate", "-h"]])
+def test_help_lists_commands_flags_scenarios_and_families(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    for word in ["figure", "sweep", "validate", "--version", "--family", "--param", "--start",
+                 "--stop", "--num", "--mode", "--out", "--grid", "--cutoff", "--config",
+                 "--plot-script", "--set", "--quick", "override a scenario parameter",
+                 *SCENARIOS, *SWEEP_FAMILIES]:
+        assert word in text
+
+
+def test_version_flag(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("phasediff ")
+
+
+_SWEEP = ["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "0.1", "--stop", "1"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "no command"),
+    (["bogus"], "'bogus'"),
+    (["figure", "fig2", "--bogus", "1"], "--bogus"),
+    (["figure", "fig2", "--gri", "90"], "--gri"),
+    (["figure", "fig2", "--grid"], "--grid"),
+    (["figure", "fig2", "--set", "--grid", "90"], "--set"),
+    (["figure"], "scenario"),
+    (["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "0.1"], "--stop"),
+    ([*_SWEEP, "--mode", "bogus"], "--mode"),
+    (["figure", "fig2", "--grid", "1e3"], "grid"),
+    ([*_SWEEP, "--num", "x"], "--num"),
+    (["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "abc", "--stop", "1"],
+     "--start"),
+])
+def test_usage_error_is_one_line_naming_the_setting(tmp_path, monkeypatch, capsys, argv, named):
+    # flags read exact names only, so an abbreviation is unknown, not --grid
+    monkeypatch.chdir(tmp_path)  # where the default CSV would go
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_flag_value_after_equals_sign(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["figure", "fig2", "--grid", "60", "--out", str(spaced)]) == 0
+    assert main(["figure", "fig2", "--grid=60", f"--out={joined}"]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
+def test_distribution_sweep_labels_tell_close_points_apart(tmp_path):
+    # %g printed all three points as t=1; integer points keep their %g label
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "1",
+                 "--stop", "1.000001", "--num", "3", "--mode", "distribution",
+                 "--grid", "96", "--out", str(out)]) == 0
+    header, _rows = _header_and_rows(out.read_text())
+    assert header == "phi,t=1,t=1.0000005,t=1.000001"
+
+
 def test_sweep_dispersion_vs_time_increases(tmp_path):
     out = tmp_path / "s.csv"
     assert main(
@@ -318,14 +389,16 @@ def test_sweep_cutoff_reaches_the_oscillator_model(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, message", [("cutoff = abc", "cutoff must be an integer"),
-                                           ("grid = 1e3", "grid must be an integer")])
-def test_non_integer_config_setting_usage_error(tmp_path, capsys, line, message):
+@pytest.mark.parametrize("form", ["config", "flag"])
+@pytest.mark.parametrize("key, value", [("cutoff", "abc"), ("grid", "1e3")])
+def test_non_integer_config_setting_usage_error(tmp_path, capsys, form, key, value):
+    # a config entry and its flag are read by one rule and give one message
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "x.csv"
-    assert main(["figure", "fig5", "--config", str(cfg), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    setting = ["--config", str(cfg)] if form == "config" else [f"--{key}", value]
+    assert main(["figure", "fig5", *setting, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
     assert not out.exists()
 
 

@@ -189,14 +189,15 @@ print(json.dumps({{"rcs": rcs, "scipy": loaded}}))
 
 def test_runs_import_only_what_they_use(tmp_path):
     # one fresh isolated interpreter: the records define no generated code, so
-    # the import leaves dataclasses out, and only validate's oracles load
-    # numpy.polynomial, for their Gauss-Legendre nodes
+    # the import leaves dataclasses out; the command line is read without
+    # argparse and its gettext and locale lookups; and only validate's oracles
+    # load numpy.polynomial, for their Gauss-Legendre nodes
     script = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 from phasediff.cli import main
 out = {str(tmp_path)!r}
-watched = ("dataclasses", "numpy.polynomial")
+watched = ("dataclasses", "argparse", "gettext", "locale", "numpy.polynomial")
 loaded = [[m for m in watched if m in sys.modules]]
 rcs = [
     main(["figure", "fig5", "--out", out + "/fig5.csv"]),
