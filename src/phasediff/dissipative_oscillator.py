@@ -227,17 +227,15 @@ def phase_dist_osc_dissipative(
     if mix.beta_tilde == 0.0:
         r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
         ket = squeezed_coherent_ket(r, angle, mix.a, cutoff)
-        traces = [float(np.vdot(ket[:k], ket[:k]).real) for k in levels]
         sums = [ket_autocorrelation(ket[:k]) for k in levels]
     else:
-        traces, sums = [0.0, 0.0], [np.zeros(2 * k - 1, dtype=complex) for k in levels]
+        sums = [np.zeros(2 * k - 1, dtype=complex) for k in levels]
         for m, row in enumerate(_density_rows(mix, cutoff)):
             for i, k in enumerate(levels):
                 if m < k:
-                    traces[i] += row[m].real
                     sums[i][k - 1 - m : 2 * k - 1 - m] += row[:k]
-    for k, trace in zip(levels, traces):
-        _check_trace(trace, k, TRACE_TOL)
+    for k, s in zip(levels, sums):  # the trace is the d = 0 sum
+        _check_trace(float(s[k - 1].real), k, TRACE_TOL)
     # harmonic d = 1 - cutoff..cutoff - 1 of the free evolution, sliced per level
     free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
     full, check = (

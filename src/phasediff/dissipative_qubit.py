@@ -13,13 +13,20 @@ carry -M (M is stored in the oscillator's sign), and
 is real; alpha enters only through the even combinations cosh(alpha t) and
 sinh(alpha t)/alpha, so the branch of the square root never matters.  Those
 combinations are always evaluated jointly with the e^{-gamma_beta t/2}
-damping: for real alpha one has alpha < gamma_beta/2, so the combined
-exponents are negative and immune to overflow even at gamma_beta t ~ 10^3.
+damping, as ch and sh (_damped_cosh_sinhc): for real alpha one has
+alpha < gamma_beta/2, so the combined exponents are negative and immune to
+overflow even at gamma_beta t ~ 10^3.  The propagator is two rules, with
+g = gamma0/gamma_beta and e1 = e^{-gamma_beta t}:
+
+    rho_11(t) = [(1 - g) + (1 + g) e1]/2 rho_11 + (gamma0 N/gamma_beta)(1 - e1) rho_00,
+    rho_10(t) = (ch - i omega sh) rho_10 + gamma0 sh M rho_01.
+
+P(phi) reads only the coherence: the j = 1/2 Beta weight leaves one harmonic,
+h_1 = (pi/4) rho_10(t).  That rule and each start's rho_10 are in qnd_phase.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -27,11 +34,7 @@ import numpy as np
 from .bath_kernels import DissipativeBathSpec
 from .distribution import PhaseDistribution
 from .errors import check_time
-from .qnd_phase import AtomicCoherentParams, _closed_form, _half_sign
-
-_SZ = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
-_SM = _SP.T.copy()
+from .qnd_phase import AtomicCoherentParams, _coherent_rho10, _qubit_distribution, _squeezed_rho10
 
 
 def qubit_spec(omega: float, gamma0: float, r: float, Phi: float, T: float) -> DissipativeBathSpec:
@@ -57,48 +60,47 @@ def _damped_cosh_sinhc(spec: DissipativeBathSpec, t: float) -> tuple[float, floa
             f"gamma0 = {spec.gamma0}, T = {spec.T}, r = {spec.r}; lower omega, gamma0 or T"
         )
     half_gb = _gamma_beta(spec) / 2.0
+    damp = math.exp(-half_gb * t)
     if alpha_sq > 0.0:
         al = math.sqrt(alpha_sq)
-        if al * t < 1e-4:  # series branch for sinh(x)/x, x small
-            damp = math.exp(-half_gb * t)
-            x = al * t
+        x = al * t
+        if x < 1e-4:  # series branch for sinh(x)/x, x small
             return math.cosh(x) * damp, t * (1.0 + x**2 / 6.0 + x**4 / 120.0) * damp
         ep = math.exp((al - half_gb) * t)  # al < gb/2, exponent negative
         em = math.exp(-(al + half_gb) * t)
         return 0.5 * (ep + em), (ep - em) / (2.0 * al)
-    damp = math.exp(-half_gb * t)
     if alpha_sq == 0.0:
         return damp, t * damp
-    om = math.sqrt(-alpha_sq)
-    x = om * t
-    if x < 1e-4:
-        return math.cos(x) * damp, t * (1.0 - x**2 / 6.0 + x**4 / 120.0) * damp
-    return math.cos(x) * damp, math.sin(x) / om * damp
+    om = math.sqrt(-alpha_sq)  # sin(om t)/om needs no series: nothing cancels
+    return math.cos(om * t) * damp, math.sin(om * t) / om * damp
+
+
+def _population(rho11: complex, rho00: complex, spec: DissipativeBathSpec, t: float) -> complex:
+    """The population rule rho_11(t) of the module docstring."""
+    check_time(t)
+    if spec.gamma0 == 0.0:  # unitary limit, avoids 0/0 in the gamma0/gamma_beta ratio
+        return rho11
+    gb = _gamma_beta(spec)
+    e1 = math.exp(-gb * t)
+    g_ratio = spec.gamma0 / gb
+    return (0.5 * ((1.0 - g_ratio) + (1.0 + g_ratio) * e1) * rho11
+            + (spec.gamma0 * spec.N / gb) * (1.0 - e1) * rho00)
+
+
+def _coherence(rho10: complex, rho01: complex, spec: DissipativeBathSpec, t: float) -> complex:
+    """The coherence rule rho_10(t) of the module docstring."""
+    check_time(t)
+    ch, sh = _damped_cosh_sinhc(spec, t)
+    return complex(ch, -spec.omega * sh) * rho10 + spec.gamma0 * sh * spec.M * rho01
 
 
 def propagate_qubit(rho0: np.ndarray, spec: DissipativeBathSpec, t: float) -> np.ndarray:
-    """Apply the closed-form Lindblad propagator to a 2x2 density matrix."""
-    check_time(t)
-    rho0 = np.asarray(rho0, dtype=complex)
-    g0, w = spec.gamma0, spec.omega
-    if g0 == 0.0:  # unitary limit, avoids 0/0 in the gamma0/gamma_beta ratio
-        out = rho0.copy()
-        out[1, 0] *= cmath.exp(-1j * w * t)
-        out[0, 1] *= cmath.exp(1j * w * t)
-        return out
-    gb = _gamma_beta(spec)
-    ch, sh = _damped_cosh_sinhc(spec, t)
-    e1 = math.exp(-gb * t)
-
-    out = 0.25 * (1.0 + e1 + 2.0 * ch) * rho0
-    out += 0.25 * (1.0 + e1 - 2.0 * ch) * (_SZ @ rho0 @ _SZ)
-    out -= 0.25 * ((g0 / gb) * (1.0 - e1) - 2j * w * sh) * (rho0 @ _SZ)
-    out -= 0.25 * ((g0 / gb) * (1.0 - e1) + 2j * w * sh) * (_SZ @ rho0)
-    out += (1.0 - e1) * (
-        (g0 * (spec.N + 1.0) / gb) * (_SM @ rho0 @ _SP) + (g0 * spec.N / gb) * (_SP @ rho0 @ _SM)
-    )
-    out += g0 * sh * (spec.M * (_SP @ rho0 @ _SP) + spec.M.conjugate() * (_SM @ rho0 @ _SM))
-    return out
+    """The closed-form Lindblad propagator on any 2x2 matrix: rho_01(t) is the conjugate
+    of the coherence rule, and rho_00(t) what rho_11(t) leaves of the conserved trace."""
+    (r00, r01), (r10, r11) = np.asarray(rho0, dtype=complex).tolist()
+    p11 = _population(r11, r00, spec, t)
+    c01 = _coherence(r01.conjugate(), r10.conjugate(), spec, t).conjugate()
+    return np.array([[r00 + r11 - p11, c01], [_coherence(r10, r01, spec, t), p11]])
 
 
 def phase_dist_qubit_coherent(
@@ -109,40 +111,20 @@ def phase_dist_qubit_coherent(
     At gamma0 = 0 this collapses to the unitary form
     (1/2pi)[1 + (pi/4) sin(alpha') cos(beta' + omega t - phi)].
     """
-    check_time(t)
-    ch, sh = _damped_cosh_sinhc(spec, t)
-    h1 = (math.pi / 8.0) * math.sin(params.alpha_p) * (
-        cmath.rect(1.0, -params.beta_p) * complex(ch, -spec.omega * sh)
-        + spec.gamma0 * sh * spec.M * cmath.rect(1.0, params.beta_p)
-    )
-    return _closed_form((h1,))
+    rho10 = _coherent_rho10(params)
+    return _qubit_distribution(_coherence(rho10, rho10.conjugate(), spec, t))
 
 
 def phase_dist_qubit_squeezed(
     Theta: float, p_sign: float, spec: DissipativeBathSpec, t: float
 ) -> PhaseDistribution:
     """Closed-form phase distribution for an atomic squeezed initial state,
-    p_sign = +1/2 or -1/2: the coherent form's bracket at beta_p = 0 with
-    the prefactor sign (pi / 4 cosh Theta)."""
-    sign = _half_sign(p_sign)
-    check_time(t)
-    ch, sh = _damped_cosh_sinhc(spec, t)
-    h1 = sign * (math.pi / (8.0 * math.cosh(Theta))) * (
-        complex(ch, -spec.omega * sh) + spec.gamma0 * sh * spec.M
-    )
-    return _closed_form((h1,))
+    p_sign = +1/2 or -1/2, whose coherence +-1/(2 cosh Theta) is real."""
+    rho10 = _squeezed_rho10(Theta, p_sign)
+    return _qubit_distribution(_coherence(rho10, rho10, spec, t))
 
 
 def excited_population(params: AtomicCoherentParams, spec: DissipativeBathSpec, t: float) -> float:
     """Population of the upper level, p(+1/2, t)."""
-    check_time(t)
-    if spec.gamma0 == 0.0:
-        return math.sin(params.alpha_p / 2.0) ** 2
-    gb = _gamma_beta(spec)
-    e1 = math.exp(-gb * t)
-    g_ratio = spec.gamma0 / gb
     s2 = math.sin(params.alpha_p / 2.0) ** 2
-    c2 = math.cos(params.alpha_p / 2.0) ** 2
-    return 0.5 * ((1.0 - g_ratio) + (1.0 + g_ratio) * e1) * s2 + (
-        spec.gamma0 * spec.N / gb
-    ) * (1.0 - e1) * c2
+    return _population(s2, math.cos(params.alpha_p / 2.0) ** 2, spec, t)

@@ -149,9 +149,16 @@ def _wigner_row(tj: int, tp: int) -> np.ndarray:
 def atomic_squeezed_amplitudes(params: AtomicSqueezedParams) -> np.ndarray:
     """Amplitudes a_n = A_p e^{n Theta} d^j_{n,p}(pi/2), normalized."""
     tj = params.tj
-    amps = np.array([math.exp(tn / 2.0 * params.Theta) for tn in range(-tj, tj + 1, 2)])
-    amps *= _wigner_row(tj, params.tp)
-    return amps / math.sqrt(np.sum(amps**2))
+    try:
+        amps = np.array([math.exp(tn / 2.0 * params.Theta) for tn in range(-tj, tj + 1, 2)])
+        amps *= _wigner_row(tj, params.tp)
+        with np.errstate(over="raise"):
+            return amps / math.sqrt(np.sum(amps**2))
+    except (OverflowError, FloatingPointError):  # e^{n Theta}, a_n^2 or their sum
+        raise ValueError(
+            f"Theta = {params.Theta} with j = {tj / 2:g}: the squeezed amplitudes "
+            "e^{n Theta} d^j_{n,p}(pi/2) overflow a double; lower |Theta| or j"
+        ) from None
 
 
 def atomic_squeezed_density(params: AtomicSqueezedParams) -> np.ndarray:
@@ -286,6 +293,29 @@ def phase_dist_atomic_squeezed(
     return _damped(c0, omega, gamma_t, degree)
 
 
+def _coherent_rho10(params: AtomicCoherentParams) -> complex:
+    """rho_10 = (1/2) sin(alpha_p) e^{-i beta_p} of the j = 1/2 coherent start."""
+    return cmath.rect(0.5 * math.sin(params.alpha_p), -params.beta_p)
+
+
+def _half_sech(x: float) -> float:
+    """1/(2 cosh x), written as e^{-|x|}/(1 + e^{-2|x|}) so that no |x| overflows."""
+    e = math.exp(-abs(x))
+    return e / (1.0 + e * e)
+
+
+def _squeezed_rho10(Theta: float, p_sign: float) -> float:
+    """rho_10 = +-1/(2 cosh Theta) of the j = 1/2 squeezed start with p = p_sign = +-1/2."""
+    if p_sign not in (0.5, -0.5):
+        raise ValueError(f"p_sign must be +1/2 or -1/2, got {p_sign}")
+    return math.copysign(_half_sech(Theta), p_sign)
+
+
+def _qubit_distribution(rho10: complex) -> PhaseDistribution:
+    """P(phi) of a two-level atom: the j = 1/2 Beta weight leaves h_1 = (pi/4) rho[1, 0]."""
+    return _closed_form(((math.pi / 4.0) * rho10,))
+
+
 def phase_dist_coherent_halfspin(
     params: AtomicCoherentParams, omega: float, t: float, gamma_t
 ):
@@ -295,9 +325,8 @@ def phase_dist_coherent_halfspin(
         P(phi) = (1/2pi)[1 + (pi/4) sin(alpha_p) cos(beta_p + omega t - phi)
                          e^{-omega^2 gamma}].
     """
-    amp = (math.pi / 4.0) * math.sin(params.alpha_p)
-    h1 = cmath.rect(amp / 2.0, -(params.beta_p + omega * t))
-    return _damped(_closed_form((h1,)).coeffs, omega, gamma_t)
+    rho10 = _coherent_rho10(params) * cmath.rect(1.0, -omega * t)
+    return _damped(_qubit_distribution(rho10).coeffs, omega, gamma_t)
 
 
 def phase_dist_squeezed_halfspin(
@@ -309,22 +338,14 @@ def phase_dist_squeezed_halfspin(
         P(phi) = (1/2pi)[1 + sign (pi / 4 cosh Theta) cos(phi - omega t)
                          e^{-omega^2 gamma}].
     """
-    sign = _half_sign(p_sign)
-    amp = sign * (math.pi / (4.0 * math.cosh(Theta)))
-    return _damped(_closed_form((cmath.rect(amp / 2.0, -omega * t),)).coeffs, omega, gamma_t)
+    rho10 = _squeezed_rho10(Theta, p_sign) * cmath.rect(1.0, -omega * t)
+    return _damped(_qubit_distribution(rho10).coeffs, omega, gamma_t)
 
 
 def _closed_form(harmonics) -> PhaseDistribution:
-    """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the
-    harmonics h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2.
-    The QND closed forms pass their gamma-free harmonics and damp the result."""
+    """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the harmonics
+    h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
     return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi))
-
-
-def _half_sign(p_sign: float) -> float:
-    if p_sign not in (0.5, -0.5):
-        raise ValueError(f"p_sign must be +1/2 or -1/2, got {p_sign}")
-    return 1.0 if p_sign > 0 else -1.0
 
 
 def phase_dist_two_atoms(
@@ -342,21 +363,19 @@ def phase_dist_two_atoms(
                      - sin x sin(w^2 eta) sinh Theta) e^{-w^2 gamma}
                      + cos(2x) e^{-4 w^2 gamma} / (2 s)],  s = 1 + cosh 2Theta.
 
-    Unlike the single-atom case these involve eta(t) as well as gamma(t).
-    a cos x - b sin x is Re[(a + i b) e^{ix}], so each term is one harmonic.
+    Unlike the single-atom case these involve eta(t).  Each term is one harmonic, as
+    a cos x - b sin x = Re[(a + i b) e^{ix}], times a power of cosh Theta / s = 1/(2 cosh Theta).
     """
     w2 = _omega_sq(omega)
     h2 = cmath.rect(0.5, -2.0 * omega * t)
     if p == 0:
-        h2 = -h2 / (2.0 * math.cosh(2.0 * Theta))
-        return _damped(_closed_form((0.0, h2)).coeffs, omega, gamma_t)
+        return _damped(_closed_form((0.0, -h2 * _half_sech(2.0 * Theta))).coeffs, omega, gamma_t)
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
-    denom = 1.0 + math.cosh(2.0 * Theta)
-    amp = float(p) * (3.0 * math.pi / (4.0 * denom))
-    ab = complex(math.cos(w2 * eta_t) * math.cosh(Theta), math.sin(w2 * eta_t) * math.sinh(Theta))
-    h1 = amp * ab * cmath.rect(0.5, -omega * t)
-    return _damped(_closed_form((h1, h2 / (2.0 * denom))).coeffs, omega, gamma_t)
+    hs = _half_sech(Theta)
+    ab = complex(math.cos(w2 * eta_t), math.sin(w2 * eta_t) * math.tanh(Theta))
+    h1 = float(p) * (3.0 * math.pi / 4.0) * hs * ab * cmath.rect(0.5, -omega * t)
+    return _damped(_closed_form((h1, h2 * hs * hs)).coeffs, omega, gamma_t)
 
 
 # --- harmonic oscillator under the same dephasing propagator ---

@@ -803,3 +803,30 @@ def test_system_frequency_past_the_double_range_is_refused_by_name(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["figure", "fig1", "--set", "Theta=-80"], "Theta = -80.0 with j = 5: "),
+    (["figure", "fig1", "--set", "Theta=-800"], "Theta = -800.0 with j = 5: "),
+    (["figure", "fig6", "--set", "Theta=-100"], "Theta = -100.0 with j = 5: "),
+], ids=["fig1", "fig1-exp", "fig6"])
+def test_atomic_squeezing_past_the_double_range_is_refused_by_name(tmp_path, capsys, args,
+                                                                   message):
+    # the atoms have no Fock cutoff: the squeezed amplitudes overflow, and the
+    # refusal names Theta and j
+    out = tmp_path / "x.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert "cutoff" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["-720", "800"])
+def test_fig4_at_extreme_squeezing_is_flat(tmp_path, theta):
+    # the start's coherence 1/(2 cosh Theta) underflows to 0, so P = 1/2pi
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "fig4", "--set", f"Theta={theta}", "--out", str(out)]) == 0
+    table = _read_table(out)
+    for name in table.dtype.names[1:]:
+        assert np.max(np.abs(table[name] - 1.0 / (2.0 * math.pi))) < 1e-15, name

@@ -16,9 +16,12 @@ from phasediff.oracle import integrate_lindblad_qubit
 from phasediff.phase_stats import integrate_distribution
 from phasediff.qnd_phase import (
     AtomicCoherentParams,
+    AtomicSqueezedParams,
     atomic_coherent_density,
+    atomic_squeezed_density,
     phase_dist_coherent_halfspin,
     phase_dist_squeezed_halfspin,
+    phase_distribution_atomic,
 )
 
 GRID = 240
@@ -44,6 +47,36 @@ def test_propagator_matches_ode_oracle(r, Phi, T, g0, t):
     closed = propagate_qubit(RHO0, spec, t)
     oracle = integrate_lindblad_qubit(RHO0, spec, t)
     assert np.max(np.abs(closed - oracle)) < 1e-8
+
+
+# SETTINGS and the unitary limit gamma0 = 0
+WITH_UNITARY = SETTINGS + [(1.0, math.pi / 8, 100.0, 0.0, 0.7)]
+
+
+@pytest.mark.parametrize("r,Phi,T,g0,t", WITH_UNITARY)
+def test_propagator_needs_neither_hermiticity_nor_unit_trace(r, Phi, T, g0, t):
+    # the closed form is linear in all four elements: rho_01 is not conj rho_10
+    # and the trace is not 1
+    rho0 = np.array([[0.2 + 0.1j, 0.3 - 0.4j], [-0.1 + 0.2j, 0.5 - 0.3j]])
+    spec = qubit_spec(1.0, g0, r, Phi, T)
+    closed = propagate_qubit(rho0, spec, t)
+    assert np.max(np.abs(closed - integrate_lindblad_qubit(rho0, spec, t))) < 1e-12
+
+
+@pytest.mark.parametrize("r,Phi,T,g0,t", WITH_UNITARY)
+def test_qubit_closed_forms_equal_the_propagated_density(r, Phi, T, g0, t):
+    # the closed forms against P of the propagated Dicke matrix, through the
+    # general atomic path phase_distribution_atomic
+    spec = qubit_spec(1.0, g0, r, Phi, T)
+    state = AtomicCoherentParams(math.pi / 3, 0.4)
+    rho = propagate_qubit(atomic_coherent_density(state, 0.5), spec, t)
+    closed = phase_dist_qubit_coherent(state, spec, t).coeffs
+    assert np.max(np.abs(closed - phase_distribution_atomic(rho).coeffs)) < 1e-14
+    for p_sign in (0.5, -0.5):
+        start = atomic_squeezed_density(AtomicSqueezedParams(0.5, p_sign, 0.6))
+        rho = propagate_qubit(start, spec, t)
+        closed = phase_dist_qubit_squeezed(0.6, p_sign, spec, t).coeffs
+        assert np.max(np.abs(closed - phase_distribution_atomic(rho).coeffs)) < 1e-14
 
 
 def test_propagator_preserves_trace_and_hermiticity():

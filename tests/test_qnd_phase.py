@@ -141,6 +141,14 @@ def test_two_atom_closed_form_vs_machinery(p):
     assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
+@pytest.mark.parametrize("Theta", [-400.0, 800.0])
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_two_atom_closed_form_at_extreme_squeezing_is_flat(p, Theta):
+    # cosh 2 Theta passes the double range, and P tends to 1/2pi
+    coeffs = phase_dist_two_atoms(Theta, p, 1.0, 0.4, 0.003, 0.01).coeffs
+    assert np.max(np.abs(coeffs - [0.0, 0.0, 1.0 / (2.0 * math.pi), 0.0, 0.0])) < 1e-15
+
+
 def test_oscillator_coherent_normalized_and_fock_uniform():
     # the coherent state is the squeezed coherent state at r1 = 0
     p = phase_dist_osc_squeezed(0.0, 0.0, math.sqrt(5.0), 0.0, 1.0, 0.1, 0.001, 0.005)
@@ -394,6 +402,19 @@ def test_squeezed_amplitudes_match_scalar_products():
     loop = loop / math.sqrt(np.sum(loop**2))
     amps = atomic_squeezed_amplitudes(AtomicSqueezedParams(tj / 2, tp / 2, theta))
     assert np.array_equal(amps, loop)
+
+
+@pytest.mark.parametrize("theta", [-80.0, 80.0, -800.0])
+def test_squeezed_amplitudes_past_the_double_range_are_refused_by_name(theta):
+    # the sum of a_n^2 overflows, and at |Theta| = 800 e^{n Theta} itself
+    with pytest.raises(ValueError, match=f"^Theta = {theta} with j = 5: "):
+        atomic_squeezed_amplitudes(AtomicSqueezedParams(5, 5, theta))
+
+
+def test_squeezed_amplitudes_near_the_double_range_still_compute():
+    # e^{10 * 71 / 2} d^5_{-5,5}(pi/2) squared stays below the largest double
+    amps = atomic_squeezed_amplitudes(AtomicSqueezedParams(5, 5, -71.0))
+    assert np.all(np.isfinite(amps)) and abs(np.sum(amps**2) - 1.0) < 1e-14
 
 
 # the closed forms as they were written on the grid, term by term in cos(phi)
