@@ -46,42 +46,40 @@ class QndBathSpec(_QndBathFields):
     magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T.
 
     r, a and T may each be one number or one numpy array, one entry per
-    bath (a group of sweep points that differ only in the bath); every entry
-    is checked, and a refusal names the first entry at fault."""
+    bath (a group of sweep points that differ only in the bath).  Each
+    field's entries are read once as floats and checked in one pass, field
+    by field; a refusal names the first entry at fault."""
 
     __slots__ = ()
 
     def __new__(cls, gamma0, omega_c, r=0.0, a=0.0, T=0.0):
         self = super().__new__(cls, gamma0, omega_c, r, a, T)
         check_finite(gamma0=self.gamma0, omega_c=self.omega_c)
-        bounds = {name: _bounds(getattr(self, name)) for name in ("r", "a", "T")}
-        for name, (lo, hi) in bounds.items():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                _refuse(name, getattr(self, name), lambda v: not math.isfinite(v), " must be finite")
-        if bounds["T"][0] < 0:
-            _refuse("T", self.T, lambda v: v < 0, " must be nonnegative")
+        r, a, T = _entries(r), _entries(a), _entries(T)
+        for name, values in (("r", r), ("a", a), ("T", T)):
+            if not all(map(math.isfinite, values)):
+                _refuse(name, values, lambda v: not math.isfinite(v), " must be finite")
+        if min(T) < 0:
+            _refuse("T", T, lambda v: v < 0, " must be nonnegative")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c = {self.omega_c} must be positive")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 = {self.gamma0} must be nonnegative")
-        if bounds["a"][0] < 0:
-            _refuse("a", self.a, lambda v: v < 0, " must be nonnegative")
-        if max(-bounds["r"][0], bounds["r"][1]) > _R_MAX:
-            _refuse("r", self.r, lambda v: abs(v) > _R_MAX, ": cosh 2r overflows; keep |r| below 355")
+        if min(a) < 0:
+            _refuse("a", a, lambda v: v < 0, " must be nonnegative")
+        if max(map(abs, r)) > _R_MAX:
+            _refuse("r", r, lambda v: abs(v) > _R_MAX, ": cosh 2r overflows; keep |r| below 355")
         return self
 
 
-def _bounds(values) -> tuple[float, float]:
-    """The least and the greatest of one number or of an array's entries;
-    both are NaN where one entry is."""
-    if not isinstance(values, np.ndarray):
-        return float(values), float(values)
-    return float(values.min()), float(values.max())
+def _entries(values) -> list[float]:
+    """One number as a list of one float, or an array's entries in C order."""
+    return values.ravel().tolist() if isinstance(values, np.ndarray) else [float(values)]
 
 
-def _refuse(name: str, values, bad, why: str):
+def _refuse(name: str, values: list[float], bad, why: str):
     """Raise ValueError naming the first of values for which bad holds."""
-    first = next(v for v in np.ravel(values).tolist() if bad(v))
+    first = next(v for v in values if bad(v))
     raise ValueError(f"{name} = {first}{why}")
 
 
@@ -124,48 +122,40 @@ def gamma_qnd(t: float, spec: QndBathSpec):
     f are O(x^2) and evaluated without cancellation, so gamma keeps its
     digits at small omega_c t.  For numbers r, a and T gamma is one float.
     Where one of them is a numpy array, gamma is an array of their broadcast
-    shape: the f sums are formed once per distinct (a, T > 0), and cosh 2r,
-    sinh 2r and the scale of every entry at once.
+    shape, whose entries are taken one bath at a time in C order, each by
+    the same float arithmetic as a bath of numbers, so an entry equals that
+    bath's gamma bit for bit; the f sums are formed once per distinct
+    (a, T > 0).
 
     The squeezed-bath logs are defined only for t > 2a; with a > 0 smaller
     times are rejected as out of domain.  Refusals name what to change: an
     f past the double range (omega_c t near 1e154) names t and omega_c, and a
     gamma past it (cosh 2r near its limit, or inf - inf) names r, T and t.
+    Each bath is refused, or not, before the next is taken, so a group
+    raises the error of its first bath at fault.
     """
     check_time(t)
-    g0, wc, r, a, T = spec.gamma0, spec.omega_c, spec.r, spec.a, spec.T
+    g0, wc, r, a, T = spec
     if isinstance(r, np.ndarray) or isinstance(a, np.ndarray) or isinstance(T, np.ndarray):
-        return _gamma_over_array(t, g0, wc, *np.broadcast_arrays(r, a, T))
-    if a > 0 and t <= 2 * a:
-        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * a}")
-    f_t, f_a = _f_sums(t, wc, a, T > 0)
-    scale = g0 * T / (math.pi * wc) if T > 0 else g0 / (2 * math.pi)
-    gamma = scale * (2 * math.cosh(2 * r) * f_t - math.sinh(2 * r) * f_a)
-    if not math.isfinite(gamma):
-        _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0)
-    return gamma
-
-
-def _gamma_over_array(t, g0, wc, r, a, T) -> np.ndarray:
-    """gamma_qnd over arrays r, a and T of one shape."""
-    a_max = a.max()
-    if a_max > 0 and t <= 2 * a_max:
-        first = float(a[(a > 0) & (t <= 2 * a)][0])
-        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * first}")
-    hot = T > 0
-    keys = list(zip(a.ravel().tolist(), hot.ravel().tolist()))
-    sums = {key: _f_sums(t, wc, *key) for key in set(keys)}
-    f = np.array([sums[key] for key in keys]).reshape(a.shape + (2,))
-    f_t, f_a = f[..., 0], f[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        scale = np.where(hot, g0 * T / (math.pi * wc), g0 / (2 * math.pi))
-        gamma = scale * (2 * np.cosh(2 * r) * f_t - np.sinh(2 * r) * f_a)
-    ok = np.isfinite(gamma)
-    if not ok.all():
-        i = np.argmin(ok)
-        _refuse_gamma(t, wc, f_t.flat[i], f_a.flat[i], scale.flat[i], gamma.flat[i], r.flat[i],
-                      T.flat[i], g0)
-    return gamma
+        r, a, T = np.broadcast_arrays(r, a, T)
+        shape, baths = r.shape, zip(_entries(r), _entries(a), _entries(T))
+    else:
+        shape, baths = None, ((float(r), float(a), float(T)),)
+    sums, gammas = {}, []
+    for r, a, T in baths:
+        if a > 0 and t <= 2 * a:
+            raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * a}")
+        hot = T > 0
+        f = sums.get((a, hot))
+        if f is None:
+            f = sums[a, hot] = _f_sums(t, wc, a, hot)
+        f_t, f_a = f
+        scale = g0 * T / (math.pi * wc) if hot else g0 / (2 * math.pi)
+        gamma = scale * (2 * math.cosh(2 * r) * f_t - math.sinh(2 * r) * f_a)
+        if not math.isfinite(gamma):
+            _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0)
+        gammas.append(gamma)
+    return gammas[0] if shape is None else np.array(gammas).reshape(shape)
 
 
 def _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0):
@@ -178,13 +168,13 @@ def _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0):
             f"gamma(t) is not finite at t = {t}, omega_c = {wc}: (omega_c t)^2 overflows "
             "a double; lower t or omega_c"
         )
-    if not math.isfinite(2 * float(scale) * float(f_t)):
+    if not math.isfinite(2 * scale * f_t):
         raise ValueError(
-            f"gamma(t) is not finite at T = {float(T)}, gamma0 = {g0}, t = {t}: it overflows "
+            f"gamma(t) is not finite at T = {T}, gamma0 = {g0}, t = {t}: it overflows "
             "a double even at r = 0; lower T or gamma0"
         )
     raise ValueError(
-        f"gamma(t) = {float(gamma)} is not finite at r = {float(r)}, T = {float(T)}, t = {t}; "
+        f"gamma(t) = {gamma} is not finite at r = {r}, T = {T}, t = {t}; "
         "lower the bath squeezing |r|"
     )
 

@@ -261,7 +261,7 @@ class Command(NamedTuple):
 _IO_FLAGS = {
     "out": ("value", None, "output CSV path"),
     "grid": ("value", None, "angles of sampled P(phi) columns; dispersion does not "
-             "depend on it (default 720)"),
+             f"depend on it (default {DEFAULT_GRID_SIZE})"),
     "cutoff": ("value", None, "Fock cutoff of the oscillator models (default: chosen per point)"),
     "config": ("value", None, "flat key=value config file"),
     "plot-script": ("switch", False, "also emit a matplotlib script next to the CSV"),

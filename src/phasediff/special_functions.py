@@ -123,9 +123,10 @@ def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
     S(zeta) = exp[(zeta* a^2 - zeta a^dag^2)/2] with zeta = r1 e^{i phi}.
     Built by the Gaussian-unitary Fock recurrences (Miatto & Quesada,
     Quantum 4, 366 (2020), arXiv:2004.11002): column 0 is the squeezed
-    vacuum, and each further column follows from the two before it,
-    vectorized over the row index m.  Entries with m - n odd are exactly 0,
-    and r1 = 0 gives the identity exactly.
+    vacuum, the gaussian_recurrence without its first-order term, and each
+    further column follows from the two before it, vectorized over the row
+    index m.  Entries with m - n odd are exactly 0, and r1 = 0 gives the
+    identity exactly.
 
     The forward recurrence loses accuracy where both indices are large
     (about 1e-13 at column 20, 5e-10 at column 40 for r1 = 1, 2e-3 at
@@ -143,11 +144,7 @@ def squeeze_matrix(cutoff: int, r1: float, phi: float) -> np.ndarray:
     sech, th = 1.0 / math.cosh(r1), math.tanh(r1)
     sq = np.sqrt(np.arange(cutoff, dtype=float))
     g = np.zeros((cutoff, cutoff), dtype=complex)
-    g[0, 0] = math.sqrt(sech)
-    # G[m+2, 0] = -e^{i phi} tanh(r1) sqrt((m+1)/(m+2)) G[m, 0]
-    step = -cmath.exp(1j * phi) * th
-    for m in range(0, cutoff - 2, 2):
-        g[m + 2, 0] = step * (sq[m + 1] / sq[m + 2]) * g[m, 0]
+    g[:, 0] = gaussian_recurrence(math.sqrt(sech), 0.0, -cmath.exp(1j * phi) * th, cutoff)
     # G[m, n+1] = (sech sqrt(m) G[m-1, n] + e^{-i phi} tanh sqrt(n) G[m, n-1]) / sqrt(n+1)
     back = cmath.exp(-1j * phi) * th
     for n in range(cutoff - 1):

@@ -13,6 +13,7 @@ from phasediff.bath_kernels import (
     thermal_occupation,
 )
 from phasediff.errors import DomainError
+from phasediff.figures import R_GRID
 from phasediff.oracle import gamma_by_quadrature
 
 
@@ -220,17 +221,23 @@ def test_dissipative_spec_names_a_temperature_whose_moments_overflow(r, T_ok, T_
 
 def test_gamma_over_an_array_of_baths_is_the_gamma_of_each():
     # one array call: every entry with the closed form of its own T, T = 0
-    # and T > 0 mixed, a > 0 included
-    r = [0.0, 1.0, -1.5, 2.0, 0.5, 0.0]
-    a = [0.0, 0.0, 0.05, 0.2, 0.0, 0.3]
-    T = [0.0, 50.0, 0.0, 300.0, 1000.0, 100.0]
-    spec = QndBathSpec(0.025, 100.0, r=np.array(r), a=np.array(a), T=np.array(T))
-    for t in (0.7, 3.0):
-        gamma = gamma_qnd(t, spec)
-        assert gamma.shape == (6,)
-        each = [gamma_qnd(t, QndBathSpec(0.025, 100.0, r=ri, a=ai, T=Ti))
-                for ri, ai, Ti in zip(r, a, T)]
-        assert np.max(np.abs(gamma / each - 1.0)) <= 1e-15
+    # and T > 0 mixed, a > 0 and r < 0 included, and fig6's group of 164, r
+    # over R_GRID for T = 0, 50, 100 and 1000; each entry is its bath's gamma
+    # bit for bit
+    fig6_r, fig6_T = (v.ravel() for v in np.meshgrid(R_GRID, [0.0, 50.0, 100.0, 1000.0]))
+    groups = [
+        ([0.0, 1.0, -1.5, 2.0, 0.5, 0.0], [0.0, 0.0, 0.05, 0.2, 0.0, 0.3],
+         [0.0, 50.0, 0.0, 300.0, 1000.0, 100.0]),
+        (fig6_r, np.zeros(164), fig6_T),
+    ]
+    for r, a, T in groups:
+        spec = QndBathSpec(0.025, 100.0, r=np.array(r), a=np.array(a), T=np.array(T))
+        for t in (0.7, 3.0):
+            gamma = gamma_qnd(t, spec)
+            assert gamma.shape == (len(r),)
+            each = [gamma_qnd(t, QndBathSpec(0.025, 100.0, r=ri, a=ai, T=Ti))
+                    for ri, ai, Ti in zip(r, a, T)]
+            assert np.array_equal(gamma, each)
     assert isinstance(gamma_qnd(0.7, _spec(r=1.0)), float)
 
 

@@ -150,7 +150,9 @@ def _one_at_a_time(monkeypatch):
 @pytest.mark.parametrize("fig", ["fig1", "fig6", "fig7", "fig8", "fig10"])
 def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
     # fig6 mixes T = 0 and T > 0 in one group; fig7 and fig8 have unitary
-    # (gamma0 = 0) curves; a dispersion figure reads degree 1 only
+    # (gamma0 = 0) curves; a dispersion figure reads degree 1 only.  A group
+    # takes each bath's gamma by the arithmetic of a run alone, so the two
+    # agree exactly
     grouped = run_figure(fig)
     _one_at_a_time(monkeypatch)
     single = run_figure(fig)
@@ -160,10 +162,10 @@ def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
     for (_, p), (_, q) in zip(grouped.distributions, single.distributions):
         degree = len(p.coeffs) // 2
         assert degree == (1 if fig != "fig1" else len(q.coeffs) // 2)
-        assert np.max(np.abs(p.coeffs - _central(q, degree))) <= 1e-14
+        assert np.array_equal(p.coeffs, _central(q, degree))
     for (label, col), (label_single, col_single) in zip(grouped.columns, single.columns):
         assert label == label_single
-        assert np.max(np.abs(col - col_single)) <= 1e-14
+        assert np.array_equal(col, col_single)
 
 
 SWEEPS = [
@@ -191,7 +193,7 @@ def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, valu
         full = len(q.coeffs) // 2
         assert len(p.coeffs) // 2 == (full if degree is None else min(degree, full))
         # every coefficient, so c_{+1} and c_{-1} are checked apart
-        assert np.max(np.abs(p.coeffs - _central(q, len(p.coeffs) // 2))) <= 1e-14
+        assert np.array_equal(p.coeffs, _central(q, len(p.coeffs) // 2))
 
 
 @pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
@@ -220,3 +222,24 @@ def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family,
     assert type(group.value) is type(alone.value)
     assert str(group.value) == str(alone.value)
     assert f"{param} = {values[bad]}" in str(alone.value) or "2a = 1.2" in str(alone.value)
+
+
+@pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
+def test_a_group_refuses_where_its_runs_would_in_run_order(monkeypatch, family):
+    # the first run's gamma is not finite and the second's t <= 2a is out of
+    # domain: the group raises the first run's error, as the runs one at a
+    # time would
+    point, defaults = SWEEP_FAMILIES[family]
+    params = {**defaults, "t": 1.0}
+    runs = [("hot", {"r": 354.5, "T": 50.0, "a": 0.0}), ("wide", {"r": 0.0, "T": 0.0, "a": 0.6})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as group:
+            list(evaluate(point, params, runs, None, 1))
+        _one_at_a_time(monkeypatch)
+        with pytest.raises(ValueError) as alone:
+            list(evaluate(point, params, runs, None, 1))
+    assert type(group.value) is type(alone.value) is ValueError
+    assert str(group.value) == str(alone.value) == (
+        "gamma(t) = nan is not finite at r = 354.5, T = 50.0, t = 1.0; lower the bath squeezing |r|"
+    )
