@@ -229,8 +229,8 @@ class DissipativeBathSpec(_DissipativeBathFields):
         n = n_th * (math.cosh(r) ** 2 + sh**2) + sh**2
         if not math.isfinite(n * (n + 1.0)):
             raise ValueError(
-                f"T = {T} with r = {r}: the bath moment N (N + 1) overflows; "
-                "lower the bath temperature T"
+                f"T = {T} with r = {r}: the bath moment N (N + 1) overflows at "
+                f"omega = {omega}, since N_th grows as T / omega; raise omega or lower T"
             )
         m = (n_th + 0.5) * math.sinh(2 * r) * complex(math.cos(Phi), math.sin(Phi))
         return super().__new__(cls, omega, gamma0, r, Phi, T, n_th, n, m)

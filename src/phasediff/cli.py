@@ -20,6 +20,7 @@ from . import __version__
 from .distribution import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
 from .errors import DomainError, TruncationError
 from .figures import (
+    MAX_POINTS,
     SCENARIOS,
     SWEEP_FAMILIES,
     FigureData,
@@ -218,6 +219,8 @@ def _cmd_sweep(opts) -> int:
         )
     if num < 2:
         raise UsageError("--num must be at least 2")
+    if num > MAX_POINTS:
+        raise UsageError(f"--num must be at most {MAX_POINTS}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise UsageError(f"--start and --stop must be finite, got {start}, {stop}")
     grid, cutoff = _grid_and_cutoff(reserved)

@@ -37,6 +37,7 @@ from .distribution import PhaseDistribution, ket_autocorrelation
 from .errors import TruncationError, check_time
 from .special_functions import (
     gaussian_recurrence,
+    gaussian_rows,
     log_factorial,
     squeeze_tail_pad,
     squeezed_coherent_ket,
@@ -128,12 +129,12 @@ def _check_trace(trace: float, cutoff: int, trace_tol: float) -> None:
 
 def _density_rows(mix: GscsMixture, cutoff: int):
     """Yield the rows rho[m, :cutoff], m < cutoff, of the Gaussian state in
-    the module docstring, two rows held at a time, from the recurrence
+    the module docstring: the gaussian_rows of
 
         rho[m+1, n] = (b rho[m, n] + A00 sqrt(m) rho[m-1, n]
                        + A01 sqrt(n) rho[m, n-1]) / sqrt(m+1)
 
-    and row 0 from the Gaussian ket recurrence (gaussian_recurrence)
+    from row 0, which is the Gaussian ket recurrence (gaussian_recurrence)
     rho[0, n+1] = (b* rho[0, n] + A00* sqrt(n) rho[0, n-1]) / sqrt(n+1),
     rho[0, 0] = C.  With M = [[cosh r, -e^{i Phi} sinh r],
     [-e^{-i Phi} sinh r, cosh r]], sigma = (beta + 1/2) M M^dag + I/2 and
@@ -146,7 +147,8 @@ def _density_rows(mix: GscsMixture, cutoff: int):
     - beta sinh^2 r) |a|^2 - cosh r sinh r Re(a^2 e^{-i Phi})] / det, does
     not cancel at large |a|.  The first k rows and columns are the k-level
     state.  No |rho_mn| of a density matrix exceeds 1, but far past the
-    state the recurrence grows: a row past 1 is a TruncationError.
+    state the recurrence grows: a row past 1 is a TruncationError, raised
+    before the next row is formed.
     """
     beta, a = mix.beta_tilde, mix.a
     r, rot = abs(mix.zeta), cmath.exp(1j * cmath.phase(mix.zeta))
@@ -157,11 +159,8 @@ def _density_rows(mix: GscsMixture, cutoff: int):
     exponent = ((1.0 + beta) * ch * ch - beta * sh * sh) * abs(a) ** 2
     exponent -= ch * sh * (a * a / rot).real
     start = math.exp(-exponent / det) / math.sqrt(det)
-    row = gaussian_recurrence(start, b.conjugate(), a00.conjugate(), cutoff)
-    sq = np.sqrt(np.arange(cutoff, dtype=float))
-    cross = beta * (1.0 + beta) / det * sq[1:]
-    above = np.zeros(cutoff, dtype=complex)
-    for m in range(cutoff):
+    row0 = gaussian_recurrence(start, b.conjugate(), a00.conjugate(), cutoff)
+    for m, row in enumerate(gaussian_rows(row0, b, a00, beta * (1.0 + beta) / det)):
         peak = float(np.max(np.abs(row)))
         if not peak <= 1.0:  # also rejects NaN
             raise TruncationError(
@@ -170,10 +169,6 @@ def _density_rows(mix: GscsMixture, cutoff: int):
                 f"(--cutoff, currently {cutoff})"
             )
         yield row
-        if m + 1 < cutoff:
-            below = b * row + (a00 * sq[m]) * above
-            below[1:] += cross * row[:-1]
-            above, row = row, below / sq[m + 1]
 
 
 def fock_density_from_gscs(
@@ -211,41 +206,44 @@ def phase_dist_osc_dissipative(
     of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory.
     Both branches form the interaction-picture sums sum_m rho[m, m+d]: at
     beta_tilde = 0 the autocorrelation of the bare ket, otherwise the rows
-    of _density_rows added in as they come.  The free evolution is then one
-    factor e^{i omega t d} per harmonic.  The sums are taken at the cutoff
-    and, from the first rows and columns, at a check cutoff 8 levels lower.
-    A trace deficit beyond TRACE_TOL at either cutoff, or a disagreement
-    sum_d |c_d - c'_d| >= sup_phi |P - P'| beyond AGREEMENT_TOL (the shorter
-    array zero-padded), raises a TruncationError that names the cutoff.
+    of _density_rows added in as they come.  They are taken at the cutoff
+    and, from the first rows and columns, at a check cutoff always 8 levels
+    lower, so a cutoff of 8 or less is refused.  The audit is one trace
+    check at the cutoff (deficit at most TRACE_TOL) and one comparison of
+    the two cutoffs' sums, sum_d |c_d - c'_d| >= sup_phi |P - P'| at most
+    AGREEMENT_TOL (the shorter array zero-padded); the free rotation
+    e^{i omega t d} has modulus 1, so the comparison is taken before it,
+    and it is applied once, to the accepted sums.  A failure is a
+    TruncationError that names the cutoff.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
         cutoff = default_dissipative_cutoff(mix, eta0)
     if cutoff < 1:
         raise ValueError(f"cutoff = {cutoff} must be positive")
-    levels = (cutoff, min(cutoff, max(8, cutoff - 8)))
+    check = cutoff - 8
+    if check < 1:
+        raise TruncationError(
+            f"a Fock cutoff of {cutoff} leaves no check cutoff 8 levels lower; "
+            f"raise the Fock cutoff above 8 (--cutoff, currently {cutoff})"
+        )
     if mix.beta_tilde == 0.0:
         r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
         ket = squeezed_coherent_ket(r, angle, mix.a, cutoff)
-        sums = [ket_autocorrelation(ket[:k]) for k in levels]
+        full, short = ket_autocorrelation(ket), ket_autocorrelation(ket[:check])
     else:
-        sums = [np.zeros(2 * k - 1, dtype=complex) for k in levels]
+        full = np.zeros(2 * cutoff - 1, dtype=complex)
+        short = np.zeros(2 * check - 1, dtype=complex)
         for m, row in enumerate(_density_rows(mix, cutoff)):
-            for i, k in enumerate(levels):
-                if m < k:
-                    sums[i][k - 1 - m : 2 * k - 1 - m] += row[:k]
-    for k, s in zip(levels, sums):  # the trace is the d = 0 sum
-        _check_trace(float(s[k - 1].real), k, TRACE_TOL)
-    # harmonic d = 1 - cutoff..cutoff - 1 of the free evolution, sliced per level
-    free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
-    full, check = (
-        s * free[cutoff - k : cutoff - 1 + k] / (2.0 * math.pi) for s, k in zip(sums, levels)
-    )
-    pad = (len(full) - len(check)) // 2
-    dev = float(np.sum(np.abs(full - np.pad(check, pad))))
+            full[cutoff - 1 - m : 2 * cutoff - 1 - m] += row
+            if m < check:
+                short[check - 1 - m : 2 * check - 1 - m] += row[:check]
+    _check_trace(float(full[cutoff - 1].real), cutoff, TRACE_TOL)  # the d = 0 sum
+    dev = float(np.sum(np.abs(full - np.pad(short, 8)))) / (2.0 * math.pi)
     if dev > AGREEMENT_TOL:
         raise TruncationError(
-            f"two-cutoff disagreement {dev:.3e} at cutoffs {levels}; "
-            "raise the Fock cutoff (--cutoff)"
+            f"two-cutoff disagreement {dev:.3e} at cutoffs {(cutoff, check)}; "
+            f"raise the Fock cutoff (--cutoff, currently {cutoff})"
         )
-    return PhaseDistribution(full)
+    free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
+    return PhaseDistribution(full * free / (2.0 * math.pi))

@@ -44,6 +44,9 @@ from .qnd_phase import (
 
 THETA_TEN_ATOMS = -0.01832  # squeeze exponent used by the ten-atom scenarios
 R_GRID = tuple(np.linspace(-2.0, 2.0, 41))
+# the most points of one curve (fig3's n_t, a sweep's --num), refused before
+# any array is allocated
+MAX_POINTS = 10**6
 
 
 class FigureData(NamedTuple):
@@ -241,6 +244,8 @@ def _build_fig3(params, grid, cutoff):
     n_t, t_max = params["n_t"], params["t_max"]
     if not (n_t >= 2 and n_t % 1 == 0):
         raise ValueError(f"n_t = {n_t:g} must be a whole number of at least 2")
+    if n_t > MAX_POINTS:
+        raise ValueError(f"n_t = {n_t:g} exceeds the limit of {MAX_POINTS} points")
     if not t_max > 0:
         raise ValueError(f"t_max = {t_max:g} must be positive")
     state = AtomicCoherentParams(params["alpha_p"], params["beta_p"])

@@ -426,6 +426,49 @@ def test_fig5_cutoff_too_small_names_both_cutoffs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets, cutoff, message", [
+    (["--set", "eta0_sq=0.5"], 8, "leaves no check cutoff 8 levels lower"),
+    ([], 16, "two-cutoff disagreement"),
+], ids=["cutoff=8", "cutoff=16"])
+def test_oscillator_truncation_names_the_cutoff_that_ran(tmp_path, capsys, sets, cutoff,
+                                                        message):
+    # the check cutoff is always cutoff - 8: at 8 there is none, so the run is
+    # refused, not left unchecked; the one trace check runs at the cutoff
+    # given, so no message names the check cutoff as the one to raise
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "dissipative-oscillator", "--param", "t", "--start",
+                 "0.1", "--stop", "0.2", "--num", "2", *sets, "--cutoff", str(cutoff),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and err.endswith(f"(--cutoff, currently {cutoff})\n"), err
+    assert not out.exists()
+
+
+def _refuse_linspace(*args, **kwargs):
+    raise AssertionError("a point count past the bound reached np.linspace")
+
+
+@pytest.mark.parametrize("argv, rc, message", [
+    (["figure", "fig3", "--set", "n_t=1e12"], 1,
+     "n_t = 1e+12 exceeds the limit of 1000000 points"),
+    (["figure", "fig3", "--set", "n_t=1e300"], 1,
+     "n_t = 1e+300 exceeds the limit of 1000000 points"),
+    ([*_SWEEP, "--num", "1000000000000"], 2, "--num must be at most 1000000"),
+    ([*_SWEEP, "--num", "1" + "0" * 300], 2, "--num must be at most 1000000"),
+], ids=["n_t=1e12", "n_t=1e300", "num=1e12", "num=1e300"])
+def test_point_count_past_the_bound_is_refused_before_allocation(
+    tmp_path, monkeypatch, capsys, argv, rc, message
+):
+    # 1e12 points would take 7.3 TiB: the count is refused by name before
+    # np.linspace, which this test makes fail if reached
+    monkeypatch.setattr(np, "linspace", _refuse_linspace)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == rc
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--family", "qnd-oscillator", "--param", "r1", "--start", "0.5", "--stop", "2",
      "--num", "4"],
@@ -665,11 +708,15 @@ def test_extreme_squeezing_is_refused_by_name(tmp_path, capsys, family, setting,
      "T = 1e+300 with r = 1.0: the bath moment N (N + 1) overflows"),
     ("dissipative-oscillator", ["T=3.6e153", "r=1"],
      "T = 3.6e+153 with r = 1.0: the bath moment N (N + 1) overflows"),
+    ("dissipative-oscillator", ["omega=1e-300", "T=1"],
+     "T = 1.0 with r = 0.0: the bath moment N (N + 1) overflows at omega = 1e-300, "
+     "since N_th grows as T / omega; raise omega or lower T"),
     ("dissipative-qubit", ["T=1e150", "r=1", "gamma0=1e10"],
      "alpha^2 = gamma0^2 |M|^2 - omega^2 overflows a double at omega = 1.0, "
      "gamma0 = 10000000000.0, T = 1e+150, r = 1.0"),
 ], ids=["qnd-oscillator", "qnd-qubit", "qnd-qubit-hot", "qnd-qubit-scale",
-        "dissipative-qubit", "dissipative-oscillator", "dissipative-qubit-alpha"])
+        "dissipative-qubit", "dissipative-oscillator", "dissipative-oscillator-omega",
+        "dissipative-qubit-alpha"])
 def test_bath_past_the_double_range_is_refused_by_name(tmp_path, capsys, family, settings,
                                                        message):
     # a gamma(t) or a bath moment that a double cannot hold: one error line,

@@ -280,6 +280,17 @@ def test_cutoff_below_one_rejected():
         phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=-3)
 
 
+@pytest.mark.parametrize("T", [0.0, 5.0])
+@pytest.mark.parametrize("cutoff", range(1, 9))
+def test_cutoff_of_eight_or_less_is_refused_by_name(cutoff, T):
+    # the check cutoff is cutoff - 8, so these leave nothing to compare with
+    spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, T)
+    with pytest.raises(
+        TruncationError, match=rf"no check cutoff .*\(--cutoff, currently {cutoff}\)$"
+    ):
+        phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=cutoff)
+
+
 def test_default_cutoff_grows_with_squeezing():
     weak = GscsMixture(0.0, 1.0, 0.25 + 0j)
     strong = GscsMixture(0.0, 1.0, 1.5 + 0j)
