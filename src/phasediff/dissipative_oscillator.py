@@ -177,6 +177,8 @@ def fock_density_from_gscs(
     """Interaction-picture Fock density matrix on `cutoff` levels, the rows
     of _density_rows stacked; the free e^{-i omega (m-n) t} phases are
     applied only when forming the phase distribution, never here."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
     rho = np.array(list(_density_rows(mix, cutoff)))
     _check_trace(float(np.trace(rho).real), cutoff, trace_tol)
     return rho

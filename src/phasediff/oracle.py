@@ -9,12 +9,14 @@ oscillator's right-hand side is nine offset diagonals of the flattened
 density matrix, each a coefficient vector times a shifted slice, with the
 coefficients read off the truncated a and a^dag once; the stepper keeps y
 and its seven stages as the rows of one array, so each stage argument is
-one product with a row of the tableau.  The atomic phase distribution is
-obtained by Gauss-Legendre quadrature over the polar angle, and the
-dephasing kernel by composite Gauss-Legendre quadrature of its defining
-frequency integral: 10 nodes on each panel, panels two periods of the
-integrand's fastest oscillation wide (and no wider than the cutoff
-omega_c), over [0, 30 omega_c].  The time-dependent oracles refuse a
+one product with a row of the tableau.  When rho0 and the bath's M are
+real the equation keeps rho real, and both run in real arithmetic.  The
+atomic phase distribution is obtained by Gauss-Legendre quadrature over the
+polar angle, and the dephasing kernel by composite Gauss-Legendre
+quadrature of its defining frequency integral: 10 nodes on each panel,
+panels two periods of the integrand's fastest oscillation wide (and no
+wider than the cutoff omega_c), over [0, 30 omega_c].  The nodes come from
+the Golub-Welsch eigenproblem.  The time-dependent oracles refuse a
 negative or non-finite t.  Only numpy is needed.
 """
 
@@ -62,7 +64,9 @@ _DP_STAGES = _dp_stage_matrix()
 
 def _rms(v: np.ndarray, scale: np.ndarray) -> float:
     """The step control's norm: root-mean-square of |v| / scale."""
-    return math.sqrt(float(np.mean((np.abs(v) / scale) ** 2)))
+    q = np.abs(v)
+    q /= scale
+    return math.sqrt(float(q @ q) / len(q))
 
 
 def _starting_step(f, t0, y0, f0, span, rel_tol, abs_tol) -> float:
@@ -90,10 +94,11 @@ def dormand_prince(f, y0, t0, t1, rel_tol, abs_tol):
     one product of a row of the stage matrix (times h, with weight 1 on y)
     with the rows before it.  The seventh stage's argument is y5, whose
     slope is the next step's k1 (FSAL), and the error estimate y5 - y4 is
-    one more product.  The first trial step is _starting_step's.  A
-    non-finite error estimate raises: it would otherwise never reject a
+    one more product.  The array takes y0's floating dtype, so a real
+    problem is integrated in real arithmetic.  The first trial step is _starting_step's.
+    A non-finite error estimate raises: it would otherwise never reject a
     step."""
-    rows = np.empty((8, len(y0)), dtype=complex)  # y, k1, ..., k7
+    rows = np.empty((8, len(y0)), dtype=np.result_type(y0, 1.0))  # y, k1, ..., k7
     rows[0] = y0
     t = t0
     rows[1] = f(t, rows[0])
@@ -172,9 +177,11 @@ def integrate_lindblad_qubit(rho0: np.ndarray, spec: DissipativeBathSpec, t: flo
     return (expm_taylor(qubit_liouvillian(spec) * t) @ vec).reshape(2, 2)
 
 
-def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int):
+def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int, dtype=complex):
     """d vec(rho)/dt of the oscillator master equation (interaction picture)
-    on `cutoff` Fock levels, on the row-major flattening of rho.
+    on `cutoff` Fock levels, on the row-major flattening of rho, in `dtype`
+    arithmetic.  A real dtype needs a real M, for which the equation maps
+    real rho to real rho.
 
     Every term reads rho at one fixed shift (dm, dn) of (m, n), so with
     c = cutoff the right-hand side is d = sum_k C_k * y[. + o_k] over nine
@@ -189,7 +196,12 @@ def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int):
     (m + dm, n + dn) leaves the c x c block, also where a flat offset would
     wrap into the next row.  y is copied into one zero-padded buffer, so
     every term is a contiguous slice of it; terms whose C_k vanish (the M
-    bands when M = 0) are dropped.  No Hermiticity of rho is assumed."""
+    bands when M = 0) are dropped.  No Hermiticity of rho is assumed.  In
+    real arithmetic the coefficients are the real parts of the same complex
+    ones, which are exact there because M is real."""
+    real = not np.issubdtype(dtype, np.complexfloating)
+    if real and spec.M.imag != 0:
+        raise ValueError(f"M = {spec.M} is complex; the right-hand side is not real")
     c = cutoff
     a = np.diag(np.sqrt(np.arange(1, c)), 1).astype(complex)
     ad = a.conj().T
@@ -214,16 +226,20 @@ def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int):
         (1, -1, big_m.conjugate() * weight),  # a rho a
     )
     size, pad = c * c, 2 * c
-    diag = (k_diag[:, None] + k_diag[None, :]).ravel()
+
+    def kept(values):  # contiguous, in the arithmetic of the integration
+        return np.ascontiguousarray(values.real if real else values)
+
+    diag = kept((k_diag[:, None] + k_diag[None, :]).ravel())
     terms = []
     for dm, dn, values in bands:
         coef = np.zeros((c, c), dtype=complex)
         coef[max(0, -dm) : c - max(0, dm), max(0, -dn) : c - max(0, dn)] = values
         if np.any(coef):
             start = pad + dm * c + dn
-            terms.append((slice(start, start + size), coef.ravel()))
-    buf = np.zeros(size + 2 * pad, dtype=complex)
-    tmp = np.empty(size, dtype=complex)
+            terms.append((slice(start, start + size), kept(coef.ravel())))
+    buf = np.zeros(size + 2 * pad, dtype=dtype)
+    tmp = np.empty(size, dtype=dtype)
 
     def rhs(_t, y):
         buf[pad : pad + size] = y
@@ -244,13 +260,19 @@ def integrate_lindblad_oscillator(
     leakage_tol: float = 1e-8,
 ) -> np.ndarray:
     """Direct integration of the oscillator master equation (interaction
-    picture) on a truncated Fock space, with a boundary-leakage monitor."""
+    picture) on a truncated Fock space, with a boundary-leakage monitor.
+    When rho0 and M are real, so is the solution, and it is integrated in
+    real arithmetic; the result is complex either way."""
     check_time(t)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (cutoff, cutoff):
         raise ValueError(f"rho0 shape {rho0.shape} does not match cutoff {cutoff}")
-    rhs = oscillator_rhs(spec, cutoff)
-    out = dormand_prince(rhs, rho0.ravel(), 0.0, t, 1e-10, 1e-12).reshape(cutoff, cutoff)
+    y0 = rho0.ravel()
+    if spec.M.imag == 0 and not y0.imag.any():
+        y0 = y0.real
+    rhs = oscillator_rhs(spec, cutoff, y0.dtype)
+    y = dormand_prince(rhs, y0, 0.0, t, 1e-10, 1e-12)
+    out = y.astype(complex, copy=False).reshape(cutoff, cutoff)
     boundary = float(out[-1, -1].real)
     if abs(boundary) > leakage_tol:
         raise TruncationError(
@@ -288,11 +310,14 @@ def phase_dist_by_quadrature(rho: np.ndarray, grid: int) -> PhaseDistribution:
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n Gauss-Legendre nodes and weights on [-1, 1], built once per
-    order and read-only.  numpy.polynomial is imported here, on first use,
-    so figure and sweep runs never load it."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(n)
+    order and read-only.  Golub-Welsch (Math. Comp. 23, 221 (1969)): the
+    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the Legendre recurrence, off-diagonals k / sqrt(4 k^2 - 1), and each
+    weight is 2 v_0^2, v_0 the first component of its unit eigenvector."""
+    k = np.arange(1.0, n)
+    # the subdiagonal alone: eigh reads only the lower triangle
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = 2.0 * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -3,9 +3,11 @@
 Every check reports (name, tolerance, deviation, passed) and its margin,
 deviation / tolerance.  The oracles are deliberately redundant
 implementations: the exact exponential of the qubit's master-equation
-generator, adaptive integration of the oscillator's master equation, polar
-and frequency quadrature, and the exact exponential of an anti-Hermitian
-generator from its Hermitian eigendecomposition (numpy `eigh`).
+generator, adaptive integration of the oscillator's master equation (in
+real arithmetic at the mixture check's real points), polar and frequency
+quadrature, and the squeeze operator's exact exponential applied to the
+vectors a check needs, from one real symmetric eigendecomposition (numpy
+`eigh`) per parity block.
 """
 
 from __future__ import annotations
@@ -65,41 +67,29 @@ def _check_wigner_d_orthogonality() -> CheckResult:
     return CheckResult("wigner-d rotation matrix orthogonality (j=5)", 1e-12, dev)
 
 
-def _exp_anti_hermitian(gen: np.ndarray) -> np.ndarray:
-    """e^gen for anti-Hermitian gen: with i gen = V diag(lam) V^H (Hermitian
-    eigendecomposition), e^gen = V diag(e^{-i lam}) V^H, unitary to rounding."""
-    lam, v = np.linalg.eigh(1j * gen)
-    vh = v.conj().T
-    v *= np.exp(-1j * lam)
-    return v @ vh
-
-
-def _exp_by_parity(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^gen @ x for an anti-Hermitian gen that couples only Fock levels of
-    equal parity, such as the squeeze generator: the even and odd blocks are
-    exponentiated apart, two eigensolves of half the size, and the full
-    exponential is never formed."""
+def _squeeze_exponential(levels: int, r1: float, phi: float, x: np.ndarray) -> np.ndarray:
+    """S(zeta) @ x on `levels` Fock states, zeta = r1 e^{i phi}, S the exact
+    exponential of (zeta* a^2 - zeta a^dag^2)/2, which couples only levels of
+    equal parity.  On the parity-b block, level n = 2j + b, the generator is
+    P (i r1 X) P^-1 with P = diag(e^{i j (phi + pi/2)}) and X the real
+    symmetric tridiagonal block of (a^2 + a^dag^2)/2, off-diagonals
+    sqrt((n + 1)(n + 2))/2.  So with X = Q diag(lam) Q^T from one real
+    eigensolve per block, S x = P Q e^{i r1 lam} Q^T P^-1 x, unitary to
+    rounding; neither the exponential nor a complex generator is formed."""
     out = np.empty(x.shape, dtype=complex)
-    for s in (slice(0, None, 2), slice(1, None, 2)):
-        out[s] = _exp_anti_hermitian(gen[s, s]) @ x[s]
+    for b in (0, 1):
+        n = np.arange(b, levels - 2, 2)
+        # X's subdiagonal: eigh reads only the lower triangle
+        lam, q = np.linalg.eigh(np.diag(0.5 * np.sqrt((n + 1.0) * (n + 2.0)), -1))
+        j = np.arange(len(q)).reshape((-1,) + (1,) * (x.ndim - 1))
+        p = np.exp(1j * (phi + 0.5 * math.pi) * j)
+        out[b::2] = p * ((q * np.exp(1j * r1 * lam)) @ (q.T @ (x[b::2] / p)))
     return out
-
-
-def _squeeze_generator(levels: int, r1: float, phi: float) -> np.ndarray:
-    """(zeta* a^2 - zeta a^dag^2)/2, zeta = r1 e^{i phi}, on `levels` Fock
-    states: S(zeta) is its exponential."""
-    zeta = r1 * complex(math.cos(phi), math.sin(phi))
-    n = np.arange(levels - 2)
-    half = 0.5 * np.sqrt((n + 1.0) * (n + 2.0))  # <n|a^2|n+2> / 2
-    gen = np.zeros((levels, levels), dtype=complex)
-    gen[n, n + 2] = zeta.conjugate() * half
-    gen[n + 2, n] = -zeta * half
-    return gen
 
 
 def _check_squeeze_vs_expm() -> CheckResult:
     r1, phi, window = 0.5, 0.7, 12
-    oracle = _exp_by_parity(_squeeze_generator(140, r1, phi), np.eye(140, window))[:window]
+    oracle = _squeeze_exponential(140, r1, phi, np.eye(140, window))[:window]
     g = squeeze_matrix(window, r1, phi)
     dev = float(np.max(np.abs(g - oracle)))
     return CheckResult("squeeze matrix element vs matrix exponential", 1e-10, dev)
@@ -183,7 +173,7 @@ def _check_dissipative_phase_dist() -> CheckResult:
     n = np.arange(cutoff)
     log_n_fact = np.array([math.lgamma(k + 1.0) for k in n])
     coherent = np.exp(-eta * eta / 2.0 + n * math.log(eta) - 0.5 * log_n_fact)
-    psi = _exp_by_parity(_squeeze_generator(cutoff, r, phi), coherent)
+    psi = _squeeze_exponential(cutoff, r, phi, coherent)
     amp = np.fft.fft(psi * np.exp(-1j * spec.omega * t * n), grid)
     oracle = np.abs(amp) ** 2 / (2.0 * math.pi)
     dev = float(np.max(np.abs(closed - oracle)))

@@ -6,7 +6,16 @@ import pytest
 
 from phasediff import qnd_phase
 from phasediff.distribution import distribution_from_fourier
-from phasediff.validation import _exp_anti_hermitian, _exp_by_parity, _squeeze_generator
+from phasediff.validation import _squeeze_exponential
+
+
+def _exp_anti_hermitian(gen):
+    # e^gen for anti-Hermitian gen: with i gen = V diag(lam) V^H (Hermitian
+    # eigendecomposition), e^gen = V diag(e^{-i lam}) V^H, unitary to rounding
+    lam, v = np.linalg.eigh(1j * gen)
+    vh = v.conj().T
+    v *= np.exp(-1j * lam)
+    return v @ vh
 
 
 def _hot_state_oracle(spec, eta0, t, cutoff, levels, columns):
@@ -20,8 +29,7 @@ def _hot_state_oracle(spec, eta0, t, cutoff, levels, columns):
     a = eta0 * math.exp(-spec.gamma0 * t / 2.0)
     lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
     displace = _exp_anti_hermitian(a * lower.T - np.conj(a) * lower)[:, :columns]
-    squeeze = _squeeze_generator(levels, spec.r, spec.Phi)
-    u = _exp_by_parity(squeeze, displace)[:cutoff]
+    u = _squeeze_exponential(levels, spec.r, spec.Phi, displace)[:cutoff]
     p = beta ** np.arange(columns) / (1.0 + beta) ** np.arange(1, columns + 1)
     rho = (u * p) @ u.conj().T
     n = np.arange(cutoff, dtype=float)
@@ -34,6 +42,13 @@ def hot_state_oracle():
     """The eigh oracle for the dissipative oscillator at T > 0:
     hot_state_oracle(spec, eta0, t, cutoff, levels, columns) -> (rho, P)."""
     return _hot_state_oracle
+
+
+@pytest.fixture
+def exp_anti_hermitian():
+    """The exact exponential of an anti-Hermitian matrix from numpy's eigh,
+    which the hot-state oracle uses for the displacement operator."""
+    return _exp_anti_hermitian
 
 
 @pytest.fixture

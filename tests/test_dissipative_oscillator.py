@@ -19,7 +19,7 @@ from phasediff.errors import TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import audit_normalization, dispersion, integrate_distribution
 from phasediff.special_functions import squeezed_coherent_ket
-from phasediff.validation import _exp_anti_hermitian, _squeeze_generator
+from phasediff.validation import _squeeze_exponential
 
 GRID = 240
 
@@ -151,7 +151,7 @@ def test_large_displacement_matches_eigh_oracle():
     log_fact = np.array([math.lgamma(k + 1.0) for k in n])
     eta = eta0 * math.exp(-spec.gamma0 * t / 2.0)
     coherent = np.exp(-eta * eta / 2.0 + n * math.log(eta) - 0.5 * log_fact)
-    psi = (_exp_anti_hermitian(_squeeze_generator(700, r, phi)) @ coherent)[:cutoff]
+    psi = _squeeze_exponential(700, r, phi, coherent)[:cutoff]
     oracle = np.outer(psi, psi.conj())
     assert np.max(np.abs(fock_density_from_gscs(mix, cutoff) - oracle)) < 1e-13
     p = phase_dist_osc_dissipative(spec, eta0, t)
@@ -278,6 +278,15 @@ def test_cutoff_below_one_rejected():
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="cutoff = -3 must be positive"):
         phase_dist_osc_dissipative(spec, 1.0, 0.1, cutoff=-3)
+
+
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_density_cutoff_below_one_rejected(cutoff):
+    # the row recurrences start from one amplitude, so cutoff 0 built a 1 x 1
+    # state and failed its trace check instead of naming the cutoff
+    mix = mixture_params(oscillator_spec(1.0, 0.025, 1.0, 0.0, 5.0), 0.1, 1.0)
+    with pytest.raises(ValueError, match=f"^cutoff = {cutoff} must be positive$"):
+        fock_density_from_gscs(mix, cutoff)
 
 
 @pytest.mark.parametrize("T", [0.0, 5.0])

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from phasediff import oracle
 from phasediff.bath_kernels import QndBathSpec, gamma_qnd
 from phasediff.dissipative_qubit import propagate_qubit, qubit_spec
-from phasediff.dissipative_oscillator import oscillator_spec
+from phasediff.dissipative_oscillator import (
+    fock_density_from_gscs,
+    mixture_params,
+    oscillator_spec,
+)
 from phasediff.errors import DomainError
 from phasediff.oracle import (
     _gauss_legendre,
@@ -161,6 +166,56 @@ def test_oscillator_oracle_thermalizes_vacuum():
     assert abs(np.trace(out).real - 1.0) < 1e-9
 
 
+def _record_rhs_dtypes(monkeypatch):
+    # the arithmetic each oscillator_rhs the oracle builds is asked for
+    dtypes = []
+    rhs = oracle.oscillator_rhs
+
+    def recorded(spec, cutoff, dtype=complex):
+        dtypes.append(np.dtype(dtype))
+        return rhs(spec, cutoff, dtype)
+
+    monkeypatch.setattr(oracle, "oscillator_rhs", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("r, temp, eta0, t", [(1.0, 0.0, 1.0, 0.5), (0.0, 1.0, 1.0, 0.8)])
+def test_real_problem_integrates_in_real_arithmetic(monkeypatch, r, temp, eta0, t):
+    # validate's two mixture points: Phi = 0 and a real eta0 make M and rho0
+    # real, so the oracle runs in float64 and still returns what the complex
+    # right-hand side gives
+    spec = oscillator_spec(1.0, 0.25, r, 0.0, temp)
+    rho0 = fock_density_from_gscs(mixture_params(spec, 0.0, eta0), 60, trace_tol=1e-4)
+    dtypes = _record_rhs_dtypes(monkeypatch)
+    ours = integrate_lindblad_oscillator(rho0, spec, t, 60, leakage_tol=1e-5)
+    assert dtypes == [np.dtype(float)] and ours.dtype == complex
+    ref = dormand_prince(oscillator_rhs(spec, 60), rho0.ravel(), 0.0, t, 1e-10, 1e-12)
+    assert np.max(np.abs(ours.ravel() - ref)) <= 1e-14
+
+
+def test_complex_bath_keeps_complex_arithmetic(monkeypatch):
+    # Phi = 0.7 makes M complex, and a real rho0 gains imaginary parts
+    spec = oscillator_spec(1.0, 0.25, 1.0, 0.7, 1.0)
+    cutoff, t = 30, 0.5
+    rho0 = np.zeros((cutoff, cutoff), dtype=complex)
+    rho0[0, 0] = 1.0
+    dtypes = _record_rhs_dtypes(monkeypatch)
+    ours = integrate_lindblad_oscillator(rho0, spec, t, cutoff)
+    assert dtypes == [np.dtype(complex)]
+    assert np.max(np.abs(ours.imag)) > 1e-2
+
+    def dense(_t, y):
+        return _dense_oscillator_rhs(spec, y.reshape(cutoff, cutoff)).ravel()
+
+    ref = dormand_prince(dense, rho0.ravel(), 0.0, t, 1e-10, 1e-12)
+    assert np.max(np.abs(ours.ravel() - ref)) <= 1e-12
+
+
+def test_real_right_hand_side_needs_real_m():
+    with pytest.raises(ValueError, match="complex"):
+        oscillator_rhs(oscillator_spec(1.0, 0.25, 1.0, 0.7, 1.0), 12, float)
+
+
 def test_quadrature_distribution_fock_state_uniform():
     p = phase_dist_by_quadrature(np.diag([0, 1, 0]).astype(complex), 60)
     assert np.max(np.abs(p.samples(60) - 1.0 / (2.0 * math.pi))) < 1e-10
@@ -218,6 +273,23 @@ def test_gamma_quadrature_builds_its_nodes_once(cold_caches):
     for array in (nodes, weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [10, 36, 72])
+def test_gauss_legendre_matches_mpmath(n):
+    # 40-digit roots of mpmath's P_n, each found by the secant method from the
+    # guess cos(pi (k - 1/4) / (n + 1/2)); strictly ascending, so all n are
+    # found.  The weight at a root x is 2 (1 - x^2) / (n P_{n-1}(x))^2.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        guesses = [mpmath.cos(mpmath.pi * (k - 0.25) / (n + 0.5)) for k in range(n, 0, -1)]
+        roots = [mpmath.findroot(lambda x: mpmath.legendre(n, x), (g, g * (1 - 1e-4)))
+                 for g in guesses]
+        exact = [2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2 for x in roots]
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    nodes, weights = _gauss_legendre(n)
+    assert np.max(np.abs(nodes - np.array(roots, dtype=float))) <= 1e-15
+    assert max(float(abs(w / e - 1)) for w, e in zip(weights, exact)) <= 1e-12
 
 
 def test_gamma_quadrature_rejects_negative_time():

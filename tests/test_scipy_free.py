@@ -22,7 +22,7 @@ from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.distribution import phase_grid
 from phasediff.qnd_phase import AtomicSqueezedParams, atomic_squeezed_density, qnd_evolve
 from phasediff.special_functions import beta_integral, log_binomial, log_factorial
-from phasediff.validation import _exp_anti_hermitian, _exp_by_parity
+from phasediff.validation import _squeeze_exponential
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,18 +116,28 @@ def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, cold_caches, j):
     assert np.max(np.abs(doubled - ours)) <= 1e-12
 
 
-def test_exp_anti_hermitian_matches_expm():
-    # the generator of validate's squeeze check, and a dense random one
-    n = np.arange(140)
-    ad2 = np.diag(np.sqrt((n[:-2] + 1) * (n[:-2] + 2)), -2).astype(complex)
-    zeta = 0.5 * complex(math.cos(0.7), math.sin(0.7))
-    squeeze = 0.5 * (zeta.conjugate() * ad2.conj().T - zeta * ad2)
+def test_exp_anti_hermitian_matches_expm(exp_anti_hermitian):
+    # the hot-state oracle's displacement generator, and a dense random one
+    lower = np.diag(np.sqrt(np.arange(1.0, 140.0)), 1)
+    a = 2.0 + 1.5j
     rng = np.random.default_rng(7)
     x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
-    for gen in (squeeze, 0.5 * (x - x.conj().T)):
-        assert np.max(np.abs(_exp_anti_hermitian(gen) - expm(gen))) <= 1e-13
-    # the squeeze generator couples only levels of equal parity
-    assert np.max(np.abs(_exp_by_parity(squeeze, np.eye(140)) - expm(squeeze))) <= 1e-13
+    for gen in (a * lower.T - np.conj(a) * lower, 0.5 * (x - x.conj().T)):
+        assert np.max(np.abs(exp_anti_hermitian(gen) - expm(gen))) <= 1e-13
+
+
+@pytest.mark.parametrize("r1", [0.5, 1.5])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, -2.0])
+@pytest.mark.parametrize("levels", [140, 250])
+def test_squeeze_exponential_matches_expm(levels, phi, r1):
+    # validate's squeeze exponential, from real eigensolves of the parity
+    # blocks, against scipy's on the dense complex generator, all columns
+    n = np.arange(levels - 2)
+    ad2 = np.diag(np.sqrt((n + 1.0) * (n + 2.0)), -2)  # a^dag^2
+    zeta = r1 * complex(math.cos(phi), math.sin(phi))
+    gen = 0.5 * (zeta.conjugate() * ad2.T - zeta * ad2)
+    ours = _squeeze_exponential(levels, r1, phi, np.eye(levels))
+    assert np.max(np.abs(ours - expm(gen))) <= 1e-13
 
 
 def _dense_lindblad_rhs(spec, cutoff):
@@ -190,8 +200,9 @@ print(json.dumps({{"rcs": rcs, "scipy": loaded}}))
 def test_runs_import_only_what_they_use(tmp_path):
     # one fresh isolated interpreter: the records define no generated code, so
     # the import leaves dataclasses out; the command line is read without
-    # argparse and its gettext and locale lookups; and only validate's oracles
-    # load numpy.polynomial, for their Gauss-Legendre nodes
+    # argparse and its gettext and locale lookups; and no command loads
+    # numpy.polynomial, not even the full validate, whose Gauss-Legendre nodes
+    # come from an eigensolve
     script = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
@@ -205,7 +216,7 @@ rcs = [
           "--stop", "2", "--num", "3", "--set", "r=0.9", "--out", out + "/sweep.csv"]),
 ]
 loaded.append([m for m in watched if m in sys.modules])
-rcs.append(main(["validate", "--quick"]))
+rcs.append(main(["validate"]))
 loaded.append([m for m in watched if m in sys.modules])
 print(json.dumps({{"rcs": rcs, "loaded": loaded}}))
 """
@@ -214,4 +225,4 @@ print(json.dumps({{"rcs": rcs, "loaded": loaded}}))
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"rcs": [0, 0, 0], "loaded": [[], [], ["numpy.polynomial"]]}
+    assert result == {"rcs": [0, 0, 0], "loaded": [[], [], []]}
