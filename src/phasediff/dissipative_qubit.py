@@ -23,6 +23,13 @@ g = gamma0/gamma_beta and e1 = e^{-gamma_beta t}:
 
 P(phi) reads only the coherence: the j = 1/2 Beta weight leaves one harmonic,
 h_1 = (pi/4) rho_10(t).  That rule and each start's rho_10 are in qnd_phase.
+
+The population rule also takes an array of t, one entry per time, and the
+coherent start's P a list of baths, one row of coefficients per bath.  Their
+exponentials are taken entry by entry in math, and each bath's coherence is
+the one scalar rule above: numpy's exp and cosh need not round as libm does
+(they differ in the last bit for a few percent of arguments on AVX-512
+machines), and an entry must give the same bits as that t or bath alone.
 """
 
 from __future__ import annotations
@@ -75,13 +82,17 @@ def _damped_cosh_sinhc(spec: DissipativeBathSpec, t: float) -> tuple[float, floa
     return math.cos(om * t) * damp, math.sin(om * t) / om * damp
 
 
-def _population(rho11: complex, rho00: complex, spec: DissipativeBathSpec, t: float) -> complex:
-    """The population rule rho_11(t) of the module docstring."""
+def _population(rho11: complex, rho00: complex, spec: DissipativeBathSpec, t):
+    """The population rule rho_11(t) of the module docstring, at one t or at
+    each entry of an array of t."""
     check_time(t)
     if spec.gamma0 == 0.0:  # unitary limit, avoids 0/0 in the gamma0/gamma_beta ratio
-        return rho11
+        return rho11 + 0.0 * t
     gb = _gamma_beta(spec)
-    e1 = math.exp(-gb * t)
+    if isinstance(t, np.ndarray):
+        e1 = np.array([math.exp(-gb * x) for x in t.tolist()]).reshape(t.shape)
+    else:
+        e1 = math.exp(-gb * t)
     g_ratio = spec.gamma0 / gb
     return (0.5 * ((1.0 - g_ratio) + (1.0 + g_ratio) * e1) * rho11
             + (spec.gamma0 * spec.N / gb) * (1.0 - e1) * rho00)
@@ -103,15 +114,17 @@ def propagate_qubit(rho0: np.ndarray, spec: DissipativeBathSpec, t: float) -> np
     return np.array([[r00 + r11 - p11, c01], [_coherence(r10, r01, spec, t), p11]])
 
 
-def phase_dist_qubit_coherent(
-    params: AtomicCoherentParams, spec: DissipativeBathSpec, t: float
-) -> PhaseDistribution:
+def phase_dist_qubit_coherent(params: AtomicCoherentParams, spec, t: float):
     """Closed-form phase distribution for an atomic coherent initial state.
+    A list of baths gives one row of coefficients (c_{-1}, c_0, c_1) per
+    bath, as a 2-d array, each row that bath's P bit for bit.
 
     At gamma0 = 0 this collapses to the unitary form
     (1/2pi)[1 + (pi/4) sin(alpha') cos(beta' + omega t - phi)].
     """
     rho10 = _coherent_rho10(params)
+    if isinstance(spec, list):
+        return _qubit_distribution([_coherence(rho10, rho10.conjugate(), s, t) for s in spec])
     return _qubit_distribution(_coherence(rho10, rho10.conjugate(), spec, t))
 
 
@@ -124,7 +137,8 @@ def phase_dist_qubit_squeezed(
     return _qubit_distribution(_coherence(rho10, rho10, spec, t))
 
 
-def excited_population(params: AtomicCoherentParams, spec: DissipativeBathSpec, t: float) -> float:
-    """Population of the upper level, p(+1/2, t)."""
+def excited_population(params: AtomicCoherentParams, spec: DissipativeBathSpec, t):
+    """Population of the upper level, p(+1/2, t); an array of t gives the
+    array of populations, one per entry."""
     s2 = math.sin(params.alpha_p / 2.0) ** 2
     return _population(s2, math.cos(params.alpha_p / 2.0) ** 2, spec, t)

@@ -57,18 +57,26 @@ class PhaseDistribution(_PhaseDistributionFields):
         return np.fft.ifft(folded).real * n
 
 
-def distribution_from_fourier(a: np.ndarray) -> PhaseDistribution:
+def distribution_from_fourier(a: np.ndarray):
     """P(phi) = Re sum_{j,k} a[j,k] e^{i(k-j) phi}.
 
     bincount sums each of the 2 dim - 1 diagonals d = k - j of a, which are
     the coefficients c_d, d = 1 - dim..dim - 1; one dim x dim index array is
-    the only intermediate.
+    the only intermediate.  A stack of matrices a[..., j, k] gives a 2-d
+    array instead, one row of coefficients per matrix, from one bincount
+    whose bins are offset row by row; each bin sums its entries in the
+    order a single matrix would, so a row equals that matrix's P bit for bit.
     """
     a = np.asarray(a)
-    dim = a.shape[0]
+    dim = a.shape[-1]
     idx = np.arange(dim)
     diagonal = ((idx + dim - 1)[None, :] - idx[:, None]).ravel()  # k - j + dim - 1
-    return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1))
+    if a.ndim == 2:
+        return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1))
+    rows = a.size // (dim * dim)
+    index = (np.arange(rows)[:, None] * (2 * dim - 1) + diagonal).ravel()
+    coeffs = _bincount_complex(index, a.ravel(), rows * (2 * dim - 1))
+    return coeffs.reshape(rows, 2 * dim - 1)
 
 
 def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -82,11 +90,14 @@ def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
     return np.correlate(v, v, "full")[::-1]
 
 
-def distribution_from_harmonics(harmonics) -> PhaseDistribution:
+def distribution_from_harmonics(harmonics):
     """The real P(phi) with the coefficients c_0..c_D given and
-    c_{-d} = conj(c_d)."""
+    c_{-d} = conj(c_d).  A 2-d array of them, one row per P, gives the rows
+    c_{-D}..c_D instead, as a 2-d array."""
     c = np.asarray(harmonics, dtype=complex)
-    return PhaseDistribution(np.concatenate([c[:0:-1].conj(), c]))
+    if c.ndim == 1:
+        return PhaseDistribution(np.concatenate([c[:0:-1].conj(), c]))
+    return np.concatenate([c[:, :0:-1].conj(), c], axis=1)
 
 
 def distribution_from_samples(values: np.ndarray) -> PhaseDistribution:

@@ -3,6 +3,8 @@ and spin guards."""
 
 import cmath
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain where a formula is defined."""
@@ -20,9 +22,17 @@ def check_finite(**values) -> None:
             raise ValueError(f"{name} = {value} must be finite")
 
 
-def check_time(t: float) -> None:
-    """Evolution runs forward only: raise unless t is finite and >= 0."""
-    check_finite(t=t)
+def check_time(t) -> None:
+    """Evolution runs forward only: raise unless t is finite and >= 0.  An
+    array of t is checked in one pass, and a refusal names its first entry
+    at fault."""
+    if isinstance(t, np.ndarray):
+        if not (np.isfinite(t).all() and (t >= 0).all()):
+            for value in t.ravel().tolist():
+                check_time(value)
+        return
+    if not cmath.isfinite(t):
+        raise ValueError(f"t = {t} must be finite")
     if t < 0:
         raise DomainError(f"t = {t} must be nonnegative")
 

@@ -4,15 +4,22 @@ Each scenario fig1..fig10 reproduces one figure-style data set as columns
 over a shared abscissa (angle, time, or swept parameter).  A point model
 maps (params, cutoff) to one phase distribution; the figures and the
 `sweep` command's families (SWEEP_FAMILIES) run the same point models
-through one loop, `evaluate`.  Under dephasing the bath's r, a and T reach
-P only through gamma(t), so `evaluate` hands each dephasing model a whole
-group of runs that differ only in those three, as arrays: one gamma-free
-coefficient build, one array of gamma(t) and one broadcast damping per
-group.  The caller passes down the Fourier degree it reads: 1 for a
-dispersion, all for a distribution.  The dissipative models run one point
-at a time.  The angular grid enters only where P is written as samples
-(`_sampled_figure`), which audits the Riemann sum of those samples; a
-dispersion audits the exact integral and needs no grid.  Everything is
+through one grouping, `_evaluate_groups`.  A grouped model
+(GROUPED_MODELS) takes a whole group of runs that differ only in the
+settings it lists, as arrays, and returns one row of coefficients per run:
+under dephasing the bath's r, a and T reach P only through gamma(t), so a
+group makes one array of gamma(t) and one broadcast damping, and the atoms'
+Theta or zeta give one stacked gamma-free build; the dissipative qubit
+takes its baths' r and T.  fig6 is one group of 164 runs, fig7 two (the
+unitary curve and the three T curves).  The caller passes down the Fourier
+degree it reads: 1 for a dispersion, all for a distribution.  The
+dissipative oscillator runs one point at a time.
+
+A distribution figure samples each P (`_sampled_figure`), which audits the
+Riemann sum of those samples.  A dispersion figure keeps no P: it stacks
+each run's c_{-1}, c_0 and c_1 into one block and reads every dispersion,
+and audits every exact integral, from that block in one step
+(`phase_stats.dispersions`); it needs no grid.  Everything is
 deterministic; there is no randomness anywhere.
 """
 
@@ -33,7 +40,7 @@ from .dissipative_qubit import (
     qubit_spec,
 )
 from .errors import check_time
-from .phase_stats import audit_normalization, dispersion
+from .phase_stats import audit_normalization, degree_one, dispersions
 from .qnd_phase import (
     AtomicCoherentParams,
     AtomicSqueezedParams,
@@ -50,14 +57,19 @@ MAX_POINTS = 10**6
 
 
 class FigureData(NamedTuple):
+    """One figure's CSV columns over x, and what they were read from: a
+    distribution figure's (label, P) per run, or a dispersion figure's
+    (runs, 3) complex block of each run's c_{-1}, c_0 and c_1, one row per
+    run, curve by curve (the rows of curve c are c * len(x) onwards)."""
+
     scenario: str
     x_name: str
     x: np.ndarray
     columns: tuple[tuple[str, np.ndarray], ...]
     params: Mapping[str, float]
     notes: tuple[str, ...] = ()
-    # (label, P) per run; a dephasing dispersion figure keeps P to degree 1, all D reads
     distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
+    coefficients: np.ndarray | None = None
 
 
 class Scenario(NamedTuple):
@@ -87,9 +99,9 @@ def _kernels(p: Mapping[str, float]):
 
 # --- point models: (params, cutoff) -> one PhaseDistribution ---
 #
-# The dephasing models also take the degree their caller reads and accept the
-# bath settings r, a and T as arrays over a group of runs; they then return one
-# row of coefficients per run (see evaluate).
+# The grouped models also take the degree their caller reads and accept the
+# settings GROUPED_MODELS lists as arrays over a group of runs; they then
+# return one row of coefficients per run (see _evaluate_groups).
 
 
 def _qnd_atoms(p, cutoff, degree=None):
@@ -111,9 +123,17 @@ def _qnd_qubit(p, cutoff, degree=None):
     return phase_dist_coherent_halfspin(state, p["omega"], p["t"], ga)
 
 
-def _dissipative_qubit(p, cutoff):
-    spec = qubit_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
+def _dissipative_qubit(p, cutoff, degree=None):
+    """The dissipative qubit from an atomic coherent start; r and T as arrays
+    give one bath per entry, each built and checked by qubit_spec."""
     state = AtomicCoherentParams(p["alpha_p"], p["beta_p"])
+    r, T = p["r"], p["T"]
+    if isinstance(r, np.ndarray) or isinstance(T, np.ndarray):
+        r, T = np.broadcast_arrays(r, T)
+        spec = [qubit_spec(p["omega"], p["gamma0"], r_k, p["Phi"], T_k)
+                for r_k, T_k in zip(r.tolist(), T.tolist())]
+    else:
+        spec = qubit_spec(p["omega"], p["gamma0"], r, p["Phi"], T)
     return phase_dist_qubit_coherent(state, spec, p["t"])
 
 
@@ -137,43 +157,80 @@ def _dissipative_oscillator(p, cutoff):
     return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
 
 
-DEPHASING_MODELS = (_qnd_atoms, _qnd_atoms_zeta, _qnd_qubit, _qnd_oscillator)
+# the settings each grouped model takes as arrays over a group of runs; a run
+# of any other model is evaluated alone
+GROUPED_MODELS = {
+    _qnd_atoms: frozenset(BATH_KEYS + ("Theta",)),
+    _qnd_atoms_zeta: frozenset(BATH_KEYS + ("zeta",)),
+    _qnd_qubit: frozenset(BATH_KEYS),
+    _qnd_oscillator: frozenset(BATH_KEYS),
+    _dissipative_qubit: frozenset(("r", "T")),
+}
+
+
+def _evaluate_groups(point, params, overrides, cutoff, degree):
+    """The point model at {**params, **o} for each o in overrides, to degree
+    (1 where the caller reads only a dispersion; None for all): one output
+    per group, and each group's runs, by index, in the order of its first.
+
+    A grouped model is called once per group: the runs that set the same
+    settings, in the same order as the runs of one figure or sweep do, some
+    of them settings GROUPED_MODELS lists for it, and agree on all others.
+    Each listed setting that differs between a group's runs is passed as an
+    array, one entry per run, and the model returns a 2-d array, one row of
+    coefficients per run; a setting that does not differ, and every setting
+    of a group of one, stays a plain value, which is faster, and the model
+    returns one P.  Any other model, and a run that sets none of the listed
+    settings, is called once per run, the other models for all their
+    coefficients.
+
+    If a group is refused, every run is evaluated alone, in run order, so
+    that the refusal is that of the first run at fault."""
+    varying = GROUPED_MODELS.get(point, frozenset())
+    groups: dict = {}
+    for i, o in enumerate(overrides):
+        if varying.isdisjoint(o):
+            key = i
+        else:  # a listed setting by its name only, any other with its value
+            key = tuple([x[0] if x[0] in varying else x for x in o.items()])
+        groups.setdefault(key, []).append(i)
+    args = (cutoff, degree) if varying else (cutoff,)
+    try:
+        outputs = [point(_group_params(params, overrides, runs, varying), *args)
+                   for runs in groups.values()]
+    except (ValueError, ArithmeticError, RuntimeError):
+        if len(groups) < len(overrides):
+            for o in overrides:
+                point({**params, **o}, *args)
+        raise
+    return outputs, groups.values()
+
+
+def _group_params(params, overrides, runs, varying):
+    """The settings of the group of runs (indices into overrides): its first
+    run's, with each setting in varying that differs between them as an
+    array over them."""
+    p = {**params, **overrides[runs[0]]}
+    if len(runs) > 1:
+        for k in varying.intersection(overrides[runs[0]]):
+            column = [overrides[i][k] for i in runs]
+            if column.count(column[0]) < len(column):
+                p[k] = np.array(column)
+    return p
 
 
 def evaluate(point, params, runs, cutoff, degree=None):
     """Yield (label, P) for each (label, overrides) in runs, in run order,
-    where P is the point model at {**params, **overrides}.
-
-    A dephasing model is called once per group: the runs whose overrides
-    agree on every setting but the bath's r, a and T, which reach P only
-    through gamma(t).  The group shares one gamma-free coefficient build
-    and gets one array of gamma(t) and one broadcast damping, to degree
-    (1 where the caller reads only a dispersion; None for all).  Any other
-    model is called once per run, one run at a time."""
-    if point not in DEPHASING_MODELS:
-        for label, overrides in runs:
-            yield label, point({**params, **overrides}, cutoff)
-        return
-    # each run's place, (label, group key, row); a group's key is its runs'
-    # overrides but the bath's, in their given order, which the runs of one
-    # figure or sweep share
-    groups: dict[tuple, list[dict]] = {}
-    places = []
-    for label, overrides in runs:
-        key = tuple(item for item in overrides.items() if item[0] not in BATH_KEYS)
-        members = groups.setdefault(key, [])
-        places.append((label, key, len(members)))
-        members.append(overrides)
-    results = {}
-    for key, members in groups.items():
-        p = {**params, **members[0]}
-        if len(members) > 1:  # a group of one keeps plain values, which are faster
-            bath = [[o.get(k, params.get(k, 0.0)) for k in BATH_KEYS] for o in members]
-            p.update(zip(BATH_KEYS, np.array(bath).T))
-        results[key] = point(p, cutoff, degree)
-    for label, key, row in places:
-        out = results[key]
-        yield label, out if isinstance(out, PhaseDistribution) else PhaseDistribution(out[row])
+    where P is the point model at {**params, **overrides} to degree, from
+    the groups of _evaluate_groups."""
+    runs = list(runs)
+    outputs, groups = _evaluate_groups(point, params, [o for _, o in runs], cutoff, degree)
+    dists = [None] * len(runs)
+    for out, members in zip(outputs, groups):
+        for row, i in enumerate(members):
+            dists[i] = out if isinstance(out, PhaseDistribution) else PhaseDistribution(out[row])
+    for (label, _), p in zip(runs, dists):
+        yield label, p
 
 
 def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureData:
@@ -193,17 +250,20 @@ def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureDa
 
 def dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs.
-    Its distributions are evaluated to degree 1, all that a dispersion
-    reads, so a dephasing curve keeps only c_0 and c_{+-1} of each."""
-    runs = [
-        (f"{label} {x_name}={x:g}", {**overrides, x_name: x})
-        for label, overrides in curves
-        for x in xs
-    ]
-    dists = tuple(evaluate(point, params, runs, cutoff, degree=1))
-    d = np.array([dispersion(p) for _, p in dists]).reshape(len(curves), len(xs))
+    Every run is evaluated to degree 1, all that a dispersion reads, and its
+    c_{-1}, c_0 and c_1 are one row of the figure's block, curve by curve,
+    from which every dispersion is read, and every integral audited, in one
+    step; the first run at fault, in run order, is refused."""
+    overrides = [{**o, x_name: x} for _, o in curves for x in xs]
+    outputs, groups = _evaluate_groups(point, params, overrides, cutoff, 1)
+    block = np.empty((len(overrides), 3), dtype=complex)
+    for out, members in zip(outputs, groups):
+        rows = degree_one(out.coeffs if isinstance(out, PhaseDistribution) else out)
+        # a group of one takes a basic index, several times cheaper than a list
+        block[members if len(members) > 1 else members[0]] = rows
+    d = dispersions(block).reshape(len(curves), len(xs))
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
-    return FigureData(scenario, x_name, np.array(xs), columns, params, (), dists)
+    return FigureData(scenario, x_name, np.array(xs), columns, params, (), (), block)
 
 
 def _temperature_curves(*temps):
@@ -257,7 +317,7 @@ def _build_fig3(params, grid, cutoff):
         ("T=0 gamma0=0.025 r=1", 1.0, 0.0, 0.025),
     ]:
         spec = qubit_spec(params["omega"], g0, r, params["Phi"], T)
-        columns.append((label, np.array([excited_population(state, spec, t) for t in times])))
+        columns.append((label, excited_population(state, spec, times)))
     return FigureData("fig3", "t", times, tuple(columns), params)
 
 

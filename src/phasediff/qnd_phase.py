@@ -30,17 +30,21 @@ over 2 pi.  The closed forms damp their gamma-free harmonics the same way.
 gamma_t may be one gamma(t) or a 1-d array of them: the runs of a sweep that
 differ only in r, T and a (figures.evaluate groups them) then share one c0
 and are damped by one broadcast exponential, one row of coefficients per
-entry.  c0 is built once per call and not cached: the group already shares
-it.  A caller that reads only a dispersion passes degree = 1, and only c_0
-and c_{+-1} are damped; the oscillator then asks ket_autocorrelation for
-only its three central lags, in O(cutoff) time, instead of the full
-O(cutoff^2) autocorrelation.  Three parts of an initial state are cached,
-since runs in different groups reuse them: the atoms' Wigner-d row
-(_wigner_row) and dipole weights (_dipole_weights), built once for all 36
-zetas of fig7, and the squeezed coherent ket
-(special_functions.squeezed_coherent_ket), built once for all points of a
-QND oscillator t or omega sweep.  Each is a bounded lru_cache of 8 entries
-whose arrays are read-only.
+entry.  The atomic squeezed start's Theta may be a 1-d array as well, one
+entry per run: its amplitudes are then one array with a row per distinct
+Theta, each row normalized on its own, and c0 one row per distinct Theta,
+from one bincount over the stacked u u^dag (distribution_from_fourier),
+which each run's gamma(t) damps.  c0 is built once per call and not cached:
+the group already shares it.  A caller
+that reads only a dispersion passes degree = 1, and only c_0 and c_{+-1}
+are damped; the oscillator then asks ket_autocorrelation for only its three
+central lags, in O(cutoff) time, instead of the full O(cutoff^2)
+autocorrelation.  Three parts of an initial state are cached, since runs in
+different groups and calls reuse them: the atoms' Wigner-d row (_wigner_row)
+and dipole weights (_dipole_weights), built once per (j, p), and the
+squeezed coherent ket (special_functions.squeezed_coherent_ket), built once
+for all points of a QND oscillator t or omega sweep.  Each is a bounded
+lru_cache of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ class AtomicSqueezedParams(_AtomicSqueezedFields):
 
     Theta = (1/2) ln tanh(2 zeta) for squeezing strength zeta > 0.  The
     labels are checked once, here, and kept exact as tj = 2j and tp = 2p.
+    Theta may be a 1-d numpy array, one state per entry, each entry checked.
     """
 
     __slots__ = ()
@@ -107,7 +112,8 @@ class AtomicSqueezedParams(_AtomicSqueezedFields):
     def __new__(cls, j, p, Theta):
         tj = twice_spin("j", j)
         tp = twice_spin("p", p, tj)
-        if not math.isfinite(Theta):
+        thetas = Theta.tolist() if isinstance(Theta, np.ndarray) else (Theta,)
+        if not all(map(math.isfinite, thetas)):
             raise ValueError("Theta must be finite")
         return super().__new__(cls, j, p, Theta, tj, tp)
 
@@ -115,10 +121,18 @@ class AtomicSqueezedParams(_AtomicSqueezedFields):
         return self[:3]  # copy and pickle rebuild from the three inputs
 
     @classmethod
-    def from_zeta(cls, j, p, zeta: float) -> "AtomicSqueezedParams":
-        if zeta <= 0:
-            raise ValueError(f"zeta = {zeta} must be positive")
-        return cls(j, p, 0.5 * math.log(math.tanh(2 * zeta)))
+    def from_zeta(cls, j, p, zeta) -> "AtomicSqueezedParams":
+        """The state of squeezing strength zeta; a numpy array of zeta gives
+        the array of their Theta, taken entry by entry."""
+        if isinstance(zeta, np.ndarray):
+            return cls(j, p, np.array([_theta_of_zeta(z) for z in zeta.tolist()]))
+        return cls(j, p, _theta_of_zeta(zeta))
+
+
+def _theta_of_zeta(zeta: float) -> float:
+    if zeta <= 0:
+        raise ValueError(f"zeta = {zeta} must be positive")
+    return 0.5 * math.log(math.tanh(2 * zeta))
 
 
 def atomic_coherent_amplitudes(params: AtomicCoherentParams, j) -> np.ndarray:
@@ -147,13 +161,16 @@ def _wigner_row(tj: int, tp: int) -> np.ndarray:
 
 
 def atomic_squeezed_amplitudes(params: AtomicSqueezedParams) -> np.ndarray:
-    """Amplitudes a_n = A_p e^{n Theta} d^j_{n,p}(pi/2), normalized."""
-    tj = params.tj
+    """Amplitudes a_n = A_p e^{n Theta} d^j_{n,p}(pi/2), normalized; an
+    array of Theta gives one row per entry, each normalized on its own."""
+    tj, thetas = params.tj, np.ravel(params.Theta).tolist()
     try:
-        amps = np.array([math.exp(tn / 2.0 * params.Theta) for tn in range(-tj, tj + 1, 2)])
+        # e^{n Theta} by math.exp, entry by entry: numpy's exp may round otherwise
+        exps = [[math.exp(tn / 2.0 * theta) for tn in range(-tj, tj + 1, 2)] for theta in thetas]
+        amps = np.array(exps).reshape(np.shape(params.Theta) + (tj + 1,))
         amps *= _wigner_row(tj, params.tp)
         with np.errstate(over="raise"):
-            return amps / math.sqrt(np.sum(amps**2))
+            return amps / np.sqrt(np.sum(amps**2, axis=-1, keepdims=True))
     except (OverflowError, FloatingPointError):  # e^{n Theta}, a_n^2 or their sum
         raise ValueError(
             f"Theta = {params.Theta} with j = {tj / 2:g}: the squeezed amplitudes "
@@ -217,7 +234,13 @@ def _dipole_weights(tj: int) -> np.ndarray:
 def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
     """Angle marginal P(phi) of the atomic Q-function of a Dicke-basis
     density matrix, via the exact Beta-function polar integral."""
-    dim = _dicke_dim(rho)
+    return _atomic_fourier(rho, _dicke_dim(rho))
+
+
+def _atomic_fourier(rho: np.ndarray, dim: int):
+    """phase_distribution_atomic of rho, (dim, dim), or of each matrix of a
+    (k, dim, dim) stack, one row of coefficients per matrix as
+    distribution_from_fourier gives them."""
     if dim - 1 > MAX_TWICE_J:
         raise ValueError(
             f"j = {(dim - 1) / 2:g} of a {dim} x {dim} Dicke matrix exceeds "
@@ -226,7 +249,7 @@ def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
     weighted = rho * _dipole_weights(dim - 1)
     pref = dim / (4.0 * math.pi)  # (2j+1)/4pi
     # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
-    return distribution_from_fourier(pref * weighted.T)
+    return distribution_from_fourier(pref * np.swapaxes(weighted, -1, -2))
 
 
 def _omega_sq(omega: float) -> float:
@@ -257,11 +280,13 @@ def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
 
     Only the harmonics up to degree are kept (all of c0 by default), so a
     caller that reads c_0 and c_{+-1} passes 1.  gamma_t is one gamma(t),
-    which gives one PhaseDistribution, or a 1-d array of them, which gives
-    a 2-d array from one broadcast exponential: row k holds the coefficients
-    of P at gamma_t[k].  An exponent past the double range is refused by
-    name, before numpy could warn or make inf * 0 = nan at d = 0."""
-    full = len(c0) // 2
+    which with one row c0 gives one PhaseDistribution, or a 1-d array of
+    them, which gives a 2-d array from one broadcast exponential: row k holds
+    the coefficients of P at gamma_t[k].  c0 may itself be a 2-d array of
+    rows, one per run, which gamma_t damps row by row.  An exponent past the
+    double range is refused by name, before numpy could warn or make
+    inf * 0 = nan at d = 0."""
+    full = c0.shape[-1] // 2
     degree = full if degree is None else min(degree, full)
     w2, gamma = _omega_sq(omega), np.asarray(gamma_t, dtype=float)
     worst = float(gamma.flat[np.argmax(np.abs(gamma))]) if gamma.ndim else float(gamma)
@@ -270,10 +295,10 @@ def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
             f"omega = {omega}: the damping omega^2 gamma(t) d^2 overflows a double at "
             f"gamma(t) = {worst}, d = {degree}; lower omega"
         )
-    rows = c0[full - degree : full + degree + 1] * np.exp(
+    rows = c0[..., full - degree : full + degree + 1] * np.exp(
         np.multiply.outer(-w2 * gamma, np.arange(-degree, degree + 1) ** 2)
     )
-    return PhaseDistribution(rows) if gamma.ndim == 0 else rows
+    return PhaseDistribution(rows) if rows.ndim == 1 else rows
 
 
 def phase_dist_atomic_squeezed(
@@ -282,15 +307,28 @@ def phase_dist_atomic_squeezed(
 ):
     """P(phi) of a dephased atomic squeezed state: the gamma-free
     coefficients c0, which the bath's r, a and T never reach, damped to the
-    given degree; an array gamma_t gives one row of coefficients per entry,
-    as in _damped.  The state is pure and the gamma-free propagator
-    factorizes, so c0 is that of u u^dag with
-    u_m = a_m e^{i(w^2 eta m^2 - w t m)}."""
-    amps = atomic_squeezed_amplitudes(state)
-    m = np.arange(len(amps)) - (len(amps) - 1) / 2.0
-    u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
-    c0 = phase_distribution_atomic(np.outer(u, u.conj())).coeffs
+    given degree; an array gamma_t, or an array state.Theta, gives one row
+    of coefficients per entry, as in _damped, and both arrays are one entry
+    per run.  The state is pure and the gamma-free propagator factorizes, so
+    c0 is that of u u^dag with u_m = a_m e^{i(w^2 eta m^2 - w t m)}; it is
+    built once per distinct Theta."""
+    if isinstance(state.Theta, np.ndarray):
+        thetas, rows = np.unique(state.Theta, return_inverse=True)
+        c0 = _gamma_free_atoms(state._replace(Theta=thetas), omega, t, eta_t)[rows]
+    else:
+        c0 = _gamma_free_atoms(state, omega, t, eta_t)
     return _damped(c0, omega, gamma_t, degree)
+
+
+def _gamma_free_atoms(state: AtomicSqueezedParams, omega: float, t: float, eta_t: float):
+    """c0 of u u^dag (phase_dist_atomic_squeezed), one row per entry of an
+    array Theta."""
+    amps = atomic_squeezed_amplitudes(state)
+    dim = amps.shape[-1]
+    m = np.arange(dim) - (dim - 1) / 2.0
+    u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
+    rho = u[..., :, None] * u[..., None, :].conj()
+    return _atomic_fourier(rho, dim) if u.ndim > 1 else phase_distribution_atomic(rho).coeffs
 
 
 def _coherent_rho10(params: AtomicCoherentParams) -> complex:
@@ -311,8 +349,12 @@ def _squeezed_rho10(Theta: float, p_sign: float) -> float:
     return math.copysign(_half_sech(Theta), p_sign)
 
 
-def _qubit_distribution(rho10: complex) -> PhaseDistribution:
-    """P(phi) of a two-level atom: the j = 1/2 Beta weight leaves h_1 = (pi/4) rho[1, 0]."""
+def _qubit_distribution(rho10):
+    """P(phi) of a two-level atom: the j = 1/2 Beta weight leaves h_1 = (pi/4) rho[1, 0].
+    A list of rho10 gives one row (c_{-1}, c_0, c_1) per entry, as a 2-d array."""
+    if isinstance(rho10, list):
+        table = np.array([(1.0, (math.pi / 4.0) * r) for r in rho10])
+        return distribution_from_harmonics(table / (2.0 * math.pi))
     return _closed_form(((math.pi / 4.0) * rho10,))
 
 

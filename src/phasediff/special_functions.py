@@ -82,6 +82,8 @@ def gaussian_recurrence(
     """x_n, n < cutoff, from x_0 = start and the normalized three-term
     recurrence of a Gaussian ket's Fock amplitudes,
     x_{n+1} = (first x_n + second sqrt(n) x_{n-1}) / sqrt(n+1)."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff = {cutoff} must be positive")
     cur, prev = complex(start), 0j
     amps = [cur]
     for n in range(cutoff - 1):

@@ -66,6 +66,9 @@ def test_criterion_01_normalization_all_scenarios():
         worst = 0.0
         for _label, p in fd.distributions:
             worst = max(worst, abs(integrate_distribution(p) - 1.0))
+        # a dispersion figure keeps each run's c_{-1}, c_0, c_1 as a block row
+        for row in () if fd.coefficients is None else fd.coefficients:
+            worst = max(worst, abs(integrate_distribution(PhaseDistribution(row)) - 1.0))
         checks.append((name, worst <= 1e-8, f"worst normalization error {worst:.3e}"))
     _report(1, "all scenario distributions integrate to 1 within 1e-8", checks)
 

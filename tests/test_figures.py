@@ -7,6 +7,8 @@ import pytest
 from phasediff import figures
 from phasediff.cli import read_config_file
 from phasediff.dissipative_oscillator import oscillator_spec
+from phasediff.dissipative_qubit import excited_population, qubit_spec
+from phasediff.distribution import PhaseDistribution
 from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, evaluate, run_figure
 from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
@@ -122,17 +124,17 @@ def test_unitary_curves_are_the_undamped_evolution():
 
 
 def test_dispersion_figure_keeps_its_curves_in_order():
-    # the runs are evaluated in groups that differ only in the bath, but the
-    # columns and distributions stay curve by curve
+    # the runs are evaluated in two groups, the unitary curve and the three
+    # T curves together, but the columns and the block's rows stay curve by
+    # curve
     fd = run_figure("fig7")
     labels = [label for label, _ in fd.columns]
     assert labels == ["unitary", "T=0", "T=50", "T=100"]
-    assert [label for label, _ in fd.distributions] == [
-        f"{label} zeta={x:g}" for label in labels for x in fd.x
-    ]
+    assert fd.distributions == ()
+    assert fd.coefficients.shape == (len(labels) * len(fd.x), 3)
     for c, (_label, column) in enumerate(fd.columns):
-        dists = fd.distributions[c * len(fd.x):(c + 1) * len(fd.x)]
-        assert np.array_equal(column, [dispersion(p) for _, p in dists])
+        rows = fd.coefficients[c * len(fd.x):(c + 1) * len(fd.x)]
+        assert np.array_equal(column, [dispersion(PhaseDistribution(row)) for row in rows])
 
 
 def _central(p, degree):
@@ -142,17 +144,19 @@ def _central(p, degree):
 
 
 def _one_at_a_time(monkeypatch):
-    """evaluate as it treats a dissipative model: one run per call, every
-    harmonic, the bath as plain values."""
-    monkeypatch.setattr(figures, "DEPHASING_MODELS", ())
+    """evaluate as it treats a dissipative oscillator: one run per call,
+    every harmonic, every setting as a plain value."""
+    monkeypatch.setattr(figures, "GROUPED_MODELS", {})
 
 
-@pytest.mark.parametrize("fig", ["fig1", "fig6", "fig7", "fig8", "fig10"])
+@pytest.mark.parametrize("fig", ["fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10"])
 def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
     # fig6 mixes T = 0 and T > 0 in one group; fig7 and fig8 have unitary
-    # (gamma0 = 0) curves; a dispersion figure reads degree 1 only.  A group
-    # takes each bath's gamma by the arithmetic of a run alone, so the two
-    # agree exactly
+    # (gamma0 = 0) curves, and fig7's T curves vary zeta and T in one group;
+    # fig2 and fig9 group the dissipative qubit's baths; a dispersion figure
+    # reads degree 1 only.  A group takes each bath's gamma, each Theta's
+    # amplitudes and each qubit bath's coherence by the arithmetic of a run
+    # alone, so the two agree exactly
     grouped = run_figure(fig)
     _one_at_a_time(monkeypatch)
     single = run_figure(fig)
@@ -160,9 +164,10 @@ def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
         label for label, _ in single.distributions
     ]
     for (_, p), (_, q) in zip(grouped.distributions, single.distributions):
-        degree = len(p.coeffs) // 2
-        assert degree == (1 if fig != "fig1" else len(q.coeffs) // 2)
-        assert np.array_equal(p.coeffs, _central(q, degree))
+        assert np.array_equal(p.coeffs, q.coeffs)
+    if grouped.coefficients is not None:
+        assert grouped.coefficients.shape == single.coefficients.shape
+        assert np.array_equal(grouped.coefficients, single.coefficients)
     for (label, col), (label_single, col_single) in zip(grouped.columns, single.columns):
         assert label == label_single
         assert np.array_equal(col, col_single)
@@ -178,10 +183,11 @@ SWEEPS = [
 
 
 @pytest.mark.parametrize("degree", [1, None])
-@pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
+@pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator", "dissipative-qubit"])
 @pytest.mark.parametrize("param, values, sets", SWEEPS, ids=["r", "T", "a", "t", "unitary"])
 def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, values, sets,
                                                  degree):
+    # the dissipative qubit has no a, whose runs then differ in nothing it reads
     point, defaults = SWEEP_FAMILIES[family]
     params = {**defaults, **sets}
     runs = [(f"{param}={x:g}", {param: float(x)}) for x in values]
@@ -222,6 +228,98 @@ def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family,
     assert type(group.value) is type(alone.value)
     assert str(group.value) == str(alone.value)
     assert f"{param} = {values[bad]}" in str(alone.value) or "2a = 1.2" in str(alone.value)
+
+
+@pytest.mark.parametrize("param, values", [
+    ("T", [0.0, 50.0, -1.0, 100.0]),
+    ("r", [0.0, 25.0, 1.0]),
+    ("T", [0.0, 1e300, 5.0]),
+], ids=["T<0", "tanh-r", "N-overflow"])
+def test_a_refusal_inside_a_qubit_bath_group_is_the_single_run_refusal(monkeypatch, param,
+                                                                     values):
+    # each bath of a dissipative-qubit group is built by qubit_spec, which
+    # refuses the first bath at fault as that run alone does
+    point, defaults = SWEEP_FAMILIES["dissipative-qubit"]
+    runs = [(f"{param}={x:g}", {param: x}) for x in values]
+    bad = 1 if values[1] in (25.0, 1e300) else 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as group:
+            list(evaluate(point, defaults, runs, None, 1))
+        _one_at_a_time(monkeypatch)
+        with pytest.raises(ValueError) as alone:
+            list(evaluate(point, defaults, runs[bad : bad + 1], None, 1))
+    assert type(group.value) is type(alone.value)
+    assert str(group.value) == str(alone.value)
+    assert f"{param} = {values[bad]}" in str(alone.value)
+
+
+@pytest.mark.parametrize("runs, bad, message", [
+    ([{"a": -0.5}, {"T": -1.0}], 0, "a = -0.5 must be nonnegative"),
+    ([{"t": 1.0, "r": 0.0}, {"t": 2.0, "T": -1.0}, {"t": 1.0, "a": 0.6}], 1,
+     "T = -1.0 must be nonnegative"),
+    ([{"a": -0.5, "T": 0.0}, {"a": 0.0, "T": -1.0}], 0, "a = -0.5 must be nonnegative"),
+    ([{"t": 1.0, "a": 0.0}, {"t": 2.0, "a": -0.5}, {"t": 1.0, "a": 0.6}], 1,
+     "a = -0.5 must be nonnegative"),
+], ids=["field-order", "group-order", "field-order-one-group", "group-order-two-groups"])
+def test_a_refusing_group_names_the_first_run_at_fault(runs, bad, message):
+    # the bath's checks go field by field (T before a) and the groups are
+    # taken in the order of their first run (t = 1 before t = 2); the last
+    # two cases put the runs at fault in groups that refuse another run
+    # first.  A refused group is evaluated again run by run, so the refusal
+    # is the first bad run's own, with no RuntimeWarning from the grouped
+    # attempt
+    point, defaults = SWEEP_FAMILIES["qnd-qubit"]
+    labelled = [(str(i), o) for i, o in enumerate(runs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(evaluate(point, defaults, labelled, None, 1))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(evaluate(point, defaults, labelled[bad : bad + 1], None, 1))
+
+
+def test_fig7_groups_zeta_and_the_bath_in_two_groups(monkeypatch):
+    # the unitary curve and the three T curves are one group each
+    calls = []
+    model = figures._qnd_atoms_zeta
+
+    def counted(p, *args):
+        calls.append(np.shape(p["zeta"]))
+        return model(p, *args)
+
+    monkeypatch.setitem(figures.GROUPED_MODELS, counted, figures.GROUPED_MODELS[model])
+    monkeypatch.setattr(figures, "_qnd_atoms_zeta", counted)
+    run_figure("fig7")
+    assert calls == [(36,), (108,)]
+
+
+def test_fig3_population_over_a_time_array_is_the_scalar_population():
+    # each curve is one call over all 501 times; its exponentials are taken
+    # entry by entry in math, so every entry is the scalar population's value
+    # to the bit, well within the 1e-15 relative the CSV could tolerate
+    params = SCENARIOS["fig3"].defaults
+    fd = run_figure("fig3")
+    state = figures.AtomicCoherentParams(params["alpha_p"], params["beta_p"])
+    curves = [(0.0, 100.0, 0.0025), (0.0, 0.0, 0.025), (1.0, 0.0, 0.025)]
+    assert len(fd.columns) * len(fd.x) == 1503
+    for (_label, column), (r, T, g0) in zip(fd.columns, curves, strict=True):
+        spec = qubit_spec(params["omega"], g0, r, params["Phi"], T)
+        scalar = np.array([excited_population(state, spec, t) for t in fd.x.tolist()])
+        assert np.all(np.abs(column - scalar) <= 1e-15 * np.abs(scalar))
+        assert np.array_equal(column, scalar)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 1.0, -2.0, -3.0], "t = -2.0 must be nonnegative"),
+    ([0.0, math.nan, -1.0], "t = nan must be finite"),
+    ([0.0, 1.0, math.inf], "t = inf must be finite"),
+], ids=["negative", "nan", "inf"])
+def test_population_over_a_time_array_names_its_first_bad_time(times, message):
+    state = figures.AtomicCoherentParams(0.5, 0.5)
+    spec = qubit_spec(1.0, 0.025, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        excited_population(state, spec, np.array(times))
 
 
 @pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasediff import phase_stats
 from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
 from phasediff.phase_stats import (
     audit_normalization,
@@ -101,7 +102,7 @@ def _samples(coeffs, n):
 
 @pytest.mark.parametrize("n", [8, 9, 720])
 @pytest.mark.parametrize("where", ["below N/2", "between N/2 and N", "at least N"])
-def test_coefficient_functionals_equal_the_sample_sums(n, where):
+def test_coefficient_functionals_equal_the_sample_sums(monkeypatch, n, where):
     # the functionals are the exact integrals, which the sample sums on any
     # grid finer than degree + 1 reproduce; the N-point audit is the
     # Riemann sum of the N samples, aliasing included
@@ -118,7 +119,9 @@ def test_coefficient_functionals_equal_the_sample_sums(n, where):
     # shift c_0 so that the N samples sum to exactly 1, then off by 2e-6
     c = coeffs.copy()
     c[degree] += (1.0 - np.sum(_samples(coeffs, n)) * (2.0 * math.pi / n)) / (2.0 * math.pi)
-    audit_normalization(PhaseDistribution(c), n, norm_tol=1e-13)
+    with monkeypatch.context() as m:
+        m.setattr(phase_stats, "NORM_TOL", 1e-13)
+        audit_normalization(PhaseDistribution(c), n)
     c[degree] += 2e-6 / (2.0 * math.pi)
     with pytest.raises(ValueError, match=f"on a grid of N = {n} points"):
         audit_normalization(PhaseDistribution(c), n)

@@ -243,12 +243,13 @@ def test_fig6_builds_the_atomic_initial_state_once(cold_caches, gamma_free_build
     assert _dipole_weights.cache_info().misses == 1
 
 
-def test_fig7_builds_one_gamma_free_state_per_zeta_and_eta(cold_caches, gamma_free_builds):
-    # each zeta is one initial state; its unitary curve has eta = 0 and its
-    # three temperature curves share one eta and form one group, so 36 x 2
-    # coefficient vectors are built, from one Wigner-d row and weight matrix
+def test_fig7_builds_one_gamma_free_state_per_group(cold_caches, gamma_free_builds):
+    # zeta varies within a group: the unitary curve (eta = 0) is one group and
+    # the three temperature curves, which share one eta, the other; each
+    # builds the coefficients of all its zetas at once, from one Wigner-d row
+    # and weight matrix
     run_figure("fig7")
-    assert len(gamma_free_builds) == 72
+    assert len(gamma_free_builds) == 2
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 

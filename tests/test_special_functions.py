@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from phasediff.special_functions import (
     beta_integral,
+    gaussian_recurrence,
     log_binomial,
     log_factorial,
     squeeze_matrix,
@@ -142,6 +143,15 @@ def test_squeezed_coherent_ket_prefix_is_the_smaller_cutoff_ket(r1, cutoff):
     full = squeezed_coherent_ket.__wrapped__(r1, 0.4, alpha, cutoff)
     short = squeezed_coherent_ket.__wrapped__(r1, 0.4, alpha, cutoff - 8)
     assert full[: cutoff - 8].tobytes() == short.tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_gaussian_recurrence_refuses_a_cutoff_below_one_by_name(cutoff):
+    # x_0 is written before the loop, so an empty ket would otherwise come
+    # back with one amplitude
+    with pytest.raises(ValueError, match=f"^cutoff = {cutoff} must be positive$"):
+        gaussian_recurrence(1.0, 0.5, -0.2, cutoff)
+    assert len(gaussian_recurrence(1.0, 0.5, -0.2, 1)) == 1
 
 
 def test_squeezed_coherent_ket_at_zero_squeezing_is_coherent():
