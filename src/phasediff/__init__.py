@@ -12,7 +12,7 @@ Units: hbar = k_B = 1 throughout.
 
 __version__ = "0.1.0"
 
-from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
+from .distribution import distribution_from_samples, phase_grid, samples
 from .bath_kernels import (
     QndBathSpec,
     DissipativeBathSpec,

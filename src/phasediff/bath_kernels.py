@@ -180,10 +180,9 @@ def _refuse_gamma(t, wc, f_t, f_a, scale, gamma, r, T, g0):
 
 
 def thermal_occupation(omega: float, T: float) -> float:
-    """Planck occupation 1/(e^{omega/T} - 1); zero at T = 0."""
-    check_finite(omega=omega, T=T)
-    if T < 0:
-        raise ValueError(f"T = {T} must be nonnegative")
+    """Planck occupation 1/(e^{omega/T} - 1); zero at T = 0.  omega and T
+    are a DissipativeBathSpec's, which checks them: finite, omega > 0 and
+    T >= 0."""
     if T == 0:
         return 0.0
     x = omega / T
@@ -224,6 +223,8 @@ class DissipativeBathSpec(_DissipativeBathFields):
             raise ValueError(f"gamma0 = {gamma0} must be nonnegative")
         if math.tanh(abs(r)) == 1.0:
             raise ValueError(f"r = {r}: tanh|r| rounds to 1; keep |r| below 19")
+        if T < 0:
+            raise ValueError(f"T = {T} must be nonnegative")
         n_th = thermal_occupation(omega, T)
         sh = math.sinh(r)
         n = n_th * (math.cosh(r) ** 2 + sh**2) + sh**2

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath_kernels import DissipativeBathSpec
-from .distribution import PhaseDistribution, ket_autocorrelation
+from .distribution import ket_autocorrelation
 from .errors import TruncationError, check_time
 from .special_functions import (
     gaussian_recurrence,
@@ -201,11 +201,12 @@ def phase_dist_osc_dissipative(
     eta0: complex,
     t: float,
     cutoff: int | None = None,
-) -> PhaseDistribution:
+) -> np.ndarray:
     """Phase distribution of the dissipative oscillator at time t.
 
-    Its coefficients are the diagonal sums c_d = sum_m rho_S[m, m+d] / 2pi
-    of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory.
+    Its coefficients, d = 1 - cutoff..cutoff - 1, are the diagonal sums
+    c_d = sum_m rho_S[m, m+d] / 2pi of rho_S[m, n] = rho[m, n]
+    e^{-i omega (m - n) t}, in O(cutoff) memory.
     Both branches form the interaction-picture sums sum_m rho[m, m+d]: at
     beta_tilde = 0 the autocorrelation of the bare ket, otherwise the rows
     of _density_rows added in as they come.  They are taken at the cutoff
@@ -248,4 +249,4 @@ def phase_dist_osc_dissipative(
             f"raise the Fock cutoff (--cutoff, currently {cutoff})"
         )
     free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
-    return PhaseDistribution(full * free / (2.0 * math.pi))
+    return full * free / (2.0 * math.pi)

@@ -39,7 +39,6 @@ import math
 import numpy as np
 
 from .bath_kernels import DissipativeBathSpec
-from .distribution import PhaseDistribution
 from .errors import check_time
 from .qnd_phase import AtomicCoherentParams, _coherent_rho10, _qubit_distribution, _squeezed_rho10
 
@@ -130,7 +129,7 @@ def phase_dist_qubit_coherent(params: AtomicCoherentParams, spec, t: float):
 
 def phase_dist_qubit_squeezed(
     Theta: float, p_sign: float, spec: DissipativeBathSpec, t: float
-) -> PhaseDistribution:
+) -> np.ndarray:
     """Closed-form phase distribution for an atomic squeezed initial state,
     p_sign = +1/2 or -1/2, whose coherence +-1/(2 cosh Theta) is real."""
     rho10 = _squeezed_rho10(Theta, p_sign)

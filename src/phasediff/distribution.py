@@ -1,19 +1,19 @@
 """Phase distributions as trigonometric polynomials.
 
-A PhaseDistribution holds the Fourier coefficients c_d, d = -D..D, of
+A phase distribution is the complex array of its Fourier coefficients c_d,
+d = -D..D, of
 
-    P(phi) = Re sum_d c_d e^{i d phi}
+    P(phi) = Re sum_d c_d e^{i d phi},
 
-and nothing else: the functionals in phase_stats read c_0 and c_{+-1}
+1-d for one P and 2-d, one row per P, for a group of them; the last axis is
+always c_{-D}..c_D.  The functionals in phase_stats read c_0 and c_{+-1}
 directly, so no evaluator takes an angular grid.  Only writing P as samples
 needs one, the N uniform angles phi_l = 2 pi l / N, l = 0..N-1 of
-phase_grid(N); samples(N) folds the coefficients mod N and applies one
-inverse FFT.
+phase_grid(N); samples(coeffs, N) folds the coefficients mod N and applies
+one inverse FFT.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,51 +32,35 @@ def phase_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 
-class _PhaseDistributionFields(NamedTuple):
-    coeffs: np.ndarray
+def samples(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """P(phi_l) at the n angles of phase_grid(n), from the coefficients
+    c_{-D}..c_D: on the grid e^{i d phi_l} depends only on d mod n, so the
+    coefficients are folded mod n and one inverse FFT evaluates them,
+    exactly also when the degree reaches n."""
+    _check_grid_size(n)
+    degree = len(coeffs) // 2
+    folded = _bincount_complex(np.arange(-degree, degree + 1) % n, coeffs, n)
+    return np.fft.ifft(folded).real * n
 
 
-class PhaseDistribution(_PhaseDistributionFields):
-    """P(phi) = Re sum_d coeffs[d + D] e^{i d phi}, d = -D..D."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 1 or len(coeffs) % 2 == 0:
-            raise ValueError("coeffs must be a 1-d array of odd length 2 D + 1")
-        return super().__new__(cls, coeffs)
-
-    def samples(self, n: int) -> np.ndarray:
-        """P(phi_l) at the n angles of phase_grid(n): on the grid e^{i d phi_l}
-        depends only on d mod n, so the coefficients are folded mod n and one
-        inverse FFT evaluates them, exactly also when the degree reaches n."""
-        _check_grid_size(n)
-        degree = len(self.coeffs) // 2
-        folded = _bincount_complex(np.arange(-degree, degree + 1) % n, self.coeffs, n)
-        return np.fft.ifft(folded).real * n
-
-
-def distribution_from_fourier(a: np.ndarray):
+def distribution_from_fourier(a: np.ndarray) -> np.ndarray:
     """P(phi) = Re sum_{j,k} a[j,k] e^{i(k-j) phi}.
 
     bincount sums each of the 2 dim - 1 diagonals d = k - j of a, which are
-    the coefficients c_d, d = 1 - dim..dim - 1; one dim x dim index array is
-    the only intermediate.  A stack of matrices a[..., j, k] gives a 2-d
-    array instead, one row of coefficients per matrix, from one bincount
-    whose bins are offset row by row; each bin sums its entries in the
-    order a single matrix would, so a row equals that matrix's P bit for bit.
+    the coefficients c_d, d = 1 - dim..dim - 1.  A stack of matrices
+    a[..., j, k] gives one row of coefficients per matrix, shape
+    a.shape[:-2] + (2 dim - 1,), from one bincount whose bins are offset
+    row by row; each bin sums its entries in the order a single matrix
+    would, so a row equals that matrix's P bit for bit.
     """
     a = np.asarray(a)
     dim = a.shape[-1]
     idx = np.arange(dim)
     diagonal = ((idx + dim - 1)[None, :] - idx[:, None]).ravel()  # k - j + dim - 1
-    if a.ndim == 2:
-        return PhaseDistribution(_bincount_complex(diagonal, a.ravel(), 2 * dim - 1))
     rows = a.size // (dim * dim)
     index = (np.arange(rows)[:, None] * (2 * dim - 1) + diagonal).ravel()
     coeffs = _bincount_complex(index, a.ravel(), rows * (2 * dim - 1))
-    return coeffs.reshape(rows, 2 * dim - 1)
+    return coeffs.reshape(a.shape[:-2] + (2 * dim - 1,))
 
 
 def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -91,18 +75,16 @@ def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
 
 
 def distribution_from_harmonics(harmonics):
-    """The real P(phi) with the coefficients c_0..c_D given and
-    c_{-d} = conj(c_d).  A 2-d array of them, one row per P, gives the rows
-    c_{-D}..c_D instead, as a 2-d array."""
+    """The coefficients c_{-D}..c_D of the real P(phi) with c_0..c_D given
+    and c_{-d} = conj(c_d), along the last axis: a 2-d array of harmonics,
+    one row per P, gives one row of coefficients per P."""
     c = np.asarray(harmonics, dtype=complex)
-    if c.ndim == 1:
-        return PhaseDistribution(np.concatenate([c[:0:-1].conj(), c]))
-    return np.concatenate([c[:, :0:-1].conj(), c], axis=1)
+    return np.concatenate([c[..., :0:-1].conj(), c], axis=-1)
 
 
-def distribution_from_samples(values: np.ndarray) -> PhaseDistribution:
-    """The trigonometric interpolant of N real samples P(phi_l), by one real
-    FFT: c_d = F_d / N for 0 <= d < N/2, and an even N's Nyquist term split
+def distribution_from_samples(values: np.ndarray) -> np.ndarray:
+    """The coefficients of the trigonometric interpolant of N real samples
+    P(phi_l), by one real FFT: c_d = F_d / N for 0 <= d < N/2, and an even N's Nyquist term split
     evenly between d = +-N/2."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < MIN_GRID_SIZE:

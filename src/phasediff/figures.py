@@ -2,7 +2,8 @@
 
 Each scenario fig1..fig10 reproduces one figure-style data set as columns
 over a shared abscissa (angle, time, or swept parameter).  A point model
-maps (params, cutoff) to one phase distribution; the figures and the
+maps (params, cutoff, degree) to the Fourier coefficients of one phase
+distribution, c_{-D}..c_D with D at most degree; the figures and the
 `sweep` command's families (SWEEP_FAMILIES) run the same point models
 through one grouping, `_evaluate_groups`.  A grouped model
 (GROUPED_MODELS) takes a whole group of runs that differ only in the
@@ -12,8 +13,9 @@ group makes one array of gamma(t) and one broadcast damping, and the atoms'
 Theta or zeta give one stacked gamma-free build; the dissipative qubit
 takes its baths' r and T.  fig6 is one group of 164 runs, fig7 two (the
 unitary curve and the three T curves).  The caller passes down the Fourier
-degree it reads: 1 for a dispersion, all for a distribution.  The
-dissipative oscillator runs one point at a time.
+degree it reads: 1 for a dispersion, None (all) for a distribution.  The
+dissipative oscillator runs one point at a time and returns all its
+coefficients at any degree.
 
 A distribution figure samples each P (`_sampled_figure`), which audits the
 Riemann sum of those samples.  A dispersion figure keeps no P: it stacks
@@ -31,7 +33,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .bath_kernels import QndBathSpec, eta, gamma_qnd
-from .distribution import DEFAULT_GRID_SIZE, PhaseDistribution, phase_grid
+from .distribution import DEFAULT_GRID_SIZE, phase_grid, samples
 from .dissipative_oscillator import oscillator_spec, phase_dist_osc_dissipative
 from .dissipative_qubit import (
     excited_population,
@@ -58,9 +60,10 @@ MAX_POINTS = 10**6
 
 class FigureData(NamedTuple):
     """One figure's CSV columns over x, and what they were read from: a
-    distribution figure's (label, P) per run, or a dispersion figure's
-    (runs, 3) complex block of each run's c_{-1}, c_0 and c_1, one row per
-    run, curve by curve (the rows of curve c are c * len(x) onwards)."""
+    distribution figure's (label, coefficients of P) per run, or a
+    dispersion figure's (runs, 3) complex block of each run's c_{-1}, c_0
+    and c_1, one row per run, curve by curve (the rows of curve c are
+    c * len(x) onwards)."""
 
     scenario: str
     x_name: str
@@ -68,7 +71,7 @@ class FigureData(NamedTuple):
     columns: tuple[tuple[str, np.ndarray], ...]
     params: Mapping[str, float]
     notes: tuple[str, ...] = ()
-    distributions: tuple[tuple[str, PhaseDistribution], ...] = ()
+    distributions: tuple[tuple[str, np.ndarray], ...] = ()
     coefficients: np.ndarray | None = None
 
 
@@ -97,11 +100,11 @@ def _kernels(p: Mapping[str, float]):
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
-# --- point models: (params, cutoff) -> one PhaseDistribution ---
+# --- point models: (params, cutoff, degree) -> coefficients of one P ---
 #
-# The grouped models also take the degree their caller reads and accept the
-# settings GROUPED_MODELS lists as arrays over a group of runs; they then
-# return one row of coefficients per run (see _evaluate_groups).
+# The grouped models accept the settings GROUPED_MODELS lists as arrays over
+# a group of runs; they then return one row of coefficients per run (see
+# _evaluate_groups).
 
 
 def _qnd_atoms(p, cutoff, degree=None):
@@ -152,7 +155,7 @@ def _qnd_oscillator(p, cutoff, degree=None):
     )
 
 
-def _dissipative_oscillator(p, cutoff):
+def _dissipative_oscillator(p, cutoff, degree=None):
     spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
     return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
 
@@ -180,9 +183,9 @@ def _evaluate_groups(point, params, overrides, cutoff, degree):
     array, one entry per run, and the model returns a 2-d array, one row of
     coefficients per run; a setting that does not differ, and every setting
     of a group of one, stays a plain value, which is faster, and the model
-    returns one P.  Any other model, and a run that sets none of the listed
-    settings, is called once per run, the other models for all their
-    coefficients.
+    returns the one row that all the group's runs share.  Any other model,
+    and a run that sets none of the listed settings, is called once per
+    run.
 
     If a group is refused, every run is evaluated alone, in run order, so
     that the refusal is that of the first run at fault."""
@@ -194,14 +197,13 @@ def _evaluate_groups(point, params, overrides, cutoff, degree):
         else:  # a listed setting by its name only, any other with its value
             key = tuple([x[0] if x[0] in varying else x for x in o.items()])
         groups.setdefault(key, []).append(i)
-    args = (cutoff, degree) if varying else (cutoff,)
     try:
-        outputs = [point(_group_params(params, overrides, runs, varying), *args)
+        outputs = [point(_group_params(params, overrides, runs, varying), cutoff, degree)
                    for runs in groups.values()]
     except (ValueError, ArithmeticError, RuntimeError):
         if len(groups) < len(overrides):
             for o in overrides:
-                point({**params, **o}, *args)
+                point({**params, **o}, cutoff, degree)
         raise
     return outputs, groups.values()
 
@@ -221,14 +223,17 @@ def _group_params(params, overrides, runs, varying):
 
 def evaluate(point, params, runs, cutoff, degree=None):
     """Yield (label, P) for each (label, overrides) in runs, in run order,
-    where P is the point model at {**params, **overrides} to degree, from
-    the groups of _evaluate_groups."""
+    where P is the coefficients of the point model at {**params, **overrides}
+    to degree, from the groups of _evaluate_groups: run k of a group gets
+    row k of the group's output, or its one row where the group shares one,
+    as a read-only view."""
     runs = list(runs)
     outputs, groups = _evaluate_groups(point, params, [o for _, o in runs], cutoff, degree)
     dists = [None] * len(runs)
     for out, members in zip(outputs, groups):
+        rows = np.broadcast_to(out, (len(members), out.shape[-1]))
         for row, i in enumerate(members):
-            dists[i] = out if isinstance(out, PhaseDistribution) else PhaseDistribution(out[row])
+            dists[i] = rows[row]
     for (label, _), p in zip(runs, dists):
         yield label, p
 
@@ -238,7 +243,7 @@ def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureDa
     refused unless its grid samples integrate to 1."""
     for _label, p in dists:
         audit_normalization(p, grid)
-    columns = tuple((label, p.samples(grid)) for label, p in dists)
+    columns = tuple((label, samples(p, grid)) for label, p in dists)
     return FigureData(scenario, x_name, phase_grid(grid), columns, params, notes, dists)
 
 
@@ -258,9 +263,8 @@ def dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     outputs, groups = _evaluate_groups(point, params, overrides, cutoff, 1)
     block = np.empty((len(overrides), 3), dtype=complex)
     for out, members in zip(outputs, groups):
-        rows = degree_one(out.coeffs if isinstance(out, PhaseDistribution) else out)
         # a group of one takes a basic index, several times cheaper than a list
-        block[members if len(members) > 1 else members[0]] = rows
+        block[members if len(members) > 1 else members[0]] = degree_one(out)
     d = dispersions(block).reshape(len(curves), len(xs))
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), (), block)

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bath_kernels import DissipativeBathSpec, QndBathSpec
-from .distribution import PhaseDistribution, distribution_from_samples, phase_grid
+from .distribution import distribution_from_samples, phase_grid
 from .errors import DomainError, TruncationError, check_time
 from .special_functions import log_binomial
 
@@ -281,15 +281,15 @@ def integrate_lindblad_oscillator(
     return out
 
 
-def phase_dist_by_quadrature(rho: np.ndarray, grid: int) -> PhaseDistribution:
+def phase_dist_by_quadrature(rho: np.ndarray, grid: int) -> np.ndarray:
     """Atomic phase distribution by Gauss-Legendre quadrature, over the
     polar angle theta, of the Q-function angle marginal at the `grid` angles
-    of phase_grid(grid), returned as the interpolant of those samples
-    (independent of the Beta closed form).  rho is the Dicke-basis density
-    matrix, m ascending from -j to j, so 2j + 1 is its dimension.  The
-    integrand is a trigonometric polynomial of degree 2j + 1 in theta;
-    2 (2j) + 16 nodes resolve it to rounding (checked against adaptive
-    quadrature up to j = 50)."""
+    of phase_grid(grid), returned as the coefficients of the interpolant of
+    those samples (independent of the Beta closed form).  rho is the
+    Dicke-basis density matrix, m ascending from -j to j, so 2j + 1 is its
+    dimension.  The integrand is a trigonometric polynomial of degree
+    2j + 1 in theta; 2 (2j) + 16 nodes resolve it to rounding (checked
+    against adaptive quadrature up to j = 50)."""
     phi = phase_grid(grid)
     tj = len(rho) - 1
     half_binom = np.array([math.exp(0.5 * log_binomial(tj, k)) for k in range(tj + 1)])

@@ -23,28 +23,30 @@ on the offset d = m - n that harmonic d of P(phi) collects.  Every dephased
 distribution therefore follows one rule: its Fourier coefficients are those
 of the gamma-free distribution, c0_d, times e^{-w^2 gamma d^2} (_damped).
 For the atoms c0 is the gamma-free pure state u u^dag,
-u_m = a_m e^{i(w^2 eta m^2 - w t m)}, passed through
-phase_distribution_atomic; for the oscillator it is the ket autocorrelation
+u_m = a_m e^{i(w^2 eta m^2 - w t m)}, weighted as phase_distribution_atomic
+weights a density matrix; for the oscillator it is the ket autocorrelation
 over 2 pi.  The closed forms damp their gamma-free harmonics the same way.
 
-gamma_t may be one gamma(t) or a 1-d array of them: the runs of a sweep that
-differ only in r, T and a (figures.evaluate groups them) then share one c0
-and are damped by one broadcast exponential, one row of coefficients per
-entry.  The atomic squeezed start's Theta may be a 1-d array as well, one
-entry per run: its amplitudes are then one array with a row per distinct
-Theta, each row normalized on its own, and c0 one row per distinct Theta,
-from one bincount over the stacked u u^dag (distribution_from_fourier),
-which each run's gamma(t) damps.  c0 is built once per call and not cached:
-the group already shares it.  A caller
-that reads only a dispersion passes degree = 1, and only c_0 and c_{+-1}
-are damped; the oscillator then asks ket_autocorrelation for only its three
-central lags, in O(cutoff) time, instead of the full O(cutoff^2)
-autocorrelation.  Three parts of an initial state are cached, since runs in
-different groups and calls reuse them: the atoms' Wigner-d row (_wigner_row)
-and dipole weights (_dipole_weights), built once per (j, p), and the
-squeezed coherent ket (special_functions.squeezed_coherent_ket), built once
-for all points of a QND oscillator t or omega sweep.  Each is a bounded
-lru_cache of 8 entries whose arrays are read-only.
+Every distribution here is the array of its coefficients c_{-D}..c_D
+(distribution), and one rule serves one P and a group.  gamma_t may be one
+gamma(t) or a 1-d array of them: the runs of a sweep that differ only in r,
+T and a (figures.evaluate groups them) then share one c0 and are damped by
+one broadcast exponential, one row of coefficients per entry.  The atomic
+squeezed start's Theta may be a 1-d array as well, one entry per run: its
+amplitudes are then one array with a row per distinct Theta, each row
+normalized on its own, and c0 one row per distinct Theta, from one bincount
+over the stacked u u^dag (distribution_from_fourier), which each run's
+gamma(t) damps.  c0 is built once per call and not cached: the group
+already shares it.  A caller that reads only a dispersion passes
+degree = 1, and only c_0 and c_{+-1} are damped; the oscillator then asks
+ket_autocorrelation for only its three central lags, in O(cutoff) time,
+instead of the full O(cutoff^2) autocorrelation.  Three parts of an
+initial state are cached, since runs in different groups and calls reuse
+them: the atoms' Wigner-d row (_wigner_row) and dipole weights
+(_dipole_weights), built once per (j, p), and the squeezed coherent ket
+(special_functions.squeezed_coherent_ket), built once for all points of a
+QND oscillator t or omega sweep.  Each is a bounded lru_cache of 8 entries
+whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import (
-    PhaseDistribution,
     distribution_from_fourier,
     distribution_from_harmonics,
     ket_autocorrelation,
@@ -231,7 +232,7 @@ def _dipole_weights(tj: int) -> np.ndarray:
     return weights
 
 
-def phase_distribution_atomic(rho: np.ndarray) -> PhaseDistribution:
+def phase_distribution_atomic(rho: np.ndarray) -> np.ndarray:
     """Angle marginal P(phi) of the atomic Q-function of a Dicke-basis
     density matrix, via the exact Beta-function polar integral."""
     return _atomic_fourier(rho, _dicke_dim(rho))
@@ -275,17 +276,17 @@ def _gamma_free_phase(levels: np.ndarray, omega: float, t: float, eta_t: float) 
 
 
 def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
-    """The dephased P(phi) whose gamma-free coefficients are c0: harmonic d
-    times e^{-w^2 gamma d^2}, the one step every QND distribution takes.
+    """The coefficients of the dephased P(phi) whose gamma-free coefficients
+    are c0: harmonic d times e^{-w^2 gamma d^2}, the one step every QND
+    distribution takes.
 
     Only the harmonics up to degree are kept (all of c0 by default), so a
-    caller that reads c_0 and c_{+-1} passes 1.  gamma_t is one gamma(t),
-    which with one row c0 gives one PhaseDistribution, or a 1-d array of
-    them, which gives a 2-d array from one broadcast exponential: row k holds
-    the coefficients of P at gamma_t[k].  c0 may itself be a 2-d array of
-    rows, one per run, which gamma_t damps row by row.  An exponent past the
-    double range is refused by name, before numpy could warn or make
-    inf * 0 = nan at d = 0."""
+    caller that reads c_0 and c_{+-1} passes 1.  gamma_t is one gamma(t) or
+    a 1-d array of them, damped by one broadcast exponential, and c0 one row
+    or a 2-d array of rows, one per run: with either an array, row k holds
+    the coefficients of P at gamma_t[k], or of row k of c0.  An exponent
+    past the double range is refused by name, before numpy could warn or
+    make inf * 0 = nan at d = 0."""
     full = c0.shape[-1] // 2
     degree = full if degree is None else min(degree, full)
     w2, gamma = _omega_sq(omega), np.asarray(gamma_t, dtype=float)
@@ -295,10 +296,9 @@ def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
             f"omega = {omega}: the damping omega^2 gamma(t) d^2 overflows a double at "
             f"gamma(t) = {worst}, d = {degree}; lower omega"
         )
-    rows = c0[..., full - degree : full + degree + 1] * np.exp(
+    return c0[..., full - degree : full + degree + 1] * np.exp(
         np.multiply.outer(-w2 * gamma, np.arange(-degree, degree + 1) ** 2)
     )
-    return PhaseDistribution(rows) if rows.ndim == 1 else rows
 
 
 def phase_dist_atomic_squeezed(
@@ -328,7 +328,7 @@ def _gamma_free_atoms(state: AtomicSqueezedParams, omega: float, t: float, eta_t
     m = np.arange(dim) - (dim - 1) / 2.0
     u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
     rho = u[..., :, None] * u[..., None, :].conj()
-    return _atomic_fourier(rho, dim) if u.ndim > 1 else phase_distribution_atomic(rho).coeffs
+    return _atomic_fourier(rho, dim)
 
 
 def _coherent_rho10(params: AtomicCoherentParams) -> complex:
@@ -350,12 +350,14 @@ def _squeezed_rho10(Theta: float, p_sign: float) -> float:
 
 
 def _qubit_distribution(rho10):
-    """P(phi) of a two-level atom: the j = 1/2 Beta weight leaves h_1 = (pi/4) rho[1, 0].
-    A list of rho10 gives one row (c_{-1}, c_0, c_1) per entry, as a 2-d array."""
-    if isinstance(rho10, list):
-        table = np.array([(1.0, (math.pi / 4.0) * r) for r in rho10])
-        return distribution_from_harmonics(table / (2.0 * math.pi))
-    return _closed_form(((math.pi / 4.0) * rho10,))
+    """(c_{-1}, c_0, c_1) of the P(phi) of a two-level atom: the j = 1/2 Beta
+    weight leaves h_1 = (pi/4) rho[1, 0].  A list of rho10 gives one row per
+    entry."""
+    h1 = np.asarray(rho10) * (math.pi / 4.0)
+    harmonics = np.empty(h1.shape + (2,), dtype=complex)
+    harmonics[..., 0] = 1.0
+    harmonics[..., 1] = h1
+    return distribution_from_harmonics(harmonics / (2.0 * math.pi))
 
 
 def phase_dist_coherent_halfspin(
@@ -368,12 +370,12 @@ def phase_dist_coherent_halfspin(
                          e^{-omega^2 gamma}].
     """
     rho10 = _coherent_rho10(params) * cmath.rect(1.0, -omega * t)
-    return _damped(_qubit_distribution(rho10).coeffs, omega, gamma_t)
+    return _damped(_qubit_distribution(rho10), omega, gamma_t)
 
 
 def phase_dist_squeezed_halfspin(
     Theta: float, p_sign: float, omega: float, t: float, gamma_t: float
-) -> PhaseDistribution:
+) -> np.ndarray:
     """Single-atom closed form for an atomic squeezed initial state,
     p_sign = +1/2 or -1/2:
 
@@ -381,10 +383,10 @@ def phase_dist_squeezed_halfspin(
                          e^{-omega^2 gamma}].
     """
     rho10 = _squeezed_rho10(Theta, p_sign) * cmath.rect(1.0, -omega * t)
-    return _damped(_qubit_distribution(rho10).coeffs, omega, gamma_t)
+    return _damped(_qubit_distribution(rho10), omega, gamma_t)
 
 
-def _closed_form(harmonics) -> PhaseDistribution:
+def _closed_form(harmonics) -> np.ndarray:
     """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the harmonics
     h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
     return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi))
@@ -397,7 +399,7 @@ def phase_dist_two_atoms(
     t: float,
     eta_t: float,
     gamma_t: float,
-) -> PhaseDistribution:
+) -> np.ndarray:
     """Two-atom (j = 1) closed forms for p in {+1, -1, 0}, with x = phi - omega t:
 
         p = 0:   P = (1/2pi)[1 - cos(2x) e^{-4 w^2 gamma} / (2 cosh 2Theta)]
@@ -411,13 +413,13 @@ def phase_dist_two_atoms(
     w2 = _omega_sq(omega)
     h2 = cmath.rect(0.5, -2.0 * omega * t)
     if p == 0:
-        return _damped(_closed_form((0.0, -h2 * _half_sech(2.0 * Theta))).coeffs, omega, gamma_t)
+        return _damped(_closed_form((0.0, -h2 * _half_sech(2.0 * Theta))), omega, gamma_t)
     if p not in (1, -1):
         raise ValueError(f"p must be +1, -1 or 0, got {p}")
     hs = _half_sech(Theta)
     ab = complex(math.cos(w2 * eta_t), math.sin(w2 * eta_t) * math.tanh(Theta))
     h1 = float(p) * (3.0 * math.pi / 4.0) * hs * ab * cmath.rect(0.5, -omega * t)
-    return _damped(_closed_form((h1, h2 * hs * hs)).coeffs, omega, gamma_t)
+    return _damped(_closed_form((h1, h2 * hs * hs)), omega, gamma_t)
 
 
 # --- harmonic oscillator under the same dephasing propagator ---

@@ -23,7 +23,7 @@ from phasediff.dissipative_qubit import (
     propagate_qubit,
     qubit_spec,
 )
-from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
+from phasediff.distribution import distribution_from_samples, phase_grid, samples
 from phasediff.figures import SCENARIOS, run_figure
 from phasediff.oracle import (
     gamma_by_quadrature,
@@ -68,7 +68,7 @@ def test_criterion_01_normalization_all_scenarios():
             worst = max(worst, abs(integrate_distribution(p) - 1.0))
         # a dispersion figure keeps each run's c_{-1}, c_0, c_1 as a block row
         for row in () if fd.coefficients is None else fd.coefficients:
-            worst = max(worst, abs(integrate_distribution(PhaseDistribution(row)) - 1.0))
+            worst = max(worst, abs(integrate_distribution(row) - 1.0))
         checks.append((name, worst <= 1e-8, f"worst normalization error {worst:.3e}"))
     _report(1, "all scenario distributions integrate to 1 within 1e-8", checks)
 
@@ -138,18 +138,18 @@ def test_criterion_05_reduction_identities():
     t = 0.8
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
     free_spec = qubit_spec(1.0, 0.0, 0.0, 0.0, 0.0)
-    a = phase_dist_qubit_coherent(state, free_spec, t).samples(GRID)
-    b = phase_dist_coherent_halfspin(state, 1.0, t, 0.0).samples(GRID)
+    a = samples(phase_dist_qubit_coherent(state, free_spec, t), GRID)
+    b = samples(phase_dist_coherent_halfspin(state, 1.0, t, 0.0), GRID)
     dev = float(np.max(np.abs(a - b)))
     checks.append(("dissipative coherent -> free limit", dev <= 1e-12, f"dev {dev:.3e}"))
     worst = 0.0
     for p_sign in (0.5, -0.5):
-        c = phase_dist_qubit_squeezed(0.3, p_sign, free_spec, t).samples(GRID)
-        d = phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0).samples(GRID)
+        c = samples(phase_dist_qubit_squeezed(0.3, p_sign, free_spec, t), GRID)
+        d = samples(phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0), GRID)
         worst = max(worst, float(np.max(np.abs(c - d))))
     checks.append(("dissipative squeezed -> free limit", worst <= 1e-12, f"dev {worst:.3e}"))
-    e = phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005).samples(GRID)
-    f = phase_dist_osc_squeezed(0.0, 0.0, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005).samples(GRID)
+    e = samples(phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005), GRID)
+    f = samples(phase_dist_osc_squeezed(0.0, 0.0, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005), GRID)
     dev = float(np.max(np.abs(e - f)))
     checks.append(("squeezed oscillator -> coherent at r1=0", dev <= 1e-10, f"dev {dev:.3e}"))
     _report(5, "closed forms reduce to their special cases", checks)
@@ -162,8 +162,8 @@ def test_criterion_06_closed_forms_vs_machinery():
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     rho = qnd_evolve(atomic_coherent_density(state, 0.5), omega, t, 0.0, ga)
     dev = float(np.max(np.abs(
-        phase_distribution_atomic(rho).samples(GRID)
-        - phase_dist_coherent_halfspin(state, omega, t, ga).samples(GRID)
+        samples(phase_distribution_atomic(rho), GRID)
+        - samples(phase_dist_coherent_halfspin(state, omega, t, ga), GRID)
     )))
     checks.append(("half-spin coherent", dev <= 1e-10, f"dev {dev:.3e}"))
 
@@ -174,8 +174,8 @@ def test_criterion_06_closed_forms_vs_machinery():
             omega, t, 0.0, ga,
         )
         worst = max(worst, float(np.max(np.abs(
-            phase_distribution_atomic(rho).samples(GRID)
-            - phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga).samples(GRID)
+            samples(phase_distribution_atomic(rho), GRID)
+            - samples(phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga), GRID)
         ))))
     checks.append(("half-spin squeezed", worst <= 1e-10, f"dev {worst:.3e}"))
 
@@ -185,8 +185,8 @@ def test_criterion_06_closed_forms_vs_machinery():
             atomic_squeezed_density(AtomicSqueezedParams(1, p, -0.2)), omega, t, et, ga
         )
         worst = max(worst, float(np.max(np.abs(
-            phase_distribution_atomic(rho).samples(GRID)
-            - phase_dist_two_atoms(-0.2, p, omega, t, et, ga).samples(GRID)
+            samples(phase_distribution_atomic(rho), GRID)
+            - samples(phase_dist_two_atoms(-0.2, p, omega, t, et, ga), GRID)
         ))))
     checks.append(("two atoms, all p", worst <= 1e-10, f"dev {worst:.3e}"))
 
@@ -201,15 +201,15 @@ def test_criterion_06_closed_forms_vs_machinery():
         ),
     ):
         worst = max(worst, float(np.max(np.abs(
-            phase_distribution_atomic(rho).samples(quad_grid)
-            - phase_dist_by_quadrature(rho, quad_grid).samples(quad_grid)
+            samples(phase_distribution_atomic(rho), quad_grid)
+            - samples(phase_dist_by_quadrature(rho, quad_grid), quad_grid)
         ))))
     checks.append(("Beta pipeline vs quadrature", worst <= 1e-8, f"dev {worst:.3e}"))
     _report(6, "closed forms match the general Beta machinery", checks)
 
 
-def _peak_angle(p: PhaseDistribution) -> float:
-    m = complex(np.sum(np.exp(1j * phase_grid(GRID)) * p.samples(GRID)) * (2.0 * math.pi / GRID))
+def _peak_angle(p: np.ndarray) -> float:
+    m = complex(np.sum(np.exp(1j * phase_grid(GRID)) * samples(p, GRID)) * (2.0 * math.pi / GRID))
     return math.atan2(m.imag, m.real)
 
 
@@ -217,7 +217,7 @@ def test_criterion_07_figure_shapes():
     checks = []
 
     fd1 = {label: p for label, p in run_figure("fig1").distributions}
-    peak = {label: float(np.max(p.samples(GRID))) for label, p in fd1.items()}
+    peak = {label: float(np.max(samples(p, GRID))) for label, p in fd1.items()}
     ordering = (
         peak["unitary t=0.1"] > peak["r=1 T=0 t=0.1"] > peak["r=2 T=0 t=0.1"]
         and peak["unitary t=0.1"] > peak["r=1 T=300 t=0.1"]
@@ -232,8 +232,8 @@ def test_criterion_07_figure_shapes():
     fd2 = {label: p for label, p in run_figure("fig2").distributions}
     spec2 = qubit_spec(1.0, 0.25, 2.0, math.pi / 8, 300.0)
     state2 = AtomicCoherentParams(math.pi / 4, math.pi / 4)
-    hot_sq = phase_dist_qubit_coherent(state2, spec2, 0.1).samples(GRID)
-    resist = float(np.max(hot_sq)) > float(np.max(fd2["T=300 r=0 t=0.1"].samples(GRID)))
+    hot_sq = samples(phase_dist_qubit_coherent(state2, spec2, 0.1), GRID)
+    resist = float(np.max(hot_sq)) > float(np.max(samples(fd2["T=300 r=0 t=0.1"], GRID)))
     checks.append(("qubit squeezing resists thermal diffusion", resist, "peak comparison"))
 
     fd3 = run_figure("fig3")
@@ -259,7 +259,7 @@ def test_criterion_07_figure_shapes():
     # p = +1/2 peaks at phi = 0, p = -1/2 at phi = pi; at phi = 0 the latter
     # sits in its trough, so "less diffusion" flips from higher to lower there
     for tag, sgn in (("p=+1/2", 1.0), ("p=-1/2", -1.0)):
-        at0 = {key: sgn * fd4[f"{tag} {key}"].samples(GRID)[0] for key in (
+        at0 = {key: sgn * samples(fd4[f"{tag} {key}"], GRID)[0] for key in (
             "T=0 r=0 t=0.1", "T=300 r=0 t=0.1", "T=300 r=0.5 t=0.1",
         )}
         # temperature diffuses the phase; bath squeezing resists it

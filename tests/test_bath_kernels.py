@@ -103,10 +103,47 @@ def test_gamma_domain_error_inside_light_cone():
     gamma_qnd(0.11, spec)  # just outside: fine
 
 
-@pytest.mark.parametrize("T", [math.nan, math.inf])
-def test_thermal_occupation_rejects_non_finite_temperature(T):
-    with pytest.raises(ValueError, match="^T = "):
-        thermal_occupation(1.0, T)  # 1/expm1(omega/inf) would divide by zero
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("omega, gamma0, r, T, message", [
+    (NAN, 0.25, 0.5, NAN, "omega = nan must be finite"),
+    (NAN, 0.25, 0.5, INF, "omega = nan must be finite"),
+    (NAN, 0.25, 0.5, -INF, "omega = nan must be finite"),
+    (NAN, 0.25, 0.5, -1.0, "omega = nan must be finite"),
+    (NAN, 0.25, 0.5, 1.0, "omega = nan must be finite"),
+    (INF, 0.25, 0.5, NAN, "omega = inf must be finite"),
+    (INF, 0.25, 0.5, INF, "omega = inf must be finite"),
+    (INF, 0.25, 0.5, -INF, "omega = inf must be finite"),
+    (INF, 0.25, 0.5, -1.0, "omega = inf must be finite"),
+    (INF, 0.25, 0.5, 1.0, "omega = inf must be finite"),
+    (-INF, 0.25, 0.5, NAN, "omega = -inf must be finite"),
+    (-INF, 0.25, 0.5, INF, "omega = -inf must be finite"),
+    (-INF, 0.25, 0.5, -INF, "omega = -inf must be finite"),
+    (-INF, 0.25, 0.5, -1.0, "omega = -inf must be finite"),
+    (-INF, 0.25, 0.5, 1.0, "omega = -inf must be finite"),
+    (-1.0, 0.25, 0.5, NAN, "T = nan must be finite"),
+    (-1.0, 0.25, 0.5, INF, "T = inf must be finite"),
+    (-1.0, 0.25, 0.5, -INF, "T = -inf must be finite"),
+    (-1.0, 0.25, 0.5, -1.0, "omega = -1.0 must be positive"),
+    (-1.0, 0.25, 0.5, 1.0, "omega = -1.0 must be positive"),
+    (1.0, 0.25, 0.5, NAN, "T = nan must be finite"),
+    (1.0, 0.25, 0.5, INF, "T = inf must be finite"),  # 1/expm1(omega/inf) divides by zero
+    (1.0, 0.25, 0.5, -INF, "T = -inf must be finite"),
+    (1.0, 0.25, 0.5, -1.0, "T = -1.0 must be nonnegative"),
+    (1.0, NAN, 0.5, -1.0, "gamma0 = nan must be finite"),
+    (1.0, -1.0, 0.5, INF, "T = inf must be finite"),
+    (-1.0, -1.0, 0.5, -1.0, "omega = -1.0 must be positive"),
+    (1.0, -1.0, 0.5, -1.0, "gamma0 = -1.0 must be nonnegative"),
+    (1.0, 0.25, 30.0, -1.0, "r = 30.0: tanh|r| rounds to 1; keep |r| below 19"),
+    (1.0, 0.25, NAN, -1.0, "r = nan must be finite"),
+])
+def test_a_bath_refuses_its_first_bad_setting_by_name(omega, gamma0, r, T, message):
+    # omega and T are checked once, by the bath: every non-finite setting
+    # first, in argument order, then omega > 0, gamma0 >= 0, r and T >= 0
+    with pytest.raises(ValueError) as refused:
+        DissipativeBathSpec(omega, gamma0, r, 0.3, T)
+    assert str(refused.value) == message
 
 
 def test_thermal_occupation_limits():

@@ -16,7 +16,7 @@ from phasediff.dissipative_oscillator import (
     mixture_params,
     oscillator_spec,
 )
-from phasediff.distribution import distribution_from_harmonics
+from phasediff.distribution import distribution_from_harmonics, samples
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
 from phasediff.phase_stats import audit_normalization
@@ -414,7 +414,7 @@ def test_fig5_cutoff_reaches_the_dissipative_curve(tmp_path, cutoff):
     out = tmp_path / "fig5.csv"
     flag = [] if cutoff is None else ["--cutoff", str(cutoff)]
     assert main(["figure", "fig5", *flag, "--out", str(out)]) == 0
-    expected = _dissipative_oscillator(SCENARIOS["fig5"].defaults, cutoff).samples(720)
+    expected = samples(_dissipative_oscillator(SCENARIOS["fig5"].defaults, cutoff), 720)
     assert np.array_equal(_read_table(out)["dissipative"], expected)
 
 
@@ -553,6 +553,46 @@ def test_qnd_sweep_refuses_negative_temperature(tmp_path, capsys):
     assert main(["sweep", "--family", "qnd-qubit", "--param", "t", "--start", "0.1",
                  "--stop", "1", "--num", "2", "--set", "T=-1", "--out", str(out)]) == 1
     assert "T = -1.0 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_QUBIT_T_SWEEP = ["sweep", "--family", "dissipative-qubit", "--param", "t",
+                  "--start", "0.1", "--stop", "1", "--num", "2"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (_QUBIT_T_SWEEP + ["--set", "omega=nan"], 2,
+     "error: parameter 'omega' must be finite, got 'nan'\n"),
+    (_QUBIT_T_SWEEP + ["--set", "omega=-inf"], 2,
+     "error: parameter 'omega' must be finite, got '-inf'\n"),
+    (_QUBIT_T_SWEEP + ["--set", "T=inf"], 2, "error: parameter 'T' must be finite, got 'inf'\n"),
+    (_QUBIT_T_SWEEP + ["--set", "omega=nan", "--set", "T=-1"], 2,
+     "error: parameter 'omega' must be finite, got 'nan'\n"),
+    (_QUBIT_T_SWEEP + ["--set", "omega=-1"], 1, "error: omega = -1.0 must be positive\n"),
+    (_QUBIT_T_SWEEP + ["--set", "omega=0"], 1, "error: omega = 0.0 must be positive\n"),
+    (_QUBIT_T_SWEEP + ["--set", "T=-1"], 1, "error: T = -1.0 must be nonnegative\n"),
+    (_QUBIT_T_SWEEP + ["--set", "omega=-1", "--set", "T=-1"], 1,
+     "error: omega = -1.0 must be positive\n"),
+    (_QUBIT_T_SWEEP + ["--set", "gamma0=-1", "--set", "T=-1"], 1,
+     "error: gamma0 = -1.0 must be nonnegative\n"),
+    (["sweep", "--family", "dissipative-qubit", "--param", "T", "--start", "-1", "--stop", "1",
+      "--num", "3"], 1, "error: T = -1.0 must be nonnegative\n"),
+    (["sweep", "--family", "dissipative-qubit", "--param", "omega", "--start", "-1",
+      "--stop", "1", "--num", "3"], 1, "error: omega = -1.0 must be positive\n"),
+    (["figure", "fig9", "--set", "omega=inf"], 2,
+     "error: parameter 'omega' must be finite, got 'inf'\n"),
+    (["figure", "fig9", "--set", "omega=-1"], 1, "error: omega = -1.0 must be positive\n"),
+    (["figure", "fig9", "--set", "omega=0", "--set", "gamma0=-1"], 1,
+     "error: omega = 0.0 must be positive\n"),
+    (["figure", "fig9", "--set", "gamma0=-1"], 1, "error: gamma0 = -1.0 must be nonnegative\n"),
+])
+def test_dissipative_qubit_bath_refusals_are_unchanged(tmp_path, capsys, argv, code, err):
+    # the bath checks omega and T once; each refusal keeps its exit code and
+    # its one error line, byte for byte, and names the same setting first
+    out = tmp_path / "s.csv"
+    assert main([*argv, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
     assert not out.exists()
 
 
@@ -785,7 +825,7 @@ def test_hot_dissipative_sweep_at_raised_cutoff_matches_eigh_oracle(tmp_path, ho
     spec = oscillator_spec(1.0, 0.025, 0.5, 0.0, 100.0)
     for column, t in zip(written.T[1:], (0.1, 2.0)):
         _, oracle = hot_state_oracle(spec, 1.0, t, 400, 800, 240)
-        assert np.max(np.abs(column - oracle.samples(len(column)))) < 1e-12
+        assert np.max(np.abs(column - samples(oracle, len(column)))) < 1e-12
 
 
 # every check that a Fock truncation can fail, each at a cutoff far too small

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasediff.distribution import phase_grid
+from phasediff.distribution import phase_grid, samples
 from phasediff.dissipative_qubit import (
     _damped_cosh_sinhc,
     excited_population,
@@ -70,13 +70,13 @@ def test_qubit_closed_forms_equal_the_propagated_density(r, Phi, T, g0, t):
     spec = qubit_spec(1.0, g0, r, Phi, T)
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     rho = propagate_qubit(atomic_coherent_density(state, 0.5), spec, t)
-    closed = phase_dist_qubit_coherent(state, spec, t).coeffs
-    assert np.max(np.abs(closed - phase_distribution_atomic(rho).coeffs)) < 1e-14
+    closed = phase_dist_qubit_coherent(state, spec, t)
+    assert np.max(np.abs(closed - phase_distribution_atomic(rho))) < 1e-14
     for p_sign in (0.5, -0.5):
         start = atomic_squeezed_density(AtomicSqueezedParams(0.5, p_sign, 0.6))
         rho = propagate_qubit(start, spec, t)
-        closed = phase_dist_qubit_squeezed(0.6, p_sign, spec, t).coeffs
-        assert np.max(np.abs(closed - phase_distribution_atomic(rho).coeffs)) < 1e-14
+        closed = phase_dist_qubit_squeezed(0.6, p_sign, spec, t)
+        assert np.max(np.abs(closed - phase_distribution_atomic(rho))) < 1e-14
 
 
 def test_propagator_preserves_trace_and_hermiticity():
@@ -125,12 +125,12 @@ def test_zero_coupling_reduces_to_dephasing_free_closed_forms():
     state = AtomicCoherentParams(math.pi / 4, math.pi / 4)
     spec = qubit_spec(1.0, 0.0, 0.0, 0.0, 0.0)
     t = 0.8
-    a = phase_dist_qubit_coherent(state, spec, t).samples(GRID)
-    b = phase_dist_coherent_halfspin(state, 1.0, t, 0.0).samples(GRID)
+    a = samples(phase_dist_qubit_coherent(state, spec, t), GRID)
+    b = samples(phase_dist_coherent_halfspin(state, 1.0, t, 0.0), GRID)
     assert np.max(np.abs(a - b)) < 1e-12
     for p_sign in (0.5, -0.5):
-        c = phase_dist_qubit_squeezed(0.3, p_sign, spec, t).samples(GRID)
-        d = phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0).samples(GRID)
+        c = samples(phase_dist_qubit_squeezed(0.3, p_sign, spec, t), GRID)
+        d = samples(phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0), GRID)
         assert np.max(np.abs(c - d)) < 1e-12
 
 
@@ -187,10 +187,10 @@ def test_qubit_closed_forms_equal_the_grid_formulas(n, r, Phi, T, g0, t):
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     old = (1.0 + (math.pi / 4.0) * math.sin(state.alpha_p)
            * _old_qubit_bracket(spec, t, state.beta_p, phi)) / (2.0 * math.pi)
-    p = phase_dist_qubit_coherent(state, spec, t).samples(n)
+    p = samples(phase_dist_qubit_coherent(state, spec, t), n)
     assert np.max(np.abs(p - old)) < 1e-14
     for p_sign in (0.5, -0.5):
         old = (1.0 + 2.0 * p_sign * (math.pi / (4.0 * math.cosh(0.6)))
                * _old_qubit_bracket(spec, t, 0.0, phi)) / (2.0 * math.pi)
-        p = phase_dist_qubit_squeezed(0.6, p_sign, spec, t).samples(n)
+        p = samples(phase_dist_qubit_squeezed(0.6, p_sign, spec, t), n)
         assert np.max(np.abs(p - old)) < 1e-14

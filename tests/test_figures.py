@@ -8,7 +8,7 @@ from phasediff import figures
 from phasediff.cli import read_config_file
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.dissipative_qubit import excited_population, qubit_spec
-from phasediff.distribution import PhaseDistribution
+from phasediff.distribution import samples
 from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, evaluate, run_figure
 from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
@@ -94,7 +94,7 @@ def test_fig5_in_a_hot_bath_matches_eigh_oracle(hot_state_oracle):
     column = dict(fd.columns)["dissipative"]
     spec = oscillator_spec(1.0, 0.025, 1.0, 0.0, 1000.0)
     _, oracle = hot_state_oracle(spec, 1.0, 0.1, 600, 800, 120)
-    assert np.max(np.abs(column - oracle.samples(len(column)))) < 1e-12
+    assert np.max(np.abs(column - samples(oracle, len(column)))) < 1e-12
 
 
 def _undamped_atoms(theta, t):
@@ -110,7 +110,7 @@ def test_unitary_curves_are_the_undamped_evolution():
     fig1 = run_figure("fig1")
     assert fig1.columns[0][0] == "unitary t=0.1"
     theta = SCENARIOS["fig1"].defaults["Theta"]
-    undamped = _undamped_atoms(theta, 0.1).samples(720)
+    undamped = samples(_undamped_atoms(theta, 0.1), 720)
     assert np.max(np.abs(fig1.columns[0][1] - undamped)) <= 1e-15
     fig7 = run_figure("fig7")
     assert fig7.columns[0][0] == "unitary"
@@ -134,13 +134,13 @@ def test_dispersion_figure_keeps_its_curves_in_order():
     assert fd.coefficients.shape == (len(labels) * len(fd.x), 3)
     for c, (_label, column) in enumerate(fd.columns):
         rows = fd.coefficients[c * len(fd.x):(c + 1) * len(fd.x)]
-        assert np.array_equal(column, [dispersion(PhaseDistribution(row)) for row in rows])
+        assert np.array_equal(column, [dispersion(row) for row in rows])
 
 
 def _central(p, degree):
     """c_{-degree}..c_degree of P."""
-    full = len(p.coeffs) // 2
-    return p.coeffs[full - degree : full + degree + 1]
+    full = len(p) // 2
+    return p[full - degree : full + degree + 1]
 
 
 def _one_at_a_time(monkeypatch):
@@ -164,7 +164,7 @@ def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
         label for label, _ in single.distributions
     ]
     for (_, p), (_, q) in zip(grouped.distributions, single.distributions):
-        assert np.array_equal(p.coeffs, q.coeffs)
+        assert np.array_equal(p, q)
     if grouped.coefficients is not None:
         assert grouped.coefficients.shape == single.coefficients.shape
         assert np.array_equal(grouped.coefficients, single.coefficients)
@@ -196,10 +196,10 @@ def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, valu
     single = list(evaluate(point, params, runs, None, degree))
     for (label, p), (label_single, q) in zip(grouped, single, strict=True):
         assert label == label_single
-        full = len(q.coeffs) // 2
-        assert len(p.coeffs) // 2 == (full if degree is None else min(degree, full))
+        full = len(q) // 2
+        assert len(p) // 2 == (full if degree is None else min(degree, full))
         # every coefficient, so c_{+1} and c_{-1} are checked apart
-        assert np.array_equal(p.coeffs, _central(q, len(p.coeffs) // 2))
+        assert np.array_equal(p, _central(q, len(p) // 2))
 
 
 @pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasediff import phase_stats
-from phasediff.distribution import PhaseDistribution, distribution_from_samples, phase_grid
+from phasediff.distribution import distribution_from_samples, phase_grid
 from phasediff.phase_stats import (
     audit_normalization,
+    degree_one,
     dispersion,
-    first_circular_moment,
+    dispersions,
     integrate_distribution,
 )
 from phasediff.qnd_phase import AtomicCoherentParams, phase_dist_coherent_halfspin
@@ -40,17 +41,25 @@ def test_dispersion_origin_independent():
 
 @pytest.mark.parametrize("n", [8, 9, 720])
 def test_first_moment_equals_the_explicit_sum(n):
+    # D = 1 - |m|^2 with m = pi (c_1 + conj c_{-1}) the sum of e^{-i phi} P
     phi = phase_grid(n)
     values = (1.0 + 0.6 * np.cos(phi - 0.4) + 0.3 * np.sin(3.0 * phi)) / (2.0 * math.pi)
     p = distribution_from_samples(values)
     explicit = np.sum(np.exp(-1j * phi) * values) * (2.0 * math.pi / n)
-    assert abs(first_circular_moment(p) - explicit) < 1e-15
+    assert abs(dispersion(p) - (1.0 - abs(explicit) ** 2)) < 1e-15
 
 
 def test_first_moment_of_shifted_cardioid():
-    p = distribution_from_samples((1.0 + np.cos(PHI - 1.3)) / (2.0 * math.pi))
-    m = first_circular_moment(p)
-    assert abs(m - 0.5 * np.exp(-1j * 1.3)) < 1e-12
+    # the cardioid shifted by 1.3 has m = e^{-1.3 i} / 2: alone D = 3/4, and
+    # mixed half and half with the cardioid shifted by -1.3 or by 0 the
+    # moments add, so D = 1 - |m + m'|^2 / 4 reads the phase of m as well
+    p, q, r = (
+        distribution_from_samples((1.0 + np.cos(PHI - x)) / (2.0 * math.pi))
+        for x in (1.3, -1.3, 0.0)
+    )
+    d = dispersions(degree_one(np.array([p, (p + q) / 2.0, (p + r) / 2.0])))
+    expected = [0.75, 1.0 - (0.5 * math.cos(1.3)) ** 2, 1.0 - (1.0 + math.cos(1.3)) / 8.0]
+    assert np.max(np.abs(d - expected)) < 1e-12
 
 
 def test_unnormalized_input_rejected():
@@ -110,18 +119,21 @@ def test_coefficient_functionals_equal_the_sample_sums(monkeypatch, n, where):
               "at least N": 2 * n + 3}[where]
     rng = np.random.default_rng(n * 1000 + degree)
     coeffs = (rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)) / degree
-    p = PhaseDistribution(coeffs)
     fine = max(n, degree + 2)
     values = _samples(coeffs, fine)
     step = 2.0 * math.pi / fine
-    assert abs(integrate_distribution(p) - np.sum(values) * step) < 1e-13
-    assert abs(first_circular_moment(p) - np.fft.rfft(values)[1] * step) < 1e-13
+    assert abs(integrate_distribution(coeffs) - np.sum(values) * step) < 1e-13
+    # c_0 = 1 / 2pi passes the dispersion's audit and leaves the first moment
+    unit = coeffs.copy()
+    unit[degree] = 1.0 / (2.0 * math.pi)
+    moment = np.fft.rfft(values)[1] * step
+    assert abs(dispersion(unit) - (1.0 - abs(moment) ** 2)) < 1e-13
     # shift c_0 so that the N samples sum to exactly 1, then off by 2e-6
     c = coeffs.copy()
     c[degree] += (1.0 - np.sum(_samples(coeffs, n)) * (2.0 * math.pi / n)) / (2.0 * math.pi)
     with monkeypatch.context() as m:
         m.setattr(phase_stats, "NORM_TOL", 1e-13)
-        audit_normalization(PhaseDistribution(c), n)
+        audit_normalization(c, n)
     c[degree] += 2e-6 / (2.0 * math.pi)
     with pytest.raises(ValueError, match=f"on a grid of N = {n} points"):
-        audit_normalization(PhaseDistribution(c), n)
+        audit_normalization(c, n)

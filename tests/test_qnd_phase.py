@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasediff.distribution import distribution_from_fourier, phase_grid
+from phasediff.distribution import distribution_from_fourier, phase_grid, samples
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, _kernels, run_figure
 from phasediff.phase_stats import dispersion, integrate_distribution
@@ -67,7 +67,7 @@ def test_squeezed_half_spin_populations():
 
 def test_dicke_diagonal_gives_uniform_distribution():
     p = phase_distribution_atomic(np.diag([0, 0, 1, 0, 0]).astype(complex))
-    assert np.max(np.abs(p.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
+    assert np.max(np.abs(samples(p, GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_qnd_evolution_preserves_populations():
@@ -116,8 +116,8 @@ def test_half_spin_coherent_closed_form_vs_machinery():
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     omega, t, ga = 1.0, 0.3, 0.02
     rho = qnd_evolve(atomic_coherent_density(state, 0.5), omega, t, 0.0, ga)
-    machinery = phase_distribution_atomic(rho).samples(GRID)
-    closed = phase_dist_coherent_halfspin(state, omega, t, ga).samples(GRID)
+    machinery = samples(phase_distribution_atomic(rho), GRID)
+    closed = samples(phase_dist_coherent_halfspin(state, omega, t, ga), GRID)
     assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
@@ -126,8 +126,8 @@ def test_half_spin_squeezed_closed_form_vs_machinery():
         state = AtomicSqueezedParams(0.5, p_sign, 0.3)
         omega, t, ga = 1.0, 0.5, 0.015
         rho = qnd_evolve(atomic_squeezed_density(state), omega, t, 0.0, ga)
-        machinery = phase_distribution_atomic(rho).samples(GRID)
-        closed = phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga).samples(GRID)
+        machinery = samples(phase_distribution_atomic(rho), GRID)
+        closed = samples(phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga), GRID)
         assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
@@ -136,8 +136,8 @@ def test_two_atom_closed_form_vs_machinery(p):
     Theta, omega, t = -0.2, 1.0, 0.4
     et, ga = 0.003, 0.01
     rho = qnd_evolve(atomic_squeezed_density(AtomicSqueezedParams(1, p, Theta)), omega, t, et, ga)
-    machinery = phase_distribution_atomic(rho).samples(GRID)
-    closed = phase_dist_two_atoms(Theta, p, omega, t, et, ga).samples(GRID)
+    machinery = samples(phase_distribution_atomic(rho), GRID)
+    closed = samples(phase_dist_two_atoms(Theta, p, omega, t, et, ga), GRID)
     assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
@@ -145,7 +145,7 @@ def test_two_atom_closed_form_vs_machinery(p):
 @pytest.mark.parametrize("p", [1, -1, 0])
 def test_two_atom_closed_form_at_extreme_squeezing_is_flat(p, Theta):
     # cosh 2 Theta passes the double range, and P tends to 1/2pi
-    coeffs = phase_dist_two_atoms(Theta, p, 1.0, 0.4, 0.003, 0.01).coeffs
+    coeffs = phase_dist_two_atoms(Theta, p, 1.0, 0.4, 0.003, 0.01)
     assert np.max(np.abs(coeffs - [0.0, 0.0, 1.0 / (2.0 * math.pi), 0.0, 0.0])) < 1e-15
 
 
@@ -155,13 +155,13 @@ def test_oscillator_coherent_normalized_and_fock_uniform():
     assert abs(integrate_distribution(p) - 1.0) < 1e-10
     vac = phase_dist_osc_squeezed(0.0, 0.0, 0.0, 0.0, 1.0, 0.3, 0.001, 0.005)
     # vacuum is a Fock state: uniform distribution
-    assert np.max(np.abs(vac.samples(GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
+    assert np.max(np.abs(samples(vac, GRID) - 1.0 / (2.0 * math.pi))) < 1e-14
 
 
 def test_oscillator_squeezed_dispatches_to_coherent_at_zero_squeezing():
     a = phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
     b = phase_dist_osc_squeezed(0.0, 0.0, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005)
-    assert np.array_equal(a.samples(GRID), b.samples(GRID))
+    assert np.array_equal(samples(a, GRID), samples(b, GRID))
 
 
 def test_oscillator_squeezed_normalized():
@@ -184,13 +184,13 @@ def test_oscillator_autocorrelation_matches_dense_density_matrix(r1, alpha_sq, t
     p = {**SWEEP_FAMILIES["qnd-oscillator"][1], "t": t, "T": T, "r": r}
     eta_t, gamma_t = _kernels(p)
     alpha_mag = math.sqrt(alpha_sq)
-    fast = phase_dist_osc_squeezed(
+    fast = samples(phase_dist_osc_squeezed(
         r1, p["psi"], alpha_mag, 0.0, 1.0, t, eta_t, gamma_t, cutoff
-    ).samples(2880)
+    ), 2880)
     c = squeezed_coherent_ket(r1, p["psi"], alpha_mag, cutoff)
     levels = np.arange(cutoff) + 0.5
     rho = np.outer(c, c.conj()) * _dephasing_factor(levels, 1.0, t, eta_t, gamma_t)
-    dense = distribution_from_fourier(rho / (2.0 * math.pi)).samples(2880)
+    dense = samples(distribution_from_fourier(rho / (2.0 * math.pi)), 2880)
     assert np.max(np.abs(fast - dense)) < 1e-12
 
 
@@ -276,7 +276,7 @@ def test_gamma_free_state_times_damping_is_the_dephased_state(j, p, Theta, bath,
         qnd_evolve(atomic_squeezed_density(state), 1.3, t, eta_t, gamma_t)
     )
     factored = phase_dist_atomic_squeezed(state, 1.3, t, eta_t, gamma_t)
-    assert np.max(np.abs(factored.coeffs - direct.coeffs)) <= 1e-15
+    assert np.max(np.abs(factored - direct)) <= 1e-15
 
 
 # every QND distribution as a function of omega and gamma alone
@@ -301,11 +301,11 @@ def test_gamma_damps_harmonic_d_by_exp_minus_omega2_gamma_d2(form, gamma_t):
     # the bath reaches P only through gamma: harmonic d of the gamma-free
     # distribution times e^{-w^2 gamma d^2}
     free, damped = DAMPED_FORMS[form](1.3, 0.0), DAMPED_FORMS[form](1.3, gamma_t)
-    degree = len(free.coeffs) // 2
+    degree = len(free) // 2
     d = np.arange(-degree, degree + 1)
-    expected = free.coeffs * np.exp(-(1.3**2) * gamma_t * d**2)
-    assert len(damped.coeffs) == len(free.coeffs)
-    assert np.max(np.abs(damped.coeffs - expected)) <= 1e-15
+    expected = free * np.exp(-(1.3**2) * gamma_t * d**2)
+    assert len(damped) == len(free)
+    assert np.max(np.abs(damped - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
@@ -350,10 +350,10 @@ def test_qnd_identity_damps_each_first_harmonic_on_its_own_side(form, gamma_t, o
     damped = QND_IDENTITY_FORMS[form](omega, gamma_t, 1)
     d0, d = dispersion(free), dispersion(damped)
     assert abs(d - (1.0 - (1.0 - d0) * math.exp(-2.0 * omega**2 * gamma_t))) <= 1e-14
-    mid, mid0 = len(damped.coeffs) // 2, len(free.coeffs) // 2
-    near = damped.coeffs[mid - 1 : mid + 2]
+    mid, mid0 = len(damped) // 2, len(free) // 2
+    near = damped[mid - 1 : mid + 2]
     damping = np.exp(-(omega**2) * gamma_t * np.array([1, 0, 1]))
-    expected = free.coeffs[mid0 - 1 : mid0 + 2] * damping
+    expected = free[mid0 - 1 : mid0 + 2] * damping
     assert np.max(np.abs(near - expected)) <= 1e-14
 
 
@@ -375,8 +375,8 @@ def test_three_lags_are_the_central_autocorrelation_entries(r1, alpha_sq, cutoff
     # which a dispersion cannot check (it is the same with c_{+-1} swapped).
     # gamma = 0 damps by e^0 = 1, which leaves every coefficient bit-exact.
     args = (r1, math.pi / 4, math.sqrt(alpha_sq), 0.3, 1.0, 0.7, -4e-3, 0.0, cutoff)
-    full = phase_dist_osc_squeezed(*args).coeffs
-    three = phase_dist_osc_squeezed(*args, degree=1).coeffs
+    full = phase_dist_osc_squeezed(*args)
+    three = phase_dist_osc_squeezed(*args, degree=1)
     assert len(full) == 2 * cutoff - 1
     assert np.array_equal(three, full[cutoff - 2 : cutoff + 1])
     assert three[2] != three[0]  # c_{+1} = conj c_{-1}, not c_{-1}
@@ -470,10 +470,10 @@ def _old_two_atoms(Theta, p, omega, t, eta_t, gamma_t, phi):
 def test_halfspin_closed_forms_equal_the_grid_formulas(n):
     phi = phase_grid(n)
     state = AtomicCoherentParams(math.pi / 3, 0.4)
-    p = phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05).samples(n)
+    p = samples(phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05), n)
     assert np.max(np.abs(p - _old_coherent_halfspin(state, 1.3, 0.7, 0.05, phi))) < 1e-14
     for p_sign in (0.5, -0.5):
-        p = phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05).samples(n)
+        p = samples(phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05), n)
         old = _old_squeezed_halfspin(-0.4, 2.0 * p_sign, 1.3, 0.7, 0.05, phi)
         assert np.max(np.abs(p - old)) < 1e-14
 
@@ -482,6 +482,6 @@ def test_halfspin_closed_forms_equal_the_grid_formulas(n):
 @pytest.mark.parametrize("p_label", [1, -1, 0])
 def test_two_atom_closed_forms_equal_the_grid_formulas(n, p_label):
     phi = phase_grid(n)
-    p = phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04).samples(n)
+    p = samples(phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04), n)
     old = _old_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, phi)
     assert np.max(np.abs(p - old)) < 1e-14

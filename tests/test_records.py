@@ -2,20 +2,17 @@
 be assigned, and a copy rebuilds an equal record."""
 
 import copy
-import math
 
 import numpy as np
 import pytest
 
 from phasediff.bath_kernels import DissipativeBathSpec, QndBathSpec
 from phasediff.dissipative_oscillator import GscsMixture
-from phasediff.distribution import PhaseDistribution
 from phasediff.figures import FigureData, Scenario
 from phasediff.qnd_phase import AtomicCoherentParams, AtomicSqueezedParams
 from phasediff.validation import CheckResult
 
 RECORDS = {
-    "PhaseDistribution": lambda: PhaseDistribution(np.array([1.0 / (2.0 * math.pi)])),
     "QndBathSpec": lambda: QndBathSpec(0.025, 100.0, r=0.5, a=0.1, T=2.0),
     "DissipativeBathSpec": lambda: DissipativeBathSpec(1.0, 0.25, 1.0, 0.3, 2.0),
     "GscsMixture": lambda: GscsMixture(0.1, 1.0 + 0.5j, 0.5j),

@@ -19,7 +19,7 @@ from scipy.special import betaln, gammaln
 from phasediff import oracle
 from phasediff.bath_kernels import QndBathSpec
 from phasediff.dissipative_oscillator import oscillator_spec
-from phasediff.distribution import phase_grid
+from phasediff.distribution import phase_grid, samples
 from phasediff.qnd_phase import AtomicSqueezedParams, atomic_squeezed_density, qnd_evolve
 from phasediff.special_functions import beta_integral, log_binomial, log_factorial
 from phasediff.validation import _squeeze_exponential
@@ -107,12 +107,12 @@ def _quad_vec_reference(rho, grid):
 def test_phase_dist_by_quadrature_matches_quad_vec(monkeypatch, cold_caches, j):
     rho0 = atomic_squeezed_density(AtomicSqueezedParams(j, j, -0.3))
     rho = qnd_evolve(rho0, 1.0, 0.1, 0.001, 0.005)
-    ours = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
+    ours = samples(oracle.phase_dist_by_quadrature(rho, 90), 90)
     assert np.max(np.abs(ours - _quad_vec_reference(rho, 90))) <= 1e-12
     # the node count is converged: doubling it changes nothing beyond rounding
     nodes = oracle._gauss_legendre
     monkeypatch.setattr(oracle, "_gauss_legendre", lambda n: nodes(2 * n))
-    doubled = oracle.phase_dist_by_quadrature(rho, 90).samples(90)
+    doubled = samples(oracle.phase_dist_by_quadrature(rho, 90), 90)
     assert np.max(np.abs(doubled - ours)) <= 1e-12
 
 
