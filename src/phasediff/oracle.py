@@ -5,19 +5,21 @@ master equations start from their right-hand sides: the qubit's 4x4
 generator is assembled column by column from its right-hand side and
 exponentiated exactly (Taylor series with scaling and squaring), and the
 oscillator's is integrated by an adaptive Dormand-Prince 5(4) stepper.  The
-oscillator's right-hand side is nine offset diagonals of the flattened
-density matrix, each a coefficient vector times a shifted slice, with the
-coefficients read off the truncated a and a^dag once; the stepper keeps y
-and its seven stages as the rows of one array, so each stage argument is
-one product with a row of the tableau.  When rho0 and the bath's M are
-real the equation keeps rho real, and both run in real arithmetic.  The
-atomic phase distribution is obtained by Gauss-Legendre quadrature over the
-polar angle, and the dephasing kernel by composite Gauss-Legendre
-quadrature of its defining frequency integral: 10 nodes on each panel,
-panels two periods of the integrand's fastest oscillation wide (and no
-wider than the cutoff omega_c), over [0, 30 omega_c].  The nodes come from
-the Golub-Welsch eigenproblem.  The time-dependent oracles refuse a
-negative or non-finite t.  Only numpy is needed.
+oscillator's right-hand side reads the flattened density matrix at nine
+offsets, which form a 3 x 3 lattice, with their coefficients read off the
+truncated a and a^dag once into one array, so each evaluation is one
+contraction of that array with a strided view of shifted windows; the
+stepper keeps y and its seven stages as the rows of one array, so each
+stage argument is one product with a row of the tableau.  When rho0 and the
+bath's M are real the equation keeps rho real, and both run in real
+arithmetic.  The atomic phase distribution is obtained by Gauss-Legendre
+quadrature over the polar angle, and the dephasing kernel by composite
+Gauss-Legendre quadrature of its defining frequency integral: 10 nodes on
+each panel, panels two periods of the integrand's fastest oscillation wide
+(and no wider than the cutoff omega_c), over [0, 30 omega_c], one node set
+for every bath of a (t, a).  The nodes come from the Golub-Welsch
+eigenproblem.  The time-dependent oracles refuse a negative or non-finite t.
+Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -194,10 +196,16 @@ def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int, dtype=complex):
     C_k is read off the same operators as a dense product would use,
     including the truncated last level of a a^dag, and is zero wherever
     (m + dm, n + dn) leaves the c x c block, also where a flat offset would
-    wrap into the next row.  y is copied into one zero-padded buffer, so
-    every term is a contiguous slice of it; terms whose C_k vanish (the M
-    bands when M = 0) are dropped.  No Hermiticity of rho is assumed.  In
-    real arithmetic the coefficients are the real parts of the same complex
+    wrap into the next row.  The nine shifts have dm + dn even and |dm| +
+    |dn| <= 2, so each offset is u (c + 1) + v (c - 1) with u = (dm + dn)/2
+    and v = (dm - dn)/2 in {-1, 0, 1}: the shifted windows y[. + o_k] of one
+    zero-padded copy of y form a 3 x 3 lattice, one strided view of the
+    buffer, and the C_k one (3, 3, c^2) array built once per call; when
+    M = 0 both keep only the column v = 0, since the M bands are the
+    columns v = +-1.  Each evaluation copies y into the buffer and forms d
+    in one contraction of the coefficients with the view, with no gather
+    and no temporary.  No Hermiticity of rho is assumed.  In real
+    arithmetic the coefficients are the real parts of the same complex
     ones, which are exact there because M is real."""
     real = not np.issubdtype(dtype, np.complexfloating)
     if real and spec.M.imag != 0:
@@ -216,6 +224,7 @@ def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int, dtype=complex):
     weight = g0 * np.outer(root, root)  # sqrt(m + 1) sqrt(n + 1) g0
     # (dm, dn, C on the rows and columns where (m + dm, n + dn) is in the block)
     bands = (
+        (0, 0, k_diag[:, None] + k_diag[None, :]),  # K rho + rho K on the diagonal
         (-2, 0, k_down[:, None]),  # K[m, m - 2] rho[m - 2, n]
         (2, 0, k_up[:, None]),  # K[m, m + 2] rho[m + 2, n]
         (0, -2, k_up[None, :]),  # rho[m, n - 2] K[n - 2, n]
@@ -226,28 +235,27 @@ def oscillator_rhs(spec: DissipativeBathSpec, cutoff: int, dtype=complex):
         (1, -1, big_m.conjugate() * weight),  # a rho a
     )
     size, pad = c * c, 2 * c
-
-    def kept(values):  # contiguous, in the arithmetic of the integration
-        return np.ascontiguousarray(values.real if real else values)
-
-    diag = kept((k_diag[:, None] + k_diag[None, :]).ravel())
-    terms = []
+    vs = range(-1, 2) if big_m != 0 else range(0, 1)  # the M bands are v = +-1
+    # band (dm, dn) at [u + 1, v - vs.start], in the arithmetic of the integration
+    coefs = np.zeros((3, len(vs), c, c), dtype=dtype)
     for dm, dn, values in bands:
-        coef = np.zeros((c, c), dtype=complex)
-        coef[max(0, -dm) : c - max(0, dm), max(0, -dn) : c - max(0, dn)] = values
-        if np.any(coef):
-            start = pad + dm * c + dn
-            terms.append((slice(start, start + size), kept(coef.ravel())))
+        u, v = (dm + dn) // 2, (dm - dn) // 2
+        if v in vs:
+            coef = coefs[u + 1, v - vs.start]
+            coef[max(0, -dm) : c - max(0, dm), max(0, -dn) : c - max(0, dn)] = (
+                values.real if real else values
+            )
+    coefs = coefs.reshape(3, len(vs), size)
     buf = np.zeros(size + 2 * pad, dtype=dtype)
-    tmp = np.empty(size, dtype=dtype)
+    step = buf.itemsize
+    # window (u, v) starts at pad + u (c + 1) + v (c - 1); (-1, -1) at buf[0]
+    windows = np.lib.stride_tricks.as_strided(
+        buf, (3, 3, size), ((c + 1) * step, (c - 1) * step, step), writeable=False
+    )[:, vs.start + 1 : vs.stop + 1]
 
     def rhs(_t, y):
         buf[pad : pad + size] = y
-        d = diag * y
-        for shifted, coef in terms:
-            np.multiply(coef, buf[shifted], out=tmp)
-            d += tmp
-        return d
+        return np.einsum("uvs,uvs->s", coefs, windows)
 
     return rhs
 
@@ -331,7 +339,7 @@ _GAMMA_PANEL_PERIODS = 2.0
 _GAMMA_RANGE = 30.0
 
 
-def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
+def gamma_by_quadrature(t: float, spec: QndBathSpec):
     """Dephasing kernel gamma(t) by direct frequency quadrature of its
     defining Ohmic-continuum integral, with coth -> 1 at T = 0 and
     coth -> 2T/omega at T > 0 (the high-temperature form).
@@ -342,11 +350,22 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     f_max = 2 (t + 2a) + 1, and at most omega_c so the cutoff's decay is
     resolved too.  No node lies at omega = 0, where the integrand has only a
     removable singularity.
+
+    The panels depend on t and a only, so a stays a number, while r and T
+    may be numpy arrays, one entry per bath, as in gamma_qnd.  The nodes and
+    every bath-free factor, sin and cos of (a - t/2) omega, sin^2(omega t/2)
+    and e^{-omega/omega_c}, are built once per call.  r enters only through
+    |e^{-r} + sinh r (1 - e^{ix})|^2 below, formed once per entry of r and
+    summed against the T = 0 integrand and the T > 0 one per unit T, so T
+    only picks a sum and scales it.  For numbers r and T gamma is one float;
+    otherwise it is an array of their broadcast shape, each entry equal bit
+    for bit to that bath's call with numbers.
     """
     check_time(t)
-    if spec.a > 0 and t <= 2 * spec.a:
-        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * spec.a}")
-    g0, wc, r, a = spec.gamma0, spec.omega_c, spec.r, spec.a
+    g0, wc, r, a, T = spec
+    a = float(a)
+    if a > 0 and t <= 2 * a:
+        raise DomainError(f"gamma(t) undefined for t = {t} <= 2a = {2 * a}")
     f_max = 2.0 * (t + 2.0 * a) + 1.0
     top = _GAMMA_RANGE * wc
     panels = math.ceil(top / min(_GAMMA_PANEL_PERIODS * 2.0 * math.pi / f_max, wc))
@@ -358,12 +377,26 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec) -> float:
     # 4 sin^2(wt/2) |e^{-r} + sinh r (1 - e^{ix})|^2, x = (2a - t) w, and
     # 1 - e^{ix} = 2 s^2 - 2i s c with s, c = sin(x/2), cos(x/2): a sum of
     # squares, so nothing cancels near w = 0 however large r is.
-    s = np.sin((a - 0.5 * t) * w)
-    c = np.cos((a - 0.5 * t) * w)
-    sh = math.sinh(r)
-    mod2 = 4.0 * np.sin(0.5 * t * w) ** 2 * (
-        (math.exp(-r) + 2.0 * sh * s * s) ** 2 + (2.0 * sh * s * c) ** 2
+    # s^2, s c and the bath factor are formed in place, so that few
+    # node-sized arrays are alive at once
+    s2 = np.sin((a - 0.5 * t) * w)
+    sc = np.cos((a - 0.5 * t) * w)
+    sc *= s2
+    s2 *= s2
+    r = np.asarray(r)[..., None, None]  # one (panels, nodes) block per entry
+    sh2 = 2.0 * np.sinh(r)
+    bath = sh2 * s2
+    bath += np.exp(-r)
+    bath *= bath
+    part = sh2 * sc
+    part *= part
+    bath += part
+    del s2, sc
+    # the rest of the integrand: at T = 0, and per unit T at T > 0
+    cold = 4.0 * np.sin(0.5 * t * w) ** 2 * np.exp(-w / wc) / w
+    hot = 2.0 * cold / w
+    cold_sum, hot_sum = (
+        np.sum(np.multiply(bath, k, out=part) @ weights, axis=-1) for k in (cold, hot)
     )
-    f = mod2 / w if spec.T == 0 else 2.0 * spec.T * mod2 / w**2
-    f *= np.exp(-w / wc)
-    return (g0 / (2.0 * math.pi)) * 0.5 * h * float(np.sum(f @ weights))
+    gamma = (g0 / (2.0 * math.pi)) * 0.5 * h * np.where(np.equal(T, 0), cold_sum, T * hot_sum)
+    return float(gamma) if gamma.ndim == 0 else gamma

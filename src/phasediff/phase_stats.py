@@ -43,17 +43,15 @@ def _check_integrals(totals, where: str) -> None:
         raise ValueError(f"distribution integrates to {np.ravel(totals)[off[0]]}, not 1{where}")
 
 
-def audit_normalization(coeffs: np.ndarray, n: int | None = None) -> None:
-    """Raise ValueError unless P integrates to 1 within NORM_TOL.
+def audit_normalization(coeffs: np.ndarray, n: int) -> None:
+    """Raise ValueError unless the n samples of P integrate to 1 within
+    NORM_TOL.
 
-    Without n the integral is exact.  With n it is the Riemann sum of the n
-    samples of P, 2 pi Re sum_{d = 0 mod n} c_d, which also misses 1 when P
-    has Fourier content at nonzero multiples of n; a truncated Fock space
-    loses weight either way, so the error names the settings that apply.
+    The integral is their Riemann sum, 2 pi Re sum_{d = 0 mod n} c_d, which
+    misses 1 when P has Fourier content at nonzero multiples of n as well as
+    when a truncated Fock space loses weight, so the error names both
+    settings.
     """
-    if n is None:
-        _check_integrals(integrate_distribution(coeffs), _CUTOFF_HINT)
-        return
     degree = len(coeffs) // 2
     total = 2.0 * math.pi * sum(coeffs[degree % n :: n].tolist(), 0j).real
     _check_integrals(total, (
@@ -87,6 +85,6 @@ def dispersion(coeffs: np.ndarray) -> float:
     coefficients c_{-D}..c_D.
 
     Origin-independent; 1 for the uniform distribution, -> 0 for a narrow
-    peak.  Input must pass audit_normalization within NORM_TOL.
+    peak.  P must integrate to 1 within NORM_TOL, as dispersions checks.
     """
     return float(dispersions(degree_one(coeffs)))

@@ -5,9 +5,9 @@ deviation / tolerance.  The oracles are deliberately redundant
 implementations: the exact exponential of the qubit's master-equation
 generator, adaptive integration of the oscillator's master equation (in
 real arithmetic at the mixture check's real points), polar and frequency
-quadrature, and the squeeze operator's exact exponential applied to the
-vectors a check needs, from one real symmetric eigendecomposition (numpy
-`eigh`) per parity block.
+quadrature (one node set for all the baths of a kernel time), and the
+squeeze operator's exact exponential applied to the vectors a check needs,
+from one half-size real SVD (numpy `svd`) per parity block.
 """
 
 from __future__ import annotations
@@ -73,17 +73,31 @@ def _squeeze_exponential(levels: int, r1: float, phi: float, x: np.ndarray) -> n
     equal parity.  On the parity-b block, level n = 2j + b, the generator is
     P (i r1 X) P^-1 with P = diag(e^{i j (phi + pi/2)}) and X the real
     symmetric tridiagonal block of (a^2 + a^dag^2)/2, off-diagonals
-    sqrt((n + 1)(n + 2))/2.  So with X = Q diag(lam) Q^T from one real
-    eigensolve per block, S x = P Q e^{i r1 lam} Q^T P^-1 x, unitary to
-    rounding; neither the exponential nor a complex generator is formed."""
+    sqrt((n + 1)(n + 2))/2 and a zero diagonal.  X joins only even j to odd
+    j, so in the order (even j, odd j) it is [[0, B], [B^T, 0]], B
+    bidiagonal, and with the thin SVD B = U diag(s) V^T and sin and cos
+    taken of diag(r1 s)
+    e^{i r1 X} = I + [[U (cos - 1) U^T, i U sin V^T], [i V sin U^T, V (cos - 1) V^T]],
+    with cos - 1 formed as -2 sin^2(r1 s / 2), which does not cancel.  So
+    S x = P e^{i r1 X} P^-1 x from one half-size real SVD per block,
+    unitary to rounding; neither the exponential nor a complex generator is
+    formed."""
     out = np.empty(x.shape, dtype=complex)
     for b in (0, 1):
-        n = np.arange(b, levels - 2, 2)
-        # X's subdiagonal: eigh reads only the lower triangle
-        lam, q = np.linalg.eigh(np.diag(0.5 * np.sqrt((n + 1.0) * (n + 2.0)), -1))
-        j = np.arange(len(q)).reshape((-1,) + (1,) * (x.ndim - 1))
-        p = np.exp(1j * (phi + 0.5 * math.pi) * j)
-        out[b::2] = p * ((q * np.exp(1j * r1 * lam)) @ (q.T @ (x[b::2] / p)))
+        m = len(range(b, levels, 2))
+        k = np.arange(m - 1)  # X[k, k + 1] joins j = k and k + 1, one of them even
+        big_b = np.zeros(((m + 1) // 2, m // 2))
+        big_b[(k + 1) // 2, k // 2] = 0.5 * np.sqrt((2 * k + b + 1.0) * (2 * k + b + 2.0))
+        u, sv, vt = np.linalg.svd(big_b, full_matrices=False)
+        column = (-1,) + (1,) * (x.ndim - 1)
+        sin_rs = np.sin(r1 * sv).reshape(column)
+        cos_rs_less_1 = -2.0 * np.sin(0.5 * r1 * sv).reshape(column) ** 2
+        p = np.exp(1j * (phi + 0.5 * math.pi) * np.arange(m).reshape(column))
+        y = x[b::2] / p
+        ue, vo = u.T @ y[0::2], vt @ y[1::2]
+        y[0::2] += u @ (cos_rs_less_1 * ue + 1j * sin_rs * vo)
+        y[1::2] += vt.T @ (1j * sin_rs * ue + cos_rs_less_1 * vo)
+        out[b::2] = p * y
     return out
 
 
@@ -96,14 +110,17 @@ def _check_squeeze_vs_expm() -> CheckResult:
 
 
 def _check_gamma_kernel() -> CheckResult:
+    # 12 baths, T in {0, 100} with (r, a) in {(0, 0), (1, 0), (1, 0.05)},
+    # each at two t: one quadrature per (t, a) takes every bath of that a
+    temps = np.array([0.0, 100.0])
     worst = 0.0
-    for T in (0.0, 100.0):
-        for r, a in ((0.0, 0.0), (1.0, 0.0), (1.0, 0.05)):
-            spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, T=T)
-            for t in (0.2, 1.0):
-                exact = gamma_qnd(t, spec)
-                quad = gamma_by_quadrature(t, spec)
-                worst = max(worst, abs(exact - quad) / max(1e-30, abs(exact)))
+    for r, a in ((np.array([[0.0], [1.0]]), 0.0), (1.0, 0.05)):
+        spec = QndBathSpec(gamma0=0.025, omega_c=100.0, r=r, a=a, T=temps)
+        for t in (0.2, 1.0):
+            exact = gamma_qnd(t, spec)
+            quad = gamma_by_quadrature(t, spec)
+            rel = np.abs(exact - quad) / np.maximum(1e-30, np.abs(exact))
+            worst = max(worst, float(np.max(rel)))
     return CheckResult("dephasing kernel closed form vs quadrature", 1e-6, worst)
 
 

@@ -19,7 +19,7 @@ from phasediff.dissipative_oscillator import (
 from phasediff.distribution import distribution_from_harmonics, samples
 from phasediff.errors import TruncationError
 from phasediff.figures import SCENARIOS, FigureData, _dissipative_oscillator
-from phasediff.phase_stats import audit_normalization
+from phasediff.phase_stats import audit_normalization, dispersion
 from phasediff.qnd_phase import phase_dist_osc_squeezed
 from phasediff.special_functions import squeezed_coherent_ket
 from phasediff.validation import FULL_EXTRA_CHECKS, QUICK_CHECKS
@@ -833,7 +833,7 @@ FOCK_TRUNCATIONS = {
     "dissipative-trace": lambda: fock_density_from_gscs(
         mixture_params(oscillator_spec(1.0, 0.025, 0.0, 0.0, 0.0), 0.1, 3.0), 10),
     "qnd-tail": lambda: phase_dist_osc_squeezed(0.5, 0.0, 3.0, 0.0, 1.0, 0.1, 0.0, 0.0, 10),
-    "normalization": lambda: audit_normalization(distribution_from_harmonics([0.1])),
+    "normalization": lambda: dispersion(distribution_from_harmonics([0.1])),
     "normalization-on-grid": lambda: audit_normalization(
         distribution_from_harmonics([0.1]), 8),
 }

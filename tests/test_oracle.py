@@ -104,11 +104,16 @@ def _dense_oscillator_rhs(spec, rho):
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
-@pytest.mark.parametrize("r, phi, temp", [(1.0, 0.7, 1.0), (0.0, 0.0, 1.0), (0.5, -2.0, 0.0)])
+@pytest.mark.parametrize("r, phi, temp", [
+    (1.0, 0.7, 1.0), (0.0, 0.0, 1.0), (0.5, -2.0, 0.0), (1.0, 0.0, 1.0), (-0.5, 0.0, 0.0),
+])
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5, 30])
 def test_oscillator_rhs_matches_dense_operators(cutoff, r, phi, temp, hermitian):
     # complex M at r > 0, M = 0 at r = 0; below cutoff 6 the offsets +-2,
-    # +-(c + 1) and +-(c - 1) wrap into neighbouring rows of the flat vector
+    # +-(c + 1) and +-(c - 1) wrap into neighbouring rows of the flat vector.
+    # Phi = 0 makes M real, positive at r = 1 and negative at r = -0.5 (the
+    # bath Phi = pi, whose e^{i pi} would leave Im M = 7e-17); there the
+    # real right-hand side on the real part of rho is checked too
     spec = oscillator_spec(1.0, 0.25, r, phi, temp)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
@@ -117,10 +122,13 @@ def test_oscillator_rhs_matches_dense_operators(cutoff, r, phi, temp, hermitian)
         rho /= np.trace(rho)
     else:
         rho = x
-    dense = _dense_oscillator_rhs(spec, rho)
-    shifted = oscillator_rhs(spec, cutoff)(0.0, rho.ravel()).reshape(cutoff, cutoff)
-    scale = 1.0 if hermitian else max(1.0, float(np.max(np.abs(dense))))
-    assert np.max(np.abs(shifted - dense)) <= 1e-14 * scale
+    cases = [(complex, rho)] + ([(float, rho.real)] if spec.M.imag == 0 else [])
+    for dtype, state in cases:
+        dense = _dense_oscillator_rhs(spec, state)
+        ours = oscillator_rhs(spec, cutoff, dtype)(0.0, state.ravel())
+        assert ours.dtype == dtype
+        scale = 1.0 if hermitian else max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(ours.reshape(cutoff, cutoff) - dense)) <= 1e-14 * scale
 
 
 def test_dormand_prince_rejects_non_finite_error_estimate():
@@ -262,6 +270,31 @@ def test_gamma_quadrature_resolves_a_narrow_cutoff():
         for t, spec in _kernel_grid(0.1, (0.0, 2.0), (0.11, 1.0, 10.0))
     )
     assert worst <= 1e-8
+
+
+def test_gamma_quadrature_over_bath_arrays_equals_one_bath_calls():
+    # one node set per (t, a) serves every bath of an array call, and each
+    # entry is the number call's float bit for bit, T = 0 and T > 0 mixed
+    rs = np.array([[0.0], [1.0], [-0.7], [2.0]])
+    temps = np.array([0.0, 100.0, 3.5])
+    for a, t in ((0.0, 0.2), (0.0, 5.0), (0.05, 1.0), (0.3, 0.7)):
+        group = gamma_by_quadrature(t, QndBathSpec(0.025, 100.0, rs, a, temps))
+        one = [[gamma_by_quadrature(t, QndBathSpec(0.025, 100.0, float(r), a, float(T)))
+                for T in temps] for r in rs[:, 0]]
+        assert group.shape == (4, 3) and np.array_equal(group, one)
+        # one entry per bath: r and T paired rather than crossed
+        paired = gamma_by_quadrature(t, QndBathSpec(0.025, 100.0, rs[:3, 0], a, temps))
+        assert np.array_equal(paired, np.diagonal(group))
+    assert isinstance(gamma_by_quadrature(1.0, QndBathSpec(0.025, 100.0, 1.0, 0.05, 0.0)), float)
+    # the refusals of a bath of numbers
+    spec = QndBathSpec(0.025, 100.0, rs, 0.3, temps)
+    with pytest.raises(DomainError, match=r"undefined for t = 0.5 <= 2a = 0.6"):
+        gamma_by_quadrature(0.5, spec)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        gamma_by_quadrature(-0.5, spec)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            gamma_by_quadrature(t, spec)
 
 
 def test_gamma_quadrature_builds_its_nodes_once(cold_caches):

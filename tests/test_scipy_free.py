@@ -128,10 +128,13 @@ def test_exp_anti_hermitian_matches_expm(exp_anti_hermitian):
 
 @pytest.mark.parametrize("r1", [0.5, 1.5])
 @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, -2.0])
-@pytest.mark.parametrize("levels", [140, 250])
+@pytest.mark.parametrize("levels", [11, 12, 140, 250])
 def test_squeeze_exponential_matches_expm(levels, phi, r1):
-    # validate's squeeze exponential, from real eigensolves of the parity
-    # blocks, against scipy's on the dense complex generator, all columns
+    # validate's squeeze exponential, from half-size real SVDs of the parity
+    # blocks, against scipy's on the dense complex generator, all columns.
+    # A block of m levels has a ceil(m/2) x floor(m/2) B: square on both
+    # blocks at 12 and 140 levels, 3 x 2 on the odd block at 11, 63 x 62 on
+    # both at 250
     n = np.arange(levels - 2)
     ad2 = np.diag(np.sqrt((n + 1.0) * (n + 2.0)), -2)  # a^dag^2
     zeta = r1 * complex(math.cos(phi), math.sin(phi))
