@@ -46,28 +46,23 @@ def samples(coeffs: np.ndarray, n: int) -> np.ndarray:
 def distribution_from_fourier(a: np.ndarray) -> np.ndarray:
     """P(phi) = Re sum_{j,k} a[j,k] e^{i(k-j) phi}.
 
-    bincount sums each of the 2 dim - 1 diagonals d = k - j of a, which are
-    the coefficients c_d, d = 1 - dim..dim - 1.  A stack of matrices
-    a[..., j, k] gives one row of coefficients per matrix, shape
-    a.shape[:-2] + (2 dim - 1,), from one bincount whose bins are offset
-    row by row; each bin sums its entries in the order a single matrix
-    would, so a row equals that matrix's P bit for bit.
+    bincount sums each of the 2 dim - 1 diagonals d = k - j of the square
+    matrix a, which are the coefficients c_d, d = 1 - dim..dim - 1; one
+    dim x dim index array is the only intermediate.
     """
     a = np.asarray(a)
     dim = a.shape[-1]
     idx = np.arange(dim)
     diagonal = ((idx + dim - 1)[None, :] - idx[:, None]).ravel()  # k - j + dim - 1
-    rows = a.size // (dim * dim)
-    index = (np.arange(rows)[:, None] * (2 * dim - 1) + diagonal).ravel()
-    coeffs = _bincount_complex(index, a.ravel(), rows * (2 * dim - 1))
-    return coeffs.reshape(a.shape[:-2] + (2 * dim - 1,))
+    return _bincount_complex(diagonal, a.ravel(), 2 * dim - 1)
 
 
 def ket_autocorrelation(v: np.ndarray, degree: int | None = None) -> np.ndarray:
     """sum_m v_m v_{m+d}^*, d ascending: the diagonal sums of v v^dag, which
     distribution_from_fourier would form, in O(len(v)) memory.  At degree 1
-    only d = -1, 0, 1, three inner products in O(len(v)) time; otherwise all
-    d = 1 - len(v)..len(v) - 1, by the O(len(v)^2) correlation."""
+    only d = -1, 0, 1, three inner products in O(len(v)) time; at any other
+    degree, None included, all d = 1 - len(v)..len(v) - 1, by the
+    O(len(v)^2) correlation."""
     if degree == 1:
         return np.array([np.vdot(v[:-1], v[1:]), np.vdot(v, v), np.vdot(v[1:], v[:-1])])
     # entry i of the full correlation is sum_m v_m v_{m+d}^* with d = len(v) - 1 - i

@@ -22,10 +22,11 @@ So the propagator splits into a gamma-free part, e^{-i w (m-n) t} e^{i w^2
 on the offset d = m - n that harmonic d of P(phi) collects.  Every dephased
 distribution therefore follows one rule: its Fourier coefficients are those
 of the gamma-free distribution, c0_d, times e^{-w^2 gamma d^2} (_damped).
-For the atoms c0 is the gamma-free pure state u u^dag,
-u_m = a_m e^{i(w^2 eta m^2 - w t m)}, weighted as phase_distribution_atomic
-weights a density matrix; for the oscillator it is the ket autocorrelation
-over 2 pi.  The closed forms damp their gamma-free harmonics the same way.
+For the atoms c0_d is one lag of the gamma-free pure state u,
+u_m = a_m e^{i(w^2 eta m^2 - w t m)}, weighted by one diagonal of the dipole
+weights as phase_distribution_atomic weights a density matrix; for the
+oscillator it is the ket autocorrelation over 2 pi.  The closed forms damp
+their gamma-free harmonics the same way.
 
 Every distribution here is the array of its coefficients c_{-D}..c_D
 (distribution), and one rule serves one P and a group.  gamma_t may be one
@@ -34,11 +35,12 @@ T and a (figures.evaluate groups them) then share one c0 and are damped by
 one broadcast exponential, one row of coefficients per entry.  The atomic
 squeezed start's Theta may be a 1-d array as well, one entry per run: its
 amplitudes are then one array with a row per distinct Theta, each row
-normalized on its own, and c0 one row per distinct Theta, from one bincount
-over the stacked u u^dag (distribution_from_fourier), which each run's
-gamma(t) damps.  c0 is built once per call and not cached: the group
-already shares it.  A caller that reads only a dispersion passes
-degree = 1, and only c_0 and c_{+-1} are damped; the oscillator then asks
+normalized on its own, and c0 one row per distinct Theta, each lag one sum
+along the rows, which each run's gamma(t) damps.  c0 is built once per call
+and not cached: the group already shares it.  Each builder forms c0 only to
+the degree its caller reads, and _damped damps all that it is given: a
+dispersion passes degree = 1, so the atoms form only the lags d = 0, 1 in
+O(j) time, instead of all 2j + 1 in O(j^2), and the oscillator asks
 ket_autocorrelation for only its three central lags, in O(cutoff) time,
 instead of the full O(cutoff^2) autocorrelation.  Three parts of an
 initial state are cached, since runs in different groups and calls reuse
@@ -235,13 +237,7 @@ def _dipole_weights(tj: int) -> np.ndarray:
 def phase_distribution_atomic(rho: np.ndarray) -> np.ndarray:
     """Angle marginal P(phi) of the atomic Q-function of a Dicke-basis
     density matrix, via the exact Beta-function polar integral."""
-    return _atomic_fourier(rho, _dicke_dim(rho))
-
-
-def _atomic_fourier(rho: np.ndarray, dim: int):
-    """phase_distribution_atomic of rho, (dim, dim), or of each matrix of a
-    (k, dim, dim) stack, one row of coefficients per matrix as
-    distribution_from_fourier gives them."""
+    dim = _dicke_dim(rho)
     if dim - 1 > MAX_TWICE_J:
         raise ValueError(
             f"j = {(dim - 1) / 2:g} of a {dim} x {dim} Dicke matrix exceeds "
@@ -250,7 +246,7 @@ def _atomic_fourier(rho: np.ndarray, dim: int):
     weighted = rho * _dipole_weights(dim - 1)
     pref = dim / (4.0 * math.pi)  # (2j+1)/4pi
     # weighted[n, m] multiplies e^{i(n-m)phi}; distribution_from_fourier wants a[m, n]
-    return distribution_from_fourier(pref * np.swapaxes(weighted, -1, -2))
+    return distribution_from_fourier(pref * weighted.T)
 
 
 def _omega_sq(omega: float) -> float:
@@ -275,20 +271,18 @@ def _gamma_free_phase(levels: np.ndarray, omega: float, t: float, eta_t: float) 
     return w2 * eta_t * levels**2 - omega * t * levels
 
 
-def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
+def _damped(c0: np.ndarray, omega: float, gamma_t):
     """The coefficients of the dephased P(phi) whose gamma-free coefficients
     are c0: harmonic d times e^{-w^2 gamma d^2}, the one step every QND
-    distribution takes.
+    distribution takes, to the degree of c0, which each builder forms only
+    as far as its caller reads.
 
-    Only the harmonics up to degree are kept (all of c0 by default), so a
-    caller that reads c_0 and c_{+-1} passes 1.  gamma_t is one gamma(t) or
-    a 1-d array of them, damped by one broadcast exponential, and c0 one row
-    or a 2-d array of rows, one per run: with either an array, row k holds
-    the coefficients of P at gamma_t[k], or of row k of c0.  An exponent
-    past the double range is refused by name, before numpy could warn or
-    make inf * 0 = nan at d = 0."""
-    full = c0.shape[-1] // 2
-    degree = full if degree is None else min(degree, full)
+    gamma_t is one gamma(t) or a 1-d array of them, damped by one broadcast
+    exponential, and c0 one row or a 2-d array of rows, one per run: with
+    either an array, row k holds the coefficients of P at gamma_t[k], or of
+    row k of c0.  An exponent past the double range is refused by name,
+    before numpy could warn or make inf * 0 = nan at d = 0."""
+    degree = c0.shape[-1] // 2
     w2, gamma = _omega_sq(omega), np.asarray(gamma_t, dtype=float)
     worst = float(gamma.flat[np.argmax(np.abs(gamma))]) if gamma.ndim else float(gamma)
     if not math.isfinite(w2 * abs(worst) * degree**2):
@@ -296,9 +290,7 @@ def _damped(c0: np.ndarray, omega: float, gamma_t, degree: int | None = None):
             f"omega = {omega}: the damping omega^2 gamma(t) d^2 overflows a double at "
             f"gamma(t) = {worst}, d = {degree}; lower omega"
         )
-    return c0[..., full - degree : full + degree + 1] * np.exp(
-        np.multiply.outer(-w2 * gamma, np.arange(-degree, degree + 1) ** 2)
-    )
+    return c0 * np.exp(np.multiply.outer(-w2 * gamma, np.arange(-degree, degree + 1) ** 2))
 
 
 def phase_dist_atomic_squeezed(
@@ -306,29 +298,36 @@ def phase_dist_atomic_squeezed(
     degree: int | None = None,
 ):
     """P(phi) of a dephased atomic squeezed state: the gamma-free
-    coefficients c0, which the bath's r, a and T never reach, damped to the
-    given degree; an array gamma_t, or an array state.Theta, gives one row
-    of coefficients per entry, as in _damped, and both arrays are one entry
-    per run.  The state is pure and the gamma-free propagator factorizes, so
-    c0 is that of u u^dag with u_m = a_m e^{i(w^2 eta m^2 - w t m)}; it is
-    built once per distinct Theta."""
+    coefficients c0, which the bath's r, a and T never reach, to the given
+    degree (all 2j by default), damped; an array gamma_t, or an array
+    state.Theta, gives one row of coefficients per entry, as in _damped, and
+    both arrays are one entry per run.  c0 is built once per distinct
+    Theta."""
     if isinstance(state.Theta, np.ndarray):
         thetas, rows = np.unique(state.Theta, return_inverse=True)
-        c0 = _gamma_free_atoms(state._replace(Theta=thetas), omega, t, eta_t)[rows]
+        c0 = _gamma_free_atoms(state._replace(Theta=thetas), omega, t, eta_t, degree)[rows]
     else:
-        c0 = _gamma_free_atoms(state, omega, t, eta_t)
-    return _damped(c0, omega, gamma_t, degree)
+        c0 = _gamma_free_atoms(state, omega, t, eta_t, degree)
+    return _damped(c0, omega, gamma_t)
 
 
-def _gamma_free_atoms(state: AtomicSqueezedParams, omega: float, t: float, eta_t: float):
-    """c0 of u u^dag (phase_dist_atomic_squeezed), one row per entry of an
-    array Theta."""
+def _gamma_free_atoms(
+    state: AtomicSqueezedParams, omega: float, t: float, eta_t: float, degree: int | None
+):
+    """c0 of phase_dist_atomic_squeezed to degree, one row per entry of an
+    array Theta.  The state is pure and the gamma-free propagator
+    factorizes, so c0 is that of u u^dag, u_m = a_m e^{i(w^2 eta m^2 - w t m)}:
+    harmonic d >= 0 is the weighted lag (2j+1)/4pi sum_m W_{m+d,m} u_{m+d} u*_m
+    of the dipole weights W, one diagonal of them, and c_{-d} = conj c_d."""
     amps = atomic_squeezed_amplitudes(state)
     dim = amps.shape[-1]
     m = np.arange(dim) - (dim - 1) / 2.0
     u = amps * np.exp(1j * _gamma_free_phase(m, omega, t, eta_t))
-    rho = u[..., :, None] * u[..., None, :].conj()
-    return _atomic_fourier(rho, dim)
+    weights, ubar = _dipole_weights(dim - 1), u.conj()
+    top = dim - 1 if degree is None else min(degree, dim - 1)
+    lags = [(weights.diagonal(-d) * u[..., d:] * ubar[..., : dim - d]).sum(axis=-1)
+            for d in range(top + 1)]
+    return distribution_from_harmonics(dim / (4.0 * math.pi) * np.stack(lags, axis=-1))
 
 
 def _coherent_rho10(params: AtomicCoherentParams) -> complex:
@@ -438,8 +437,8 @@ def phase_dist_osc_squeezed(
     degree: int | None = None,
 ):
     """Oscillator phase distribution for a squeezed coherent initial state,
-    to the given degree; an array gamma_t gives one row of coefficients per
-    entry, as in _damped.
+    to degree 1 or, at any other degree, None included, in full; an array
+    gamma_t gives one row of coefficients per entry, as in _damped.
 
     The default cutoff covers the mean occupation plus 14 sqrt(mean + 1),
     and at least the levels over which the geometric squeeze tail falls by
@@ -474,4 +473,4 @@ def phase_dist_osc_squeezed(
     # E_n = omega (n + 1/2)
     levels = np.arange(cutoff, dtype=float) + 0.5
     v = amps * np.exp(1j * _gamma_free_phase(levels, omega, t, eta_t))
-    return _damped(ket_autocorrelation(v, degree) / (2.0 * math.pi), omega, gamma_t, degree)
+    return _damped(ket_autocorrelation(v, degree) / (2.0 * math.pi), omega, gamma_t)

@@ -1,7 +1,8 @@
 """The benchmark's output rule in the tier-1 suite: each seed-0 job of the
 CSV workloads in perfbench/workloads.py runs in this process, and
 perfbench/gate.judge holds its CSV to the stored reference (1e-12 absolute
-in every number).  perfbench/ is only read."""
+in every number).  Each job prints its largest deviation from the reference.
+perfbench/ is only read."""
 
 import sys
 from pathlib import Path
@@ -34,4 +35,6 @@ def test_seed_zero_job_matches_its_reference(job, tmp_path, monkeypatch, capsys)
     csv_text = out.read_text() if out.exists() else None
     reference = gate.read_reference(PERFBENCH / "reference", job.reference)
     verdict = gate.judge(job.kind, rc, stdout, csv_text, reference)
+    with capsys.disabled():
+        print(f"\n{job.name}: largest deviation from reference {verdict.deviation}")
     assert verdict.ok, verdict.reason

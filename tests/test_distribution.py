@@ -50,20 +50,6 @@ def test_distribution_rejects_bad_grids():
         samples(np.ones(3), 7)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 11])
-@pytest.mark.parametrize("k", [1, 3])
-def test_a_stack_of_matrices_gives_each_matrix_its_row_bit_for_bit(dim, k):
-    # one bincount over the stack sums each bin in the order one matrix does
-    rng = np.random.default_rng(100 * dim + k)
-    stack = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
-    rows = distribution_from_fourier(stack)
-    assert rows.shape == (k, 2 * dim - 1)
-    for row, a in zip(rows, stack):
-        single = distribution_from_fourier(a)
-        assert single.shape == (2 * dim - 1,)
-        assert np.array_equal(row, single)
-
-
 @pytest.mark.parametrize("degree", [0, 1, 7])
 def test_a_block_of_harmonics_gives_each_row_bit_for_bit(degree):
     rng = np.random.default_rng(degree)

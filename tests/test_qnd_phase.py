@@ -254,6 +254,20 @@ def test_fig7_builds_one_gamma_free_state_per_group(cold_caches, gamma_free_buil
     assert _dipole_weights.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("scenario", ["fig1", "fig7"])
+def test_atoms_at_the_top_spin_run_in_lag_memory(cold_caches, scenario):
+    # j = 514 is the largest spin the CLI accepts.  A dim x dim u u^dag per
+    # distinct Theta took gigabytes for fig7; the lags need the one cached
+    # 8.5 MB weight matrix and a few vectors per Theta
+    tracemalloc.start()
+    try:
+        run_figure(scenario, {"j": 514, "p": 514})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 # (bath settings over fig6's defaults, t): squeezing r, phase slope a,
 # temperature T and cutoff omega_c, the unitary limit gamma0 = 0 included
 FACTORIZATION_CASES = [
@@ -380,6 +394,27 @@ def test_three_lags_are_the_central_autocorrelation_entries(r1, alpha_sq, cutoff
     assert len(full) == 2 * cutoff - 1
     assert np.array_equal(three, full[cutoff - 2 : cutoff + 1])
     assert three[2] != three[0]  # c_{+1} = conj c_{-1}, not c_{-1}
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 5, 50])
+@pytest.mark.parametrize("theta", [-0.3, np.array([-0.3, 0.2, -0.05])])
+def test_atomic_lags_are_oriented_and_cut_to_the_degree_read(j, theta):
+    # harmonic +d pairs W[m+d, m] with u_{m+d} u*_m; the swapped pairing
+    # moves c_{+-1} and keeps every dispersion.  The density-matrix path
+    # shares no lag code, and gamma = 0 damps by e^0 = 1, so the degree-1
+    # build must be the central three of the full one bit for bit.
+    state = AtomicSqueezedParams(j, j, theta)
+    args = (1.3, 0.7, -4e-3, 0.0)
+    full = phase_dist_atomic_squeezed(state, *args)
+    three = phase_dist_atomic_squeezed(state, *args, degree=1)
+    tj = int(2 * j)
+    assert full.shape[-1] == 2 * tj + 1
+    assert np.array_equal(three, full[..., tj - 1 : tj + 2])
+    assert np.all(three[..., 2] != three[..., 0])
+    for theta_k, row in zip(np.ravel(theta).tolist(), np.reshape(full, (-1, 2 * tj + 1))):
+        rho = atomic_squeezed_density(AtomicSqueezedParams(j, j, theta_k))
+        dense = phase_distribution_atomic(qnd_evolve(rho, 1.3, 0.7, -4e-3, 0.0))
+        assert np.max(np.abs(row - dense)) <= 1e-14
 
 
 def test_gamma_free_oscillator_cache_is_keyed_by_degree(cold_caches):
