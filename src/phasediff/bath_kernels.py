@@ -46,7 +46,7 @@ class QndBathSpec(_QndBathFields):
     magnitude r, squeezing-phase slope a (Phi(omega) = a*omega), temperature T.
 
     r, a and T may each be one number or one numpy array, one entry per
-    bath (a group of sweep points that differ only in the bath).  Each
+    bath (the points of a curve over r, a or T).  Each
     field's entries are read once as floats and checked in one pass, field
     by field; a refusal names the first entry at fault."""
 
@@ -131,7 +131,7 @@ def gamma_qnd(t: float, spec: QndBathSpec):
     times are rejected as out of domain.  Refusals name what to change: an
     f past the double range (omega_c t near 1e154) names t and omega_c, and a
     gamma past it (cosh 2r near its limit, or inf - inf) names r, T and t.
-    Each bath is refused, or not, before the next is taken, so a group
+    Each bath is refused, or not, before the next is taken, so a curve
     raises the error of its first bath at fault.
     """
     check_time(t)

@@ -129,12 +129,12 @@ def _collect_options(opts) -> tuple[dict[str, float], dict[str, str]]:
 
 def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
     """The angular grid size and the Fock cutoff (None: each model's own).
-    A value that is not an integer, or is below its minimum, is a usage
-    error that names the setting."""
+    A value that is not an integer, or is below its minimum or above its
+    maximum, is a usage error that names the setting."""
     values = []
-    for key, name, minimum, default in (
-        ("grid", "grid size", MIN_GRID_SIZE, DEFAULT_GRID_SIZE),
-        ("cutoff", "cutoff", 1, None),
+    for key, name, minimum, maximum, default in (
+        ("grid", "grid size", MIN_GRID_SIZE, MAX_POINTS, DEFAULT_GRID_SIZE),
+        ("cutoff", "cutoff", 1, math.inf, None),
     ):
         text = reserved.get(key)
         if text is None:
@@ -143,6 +143,8 @@ def _grid_and_cutoff(reserved: dict[str, str]) -> tuple[int, int | None]:
         n = _convert(int, key, text, "an integer")
         if n < minimum:
             raise UsageError(f"{name} {n} is below the minimum {minimum}")
+        if n > maximum:
+            raise UsageError(f"{name} {n} is above the maximum {maximum}; lower --{key}")
         values.append(n)
     return values[0], values[1]
 
@@ -171,13 +173,6 @@ def _write_outputs(fd: FigureData, out: Path, plot_script: bool) -> int:
     if plot_script:
         print(f"wrote {_write_plot_script(out)}")
     return 0
-
-
-def _sweep_label(x: float) -> str:
-    """The %g form where it reads back as x, else the shortest repr without a
-    trailing .0, so distinct points get distinct column labels."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(x).removesuffix(".0")
 
 
 def _cmd_figure(opts) -> int:
@@ -221,8 +216,10 @@ def _cmd_sweep(opts) -> int:
         raise UsageError("--num must be at least 2")
     if num > MAX_POINTS:
         raise UsageError(f"--num must be at most {MAX_POINTS}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"--start and --stop must be finite, got {start}, {stop}")
+    if not math.isfinite(stop - start):  # also an infinite or NaN endpoint
+        raise UsageError(
+            f"--start and --stop must be finite and a double apart, got {start}, {stop}"
+        )
     grid, cutoff = _grid_and_cutoff(reserved)
     scenario = f"sweep-{family}-{param}"
     out = _out_path(reserved, scenario, opts["plot-script"])
@@ -231,8 +228,7 @@ def _cmd_sweep(opts) -> int:
     if mode == "dispersion":
         fd = dispersion_figure(scenario, point, base, param, xs, [("D", {})], cutoff)
     else:
-        runs = ((f"{param}={_sweep_label(x)}", {param: x}) for x in xs)
-        fd = distribution_figure(scenario, point, base, runs, grid, cutoff)
+        fd = distribution_figure(scenario, point, base, param, xs, grid, cutoff)
     return _write_outputs(fd, out, opts["plot-script"])
 
 

@@ -3,23 +3,24 @@
 Each scenario fig1..fig10 reproduces one figure-style data set as columns
 over a shared abscissa (angle, time, or swept parameter).  A point model
 maps (params, cutoff, degree) to the Fourier coefficients of one phase
-distribution, c_{-D}..c_D with D at most degree; the figures and the
-`sweep` command's families (SWEEP_FAMILIES) run the same point models
-through one grouping, `_evaluate_groups`.  A grouped model
-(GROUPED_MODELS) takes a whole group of runs that differ only in the
-settings it lists, as arrays, and returns one row of coefficients per run:
-under dephasing the bath's r, a and T reach P only through gamma(t), so a
-group makes one array of gamma(t) and one broadcast damping, and the atoms'
-Theta or zeta give one stacked gamma-free build; the dissipative qubit
-takes its baths' r and T.  fig6 is one group of 164 runs, fig7 two (the
-unitary curve and the three T curves).  The caller passes down the Fourier
-degree it reads: 1 for a dispersion, None (all) for a distribution.  The
-dissipative oscillator runs one point at a time and returns all its
-coefficients at any degree.
+distribution, c_{-D}..c_D with D at most degree.  The figures fig6..fig10
+are families of curves, one setting swept per curve, and each `sweep` of
+a family (SWEEP_FAMILIES) is one curve; every curve is one `_curve`.  A
+model that GROUPED_MODELS lists for the swept setting takes the whole
+curve as one array and returns one row of coefficients per point: under
+dephasing the bath's r, a and T reach P only through gamma(t), so a curve
+over one of them makes one array of gamma(t) and one broadcast damping,
+and the atoms' Theta or zeta give one gamma-free build of all the curve's
+amplitudes; the dissipative qubit takes its baths' r and T.  Any other
+curve, such as a t sweep, is one call per point; so are the ad hoc runs of
+fig1, fig2, fig4 and fig5.  The caller passes down the Fourier degree it
+reads: 1 for a dispersion, None (all) for a distribution.  The dissipative
+oscillator runs one point at a time and returns all its coefficients at
+any degree.
 
 A distribution figure samples each P (`_sampled_figure`), which audits the
 Riemann sum of those samples.  A dispersion figure keeps no P: it stacks
-each run's c_{-1}, c_0 and c_1 into one block and reads every dispersion,
+each point's c_{-1}, c_0 and c_1 into one block and reads every dispersion,
 and audits every exact integral, from that block in one step
 (`phase_stats.dispersions`); it needs no grid.  Everything is
 deterministic; there is no randomness anywhere.
@@ -87,8 +88,8 @@ BATH_KEYS = ("r", "a", "T")
 
 def _kernels(p: Mapping[str, float]):
     """eta(t) and gamma(t) of the dephasing bath, gamma with the shape of the
-    bath settings r, a and T: one value each, or one array each over a group
-    of runs.  gamma0 = 0 is the unitary limit, where both vanish; its bath and
+    bath settings r, a and T: one value each, or an array over a curve's
+    points.  gamma0 = 0 is the unitary limit, where both vanish; its bath and
     t are checked all the same, with the bath's own r = 0 and T = 0 where the
     scenario sets neither."""
     bath = {key: p[key] for key in BATH_KEYS if key in p}
@@ -102,9 +103,9 @@ def _kernels(p: Mapping[str, float]):
 
 # --- point models: (params, cutoff, degree) -> coefficients of one P ---
 #
-# The grouped models accept the settings GROUPED_MODELS lists as arrays over
-# a group of runs; they then return one row of coefficients per run (see
-# _evaluate_groups).
+# A model accepts the settings GROUPED_MODELS lists for it as arrays over a
+# curve's points; it then returns one row of coefficients per point (see
+# _curve).
 
 
 def _qnd_atoms(p, cutoff, degree=None):
@@ -160,8 +161,8 @@ def _dissipative_oscillator(p, cutoff, degree=None):
     return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
 
 
-# the settings each grouped model takes as arrays over a group of runs; a run
-# of any other model is evaluated alone
+# the settings each model takes as an array over a curve's points; a curve
+# over any other setting is evaluated point by point
 GROUPED_MODELS = {
     _qnd_atoms: frozenset(BATH_KEYS + ("Theta",)),
     _qnd_atoms_zeta: frozenset(BATH_KEYS + ("zeta",)),
@@ -171,71 +172,28 @@ GROUPED_MODELS = {
 }
 
 
-def _evaluate_groups(point, params, overrides, cutoff, degree):
-    """The point model at {**params, **o} for each o in overrides, to degree
-    (1 where the caller reads only a dispersion; None for all): one output
-    per group, and each group's runs, by index, in the order of its first.
-
-    A grouped model is called once per group: the runs that set the same
-    settings, in the same order as the runs of one figure or sweep do, some
-    of them settings GROUPED_MODELS lists for it, and agree on all others.
-    Each listed setting that differs between a group's runs is passed as an
-    array, one entry per run, and the model returns a 2-d array, one row of
-    coefficients per run; a setting that does not differ, and every setting
-    of a group of one, stays a plain value, which is faster, and the model
-    returns the one row that all the group's runs share.  Any other model,
-    and a run that sets none of the listed settings, is called once per
-    run.
-
-    If a group is refused, every run is evaluated alone, in run order, so
-    that the refusal is that of the first run at fault."""
-    varying = GROUPED_MODELS.get(point, frozenset())
-    groups: dict = {}
-    for i, o in enumerate(overrides):
-        if varying.isdisjoint(o):
-            key = i
-        else:  # a listed setting by its name only, any other with its value
-            key = tuple([x[0] if x[0] in varying else x for x in o.items()])
-        groups.setdefault(key, []).append(i)
-    try:
-        outputs = [point(_group_params(params, overrides, runs, varying), cutoff, degree)
-                   for runs in groups.values()]
-    except (ValueError, ArithmeticError, RuntimeError):
-        if len(groups) < len(overrides):
-            for o in overrides:
-                point({**params, **o}, cutoff, degree)
-        raise
-    return outputs, groups.values()
+def _curve(point, params, x_name, xs, cutoff, degree):
+    """The point model's coefficients at params with x_name = x, for each x
+    in xs, to degree (1 where the caller reads only a dispersion, None for
+    all), one row per x: a 2-d array from one call on np.array(xs) where
+    GROUPED_MODELS lists x_name for the model, else a list from one call
+    per x.  A refused curve call is made again point by point, in order, so
+    that the refusal is the first bad point's own."""
+    if x_name in GROUPED_MODELS.get(point, ()):
+        try:
+            return point({**params, x_name: np.array(xs)}, cutoff, degree)
+        except (ValueError, ArithmeticError, RuntimeError):
+            for x in xs:
+                point({**params, x_name: x}, cutoff, degree)
+            raise
+    return [point({**params, x_name: x}, cutoff, degree) for x in xs]
 
 
-def _group_params(params, overrides, runs, varying):
-    """The settings of the group of runs (indices into overrides): its first
-    run's, with each setting in varying that differs between them as an
-    array over them."""
-    p = {**params, **overrides[runs[0]]}
-    if len(runs) > 1:
-        for k in varying.intersection(overrides[runs[0]]):
-            column = [overrides[i][k] for i in runs]
-            if column.count(column[0]) < len(column):
-                p[k] = np.array(column)
-    return p
-
-
-def evaluate(point, params, runs, cutoff, degree=None):
-    """Yield (label, P) for each (label, overrides) in runs, in run order,
-    where P is the coefficients of the point model at {**params, **overrides}
-    to degree, from the groups of _evaluate_groups: run k of a group gets
-    row k of the group's output, or its one row where the group shares one,
-    as a read-only view."""
-    runs = list(runs)
-    outputs, groups = _evaluate_groups(point, params, [o for _, o in runs], cutoff, degree)
-    dists = [None] * len(runs)
-    for out, members in zip(outputs, groups):
-        rows = np.broadcast_to(out, (len(members), out.shape[-1]))
-        for row, i in enumerate(members):
-            dists[i] = rows[row]
-    for (label, _), p in zip(runs, dists):
-        yield label, p
+def _point_label(x: float) -> str:
+    """The %g form where it reads back as x, else the shortest repr without a
+    trailing .0, so distinct points get distinct column labels."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x).removesuffix(".0")
 
 
 def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureData:
@@ -247,25 +205,28 @@ def _sampled_figure(scenario, x_name, dists, params, grid, notes=()) -> FigureDa
     return FigureData(scenario, x_name, phase_grid(grid), columns, params, notes, dists)
 
 
-def distribution_figure(scenario, point, params, runs, grid, cutoff) -> FigureData:
-    """One P(phi) column per (label, overrides) in runs."""
-    dists = tuple(evaluate(point, params, runs, cutoff))
+def distribution_figure(scenario, point, params, x_name, xs, grid, cutoff) -> FigureData:
+    """One P(phi) column per point of the curve x_name = xs, labelled
+    x_name=x."""
+    rows = _curve(point, params, x_name, xs, cutoff, None)
+    dists = tuple((f"{x_name}={_point_label(x)}", p) for x, p in zip(xs, rows))
     return _sampled_figure(scenario, "phi", dists, params, grid)
 
 
 def dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     """One dispersion column per (label, overrides) curve, over x_name = xs.
-    Every run is evaluated to degree 1, all that a dispersion reads, and its
-    c_{-1}, c_0 and c_1 are one row of the figure's block, curve by curve,
-    from which every dispersion is read, and every integral audited, in one
-    step; the first run at fault, in run order, is refused."""
-    overrides = [{**o, x_name: x} for _, o in curves for x in xs]
-    outputs, groups = _evaluate_groups(point, params, overrides, cutoff, 1)
-    block = np.empty((len(overrides), 3), dtype=complex)
-    for out, members in zip(outputs, groups):
-        # a group of one takes a basic index, several times cheaper than a list
-        block[members if len(members) > 1 else members[0]] = degree_one(out)
-    d = dispersions(block).reshape(len(curves), len(xs))
+    Each curve is one _curve to degree 1, all that a dispersion reads, and
+    its points' c_{-1}, c_0 and c_1 are rows of the figure's block, curve by
+    curve, from which every dispersion is read, and every integral audited,
+    in one step; the first point at fault, curve by curve, is refused."""
+    n = len(xs)
+    block = np.empty((len(curves) * n, 3), dtype=complex)
+    for c, (_, o) in enumerate(curves):
+        rows = _curve(point, {**params, **o}, x_name, xs, cutoff, 1)
+        block[c * n : (c + 1) * n] = (
+            degree_one(rows) if isinstance(rows, np.ndarray) else [degree_one(p) for p in rows]
+        )
+    d = dispersions(block).reshape(len(curves), n)
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), (), block)
 
@@ -285,7 +246,8 @@ def _build_fig1(params, grid, cutoff):
         ("r=2 T=0 t=0.1", {"r": 2.0, "T": 0.0, "t": 0.1}),
         ("r=1 T=300 t=0.1", {"r": 1.0, "T": 300.0, "t": 0.1}),
     ]
-    return distribution_figure("fig1", _qnd_atoms, params, runs, grid, cutoff)
+    dists = tuple((label, _qnd_atoms({**params, **o}, cutoff)) for label, o in runs)
+    return _sampled_figure("fig1", "phi", dists, params, grid)
 
 
 # --- fig2: dissipative qubit, atomic coherent state ---
@@ -298,7 +260,8 @@ def _build_fig2(params, grid, cutoff):
         ("T=300 r=0 t=0.1", {"r": 0.0, "T": 300.0, "t": 0.1}),
         ("T=300 r=2 t=0.1", {"r": 2.0, "T": 300.0, "t": 0.1}),
     ]
-    return distribution_figure("fig2", _dissipative_qubit, params, runs, grid, cutoff)
+    dists = tuple((label, _dissipative_qubit({**params, **o}, cutoff)) for label, o in runs)
+    return _sampled_figure("fig2", "phi", dists, params, grid)
 
 
 # --- fig3: excited-state population decay ---

@@ -29,26 +29,25 @@ oscillator it is the ket autocorrelation over 2 pi.  The closed forms damp
 their gamma-free harmonics the same way.
 
 Every distribution here is the array of its coefficients c_{-D}..c_D
-(distribution), and one rule serves one P and a group.  gamma_t may be one
-gamma(t) or a 1-d array of them: the runs of a sweep that differ only in r,
-T and a (figures.evaluate groups them) then share one c0 and are damped by
-one broadcast exponential, one row of coefficients per entry.  The atomic
-squeezed start's Theta may be a 1-d array as well, one entry per run: its
-amplitudes are then one array with a row per distinct Theta, each row
-normalized on its own, and c0 one row per distinct Theta, each lag one sum
-along the rows, which each run's gamma(t) damps.  c0 is built once per call
-and not cached: the group already shares it.  Each builder forms c0 only to
-the degree its caller reads, and _damped damps all that it is given: a
-dispersion passes degree = 1, so the atoms form only the lags d = 0, 1 in
-O(j) time, instead of all 2j + 1 in O(j^2), and the oscillator asks
-ket_autocorrelation for only its three central lags, in O(cutoff) time,
-instead of the full O(cutoff^2) autocorrelation.  Three parts of an
-initial state are cached, since runs in different groups and calls reuse
-them: the atoms' Wigner-d row (_wigner_row) and dipole weights
-(_dipole_weights), built once per (j, p), and the squeezed coherent ket
-(special_functions.squeezed_coherent_ket), built once for all points of a
-QND oscillator t or omega sweep.  Each is a bounded lru_cache of 8 entries
-whose arrays are read-only.
+(distribution), and one rule serves one P and a curve of them.  gamma_t may
+be one gamma(t) or a 1-d array of them: the points of a curve over r, T or
+a (figures._curve) then share one c0 and are damped by one broadcast
+exponential, one row of coefficients per entry.  The atomic squeezed
+start's Theta may be a 1-d array as well, one entry per point: its
+amplitudes are then one array with a row per entry, each row normalized on
+its own, and c0 one row per entry, each lag one sum along the rows, which
+each point's gamma(t) damps.  c0 is built once per call and not cached: the
+curve already shares it.  Each builder forms c0 only to the degree its
+caller reads, and _damped damps all that it is given: a dispersion passes
+degree = 1, so the atoms form only the lags d = 0, 1 in O(j) time, instead
+of all 2j + 1 in O(j^2), and the oscillator asks ket_autocorrelation for
+only its three central lags, in O(cutoff) time, instead of the full
+O(cutoff^2) autocorrelation.  Three parts of an initial state are cached,
+since different curves and calls reuse them: the atoms' Wigner-d row
+(_wigner_row) and dipole weights (_dipole_weights), built once per (j, p),
+and the squeezed coherent ket (special_functions.squeezed_coherent_ket),
+built once for all points of a QND oscillator t or omega sweep.  Each is a
+bounded lru_cache of 8 entries whose arrays are read-only.
 """
 
 from __future__ import annotations
@@ -301,14 +300,8 @@ def phase_dist_atomic_squeezed(
     coefficients c0, which the bath's r, a and T never reach, to the given
     degree (all 2j by default), damped; an array gamma_t, or an array
     state.Theta, gives one row of coefficients per entry, as in _damped, and
-    both arrays are one entry per run.  c0 is built once per distinct
-    Theta."""
-    if isinstance(state.Theta, np.ndarray):
-        thetas, rows = np.unique(state.Theta, return_inverse=True)
-        c0 = _gamma_free_atoms(state._replace(Theta=thetas), omega, t, eta_t, degree)[rows]
-    else:
-        c0 = _gamma_free_atoms(state, omega, t, eta_t, degree)
-    return _damped(c0, omega, gamma_t)
+    both arrays are one entry per point of a curve."""
+    return _damped(_gamma_free_atoms(state, omega, t, eta_t, degree), omega, gamma_t)
 
 
 def _gamma_free_atoms(

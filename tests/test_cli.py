@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,16 +457,40 @@ def _refuse_linspace(*args, **kwargs):
      "n_t = 1e+300 exceeds the limit of 1000000 points"),
     ([*_SWEEP, "--num", "1000000000000"], 2, "--num must be at most 1000000"),
     ([*_SWEEP, "--num", "1" + "0" * 300], 2, "--num must be at most 1000000"),
-], ids=["n_t=1e12", "n_t=1e300", "num=1e12", "num=1e300"])
+    (["figure", "fig2", "--grid", "1000001"], 2,
+     "grid size 1000001 is above the maximum 1000000; lower --grid"),
+    ([*_SWEEP, "--mode", "distribution", "--grid", "1000000000"], 2,
+     "grid size 1000000000 is above the maximum 1000000; lower --grid"),
+], ids=["n_t=1e12", "n_t=1e300", "num=1e12", "num=1e300", "figure-grid=1e6+1",
+        "sweep-grid=1e9"])
 def test_point_count_past_the_bound_is_refused_before_allocation(
     tmp_path, monkeypatch, capsys, argv, rc, message
 ):
-    # 1e12 points would take 7.3 TiB: the count is refused by name before
-    # np.linspace, which this test makes fail if reached
+    # 1e12 points would take 7.3 TiB, and a grid of 1e9 angles 16 GB: the
+    # count is refused by name before np.linspace, which this test makes
+    # fail if reached
     monkeypatch.setattr(np, "linspace", _refuse_linspace)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == rc
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, param", [
+    ("qnd-qubit", "r"), ("dissipative-oscillator", "eta0_sq"),
+])
+def test_sweep_span_past_the_double_range_usage_error(tmp_path, monkeypatch, capsys, family,
+                                                      param):
+    # stop - start = -inf: np.linspace would warn and give NaN points
+    monkeypatch.setattr(np, "linspace", _refuse_linspace)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--family", family, "--param", param, "--start", "1e308",
+                     "--stop", "-1e308", "--num", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --start and --stop must be finite and a double apart, got 1e+308, -1e+308\n"
+    )
     assert not out.exists()
 
 
@@ -605,13 +630,13 @@ def test_fig3_refuses_negative_time_span(tmp_path, capsys):
 
 
 def test_dispersion_sweep_never_samples_the_grid(tmp_path):
-    # one complex array on 4194304 angles is 64 MB; dispersion and the
-    # normalization audit read Fourier coefficients only
+    # one complex array on the largest grid, 1000000 angles, is 16 MB;
+    # dispersion and the normalization audit read Fourier coefficients only
     out = tmp_path / "s.csv"
     tracemalloc.start()
     try:
         rc = main(["sweep", "--family", "qnd-oscillator", "--param", "r", "--start", "-1",
-                   "--stop", "1", "--num", "3", "--grid", "4194304", "--out", str(out)])
+                   "--stop", "1", "--num", "3", "--grid", "1000000", "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from phasediff.cli import read_config_file
 from phasediff.dissipative_oscillator import oscillator_spec
 from phasediff.dissipative_qubit import excited_population, qubit_spec
 from phasediff.distribution import samples
-from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, evaluate, run_figure
+from phasediff.figures import SCENARIOS, SWEEP_FAMILIES, _curve, run_figure
 from phasediff.phase_stats import dispersion, integrate_distribution
 from phasediff.qnd_phase import (
     AtomicSqueezedParams,
@@ -124,9 +125,8 @@ def test_unitary_curves_are_the_undamped_evolution():
 
 
 def test_dispersion_figure_keeps_its_curves_in_order():
-    # the runs are evaluated in two groups, the unitary curve and the three
-    # T curves together, but the columns and the block's rows stay curve by
-    # curve
+    # each curve is one call over all its zetas, and the columns and the
+    # block's rows stay curve by curve
     fd = run_figure("fig7")
     labels = [label for label, _ in fd.columns]
     assert labels == ["unitary", "T=0", "T=50", "T=100"]
@@ -144,19 +144,19 @@ def _central(p, degree):
 
 
 def _one_at_a_time(monkeypatch):
-    """evaluate as it treats a dissipative oscillator: one run per call,
+    """_curve as it treats a dissipative oscillator: one call per point,
     every harmonic, every setting as a plain value."""
     monkeypatch.setattr(figures, "GROUPED_MODELS", {})
 
 
 @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10"])
-def test_grouped_figures_match_one_run_at_a_time(monkeypatch, fig):
-    # fig6 mixes T = 0 and T > 0 in one group; fig7 and fig8 have unitary
-    # (gamma0 = 0) curves, and fig7's T curves vary zeta and T in one group;
-    # fig2 and fig9 group the dissipative qubit's baths; a dispersion figure
-    # reads degree 1 only.  A group takes each bath's gamma, each Theta's
-    # amplitudes and each qubit bath's coherence by the arithmetic of a run
-    # alone, so the two agree exactly
+def test_curve_figures_match_one_point_at_a_time(monkeypatch, fig):
+    # fig6 has T = 0 and T > 0 curves; fig7 and fig8 have unitary
+    # (gamma0 = 0) curves, and fig7's curves vary zeta; fig9 takes the
+    # dissipative qubit's baths as arrays; fig1 and fig2 make one call per
+    # run either way; a dispersion figure reads degree 1 only.  A curve takes
+    # each bath's gamma, each Theta's amplitudes and each qubit bath's
+    # coherence by the arithmetic of a point alone, so the two agree exactly
     grouped = run_figure(fig)
     _one_at_a_time(monkeypatch)
     single = run_figure(fig)
@@ -185,17 +185,17 @@ SWEEPS = [
 @pytest.mark.parametrize("degree", [1, None])
 @pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator", "dissipative-qubit"])
 @pytest.mark.parametrize("param, values, sets", SWEEPS, ids=["r", "T", "a", "t", "unitary"])
-def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, values, sets,
-                                                 degree):
-    # the dissipative qubit has no a, whose runs then differ in nothing it reads
+def test_curves_match_one_point_at_a_time(monkeypatch, family, param, values, sets, degree):
+    # the dissipative qubit has no a, whose points then differ in nothing it
+    # reads; t is no array setting of any model, so its curve is one call per
+    # point either way
     point, defaults = SWEEP_FAMILIES[family]
     params = {**defaults, **sets}
-    runs = [(f"{param}={x:g}", {param: float(x)}) for x in values]
-    grouped = list(evaluate(point, params, runs, None, degree))
+    grouped = _curve(point, params, param, values.tolist(), None, degree)
     _one_at_a_time(monkeypatch)
-    single = list(evaluate(point, params, runs, None, degree))
-    for (label, p), (label_single, q) in zip(grouped, single, strict=True):
-        assert label == label_single
+    single = _curve(point, params, param, values.tolist(), None, degree)
+    assert len(grouped) == len(single) == len(values)
+    for p, q in zip(grouped, single, strict=True):
         full = len(q) // 2
         assert len(p) // 2 == (full if degree is None else min(degree, full))
         # every coefficient, so c_{+1} and c_{-1} are checked apart
@@ -210,23 +210,22 @@ def test_grouped_sweeps_match_one_run_at_a_time(monkeypatch, family, param, valu
     ("r", [1.0, 355.0, 2.0], {"T": 0.0}),
     ("T", [0.0, 50.0, 1e300], {"gamma0": 1e10}),
 ], ids=["T<0", "t<=2a", "gamma-nan", "gamma-inf", "scale-inf"])
-def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family, param, values,
-                                                            sets):
-    # the group names the same setting and value as the failing run alone,
+def test_a_refusal_inside_a_curve_is_the_single_point_refusal(monkeypatch, family, param, values,
+                                                              sets):
+    # the curve names the same setting and value as the failing point alone,
     # and no RuntimeWarning escapes from either
     point, defaults = SWEEP_FAMILIES[family]
     params = {**defaults, **sets}
-    runs = [(f"{param}={x:g}", {param: x}) for x in values]
     bad = next(i for i, x in enumerate(values) if x in (-1.0, 0.6, 354.5, 355.0, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as group:
-            list(evaluate(point, params, runs, None, 1))
+        with pytest.raises(ValueError) as curve:
+            _curve(point, params, param, values, None, 1)
         _one_at_a_time(monkeypatch)
         with pytest.raises(ValueError) as alone:
-            list(evaluate(point, params, runs[bad : bad + 1], None, 1))
-    assert type(group.value) is type(alone.value)
-    assert str(group.value) == str(alone.value)
+            _curve(point, params, param, values[bad : bad + 1], None, 1)
+    assert type(curve.value) is type(alone.value)
+    assert str(curve.value) == str(alone.value)
     assert f"{param} = {values[bad]}" in str(alone.value) or "2a = 1.2" in str(alone.value)
 
 
@@ -235,52 +234,45 @@ def test_a_refusal_inside_a_group_is_the_single_run_refusal(monkeypatch, family,
     ("r", [0.0, 25.0, 1.0]),
     ("T", [0.0, 1e300, 5.0]),
 ], ids=["T<0", "tanh-r", "N-overflow"])
-def test_a_refusal_inside_a_qubit_bath_group_is_the_single_run_refusal(monkeypatch, param,
-                                                                     values):
-    # each bath of a dissipative-qubit group is built by qubit_spec, which
-    # refuses the first bath at fault as that run alone does
+def test_a_refusal_inside_a_qubit_bath_curve_is_the_single_point_refusal(monkeypatch, param,
+                                                                        values):
+    # each bath of a dissipative-qubit curve is built by qubit_spec, which
+    # refuses the first bath at fault as that point alone does
     point, defaults = SWEEP_FAMILIES["dissipative-qubit"]
-    runs = [(f"{param}={x:g}", {param: x}) for x in values]
     bad = 1 if values[1] in (25.0, 1e300) else 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as group:
-            list(evaluate(point, defaults, runs, None, 1))
+        with pytest.raises(ValueError) as curve:
+            _curve(point, defaults, param, values, None, 1)
         _one_at_a_time(monkeypatch)
         with pytest.raises(ValueError) as alone:
-            list(evaluate(point, defaults, runs[bad : bad + 1], None, 1))
-    assert type(group.value) is type(alone.value)
-    assert str(group.value) == str(alone.value)
+            _curve(point, defaults, param, values[bad : bad + 1], None, 1)
+    assert type(curve.value) is type(alone.value)
+    assert str(curve.value) == str(alone.value)
     assert f"{param} = {values[bad]}" in str(alone.value)
 
 
-@pytest.mark.parametrize("runs, bad, message", [
-    ([{"a": -0.5}, {"T": -1.0}], 0, "a = -0.5 must be nonnegative"),
-    ([{"t": 1.0, "r": 0.0}, {"t": 2.0, "T": -1.0}, {"t": 1.0, "a": 0.6}], 1,
-     "T = -1.0 must be nonnegative"),
-    ([{"a": -0.5, "T": 0.0}, {"a": 0.0, "T": -1.0}], 0, "a = -0.5 must be nonnegative"),
-    ([{"t": 1.0, "a": 0.0}, {"t": 2.0, "a": -0.5}, {"t": 1.0, "a": 0.6}], 1,
+@pytest.mark.parametrize("curves, xs, message", [
+    ([("T=0", {"T": 0.0}), ("T=-1", {"T": -1.0})], [-0.5, 0.0],
      "a = -0.5 must be nonnegative"),
-], ids=["field-order", "group-order", "field-order-one-group", "group-order-two-groups"])
-def test_a_refusing_group_names_the_first_run_at_fault(runs, bad, message):
-    # the bath's checks go field by field (T before a) and the groups are
-    # taken in the order of their first run (t = 1 before t = 2); the last
-    # two cases put the runs at fault in groups that refuse another run
-    # first.  A refused group is evaluated again run by run, so the refusal
-    # is the first bad run's own, with no RuntimeWarning from the grouped
-    # attempt
+    ([("t=2", {"t": 2.0}), ("t=1", {"t": 1.0})], [0.0, 0.6, -0.5],
+     "a = -0.5 must be nonnegative"),
+    ([("t=1", {"t": 1.0}), ("t=2", {"t": 2.0})], [0.0, 0.6, -0.5],
+     "gamma(t) undefined for t = 1.0 <= 2a = 1.2"),
+], ids=["first-curve", "first-point", "curve-order"])
+def test_a_refusing_figure_names_its_first_point_at_fault(curves, xs, message):
+    # the curves over a are evaluated in order, and a refused curve point by
+    # point, so the refusal is the first bad point's own, with no
+    # RuntimeWarning from the curve's one call
     point, defaults = SWEEP_FAMILIES["qnd-qubit"]
-    labelled = [(str(i), o) for i, o in enumerate(runs)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            list(evaluate(point, defaults, labelled, None, 1))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            list(evaluate(point, defaults, labelled[bad : bad + 1], None, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            figures.dispersion_figure("x", point, defaults, "a", xs, curves, None)
 
 
-def test_fig7_groups_zeta_and_the_bath_in_two_groups(monkeypatch):
-    # the unitary curve and the three T curves are one group each
+def test_fig7_evaluates_each_curve_in_one_call(monkeypatch):
+    # the unitary curve and the three T curves are one call each
     calls = []
     model = figures._qnd_atoms_zeta
 
@@ -291,7 +283,7 @@ def test_fig7_groups_zeta_and_the_bath_in_two_groups(monkeypatch):
     monkeypatch.setitem(figures.GROUPED_MODELS, counted, figures.GROUPED_MODELS[model])
     monkeypatch.setattr(figures, "_qnd_atoms_zeta", counted)
     run_figure("fig7")
-    assert calls == [(36,), (108,)]
+    assert calls == [(36,)] * 4
 
 
 def test_fig3_population_over_a_time_array_is_the_scalar_population():
@@ -323,21 +315,20 @@ def test_population_over_a_time_array_names_its_first_bad_time(times, message):
 
 
 @pytest.mark.parametrize("family", ["qnd-qubit", "qnd-oscillator"])
-def test_a_group_refuses_where_its_runs_would_in_run_order(monkeypatch, family):
-    # the first run's gamma is not finite and the second's t <= 2a is out of
-    # domain: the group raises the first run's error, as the runs one at a
-    # time would
+def test_a_curve_refuses_where_its_points_would_in_order(monkeypatch, family):
+    # the first point's gamma is not finite and the second's t <= 2a is out
+    # of domain: the curve's one call raises the first point's error, as the
+    # points one at a time would
     point, defaults = SWEEP_FAMILIES[family]
-    params = {**defaults, "t": 1.0}
-    runs = [("hot", {"r": 354.5, "T": 50.0, "a": 0.0}), ("wide", {"r": 0.0, "T": 0.0, "a": 0.6})]
+    params = {**defaults, "t": 1.0, "r": 354.5, "T": 50.0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as group:
-            list(evaluate(point, params, runs, None, 1))
+        with pytest.raises(ValueError) as curve:
+            _curve(point, params, "a", [0.0, 0.6], None, 1)
         _one_at_a_time(monkeypatch)
         with pytest.raises(ValueError) as alone:
-            list(evaluate(point, params, runs, None, 1))
-    assert type(group.value) is type(alone.value) is ValueError
-    assert str(group.value) == str(alone.value) == (
+            _curve(point, params, "a", [0.0, 0.6], None, 1)
+    assert type(curve.value) is type(alone.value) is ValueError
+    assert str(curve.value) == str(alone.value) == (
         "gamma(t) = nan is not finite at r = 354.5, T = 50.0, t = 1.0; lower the bath squeezing |r|"
     )

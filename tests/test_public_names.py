@@ -1,7 +1,8 @@
-"""The package defines no public helper that only the tests use: every
-module-level public function or class of src/phasediff is named somewhere
-in the package outside its own definition, or is a target of the
-benchmark's tracing.  Read statically, with ast; nothing is imported."""
+"""The package defines no helper that only the tests use, or that nothing
+uses: every module-level function or class of src/phasediff, public or
+private, is named somewhere in the package outside its own definition, or
+is a target of the benchmark's tracing.  Read statically, with ast; nothing
+is imported."""
 
 import ast
 from pathlib import Path
@@ -36,7 +37,7 @@ def _traced_targets() -> set[tuple[str, str]]:
     return pairs
 
 
-def test_every_public_definition_is_used_by_the_package():
+def test_every_definition_is_used_by_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     uses: dict[str, int] = {}
     for tree in trees.values():
@@ -48,7 +49,7 @@ def test_every_public_definition_is_used_by_the_package():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or (module, node.name) in traced:
+            if (module, node.name) in traced:
                 continue
             own = _names(node).count(node.name)  # a recursive call is no use
             if uses.get(node.name, 0) - own == 0:

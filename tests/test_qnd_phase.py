@@ -235,21 +235,20 @@ def test_dipole_weights_match_scalar_double_loop(j):
 
 
 def test_fig6_builds_the_atomic_initial_state_once(cold_caches, gamma_free_builds):
-    # 164 points vary only the bath: one group, one gamma-free coefficient
-    # vector, whose build makes the one Wigner-d row, and one weight matrix
+    # each of the 4 T curves varies only the bath: one gamma-free coefficient
+    # vector per curve, and the one Wigner-d row and weight matrix for all
     run_figure("fig6")
-    assert len(gamma_free_builds) == 1
+    assert len(gamma_free_builds) == 4
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
 
-def test_fig7_builds_one_gamma_free_state_per_group(cold_caches, gamma_free_builds):
-    # zeta varies within a group: the unitary curve (eta = 0) is one group and
-    # the three temperature curves, which share one eta, the other; each
-    # builds the coefficients of all its zetas at once, from one Wigner-d row
-    # and weight matrix
+def test_fig7_builds_one_gamma_free_state_per_curve(cold_caches, gamma_free_builds):
+    # zeta varies along each of the 4 curves, the unitary one (eta = 0) and
+    # the three T curves; each builds the coefficients of all its zetas at
+    # once, from the one Wigner-d row and weight matrix
     run_figure("fig7")
-    assert len(gamma_free_builds) == 2
+    assert len(gamma_free_builds) == 4
     assert _wigner_row.cache_info().misses == 1
     assert _dipole_weights.cache_info().misses == 1
 
