@@ -196,28 +196,49 @@ def default_dissipative_cutoff(mix: GscsMixture, eta0: complex) -> int:
     return max(40, int(math.ceil(pad + 20.0)))
 
 
+def _ket_tail_sums(ket: np.ndarray, check: int) -> np.ndarray:
+    """sum_m ket_m ket_{m+d}^*, d = 1 - len(ket)..len(ket) - 1 ascending,
+    over only the pairs (m, m + d) with an index >= check: the
+    ket_autocorrelation of ket less that of ket[:check] (zero-padded), in
+    O((len(ket) - check) len(ket)) time.  A pair with m >= check is one lag
+    of the conjugated correlation of ket with its tail; one with
+    m < check <= m + d, at d >= 1, is one of ket[:check] with the tail,
+    reversed."""
+    cutoff, tail = len(ket), ket[check:]
+    sums = np.zeros(2 * cutoff - 1, dtype=complex)
+    sums[: cutoff + len(tail) - 1] = np.correlate(ket, tail, "full").conj()
+    sums[cutoff:] += np.correlate(ket[:check], tail, "full")[::-1]
+    return sums
+
+
 def phase_dist_osc_dissipative(
     spec: DissipativeBathSpec,
     eta0: complex,
     t: float,
     cutoff: int | None = None,
+    degree: int | None = None,
 ) -> np.ndarray:
-    """Phase distribution of the dissipative oscillator at time t.
+    """Phase distribution of the dissipative oscillator at time t, to
+    degree 1 (c_{-1}, c_0, c_1, all that a dispersion reads) or, at any
+    other degree, None included, in full: d = 1 - cutoff..cutoff - 1.
 
-    Its coefficients, d = 1 - cutoff..cutoff - 1, are the diagonal sums
-    c_d = sum_m rho_S[m, m+d] / 2pi of rho_S[m, n] = rho[m, n]
-    e^{-i omega (m - n) t}, in O(cutoff) memory.
+    Its coefficients are the diagonal sums c_d = sum_m rho_S[m, m+d] / 2pi
+    of rho_S[m, n] = rho[m, n] e^{-i omega (m - n) t}, in O(cutoff) memory.
     Both branches form the interaction-picture sums sum_m rho[m, m+d]: at
-    beta_tilde = 0 the autocorrelation of the bare ket, otherwise the rows
-    of _density_rows added in as they come.  They are taken at the cutoff
-    and, from the first rows and columns, at a check cutoff always 8 levels
-    lower, so a cutoff of 8 or less is refused.  The audit is one trace
-    check at the cutoff (deficit at most TRACE_TOL) and one comparison of
-    the two cutoffs' sums, sum_d |c_d - c'_d| >= sup_phi |P - P'| at most
-    AGREEMENT_TOL (the shorter array zero-padded); the free rotation
-    e^{i omega t d} has modulus 1, so the comparison is taken before it,
-    and it is applied once, to the accepted sums.  A failure is a
-    TruncationError that names the cutoff.
+    beta_tilde = 0 the autocorrelation of the bare ket (three inner
+    products at degree 1), otherwise the rows of _density_rows added in as
+    they come, sliced to the degree.  The audit compares them with the same
+    sums at a check cutoff always 8 levels lower, from the first rows and
+    columns, so a cutoff of 8 or less is refused.  It is one trace check at
+    the cutoff (deficit of c_0 at most TRACE_TOL) and one comparison of the
+    two cutoffs, sum_d |c_d - c'_d| >= sup_phi |P - P'| at most
+    AGREEMENT_TOL.  The difference c_d - c'_d is the sum over the pairs
+    (m, m + d) with an index at or past the check cutoff, so it is formed
+    from those 8 tail levels alone, in O(8 cutoff) time: the check cutoff's
+    own sums are never formed.  The free rotation e^{i omega t d} has
+    modulus 1, so the comparison is taken before it, and it is applied
+    once, to the accepted sums.  A failure is a TruncationError that names
+    the cutoff.
     """
     mix = mixture_params(spec, t, eta0)
     if cutoff is None:
@@ -230,23 +251,26 @@ def phase_dist_osc_dissipative(
             f"a Fock cutoff of {cutoff} leaves no check cutoff 8 levels lower; "
             f"raise the Fock cutoff above 8 (--cutoff, currently {cutoff})"
         )
+    lags = 1 if degree == 1 else cutoff - 1
     if mix.beta_tilde == 0.0:
         r, angle = abs(mix.zeta), math.atan2(mix.zeta.imag, mix.zeta.real)
         ket = squeezed_coherent_ket(r, angle, mix.a, cutoff)
-        full, short = ket_autocorrelation(ket), ket_autocorrelation(ket[:check])
+        sums, tail = ket_autocorrelation(ket, degree), _ket_tail_sums(ket, check)
     else:
         full = np.zeros(2 * cutoff - 1, dtype=complex)
-        short = np.zeros(2 * check - 1, dtype=complex)
+        tail = np.zeros(2 * cutoff - 1, dtype=complex)
         for m, row in enumerate(_density_rows(mix, cutoff)):
             full[cutoff - 1 - m : 2 * cutoff - 1 - m] += row
-            if m < check:
-                short[check - 1 - m : 2 * check - 1 - m] += row[:check]
-    _check_trace(float(full[cutoff - 1].real), cutoff, TRACE_TOL)  # the d = 0 sum
-    dev = float(np.sum(np.abs(full - np.pad(short, 8)))) / (2.0 * math.pi)
+            # a row past the check cutoff whole, else its last 8 entries
+            first = 0 if m >= check else check
+            tail[cutoff - 1 - m + first : 2 * cutoff - 1 - m] += row[first:]
+        sums = full[cutoff - 1 - lags : cutoff + lags]
+    _check_trace(float(sums[lags].real), cutoff, TRACE_TOL)  # the d = 0 sum
+    dev = float(np.sum(np.abs(tail))) / (2.0 * math.pi)
     if dev > AGREEMENT_TOL:
         raise TruncationError(
             f"two-cutoff disagreement {dev:.3e} at cutoffs {(cutoff, check)}; "
             f"raise the Fock cutoff (--cutoff, currently {cutoff})"
         )
-    free = np.exp(1j * spec.omega * t * np.arange(1 - cutoff, cutoff))
-    return full * free / (2.0 * math.pi)
+    free = np.exp(1j * spec.omega * t * np.arange(-lags, lags + 1))
+    return sums * free / (2.0 * math.pi)

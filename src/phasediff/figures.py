@@ -14,9 +14,9 @@ and the atoms' Theta or zeta give one gamma-free build of all the curve's
 amplitudes; the dissipative qubit takes its baths' r and T.  Any other
 curve, such as a t sweep, is one call per point; so are the ad hoc runs of
 fig1, fig2, fig4 and fig5.  The caller passes down the Fourier degree it
-reads: 1 for a dispersion, None (all) for a distribution.  The dissipative
-oscillator runs one point at a time and returns all its coefficients at
-any degree.
+reads: 1 for a dispersion, None (all) for a distribution.  Every model
+then returns c_{-1}, c_0 and c_1 at degree 1, so a dispersion curve's
+rows are one (points, 3) array whichever form _curve gives them in.
 
 A distribution figure samples each P (`_sampled_figure`), which audits the
 Riemann sum of those samples.  A dispersion figure keeps no P: it stacks
@@ -158,7 +158,9 @@ def _qnd_oscillator(p, cutoff, degree=None):
 
 def _dissipative_oscillator(p, cutoff, degree=None):
     spec = oscillator_spec(p["omega"], p["gamma0"], p["r"], p["Phi"], p["T"])
-    return phase_dist_osc_dissipative(spec, _magnitude(p, "eta0_sq"), p["t"], cutoff)
+    return phase_dist_osc_dissipative(
+        spec, _magnitude(p, "eta0_sq"), p["t"], cutoff, degree
+    )
 
 
 # the settings each model takes as an array over a curve's points; a curve
@@ -223,9 +225,7 @@ def dispersion_figure(scenario, point, params, x_name, xs, curves, cutoff):
     block = np.empty((len(curves) * n, 3), dtype=complex)
     for c, (_, o) in enumerate(curves):
         rows = _curve(point, {**params, **o}, x_name, xs, cutoff, 1)
-        block[c * n : (c + 1) * n] = (
-            degree_one(rows) if isinstance(rows, np.ndarray) else [degree_one(p) for p in rows]
-        )
+        block[c * n : (c + 1) * n] = degree_one(np.asarray(rows))
     d = dispersions(block).reshape(len(curves), n)
     columns = tuple((label, row) for (label, _), row in zip(curves, d))
     return FigureData(scenario, x_name, np.array(xs), columns, params, (), (), block)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -5,8 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from phasediff import dissipative_oscillator
+from phasediff.cli import main
 from phasediff.dissipative_oscillator import (
+    AGREEMENT_TOL,
+    TRACE_TOL,
     GscsMixture,
+    _density_rows,
     default_dissipative_cutoff,
     fock_density_from_gscs,
     gcs_displacement_matrix,
@@ -14,7 +20,7 @@ from phasediff.dissipative_oscillator import (
     oscillator_spec,
     phase_dist_osc_dissipative,
 )
-from phasediff.distribution import distribution_from_fourier, samples
+from phasediff.distribution import distribution_from_fourier, ket_autocorrelation, samples
 from phasediff.errors import TruncationError
 from phasediff.oracle import integrate_lindblad_oscillator
 from phasediff.phase_stats import audit_normalization, dispersion, integrate_distribution
@@ -223,8 +229,110 @@ def test_insufficient_cutoff_raises():
 def test_two_cutoff_disagreement_names_the_cutoff_setting():
     # T > 0 with squeezing, where the default cutoff is too small
     spec = oscillator_spec(1, 0.25, 1.0, 0.3, 5.0)
-    with pytest.raises(TruncationError, match=r"two-cutoff disagreement .*--cutoff"):
+    with pytest.raises(
+        TruncationError,
+        match=r"two-cutoff disagreement 5\.002e-06 at cutoffs \(227, 219\); .*--cutoff",
+    ):
         phase_dist_osc_dissipative(spec, 1.0, 2.0)
+
+
+def _two_cutoff_verdict(spec, eta0, t, cutoff):
+    """The audit with the check cutoff's own sums formed in full: None, or
+    the TruncationError text; rows that pass |rho_mn| = 1 are not covered."""
+    mix = mixture_params(spec, t, eta0)
+    check = cutoff - 8
+    if mix.beta_tilde == 0.0:
+        ket = squeezed_coherent_ket(abs(mix.zeta), cmath.phase(mix.zeta), mix.a, cutoff)
+        full, short = ket_autocorrelation(ket), ket_autocorrelation(ket[:check])
+    else:
+        rho = np.array(list(_density_rows(mix, cutoff)))
+        full, short = (
+            np.array([np.trace(m, d) for d in range(1 - len(m), len(m))])
+            for m in (rho, rho[:check, :check])
+        )
+    trace = full[cutoff - 1].real
+    if abs(trace - 1.0) > TRACE_TOL:
+        return (
+            f"assembled trace {trace:.10f} misses 1 by more than {TRACE_TOL:.1e}; "
+            f"raise the Fock cutoff (--cutoff, currently {cutoff})"
+        )
+    dev = np.sum(np.abs(full - np.pad(short, 8))) / (2.0 * math.pi)
+    if dev > AGREEMENT_TOL:
+        return (
+            f"two-cutoff disagreement {dev:.3e} at cutoffs {(cutoff, check)}; "
+            f"raise the Fock cutoff (--cutoff, currently {cutoff})"
+        )
+    return None
+
+
+# (omega, gamma0, r, Phi, T), eta0, t and the cutoff (None: the default), at
+# T = 0 and T > 0, accepted and refused by either check
+AUDIT_POINTS = [
+    ((1.0, 0.025, 0.9, 0.0, 0.0), 1.0, 0.4, None),
+    ((1.0, 0.025, -0.6, 0.3, 0.0), math.sqrt(2.0), 1.3, None),
+    ((1.0, 0.25, 0.0, 0.0, 0.0), 2.0, 0.5, None),
+    ((1.0, 0.025, 1.5, 0.7, 0.0), 1.0, 0.1, None),
+    ((1.0, 0.025, -1.2, -2.0, 0.0), 0.5, 2.0, None),
+    ((1.0, 0.025, 1.0, 0.0, 0.0), 1.0, 0.1, 40),
+    ((1.0, 0.025, 1.0, 0.0, 0.0), 1.0, 0.1, 20),
+    ((1.0, 0.025, -0.5, 0.0, 0.0), 2.0, 0.1, 30),
+    ((1.0, 0.025, 0.3, 0.0, 0.0), 1.0, 0.1, 12),
+    ((1.0, 0.025, 0.9, 0.0, 0.0), 3.0, 0.0, 60),
+    ((1.0, 0.025, 0.0, 0.0, 0.0), 0.1, 0.1, 9),
+    ((1.0, 0.25, 1.0, 0.3, 5.0), 1.0, 2.0, None),
+    ((1.0, 0.25, 0.5, 0.3, 2.0), 1.0, 0.5, None),
+    ((1.0, 0.25, -0.8, -1.1, 5.0), 2.0 + 1.5j, 0.5, None),
+    ((1.0, 0.025, 0.5, 0.3, 20.0), 1.0, 0.5, None),
+    ((1.0, 0.25, 0.0, 0.0, 2.0), 1.0, 3.0, None),
+    ((1.0, 0.025, -0.3, 0.7, 0.03), 1.0, 1.3, None),
+    ((1.0, 0.25, 1.0, 0.3, 5.0), 1.0, 2.0, 60),
+    ((1.0, 0.25, 0.5, 0.0, 2.0), 1.0, 1.0, 25),
+    ((1.0, 0.25, -1.0, 0.0, 5.0), 1.0, 1.0, 200),
+    ((1.0, 0.25, 0.5, 0.0, 2.0), 1.0, 1.0, 10),
+    ((1.0, 0.25, 0.0, 0.0, 2.0), 0.1, 0.5, 9),
+]
+
+
+@pytest.mark.parametrize("args, eta0, t, cutoff", AUDIT_POINTS)
+def test_tail_audit_gives_the_two_cutoff_verdict(args, eta0, t, cutoff):
+    # the disagreement is formed from the 8 tail levels alone; the verdict
+    # and its text are those of the check cutoff's sums formed in full
+    spec = oscillator_spec(*args)
+    if cutoff is None:
+        cutoff = default_dissipative_cutoff(mixture_params(spec, t, eta0), eta0)
+    expected = _two_cutoff_verdict(spec, eta0, t, cutoff)
+    if expected is not None:
+        for degree in (1, None):
+            with pytest.raises(TruncationError) as err:
+                phase_dist_osc_dissipative(spec, eta0, t, cutoff, degree)
+            assert str(err.value) == expected
+        return
+    full = phase_dist_osc_dissipative(spec, eta0, t, cutoff)
+    one = phase_dist_osc_dissipative(spec, eta0, t, cutoff, 1)
+    assert full.shape == (2 * cutoff - 1,) and one.shape == (3,)
+    assert np.max(np.abs(one - full[cutoff - 2 : cutoff + 1])) <= 1e-15
+
+
+def test_dispersion_sweep_reads_three_lags_of_the_ket(tmp_path, monkeypatch):
+    # r = 4 at T = 0 has a default cutoff of about 6.9e4 levels, where all
+    # 2 cutoff - 1 lags, at the cutoff and again 8 levels lower, took seconds
+    degrees = []
+
+    def recorded(v, degree=None):
+        degrees.append(degree)
+        return ket_autocorrelation(v, degree)
+
+    monkeypatch.setattr(dissipative_oscillator, "ket_autocorrelation", recorded)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "dissipative-oscillator", "--param", "t",
+            "--start", "0.1", "--stop", "1", "--num", "2", "--set", "r=4",
+            "--mode", "dispersion", "--out", str(out)]
+    assert main(argv) == 0
+    assert degrees == [1, 1]
+    table = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert table[0] == ["t", "D"]
+    got = [float(d) for _t, d in table[1:]]
+    assert np.max(np.abs(np.array(got) - [0.99999385644891736, 0.99999399311764325])) <= 1e-12
 
 
 def test_zero_temperature_allocates_no_cutoff_squared_array():
@@ -252,7 +360,7 @@ def test_hot_bath_allocates_no_cutoff_squared_array():
 
 
 def test_zero_temperature_builds_one_ket_for_both_cutoffs():
-    # the check at cutoff - 8 reads a prefix of the cutoff ket
+    # the audit reads the last 8 levels of the cutoff ket
     squeezed_coherent_ket.cache_clear()
     spec = oscillator_spec(1.0, 0.025, 0.9, 0.3, 0.0)
     phase_dist_osc_dissipative(spec, 1.0, 0.4)
