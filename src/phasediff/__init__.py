@@ -28,8 +28,6 @@ from .qnd_phase import (
     phase_distribution_atomic,
     phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
-    phase_dist_squeezed_halfspin,
-    phase_dist_two_atoms,
     phase_dist_osc_squeezed,
 )
 from .dissipative_qubit import (

@@ -25,8 +25,8 @@ of the gamma-free distribution, c0_d, times e^{-w^2 gamma d^2} (_damped).
 For the atoms c0_d is one lag of the gamma-free pure state u,
 u_m = a_m e^{i(w^2 eta m^2 - w t m)}, weighted by one diagonal of the dipole
 weights as phase_distribution_atomic weights a density matrix; for the
-oscillator it is the ket autocorrelation over 2 pi.  The closed forms damp
-their gamma-free harmonics the same way.
+oscillator it is the ket autocorrelation over 2 pi.  The one closed form,
+the coherent single atom, damps its harmonic alike; the lags serve any j.
 
 Every distribution here is the array of its coefficients c_{-D}..c_D
 (distribution), and one rule serves one P and a curve of them.  gamma_t may
@@ -363,55 +363,6 @@ def phase_dist_coherent_halfspin(
     """
     rho10 = _coherent_rho10(params) * cmath.rect(1.0, -omega * t)
     return _damped(_qubit_distribution(rho10), omega, gamma_t)
-
-
-def phase_dist_squeezed_halfspin(
-    Theta: float, p_sign: float, omega: float, t: float, gamma_t: float
-) -> np.ndarray:
-    """Single-atom closed form for an atomic squeezed initial state,
-    p_sign = +1/2 or -1/2:
-
-        P(phi) = (1/2pi)[1 + sign (pi / 4 cosh Theta) cos(phi - omega t)
-                         e^{-omega^2 gamma}].
-    """
-    rho10 = _squeezed_rho10(Theta, p_sign) * cmath.rect(1.0, -omega * t)
-    return _damped(_qubit_distribution(rho10), omega, gamma_t)
-
-
-def _closed_form(harmonics) -> np.ndarray:
-    """P(phi) = (1/2pi)[1 + sum_{d >= 1} 2 Re(h_d e^{i d phi})] for the harmonics
-    h_1, h_2, ...: a term a cos(d phi - theta) is h_d = a e^{-i theta} / 2."""
-    return distribution_from_harmonics(np.array((1.0, *harmonics)) / (2.0 * math.pi))
-
-
-def phase_dist_two_atoms(
-    Theta: float,
-    p: int,
-    omega: float,
-    t: float,
-    eta_t: float,
-    gamma_t: float,
-) -> np.ndarray:
-    """Two-atom (j = 1) closed forms for p in {+1, -1, 0}, with x = phi - omega t:
-
-        p = 0:   P = (1/2pi)[1 - cos(2x) e^{-4 w^2 gamma} / (2 cosh 2Theta)]
-        p = +-1: P = (1/2pi)[1 + p (3 pi / 4 s) (cos x cos(w^2 eta) cosh Theta
-                     - sin x sin(w^2 eta) sinh Theta) e^{-w^2 gamma}
-                     + cos(2x) e^{-4 w^2 gamma} / (2 s)],  s = 1 + cosh 2Theta.
-
-    Unlike the single-atom case these involve eta(t).  Each term is one harmonic, as
-    a cos x - b sin x = Re[(a + i b) e^{ix}], times a power of cosh Theta / s = 1/(2 cosh Theta).
-    """
-    w2 = _omega_sq(omega)
-    h2 = cmath.rect(0.5, -2.0 * omega * t)
-    if p == 0:
-        return _damped(_closed_form((0.0, -h2 * _half_sech(2.0 * Theta))), omega, gamma_t)
-    if p not in (1, -1):
-        raise ValueError(f"p must be +1, -1 or 0, got {p}")
-    hs = _half_sech(Theta)
-    ab = complex(math.cos(w2 * eta_t), math.sin(w2 * eta_t) * math.tanh(Theta))
-    h1 = float(p) * (3.0 * math.pi / 4.0) * hs * ab * cmath.rect(0.5, -omega * t)
-    return _damped(_closed_form((h1, h2 * hs * hs)), omega, gamma_t)
 
 
 # --- harmonic oscillator under the same dephasing propagator ---

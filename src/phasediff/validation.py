@@ -1,13 +1,14 @@
-"""Self-check suite: closed forms against independent brute-force oracles.
+"""Self-check suite: the routes the commands run against brute-force oracles.
 
 Every check reports (name, tolerance, deviation, passed) and its margin,
 deviation / tolerance.  The oracles are deliberately redundant
 implementations: the exact exponential of the qubit's master-equation
 generator, adaptive integration of the oscillator's master equation (in
 real arithmetic at the mixture check's real points), polar and frequency
-quadrature (one node set for all the baths of a kernel time), and the
-squeeze operator's exact exponential applied to the vectors a check needs,
-from one half-size real SVD (numpy `svd`) per parity block.
+quadrature (one node set for all the baths of a kernel time), the dense
+dephasing propagator on a whole density matrix (_dephasing_factor), and
+the squeeze operator's exact exponential applied to the vectors a check
+needs, from one half-size real SVD (numpy `svd`) per parity block.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .dissipative_oscillator import (
     phase_dist_osc_dissipative,
 )
 from .dissipative_qubit import propagate_qubit, qubit_spec
-from .distribution import samples
-from .figures import run_figure
+from .distribution import phase_grid, samples
+from .figures import SCENARIOS, _kernels, run_figure
 from .oracle import (
     gamma_by_quadrature,
     integrate_lindblad_oscillator,
@@ -36,8 +37,13 @@ from .oracle import (
 from .phase_stats import dispersion, integrate_distribution
 from .qnd_phase import (
     AtomicCoherentParams,
+    AtomicSqueezedParams,
+    _dephasing_factor,
     atomic_coherent_density,
+    atomic_squeezed_density,
+    phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
+    phase_dist_osc_squeezed,
     phase_distribution_atomic,
     qnd_evolve,
 )
@@ -165,16 +171,44 @@ def _check_atomic_closed_form() -> CheckResult:
 
 
 def _check_atomic_quadrature() -> CheckResult:
-    from .figures import SCENARIOS
-    from .qnd_phase import AtomicSqueezedParams, atomic_squeezed_density
-
+    # fig1's route against the polar quadrature of the dense dephased state
     p = SCENARIOS["fig1"].defaults
-    rho0 = atomic_squeezed_density(AtomicSqueezedParams(p["j"], p["p"], p["Theta"]))
-    rho_t = qnd_evolve(rho0, p["omega"], 0.1, 0.001, 0.005)
-    exact = samples(phase_distribution_atomic(rho_t), 90)
+    state = AtomicSqueezedParams(p["j"], p["p"], p["Theta"])
+    route = samples(phase_dist_atomic_squeezed(state, p["omega"], 0.1, 0.001, 0.005), 90)
+    rho_t = qnd_evolve(atomic_squeezed_density(state), p["omega"], 0.1, 0.001, 0.005)
     quad = samples(phase_dist_by_quadrature(rho_t, 90), 90)
-    dev = float(np.max(np.abs(exact - quad)))
-    return CheckResult("ten-atom distribution vs polar quadrature", 1e-8, dev)
+    dev = float(np.max(np.abs(route - quad)))
+    return CheckResult("ten-atom distribution vs polar quadrature", 2e-13, dev)
+
+
+def _squeezed_coherent(levels: int, r1: float, phi: float, alpha) -> np.ndarray:
+    """S(zeta) D(alpha)|0> on `levels` Fock states, zeta = r1 e^{i phi}: the
+    Poisson vector e^{-|alpha|^2/2} alpha^n / sqrt(n!), alpha != 0, squeezed
+    by the exact exponential."""
+    n, mag = np.arange(levels), abs(alpha)
+    log_n_fact = np.array([math.lgamma(k + 1.0) for k in range(levels)])
+    coherent = np.exp(-mag * mag / 2.0 + n * math.log(mag) - 0.5 * log_n_fact) * (alpha / mag) ** n
+    return _squeeze_exponential(levels, r1, phi, coherent)
+
+
+def _check_qnd_oscillator() -> CheckResult:
+    # fig8's start in the baths (r, T) = (1, 100) and (0, 0), against one dense
+    # dephased state per bath, rho = psi psi^dag * _dephasing_factor at levels
+    # n + 1/2, psi the exact squeeze exponential on 160 levels cut to 80, and
+    # P(phi_l) = (e rho e^dag)_ll / 2pi with e_ln = e^{-i n phi_l}
+    p = SCENARIOS["fig8"].defaults
+    eta_t, gammas = _kernels({**p, "r": np.array([1.0, 0.0]), "T": np.array([100.0, 0.0])})
+    alpha_mag = math.sqrt(p["alpha_sq"])
+    route = phase_dist_osc_squeezed(
+        p["r1"], p["psi"], alpha_mag, p["theta0"], p["omega"], p["t"], eta_t, gammas
+    )
+    psi = _squeezed_coherent(160, p["r1"], p["psi"], alpha_mag * np.exp(1j * p["theta0"]))[:80]
+    pure, levels = np.outer(psi, psi.conj()), np.arange(80) + 0.5
+    e = np.exp(-1j * np.outer(phase_grid(90), np.arange(80)))
+    rho = pure * _dephasing_factor(levels, p["omega"], p["t"], eta_t, gammas[:, None, None])
+    oracle = np.sum((e @ rho) * e.conj(), axis=-1).real / (2.0 * math.pi)
+    dev = float(np.max(np.abs([samples(row, 90) for row in route] - oracle)))
+    return CheckResult("QND oscillator vs dense dephased density matrix", 5e-10, dev)
 
 
 def _check_dissipative_phase_dist() -> CheckResult:
@@ -186,12 +220,8 @@ def _check_dissipative_phase_dist() -> CheckResult:
     r, phi, eta0, t, cutoff, grid = 0.5, 0.3, math.sqrt(50.0), 0.1, 250, 360
     spec = oscillator_spec(1.0, 0.025, r, phi, 0.0)
     closed = samples(phase_dist_osc_dissipative(spec, eta0, t, cutoff), grid)
-    eta = eta0 * math.exp(-spec.gamma0 * t / 2.0)
-    n = np.arange(cutoff)
-    log_n_fact = np.array([math.lgamma(k + 1.0) for k in n])
-    coherent = np.exp(-eta * eta / 2.0 + n * math.log(eta) - 0.5 * log_n_fact)
-    psi = _squeeze_exponential(cutoff, r, phi, coherent)
-    amp = np.fft.fft(psi * np.exp(-1j * spec.omega * t * n), grid)
+    psi = _squeezed_coherent(cutoff, r, phi, eta0 * math.exp(-spec.gamma0 * t / 2.0))
+    amp = np.fft.fft(psi * np.exp(-1j * spec.omega * t * np.arange(cutoff)), grid)
     oracle = np.abs(amp) ** 2 / (2.0 * math.pi)
     dev = float(np.max(np.abs(closed - oracle)))
     return CheckResult(
@@ -224,6 +254,7 @@ FULL_EXTRA_CHECKS = (
     _check_squeeze_vs_expm,
     _check_oscillator_mixture,
     _check_atomic_quadrature,
+    _check_qnd_oscillator,
     _check_dissipative_phase_dist,
     _check_normalization,
 )

@@ -40,12 +40,11 @@ from phasediff.qnd_phase import (
     atomic_squeezed_density,
     phase_dist_coherent_halfspin,
     phase_dist_osc_squeezed,
-    phase_dist_squeezed_halfspin,
-    phase_dist_two_atoms,
     phase_distribution_atomic,
     qnd_evolve,
 )
 from phasediff.special_functions import squeeze_matrix, wigner_d_half_pi
+from paper_forms import squeezed_halfspin, two_atoms
 
 GRID = 720
 
@@ -145,7 +144,7 @@ def test_criterion_05_reduction_identities():
     worst = 0.0
     for p_sign in (0.5, -0.5):
         c = samples(phase_dist_qubit_squeezed(0.3, p_sign, free_spec, t), GRID)
-        d = samples(phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0), GRID)
+        d = squeezed_halfspin(0.3, 2 * p_sign, 1.0, t, 0.0, phase_grid(GRID))
         worst = max(worst, float(np.max(np.abs(c - d))))
     checks.append(("dissipative squeezed -> free limit", worst <= 1e-12, f"dev {worst:.3e}"))
     e = samples(phase_dist_osc_squeezed(0.0, 0.7, 2.0, 0.3, 1.0, 0.1, 0.001, 0.005), GRID)
@@ -175,7 +174,7 @@ def test_criterion_06_closed_forms_vs_machinery():
         )
         worst = max(worst, float(np.max(np.abs(
             samples(phase_distribution_atomic(rho), GRID)
-            - samples(phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga), GRID)
+            - squeezed_halfspin(0.3, 2 * p_sign, omega, t, ga, phase_grid(GRID))
         ))))
     checks.append(("half-spin squeezed", worst <= 1e-10, f"dev {worst:.3e}"))
 
@@ -186,7 +185,7 @@ def test_criterion_06_closed_forms_vs_machinery():
         )
         worst = max(worst, float(np.max(np.abs(
             samples(phase_distribution_atomic(rho), GRID)
-            - samples(phase_dist_two_atoms(-0.2, p, omega, t, et, ga), GRID)
+            - two_atoms(-0.2, p, omega, t, et, ga, phase_grid(GRID))
         ))))
     checks.append(("two atoms, all p", worst <= 1e-10, f"dev {worst:.3e}"))
 

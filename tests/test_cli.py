@@ -363,6 +363,35 @@ def test_benchmark_traces_only_checks_that_validate_runs():
     assert set(traced) <= checks
 
 
+# the route of the point models that each check must reach, as module.function
+CHECK_ROUTES = {
+    "_check_atomic_quadrature": {"qnd_phase.phase_dist_atomic_squeezed"},
+    "_check_qnd_oscillator": {"qnd_phase.phase_dist_osc_squeezed"},
+    "_check_dissipative_phase_dist": {"dissipative_oscillator.phase_dist_osc_dissipative"},
+    "_check_atomic_closed_form": {"qnd_phase.phase_dist_coherent_halfspin"},
+    "_check_qubit_propagator": {"dissipative_qubit._coherence", "dissipative_qubit._population"},
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_ROUTES))
+def test_validate_checks_call_the_routes_the_commands_run(check):
+    # a check that tests a function no command runs leaves the route unchecked
+    checks = {c.__name__: c for c in QUICK_CHECKS + FULL_EXTRA_CHECKS}
+    assert check in checks
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add(f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        assert checks[check]().passed
+    finally:
+        sys.setprofile(None)
+    assert {f"phasediff.{route}" for route in CHECK_ROUTES[check]} <= called
+
+
 @pytest.mark.parametrize("mode", ["dispersion", "distribution"])
 @pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
 def test_sweep_every_family_and_mode(tmp_path, family, mode):

@@ -20,9 +20,9 @@ from phasediff.qnd_phase import (
     atomic_coherent_density,
     atomic_squeezed_density,
     phase_dist_coherent_halfspin,
-    phase_dist_squeezed_halfspin,
     phase_distribution_atomic,
 )
+from paper_forms import squeezed_halfspin
 
 GRID = 240
 RHO0 = np.array([[0.3, 0.25 - 0.1j], [0.25 + 0.1j, 0.7]], dtype=complex)
@@ -130,7 +130,7 @@ def test_zero_coupling_reduces_to_dephasing_free_closed_forms():
     assert np.max(np.abs(a - b)) < 1e-12
     for p_sign in (0.5, -0.5):
         c = samples(phase_dist_qubit_squeezed(0.3, p_sign, spec, t), GRID)
-        d = samples(phase_dist_squeezed_halfspin(0.3, p_sign, 1.0, t, 0.0), GRID)
+        d = squeezed_halfspin(0.3, 2 * p_sign, 1.0, t, 0.0, phase_grid(GRID))
         assert np.max(np.abs(c - d)) < 1e-12
 
 

@@ -22,8 +22,6 @@ from phasediff.qnd_phase import (
     phase_dist_atomic_squeezed,
     phase_dist_coherent_halfspin,
     phase_dist_osc_squeezed,
-    phase_dist_squeezed_halfspin,
-    phase_dist_two_atoms,
     phase_distribution_atomic,
     qnd_evolve,
 )
@@ -33,6 +31,7 @@ from phasediff.special_functions import (
     squeezed_coherent_ket,
     wigner_d_half_pi,
 )
+from paper_forms import coherent_halfspin, squeezed_halfspin, two_atoms
 
 GRID = 240
 
@@ -121,32 +120,26 @@ def test_half_spin_coherent_closed_form_vs_machinery():
     assert np.max(np.abs(machinery - closed)) < 1e-13
 
 
-def test_half_spin_squeezed_closed_form_vs_machinery():
-    for p_sign in (0.5, -0.5):
-        state = AtomicSqueezedParams(0.5, p_sign, 0.3)
-        omega, t, ga = 1.0, 0.5, 0.015
-        rho = qnd_evolve(atomic_squeezed_density(state), omega, t, 0.0, ga)
-        machinery = samples(phase_distribution_atomic(rho), GRID)
-        closed = samples(phase_dist_squeezed_halfspin(0.3, p_sign, omega, t, ga), GRID)
-        assert np.max(np.abs(machinery - closed)) < 1e-13
-
-
-@pytest.mark.parametrize("p", [1, -1, 0])
-def test_two_atom_closed_form_vs_machinery(p):
-    Theta, omega, t = -0.2, 1.0, 0.4
-    et, ga = 0.003, 0.01
-    rho = qnd_evolve(atomic_squeezed_density(AtomicSqueezedParams(1, p, Theta)), omega, t, et, ga)
-    machinery = samples(phase_distribution_atomic(rho), GRID)
-    closed = samples(phase_dist_two_atoms(Theta, p, omega, t, et, ga), GRID)
-    assert np.max(np.abs(machinery - closed)) < 1e-13
-
-
-@pytest.mark.parametrize("Theta", [-400.0, 800.0])
-@pytest.mark.parametrize("p", [1, -1, 0])
-def test_two_atom_closed_form_at_extreme_squeezing_is_flat(p, Theta):
-    # cosh 2 Theta passes the double range, and P tends to 1/2pi
-    coeffs = phase_dist_two_atoms(Theta, p, 1.0, 0.4, 0.003, 0.01)
-    assert np.max(np.abs(coeffs - [0.0, 0.0, 1.0 / (2.0 * math.pi), 0.0, 0.0])) < 1e-15
+@pytest.mark.parametrize("n", [8, 240, 720])
+@pytest.mark.parametrize("omega, t, eta_t, gamma_t", [
+    (1.0, 0.4, 0.003, 0.01),
+    (1.3, 0.7, -4e-3, 0.05),
+    (1.2, 0.9, 0.17, 0.04),
+])
+@pytest.mark.parametrize("Theta", [0.3, -0.7, 1.2])
+@pytest.mark.parametrize("j, p", [(0.5, 0.5), (0.5, -0.5), (1, 1), (1, -1), (1, 0)])
+def test_atomic_route_at_one_and_two_atoms_is_the_paper_formula(j, p, Theta, omega, t, eta_t,
+                                                                gamma_t, n):
+    # the paper's j = 1/2 and j = 1 closed forms are the general route's
+    # special cases; at j = 1/2 eta(t) only shifts both levels' phase
+    state = AtomicSqueezedParams(j, p, Theta)
+    route = samples(phase_dist_atomic_squeezed(state, omega, t, eta_t, gamma_t), n)
+    phi = phase_grid(n)
+    if j == 0.5:
+        paper = squeezed_halfspin(Theta, 2 * p, omega, t, gamma_t, phi)
+    else:
+        paper = two_atoms(Theta, p, omega, t, eta_t, gamma_t, phi)
+    assert np.max(np.abs(route - paper)) <= 1e-14
 
 
 def test_oscillator_coherent_normalized_and_fock_uniform():
@@ -302,9 +295,12 @@ DAMPED_FORMS = {
         0.5, math.pi / 4, math.sqrt(5.0), 0.3, w, 0.7, -4e-3, g),
     "coherent half-spin": lambda w, g: phase_dist_coherent_halfspin(
         AtomicCoherentParams(1.1, 2.3), w, 0.7, g),
-    "squeezed half-spin": lambda w, g: phase_dist_squeezed_halfspin(-0.3, -0.5, w, 0.7, g),
-    "two atoms p=1": lambda w, g: phase_dist_two_atoms(0.4, 1, w, 0.7, -4e-3, g),
-    "two atoms p=0": lambda w, g: phase_dist_two_atoms(0.4, 0, w, 0.7, -4e-3, g),
+    "squeezed half-spin": lambda w, g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(0.5, -0.5, -0.3), w, 0.7, -4e-3, g),
+    "two atoms p=1": lambda w, g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(1, 1, 0.4), w, 0.7, -4e-3, g),
+    "two atoms p=0": lambda w, g: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(1, 0, 0.4), w, 0.7, -4e-3, g),
 }
 
 
@@ -333,7 +329,7 @@ def test_bath_reaches_the_dispersion_only_through_gamma(form, gamma_t, omega):
 
 
 # the QND models of the paper, as functions of omega, gamma and the degree
-# read; the closed forms keep all of their few harmonics
+# read; the coherent half-spin closed form keeps both of its harmonics
 QND_IDENTITY_FORMS = {
     "oscillator": lambda w, g, k: phase_dist_osc_squeezed(
         0.5, math.pi / 4, math.sqrt(5.0), 0.3, w, 0.7, -4e-3, g, degree=k),
@@ -341,13 +337,16 @@ QND_IDENTITY_FORMS = {
         AtomicSqueezedParams(5, 5, -0.01832), w, 0.7, -4e-3, g, k),
     "coherent half-spin": lambda w, g, k: phase_dist_coherent_halfspin(
         AtomicCoherentParams(1.1, 2.3), w, 0.7, g),
-    "squeezed half-spin p=+1/2": lambda w, g, k: phase_dist_squeezed_halfspin(
-        -0.3, 0.5, w, 0.7, g),
-    "squeezed half-spin p=-1/2": lambda w, g, k: phase_dist_squeezed_halfspin(
-        -0.3, -0.5, w, 0.7, g),
-    "two atoms p=1": lambda w, g, k: phase_dist_two_atoms(0.4, 1, w, 0.7, -4e-3, g),
-    "two atoms p=-1": lambda w, g, k: phase_dist_two_atoms(0.4, -1, w, 0.7, -4e-3, g),
-    "two atoms p=0": lambda w, g, k: phase_dist_two_atoms(0.4, 0, w, 0.7, -4e-3, g),
+    "squeezed half-spin p=+1/2": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(0.5, 0.5, -0.3), w, 0.7, -4e-3, g, k),
+    "squeezed half-spin p=-1/2": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(0.5, -0.5, -0.3), w, 0.7, -4e-3, g, k),
+    "two atoms p=1": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(1, 1, 0.4), w, 0.7, -4e-3, g, k),
+    "two atoms p=-1": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(1, -1, 0.4), w, 0.7, -4e-3, g, k),
+    "two atoms p=0": lambda w, g, k: phase_dist_atomic_squeezed(
+        AtomicSqueezedParams(1, 0, 0.4), w, 0.7, -4e-3, g, k),
 }
 
 
@@ -452,70 +451,8 @@ def test_squeezed_amplitudes_near_the_double_range_still_compute():
     assert np.all(np.isfinite(amps)) and abs(np.sum(amps**2) - 1.0) < 1e-14
 
 
-# the closed forms as they were written on the grid, term by term in cos(phi)
-
-
-def _old_coherent_halfspin(params, omega, t, gamma_t, phi):
-    return (
-        1.0
-        + (math.pi / 4.0)
-        * math.sin(params.alpha_p)
-        * np.cos(params.beta_p + omega * t - phi)
-        * math.exp(-(omega**2) * gamma_t)
-    ) / (2.0 * math.pi)
-
-
-def _old_squeezed_halfspin(Theta, sign, omega, t, gamma_t, phi):
-    return (
-        1.0
-        + sign
-        * (math.pi / (4.0 * math.cosh(Theta)))
-        * np.cos(phi - omega * t)
-        * math.exp(-(omega**2) * gamma_t)
-    ) / (2.0 * math.pi)
-
-
-def _old_two_atoms(Theta, p, omega, t, eta_t, gamma_t, phi):
-    w2 = omega**2
-    if p == 0:
-        return (
-            1.0
-            - np.cos(2.0 * (phi - omega * t))
-            * math.exp(-4.0 * w2 * gamma_t)
-            / (2.0 * math.cosh(2.0 * Theta))
-        ) / (2.0 * math.pi)
-    denom = 1.0 + math.cosh(2.0 * Theta)
-    return (
-        1.0
-        + p
-        * (3.0 * math.pi / (4.0 * denom))
-        * (
-            np.cos(phi - omega * t) * math.cos(w2 * eta_t) * math.cosh(Theta)
-            - np.sin(phi - omega * t) * math.sin(w2 * eta_t) * math.sinh(Theta)
-        )
-        * math.exp(-w2 * gamma_t)
-        + (1.0 / (2.0 * denom))
-        * np.cos(2.0 * (phi - omega * t))
-        * math.exp(-4.0 * w2 * gamma_t)
-    ) / (2.0 * math.pi)
-
-
 @pytest.mark.parametrize("n", [8, 720])
-def test_halfspin_closed_forms_equal_the_grid_formulas(n):
-    phi = phase_grid(n)
+def test_coherent_halfspin_closed_form_equals_the_grid_formula(n):
     state = AtomicCoherentParams(math.pi / 3, 0.4)
     p = samples(phase_dist_coherent_halfspin(state, 1.3, 0.7, 0.05), n)
-    assert np.max(np.abs(p - _old_coherent_halfspin(state, 1.3, 0.7, 0.05, phi))) < 1e-14
-    for p_sign in (0.5, -0.5):
-        p = samples(phase_dist_squeezed_halfspin(-0.4, p_sign, 1.3, 0.7, 0.05), n)
-        old = _old_squeezed_halfspin(-0.4, 2.0 * p_sign, 1.3, 0.7, 0.05, phi)
-        assert np.max(np.abs(p - old)) < 1e-14
-
-
-@pytest.mark.parametrize("n", [8, 720])
-@pytest.mark.parametrize("p_label", [1, -1, 0])
-def test_two_atom_closed_forms_equal_the_grid_formulas(n, p_label):
-    phi = phase_grid(n)
-    p = samples(phase_dist_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04), n)
-    old = _old_two_atoms(-0.3, p_label, 1.2, 0.9, 0.17, 0.04, phi)
-    assert np.max(np.abs(p - old)) < 1e-14
+    assert np.max(np.abs(p - coherent_halfspin(state, 1.3, 0.7, 0.05, phase_grid(n)))) < 1e-14
