@@ -103,6 +103,10 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 
 _RESERVED_KEYS = ("out", "grid", "cutoff")
+# the most cells (--num points times --grid angles) of a distribution sweep's
+# table, refused before any work: a table run peaks near 67 bytes a cell, so
+# this is about 0.7 GB, and fig4's 8 columns at the largest grid stay below it
+MAX_TABLE_CELLS = 10**7
 
 
 def _collect_options(opts) -> tuple[dict[str, float], dict[str, str]]:
@@ -221,6 +225,11 @@ def _cmd_sweep(opts) -> int:
             f"--start and --stop must be finite and a double apart, got {start}, {stop}"
         )
     grid, cutoff = _grid_and_cutoff(reserved)
+    if mode == "distribution" and num * grid > MAX_TABLE_CELLS:
+        raise UsageError(
+            f"--num {num} times --grid {grid} is {num * grid} table cells, above the "
+            f"maximum {MAX_TABLE_CELLS}; lower --num or --grid"
+        )
     scenario = f"sweep-{family}-{param}"
     out = _out_path(reserved, scenario, opts["plot-script"])
     xs = np.linspace(start, stop, num).tolist()

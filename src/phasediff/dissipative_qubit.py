@@ -88,13 +88,10 @@ def _population(rho11: complex, rho00: complex, spec: DissipativeBathSpec, t):
     if spec.gamma0 == 0.0:  # unitary limit, avoids 0/0 in the gamma0/gamma_beta ratio
         return rho11 + 0.0 * t
     gb = _gamma_beta(spec)
-    if isinstance(t, np.ndarray):
-        e1 = np.array([math.exp(-gb * x) for x in t.tolist()]).reshape(t.shape)
-    else:
-        e1 = math.exp(-gb * t)
+    e1 = np.array([math.exp(-gb * x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
     g_ratio = spec.gamma0 / gb
     return (0.5 * ((1.0 - g_ratio) + (1.0 + g_ratio) * e1) * rho11
-            + (spec.gamma0 * spec.N / gb) * (1.0 - e1) * rho00)
+            + (spec.gamma0 * spec.N / gb) * (1.0 - e1) * rho00)[()]
 
 
 def _coherence(rho10: complex, rho01: complex, spec: DissipativeBathSpec, t: float) -> complex:

@@ -10,10 +10,11 @@ model that GROUPED_MODELS lists for the swept setting takes the whole
 curve as one array and returns one row of coefficients per point: under
 dephasing the bath's r, a and T reach P only through gamma(t), so a curve
 over one of them makes one array of gamma(t) and one broadcast damping,
-and the atoms' Theta or zeta give one gamma-free build of all the curve's
-amplitudes; the dissipative qubit takes its baths' r and T.  Any other
-curve, such as a t sweep, is one call per point; so are the ad hoc runs of
-fig1, fig2, fig4 and fig5.  The caller passes down the Fourier degree it
+and the atoms' Theta gives one gamma-free build of all the curve's
+amplitudes (fig7 sweeps Theta and writes each point's zeta); the
+dissipative qubit takes its baths' r and T.  Any other curve, such as a t
+sweep, is one call per point; so are the ad hoc runs of fig1, fig2, fig4
+and fig5.  The caller passes down the Fourier degree it
 reads: 1 for a dispersion, None (all) for a distribution.  Every model
 then returns c_{-1}, c_0 and c_1 at degree 1, so a dispersion curve's
 rows are one (points, 3) array whichever form _curve gives them in.
@@ -97,7 +98,7 @@ def _kernels(p: Mapping[str, float]):
     check_time(p["t"])
     if spec.gamma0 == 0:
         shape = np.broadcast(spec.r, spec.a, spec.T).shape
-        return 0.0, np.zeros(shape) if shape else 0.0
+        return 0.0, np.zeros(shape)[()]
     return eta(p["t"], spec), gamma_qnd(p["t"], spec)
 
 
@@ -113,12 +114,6 @@ def _qnd_atoms(p, cutoff, degree=None):
     state = AtomicSqueezedParams(p["j"], p["p"], p["Theta"])
     et, ga = _kernels(p)
     return phase_dist_atomic_squeezed(state, p["omega"], p["t"], et, ga, degree)
-
-
-def _qnd_atoms_zeta(p, cutoff, degree=None):
-    """_qnd_atoms with the system squeezing given as zeta instead of Theta."""
-    theta = AtomicSqueezedParams.from_zeta(p["j"], p["p"], p["zeta"]).Theta
-    return _qnd_atoms({**p, "Theta": theta}, cutoff, degree)
 
 
 def _qnd_qubit(p, cutoff, degree=None):
@@ -167,7 +162,6 @@ def _dissipative_oscillator(p, cutoff, degree=None):
 # over any other setting is evaluated point by point
 GROUPED_MODELS = {
     _qnd_atoms: frozenset(BATH_KEYS + ("Theta",)),
-    _qnd_atoms_zeta: frozenset(BATH_KEYS + ("zeta",)),
     _qnd_qubit: frozenset(BATH_KEYS),
     _qnd_oscillator: frozenset(BATH_KEYS),
     _dissipative_qubit: frozenset(("r", "T")),
@@ -327,11 +321,12 @@ def _build_fig6(params, grid, cutoff):
 
 
 def _build_fig7(params, grid, cutoff):
-    zetas = tuple(np.linspace(0.25, 2.0, 36))
+    """Each curve over Theta = (1/2) ln tanh(2 zeta), written over zeta."""
+    zetas = np.linspace(0.25, 2.0, 36)
+    thetas = tuple(0.5 * math.log(math.tanh(2 * z)) for z in zetas.tolist())
     curves = [("unitary", {"gamma0": 0.0})] + _temperature_curves(0.0, 50.0, 100.0)
-    return dispersion_figure(
-        "fig7", _qnd_atoms_zeta, params, "zeta", zetas, curves, cutoff
-    )
+    fd = dispersion_figure("fig7", _qnd_atoms, params, "Theta", thetas, curves, cutoff)
+    return fd._replace(x_name="zeta", x=zetas)
 
 
 def _build_fig8(params, grid, cutoff):

@@ -399,4 +399,4 @@ def gamma_by_quadrature(t: float, spec: QndBathSpec):
         np.sum(np.multiply(bath, k, out=part) @ weights, axis=-1) for k in (cold, hot)
     )
     gamma = (g0 / (2.0 * math.pi)) * 0.5 * h * np.where(np.equal(T, 0), cold_sum, T * hot_sum)
-    return float(gamma) if gamma.ndim == 0 else gamma
+    return gamma[()]

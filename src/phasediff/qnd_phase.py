@@ -114,27 +114,12 @@ class AtomicSqueezedParams(_AtomicSqueezedFields):
     def __new__(cls, j, p, Theta):
         tj = twice_spin("j", j)
         tp = twice_spin("p", p, tj)
-        thetas = Theta.tolist() if isinstance(Theta, np.ndarray) else (Theta,)
-        if not all(map(math.isfinite, thetas)):
+        if not all(map(math.isfinite, np.ravel(Theta).tolist())):
             raise ValueError("Theta must be finite")
         return super().__new__(cls, j, p, Theta, tj, tp)
 
     def __getnewargs__(self):
         return self[:3]  # copy and pickle rebuild from the three inputs
-
-    @classmethod
-    def from_zeta(cls, j, p, zeta) -> "AtomicSqueezedParams":
-        """The state of squeezing strength zeta; a numpy array of zeta gives
-        the array of their Theta, taken entry by entry."""
-        if isinstance(zeta, np.ndarray):
-            return cls(j, p, np.array([_theta_of_zeta(z) for z in zeta.tolist()]))
-        return cls(j, p, _theta_of_zeta(zeta))
-
-
-def _theta_of_zeta(zeta: float) -> float:
-    if zeta <= 0:
-        raise ValueError(f"zeta = {zeta} must be positive")
-    return 0.5 * math.log(math.tanh(2 * zeta))
 
 
 def atomic_coherent_amplitudes(params: AtomicCoherentParams, j) -> np.ndarray:

@@ -490,14 +490,20 @@ def _refuse_linspace(*args, **kwargs):
      "grid size 1000001 is above the maximum 1000000; lower --grid"),
     ([*_SWEEP, "--mode", "distribution", "--grid", "1000000000"], 2,
      "grid size 1000000000 is above the maximum 1000000; lower --grid"),
+    ([*_SWEEP, "--mode", "distribution", "--num", "1000000", "--grid", "1000000"], 2,
+     "--num 1000000 times --grid 1000000 is 1000000000000 table cells, above the maximum "
+     "10000000; lower --num or --grid"),
+    ([*_SWEEP, "--mode", "distribution", "--num", "10001", "--grid", "1000"], 2,
+     "--num 10001 times --grid 1000 is 10001000 table cells, above the maximum 10000000; "
+     "lower --num or --grid"),
 ], ids=["n_t=1e12", "n_t=1e300", "num=1e12", "num=1e300", "figure-grid=1e6+1",
-        "sweep-grid=1e9"])
+        "sweep-grid=1e9", "sweep-cells=1e12", "sweep-cells=1e7+1e3"])
 def test_point_count_past_the_bound_is_refused_before_allocation(
     tmp_path, monkeypatch, capsys, argv, rc, message
 ):
-    # 1e12 points would take 7.3 TiB, and a grid of 1e9 angles 16 GB: the
-    # count is refused by name before np.linspace, which this test makes
-    # fail if reached
+    # 1e12 points would take 7.3 TiB, a grid of 1e9 angles 16 GB, and a
+    # distribution table of 1e12 cells some 67 TB: the count is refused by
+    # name before np.linspace, which this test makes fail if reached
     monkeypatch.setattr(np, "linspace", _refuse_linspace)
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == rc

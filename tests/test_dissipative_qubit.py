@@ -6,6 +6,7 @@ import pytest
 from phasediff.distribution import phase_grid, samples
 from phasediff.dissipative_qubit import (
     _damped_cosh_sinhc,
+    _population,
     excited_population,
     phase_dist_qubit_coherent,
     phase_dist_qubit_squeezed,
@@ -102,13 +103,20 @@ def test_long_time_population_reaches_detailed_balance():
     assert abs(excited_population(state, spec, 5000.0) - n / (2 * n + 1)) < 1e-6
 
 
-def test_excited_population_matches_propagator_diagonal():
+@pytest.mark.parametrize("gamma0", [0.25, 0.0])
+def test_excited_population_matches_propagator_diagonal(gamma0):
+    # a number t is a one-entry array of t, bit for bit, and gives a float
     state = AtomicCoherentParams(math.pi / 3, 0.7)
     rho0 = atomic_coherent_density(state, 0.5)
     for r, T, t in ((0.0, 0.0, 0.8), (1.0, 300.0, 0.4)):
-        spec = qubit_spec(1.0, 0.25, r, math.pi / 8, T)
+        spec = qubit_spec(1.0, gamma0, r, math.pi / 8, T)
         out = propagate_qubit(rho0, spec, t)
-        assert abs(excited_population(state, spec, t) - out[1, 1].real) < 1e-12
+        p11 = excited_population(state, spec, t)
+        assert isinstance(p11, float)
+        assert p11 == excited_population(state, spec, np.array([t]))[0]
+        assert abs(p11 - out[1, 1].real) < 1e-12
+        (r00, _), (_, r11) = rho0.tolist()
+        assert out[1, 1] == _population(r11, r00, spec, np.array([t]))[0]
 
 
 def test_phase_distributions_normalized():

@@ -115,8 +115,8 @@ def test_unitary_curves_are_the_undamped_evolution():
     assert np.max(np.abs(fig1.columns[0][1] - undamped)) <= 1e-15
     fig7 = run_figure("fig7")
     assert fig7.columns[0][0] == "unitary"
-    expected = [dispersion(_undamped_atoms(AtomicSqueezedParams.from_zeta(5, 5, z).Theta, 1.0))
-                for z in fig7.x]
+    expected = [dispersion(_undamped_atoms(0.5 * math.log(math.tanh(2 * z)), 1.0))
+                for z in fig7.x.tolist()]
     assert np.max(np.abs(fig7.columns[0][1] - expected)) <= 1e-15
     fig8 = run_figure("fig8")
     assert fig8.columns[0][0] == "unitary"
@@ -125,7 +125,7 @@ def test_unitary_curves_are_the_undamped_evolution():
 
 
 def test_dispersion_figure_keeps_its_curves_in_order():
-    # each curve is one call over all its zetas, and the columns and the
+    # each curve is one call over all its Thetas, and the columns and the
     # block's rows stay curve by curve
     fd = run_figure("fig7")
     labels = [label for label, _ in fd.columns]
@@ -272,18 +272,21 @@ def test_a_refusing_figure_names_its_first_point_at_fault(curves, xs, message):
 
 
 def test_fig7_evaluates_each_curve_in_one_call(monkeypatch):
-    # the unitary curve and the three T curves are one call each
+    # the unitary curve and the three T curves are one call each, over
+    # Theta, and the figure is written over zeta
     calls = []
-    model = figures._qnd_atoms_zeta
+    model = figures._qnd_atoms
 
     def counted(p, *args):
-        calls.append(np.shape(p["zeta"]))
+        calls.append(np.shape(p["Theta"]))
         return model(p, *args)
 
     monkeypatch.setitem(figures.GROUPED_MODELS, counted, figures.GROUPED_MODELS[model])
-    monkeypatch.setattr(figures, "_qnd_atoms_zeta", counted)
-    run_figure("fig7")
+    monkeypatch.setattr(figures, "_qnd_atoms", counted)
+    fd = run_figure("fig7")
     assert calls == [(36,)] * 4
+    assert fd.x_name == "zeta"
+    assert np.array_equal(fd.x, np.linspace(0.25, 2.0, 36))
 
 
 def test_fig3_population_over_a_time_array_is_the_scalar_population():

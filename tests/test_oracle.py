@@ -285,7 +285,8 @@ def test_gamma_quadrature_over_bath_arrays_equals_one_bath_calls():
         # one entry per bath: r and T paired rather than crossed
         paired = gamma_by_quadrature(t, QndBathSpec(0.025, 100.0, rs[:3, 0], a, temps))
         assert np.array_equal(paired, np.diagonal(group))
-    assert isinstance(gamma_by_quadrature(1.0, QndBathSpec(0.025, 100.0, 1.0, 0.05, 0.0)), float)
+    for T in (0.0, 3.5):  # a bath of numbers gives one float
+        assert isinstance(gamma_by_quadrature(1.0, QndBathSpec(0.025, 100.0, 1.0, 0.05, T)), float)
     # the refusals of a bath of numbers
     spec = QndBathSpec(0.025, 100.0, rs, 0.3, temps)
     with pytest.raises(DomainError, match=r"undefined for t = 0.5 <= 2a = 0.6"):

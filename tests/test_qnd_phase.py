@@ -427,15 +427,18 @@ def test_gamma_free_oscillator_cache_is_keyed_by_degree(cold_caches):
     assert squeezed_coherent_ket.cache_info().misses == 1
 
 
-def test_squeezed_amplitudes_match_scalar_products():
-    # the cached row times e^{n Theta} keeps each scalar product of the old loop
-    tj, tp, theta = 10, 4, -0.3
+@pytest.mark.parametrize("theta", [-0.3, np.array([-0.3])])
+def test_squeezed_amplitudes_match_scalar_products(theta):
+    # the cached row times e^{n Theta} keeps each scalar product of the old
+    # loop, and a one-entry array of Theta gives the number's one row
+    tj, tp = 10, 4
     loop = np.array([
-        math.exp(tn / 2.0 * theta) * wigner_d_half_pi(tj, tn, tp) for tn in range(-tj, tj + 1, 2)
+        math.exp(tn / 2.0 * -0.3) * wigner_d_half_pi(tj, tn, tp) for tn in range(-tj, tj + 1, 2)
     ])
     loop = loop / math.sqrt(np.sum(loop**2))
     amps = atomic_squeezed_amplitudes(AtomicSqueezedParams(tj / 2, tp / 2, theta))
-    assert np.array_equal(amps, loop)
+    assert amps.shape == np.shape(theta) + (tj + 1,)
+    assert np.array_equal(np.ravel(amps), loop)
 
 
 @pytest.mark.parametrize("theta", [-80.0, 80.0, -800.0])
